@@ -39,7 +39,7 @@ from .expressions import (
     print_expression,
     symbolic_inverse,
 )
-from .recovery import integrate_phi, recover_metric, verify_recovery
+from .recovery import RecoveredFactor, verify_recovery
 from .scenario import Scenario, load_scenario
 
 _BUILTIN_METRICS = {
@@ -233,8 +233,9 @@ def _cmd_recover(args) -> int:
             f"not compatible ({report.verdict}); no recovery attempted",
         )
         return 2
-    phi = integrate_phi(scenario, base, at)
-    recovered = recover_metric(scenario, base, [at])[0]
+    factor = RecoveredFactor(scenario, base)
+    phi = factor.phi(at)
+    recovered = factor.scaled_metric(at, phi)
     verification = verify_recovery(
         scenario, base, samples=args.samples, seed=args.seed
     )

@@ -22,19 +22,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import ConprojError, DegenerateMetric
+from .errors import ConprojError, DegenerateMetric, DomainError
+from .expressions import Evaluator
 from .geometry import (
     ConnectionValue,
     MetricValue,
     OneFormValue,
     VectorValue,
-    _christoffel,
     invert_metric,
-    thomas_projection_jets,
+    levi_civita,
+    tracefree,
 )
+from .jets import Jet
 from .linalg import jacobi_eigh
 from .sampling import SplitMix64, draw_point, point_stream
-from .scenario import Scenario, Tolerances, connection_at, metric_at
+from .scenario import (
+    Scenario,
+    Tolerances,
+    _check_point,
+    connection_jet,
+    inverse_at,
+    symmetric_jet,
+)
 
 __all__ = [
     "NullVector",
@@ -52,6 +61,8 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-10
+# Sample points evaluated together; bounds the memory of a large check.
+CHUNK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,13 @@ class NullVector:
 
 @dataclass(frozen=True)
 class ObstructionData:
-    """Per-point tensors of the compatibility check.
-
+    """Tensors of the compatibility check at a point, or over a stack of
+    points (then ``point`` is None and every array leads with the points).
     ``a`` and ``b`` are the raw condition residual arrays; ``scale`` is the
     normalization max(1, |Gamma|, |g|, |g^-1|) used for reporting.
     """
 
-    point: tuple
+    point: tuple | None
     T: tuple
     t_up: VectorValue
     t_down: OneFormValue
@@ -121,90 +132,96 @@ class CompatReport:
     skipped: tuple
 
 
+def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
+    """Metric (order ``order + 1``), inverse, connection, Levi-Civita
+    connection, trace-free difference T and its traces T^i, T_i."""
+    g = symmetric_jet(scenario.metric, ev, order + 1, 2)
+    gamma = connection_jet(scenario, ev, order)
+    ginv = inverse_at(ev, g, scenario.tolerances.rank)
+    base = levi_civita(g, ginv)
+    T = tracefree(jets.sub(base, gamma, False))
+    up, down = _traces(g, ginv, T)
+    return g, ginv, gamma, base, T, up, down
+
+
+def _traces(g: Jet, ginv: Jet, T: Jet):
+    n = g.n
+    coefficient = (n + 1) / ((n + 2) * (n - 1))
+    up = jets.mul(jets.einsum("jk,ijk->i", ginv, T), coefficient, False)
+    return up, jets.einsum("ij,j->i", g, up)
+
+
+def _condition_a(t, up, down, g) -> np.ndarray:
+    n = g.shape[-1]
+    d = np.einsum("ij,...k->...ijk", np.eye(n), down / (n + 1))
+    return (t - up[..., :, None, None] * g[..., None, :, :]) + (d + np.swapaxes(d, -1, -2))
+
+
+def _condition_b(down: Jet) -> np.ndarray:
+    # down.gradient[..., i, k] = d_k T_i; B_ki = d_k T_i - d_i T_k
+    return np.swapaxes(down.gradient, -1, -2) - down.gradient
+
+
+def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
+    g, ginv, gamma, base, T, up, down = _trace_form(scenario, ev, 1)
+    a = _condition_a(T.value, up.value, down.value, g.value)
+    b = _condition_b(down)
+    lead = len(ev.shape)
+    scale = np.maximum.reduce(
+        [np.ones(ev.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
+    )
+    finite = np.isfinite(scale + _absmax(a, lead) + _absmax(b, lead))
+    ev.flag(~finite, lambda: DomainError(jets._NON_FINITE, point=ev.point))
+    point = ev.point
+    return ObstructionData(
+        point=point,
+        T=ConnectionValue(T).components,
+        t_up=VectorValue(up),
+        t_down=OneFormValue(down),
+        a=a,
+        b=b,
+        scale=scale,
+        metric=MetricValue(g, point=point),
+        connection=ConnectionValue(gamma, point=point),
+        diff_values=base.value - gamma.value,
+    )
+
+
+def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
+    """Max-abs over every axis after the first ``lead`` (point) axes."""
+    return np.max(np.abs(x), axis=tuple(range(lead, x.ndim)))
+
+
 def compat_tensor(g: MetricValue, gamma: ConnectionValue):
     """Trace-free difference tensor between the Levi-Civita connection of
     ``g`` and ``gamma``, as jets (order ``min(g.order - 1, gamma.order)``)."""
     if g.order < 1:
         raise ValueError("compat_tensor requires metric jets of order >= 1")
-    ginv = invert_metric(g)
-    base = _christoffel(g, ginv)
-    return _compat_tensor_from(base, gamma)
-
-
-def _compat_tensor_from(base: ConnectionValue, gamma: ConnectionValue):
-    n = base.n
-    diff = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                value = base.components[i][j][k] - gamma.components[i][j][k]
-                diff[i][j][k] = diff[i][k][j] = value
-    return thomas_projection_jets(diff, n)
-
-
-def _traces(g: MetricValue, ginv: MetricValue, T):
-    n = g.n
-    coefficient = (n + 1) / ((n + 2) * (n - 1))
-    up = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                gjk = ginv.components[j][k]
-                if jets.is_zero(gjk):
-                    continue
-                contrib = gjk * T[i][j][k]
-                acc = contrib if acc is None else acc + contrib
-        if acc is None:
-            acc = jets.constant(0.0, n, T[i][0][0].order)
-        up.append(acc * coefficient)
-    down = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            gij = g.components[i][j]
-            if jets.is_zero(gij):
-                continue
-            contrib = gij * up[j]
-            acc = contrib if acc is None else acc + contrib
-        if acc is None:
-            acc = jets.constant(0.0, n, up[0].order)
-        down.append(acc)
-    return VectorValue(up), OneFormValue(down)
+    base = levi_civita(g.jet, invert_metric(g).jet)
+    return ConnectionValue(tracefree(jets.sub(base, gamma.jet)), point=g.point).components
 
 
 def trace_vector(g: MetricValue, T):
     """Contractions T^i = (n+1)/((n+2)(n-1)) g^{jk} T^i_jk and T_i = g_ij T^j."""
     if g.n < 2:
         raise ValueError("trace coefficient requires dimension >= 2")
-    return _traces(g, invert_metric(g), T)
+    up, down = _traces(g.jet, invert_metric(g).jet, ConnectionValue(T).jet)
+    return VectorValue(up), OneFormValue(down)
 
 
 def condition_a_residual(
     g: MetricValue, T, t_up: VectorValue, t_down: OneFormValue
 ) -> np.ndarray:
     """Value-level residual array of the algebraic condition."""
-    n = g.n
-    gv = g.values()
-    tv = np.array(
-        [[[T[i][j][k].value for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    up = t_up.values()
-    down = t_down.values()
-    c = 1.0 / (n + 1)
-    a = tv - up[:, None, None] * gv[None, :, :]
-    idx = np.arange(n)
-    a[idx, idx, :] += c * down
-    a[idx, :, idx] += c * down
-    return a
+    t = ConnectionValue(T).jet.value
+    return _condition_a(t, t_up.jet.value, t_down.jet.value, g.jet.value)
 
 
 def condition_b_residual(t_down: OneFormValue) -> np.ndarray:
     """Closedness residual B_ji = d_j T_i - d_i T_j from the jets' gradients."""
     if t_down.order < 1:
         raise ValueError("condition (B) requires one-form jets of order >= 1")
-    m = np.stack([comp.gradient for comp in t_down.components], axis=1)
-    return m - m.T
+    return _condition_b(t_down.jet)
 
 
 def sample_null_vectors(
@@ -269,48 +286,21 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
         raise ValueError("direction vector must be nonzero")
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
-    ginv = invert_metric(g)
-    base = _christoffel(g, ginv)
-    return _eps_from_diff(base.values() - gamma.values(), vec)
+    base = levi_civita(g.jet, invert_metric(g).jet)
+    return float(_eps_from_diff(base.value - gamma.jet.value, vec))
 
 
-def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> float:
-    d = np.einsum("ijk,j,k->i", diff_values, u, u)
-    uu = float(u @ u)
-    residual = d - (float(d @ u) / uu) * u
-    return float(np.max(np.abs(residual))) / uu
+def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """EPS residual of each direction in ``u`` (shape (n,) or (m, n))."""
+    d = np.einsum("ijk,...j,...k->...i", diff_values, u, u)
+    uu = np.einsum("...i,...i->...", u, u)
+    parallel = np.einsum("...i,...i->...", d, u) / uu
+    return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
-    g = metric_at(scenario, point, order=2)
-    gamma = connection_at(scenario, point, order=1)
-    rank_tol = scenario.tolerances.rank
-    ginv = invert_metric(g, rank_tol=rank_tol)
-    base = _christoffel(g, ginv)
-    T = _compat_tensor_from(base, gamma)
-    t_up, t_down = _traces(g, ginv, T)
-    a = condition_a_residual(g, T, t_up, t_down)
-    b = condition_b_residual(t_down)
-    gamma_values = gamma.values()
-    scale = max(
-        1.0,
-        float(np.max(np.abs(gamma_values))),
-        float(np.max(np.abs(g.values()))),
-        float(np.max(np.abs(ginv.values()))),
-    )
-    return ObstructionData(
-        point=tuple(float(c) for c in point),
-        T=tuple(tuple(tuple(r) for r in mat) for mat in T),
-        t_up=t_up,
-        t_down=t_down,
-        a=a,
-        b=b,
-        scale=scale,
-        metric=g,
-        connection=gamma,
-        diff_values=base.values() - gamma_values,
-    )
+    return _obstructions(scenario, Evaluator(_check_point(scenario, point), strict=True))
 
 
 def check_compatibility(
@@ -321,59 +311,72 @@ def check_compatibility(
 ) -> CompatReport:
     """Sample the box and aggregate the obstruction and EPS residuals.
 
-    Points where the metric degenerates are skipped and reported as long
-    as they stay under 1% of the samples; beyond that the degeneracy is
-    fatal.  Per-point residuals are scale-normalized before aggregation.
+    The obstructions of up to ``CHUNK_POINTS`` points are evaluated at once;
+    each point's own stream then goes on into its null-vector draws.  A
+    point whose evaluation fails is re-run alone, so the first failure in
+    sample order raises as at that point alone.  Points where the metric
+    degenerates are skipped and reported as long as they stay under 1% of
+    the samples; beyond that the degeneracy is fatal.  Per-point residuals
+    are scale-normalized before aggregation.
     """
     count = scenario.samples if samples is None else samples
     if count < 1:
         raise ValueError("sample count must be positive")
     seed_val = scenario.seed if seed is None else seed
     tol = scenario.tolerances.residual
+    rank_tol = scenario.tolerances.rank
     nulls_per_point = 2 * scenario.dimension
+    streams = [point_stream(seed_val, index) for index in range(count)]
+    points = [draw_point(s, scenario.box_min, scenario.box_max) for s in streams]
 
     per_point = []
     skipped = []
-    max_a = 0.0
-    max_b = 0.0
     max_eps = None
     total_nulls = 0
 
-    for index in range(count):
-        stream = point_stream(seed_val, index)
-        point = draw_point(stream, scenario.box_min, scenario.box_max)
-        try:
-            obs = obstruction_at(scenario, point)
-            null_vectors = sample_null_vectors(
-                obs.metric,
-                nulls_per_point,
-                stream,
-                rank_tol=scenario.tolerances.rank,
+    for start in range(0, count, CHUNK_POINTS):
+        chunk = points[start : start + CHUNK_POINTS]
+        ev = Evaluator(chunk, strict=False)
+        with np.errstate(all="ignore"):
+            batch = _obstructions(scenario, ev)
+        for offset, point in enumerate(chunk):
+            try:
+                obs, at = batch, offset
+                if ev.bad[offset]:
+                    obs, at = obstruction_at(scenario, point), ()
+                values = obs.metric.jet.value[at]
+                g = MetricValue(Jet(len(values), 0, values), point=point)
+                null_vectors = sample_null_vectors(
+                    g, nulls_per_point, streams[start + offset], rank_tol=rank_tol
+                )
+            except DegenerateMetric as err:
+                skipped.append((point, err.det))
+                if len(skipped) * 100 >= count:
+                    raise DegenerateMetric(
+                        err.det,
+                        point=err.point if err.point is not None else point,
+                        detail=f"{len(skipped)} of {count} sample points degenerate",
+                    ) from err
+                continue
+            scale = float(obs.scale[at])
+            eps_val = None
+            if null_vectors:
+                total_nulls += len(null_vectors)
+                directions = np.array([nv.u for nv in null_vectors])
+                eps_val = float(np.max(_eps_from_diff(obs.diff_values[at], directions)))
+                max_eps = eps_val if max_eps is None else max(max_eps, eps_val)
+            per_point.append(
+                PointSummary(
+                    point=point,
+                    a=float(np.max(np.abs(obs.a[at]))) / scale,
+                    b=float(np.max(np.abs(obs.b[at]))) / scale,
+                    eps=eps_val,
+                    scale=scale,
+                )
             )
-        except DegenerateMetric as err:
-            skipped.append((point, err.det))
-            if len(skipped) * 100 >= count:
-                raise DegenerateMetric(
-                    err.det,
-                    point=err.point if err.point is not None else point,
-                    detail=f"{len(skipped)} of {count} sample points degenerate",
-                ) from err
-            continue
-        a_res = obs.a_residual
-        b_res = obs.b_residual
-        eps_val = None
-        if null_vectors:
-            total_nulls += len(null_vectors)
-            eps_val = max(
-                _eps_from_diff(obs.diff_values, nv.u) for nv in null_vectors
-            )
-            max_eps = eps_val if max_eps is None else max(max_eps, eps_val)
-        per_point.append(
-            PointSummary(point=obs.point, a=a_res, b=b_res, eps=eps_val, scale=obs.scale)
-        )
-        max_a = max(max_a, a_res)
-        max_b = max(max_b, b_res)
 
+    max_a = max((s.a for s in per_point), default=0.0)
+    max_b = max((s.b for s in per_point), default=0.0)
     a_ok = max_a <= tol
     b_ok = max_b <= tol
     if a_ok and b_ok:

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import jets
 from .errors import (
     DomainError,
@@ -38,6 +40,7 @@ __all__ = [
     "parse_expression",
     "print_expression",
     "eval_expr",
+    "Evaluator",
     "differentiate",
     "symbolic_inverse",
 ]
@@ -470,72 +473,98 @@ def symbolic_inverse(matrix) -> list:
 
 # -- evaluation -----------------------------------------------------------
 
+_BINARY_OPS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
+
+
+class Evaluator:
+    """Jets of expression trees at one point (shape (n,)) or S points (S, n).
+
+    Evaluation is recursive and strictly left-to-right.  Each distinct
+    subtree is evaluated once per evaluator, so a tree that recurs across
+    or inside the entries of a scenario costs nothing more.  A ``strict``
+    evaluator raises :class:`DomainError` at the first failure, tagged with
+    the innermost failing subexpression and the point; a lenient one marks
+    the failing points in ``bad`` and goes on.
+    """
+
+    def __init__(self, points, *, strict: bool):
+        self.points = np.asarray(points, dtype=float)
+        self.shape = self.points.shape[:-1]
+        self.n = self.points.shape[-1]
+        self.strict = strict
+        self.bad = np.zeros(self.shape, dtype=bool)
+        # the evaluation point of a one-point evaluator
+        self.point = None if self.shape else tuple(float(c) for c in self.points)
+        self._memo: dict = {}
+
+    def flag(self, mask, error) -> None:
+        """Mark the points where ``mask`` holds as failed.  A strict
+        evaluator raises ``error()`` instead when any of them does."""
+        if self.strict:
+            if np.any(mask):
+                raise error()
+        else:
+            self.bad |= mask
+
+    def jet(self, e: Expr, order: int) -> jets.Jet:
+        """Jet of ``e`` of the given order at every point."""
+        try:
+            out = self._node(e, order)
+        except DomainError as err:
+            if err.point is None:
+                err.point = self.point
+            raise
+        if not isinstance(out, jets.Jet):
+            # A non-finite constant has already been flagged.
+            out = jets.constant(out if math.isfinite(out) else 0.0, self.n, order, self.shape)
+        return out
+
+    def _node(self, e: Expr, order: int):
+        if isinstance(e, Literal):
+            if not math.isfinite(e.value):
+                self.flag(True, lambda: DomainError("constant must be finite"))
+            return e.value
+        hit = self._memo.get(e)
+        if hit is not None and hit[0] >= order:
+            return jets.truncate(hit[1], order) if isinstance(hit[1], jets.Jet) else hit[1]
+        if isinstance(e, Variable):
+            out = jets.coordinate(e.index, self.points, order)
+        elif isinstance(e, Neg):
+            out = jets.neg(self._node(e.operand, order))
+        else:
+            out = self._operation(e, order)
+            if not self.strict:
+                self.bad |= jets.bad_points(out, self.shape)
+        self._memo[e] = (order, out)
+        return out
+
+    def _operation(self, e: Expr, order: int):
+        if isinstance(e, Call):
+            op, args = jets.apply_function, [self._node(e.arg, order), e.func]
+        elif isinstance(e, Binary) and e.op in _BINARY_OPS:
+            op = _BINARY_OPS[e.op]
+            args = [self._node(e.left, order), self._node(e.right, order)]
+        elif isinstance(e, Binary) and e.op == "^":
+            op, args = jets.power, [self._node(e.left, order)]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        try:
+            if op is jets.power:
+                lit = _literal_value(e.right)
+                args.append(lit if lit is not None else self._node(e.right, order))
+            return op(*args, self.strict)
+        except DomainError as err:
+            if err.path is None:
+                err.path = print_expression(e)
+            raise
+
 
 def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     """Evaluate a parsed expression as a jet at ``point``.
 
-    Evaluation is recursive and strictly left-to-right; domain failures
-    propagate as :class:`DomainError` tagged with the innermost failing
-    subexpression and the evaluation point.
+    Domain failures propagate as :class:`DomainError` tagged with the
+    innermost failing subexpression and the evaluation point.
     """
-    p = tuple(float(c) for c in point)
     if order not in (0, 1, 2):
         raise ValueError("jet order must be 0, 1 or 2")
-    cache: dict[int, jets.Jet] = {}
-    try:
-        return _eval_node(e, p, order, cache)
-    except DomainError as err:
-        if err.point is None:
-            err.point = p
-        raise
-
-
-def _tag(err: DomainError, node: Expr) -> None:
-    if err.path is None:
-        err.path = print_expression(node)
-
-
-def _eval_node(e: Expr, p, order: int, cache) -> jets.Jet:
-    if isinstance(e, Literal):
-        return jets.constant(e.value, len(p), order)
-    if isinstance(e, Variable):
-        j = cache.get(e.index)
-        if j is None:
-            j = jets.coordinate(e.index, p, order)
-            cache[e.index] = j
-        return j
-    if isinstance(e, Neg):
-        return -_eval_node(e.operand, p, order, cache)
-    if isinstance(e, Binary):
-        left = _eval_node(e.left, p, order, cache)
-        if e.op == "^":
-            lit = _literal_value(e.right)
-            try:
-                if lit is not None:
-                    return left**lit
-                return left ** _eval_node(e.right, p, order, cache)
-            except DomainError as err:
-                _tag(err, e)
-                raise
-        right = _eval_node(e.right, p, order, cache)
-        try:
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
-            if e.op == "/":
-                return left / right
-        except DomainError as err:
-            _tag(err, e)
-            raise
-        raise ValueError(f"unknown operator '{e.op}'")
-    if isinstance(e, Call):
-        arg = _eval_node(e.arg, p, order, cache)
-        try:
-            return jets.apply_function(arg, e.func)
-        except DomainError as err:
-            _tag(err, e)
-            raise
-    raise TypeError(f"not an expression node: {e!r}")
+    return Evaluator([float(c) for c in point], strict=True).jet(e, order)

@@ -1,9 +1,9 @@
-"""Pointwise tensor kernels over jet-valued components.
+"""Tensor kernels over jets whose leading axes index chart points.
 
-Metric inversion runs Gaussian elimination directly over the jet ring
-(pivoting on value parts), so derivatives of the inverse come out of the
-same elimination instead of a separate derivative-of-inverse formula.
-All residual norms in this package are max-absolute-component norms.
+The metric inverse comes from ``np.linalg.inv`` and the closed forms for
+the derivatives of an inverse; Christoffel symbols, rescalings and
+projective shifts are einsums.  The value classes wrap the jets of one
+point.  All residual norms in this package are max-absolute norms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jets
 from .errors import DegenerateMetric
-from .jets import Jet, partial_derivative
+from .jets import Jet
 
 __all__ = [
     "MetricValue",
@@ -35,80 +35,80 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
-def _uniform_order(entries) -> int:
-    orders = {j.order for j in entries}
-    if len(orders) != 1:
-        raise ValueError("components must share one jet order")
-    return orders.pop()
+class _TensorValue:
+    """A tensor jet, built from a :class:`Jet` or nested scalar jets.
 
+    With ``_symmetric`` it is symmetric in its last two slots: entries whose
+    last two indices ascend are authoritative, and each mirrored entry of
+    ``components`` is the identical object."""
 
-class MetricValue:
-    """Symmetric matrix of jets g_ij at one chart point.
-
-    The upper triangle is authoritative; the lower triangle is stored as
-    the identical jet objects, so symmetry is exact by construction.
-    """
-
-    __slots__ = ("n", "order", "components", "point")
+    _rank = 1
+    _symmetric = False
+    __slots__ = ("jet", "n", "order", "point", "_components")
 
     def __init__(self, components, point=None):
-        rows = [list(r) for r in components]
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise ValueError("metric components must form a square matrix")
-        flat = [j for r in rows for j in r]
-        if any(not isinstance(j, Jet) for j in flat):
-            raise TypeError("metric components must be jets")
-        if any(j.n != n for j in flat):
-            raise ValueError("jet chart dimension must match the matrix size")
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[j][i] = rows[i][j]
-        self.n = n
-        self.order = _uniform_order(flat)
-        self.components = tuple(tuple(r) for r in rows)
+        if not isinstance(components, Jet):
+            grid = self._mirror(np.array(components, dtype=object))
+            n = grid.shape[0]
+            if grid.shape != (n,) * self._rank:
+                raise ValueError(f"components must form a {self._rank}-index array")
+            if any(not isinstance(j, Jet) for j in grid.flat):
+                raise TypeError("components must be jets")
+            if any(j.n != n for j in grid.flat):
+                raise ValueError("jet chart dimension must match the array size")
+            if len({j.order for j in grid.flat}) != 1:
+                raise ValueError("components must share one jet order")
+            components = jets.stack(grid.flat, grid.shape)
+        self.jet, self.n, self.order = components, components.n, components.order
         self.point = tuple(float(c) for c in point) if point is not None else None
+        self._components = None
+
+    def _mirror(self, grid: np.ndarray) -> np.ndarray:
+        if not self._symmetric or grid.ndim < 2:
+            return grid
+        lower = np.tri(grid.shape[-1], k=-1, dtype=bool)
+        return np.where(lower, np.swapaxes(grid, -1, -2), grid)
+
+    @property
+    def components(self) -> list:
+        if self._components is None:
+            grid = np.empty((self.n,) * self._rank, dtype=object)
+            for index in np.ndindex(grid.shape):
+                grid[index] = jets.entry(self.jet, index)
+            self._components = self._mirror(grid).tolist()
+        return self._components
 
     def values(self) -> np.ndarray:
-        return np.array(
-            [[j.value for j in row] for row in self.components], dtype=float
-        )
+        return np.array(self.jet.value, dtype=float)
 
 
-class ConnectionValue:
-    """Symmetric-connection components Gamma^i_jk as jets at one point.
+class MetricValue(_TensorValue):
+    """Symmetric matrix of jets g_ij."""
 
-    Symmetric in the two lower slots; the (j <= k) entries are
-    authoritative and mirrored by reference.
-    """
+    _rank = 2
+    _symmetric = True
+    __slots__ = ()
 
-    __slots__ = ("n", "order", "components", "point")
 
-    def __init__(self, components, point=None):
-        grid = [[list(r) for r in mat] for mat in components]
-        n = len(grid)
-        ok = all(len(mat) == n and all(len(r) == n for r in mat) for mat in grid)
-        if n < 1 or not ok:
-            raise ValueError("connection components must form an n*n*n array")
-        flat = [j for mat in grid for r in mat for j in r]
-        if any(not isinstance(j, Jet) for j in flat):
-            raise TypeError("connection components must be jets")
-        if any(j.n != n for j in flat):
-            raise ValueError("jet chart dimension must match the array size")
-        for i in range(n):
-            for jj in range(n):
-                for k in range(jj + 1, n):
-                    grid[i][k][jj] = grid[i][jj][k]
-        self.n = n
-        self.order = _uniform_order(flat)
-        self.components = tuple(tuple(tuple(r) for r in mat) for mat in grid)
-        self.point = tuple(float(c) for c in point) if point is not None else None
+class ConnectionValue(_TensorValue):
+    """Symmetric-connection components Gamma^i_jk as jets (symmetric in
+    the two lower slots)."""
 
-    def values(self) -> np.ndarray:
-        return np.array(
-            [[[j.value for j in row] for row in mat] for mat in self.components],
-            dtype=float,
-        )
+    _rank = 3
+    _symmetric = True
+    __slots__ = ()
+
+
+class OneFormValue(_TensorValue):
+    """Covariant components (psi_i, T_i, ...) as jets."""
+
+    __slots__ = ()
+
+
+class VectorValue(_TensorValue):
+    """Contravariant components (S^i, T^i, ...) as jets."""
+
+    __slots__ = ()
 
 
 class ThomasValue:
@@ -131,32 +131,6 @@ class ThomasValue:
         self.components = pi
 
 
-class _JetComponents:
-    __slots__ = ("n", "order", "components")
-
-    def __init__(self, components):
-        comps = tuple(components)
-        n = len(comps)
-        if n < 1 or any(not isinstance(j, Jet) for j in comps):
-            raise TypeError("components must be a nonempty sequence of jets")
-        if any(j.n != n for j in comps):
-            raise ValueError("jet chart dimension must match the component count")
-        self.n = n
-        self.order = _uniform_order(comps)
-        self.components = comps
-
-    def values(self) -> np.ndarray:
-        return np.array([j.value for j in self.components], dtype=float)
-
-
-class OneFormValue(_JetComponents):
-    """Covariant components (psi_i, T_i, ...) as jets."""
-
-
-class VectorValue(_JetComponents):
-    """Contravariant components (S^i, T^i, ...) as jets."""
-
-
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     max_deviation: float
@@ -165,76 +139,73 @@ class EquivalenceResult(NamedTuple):
 # -- kernels ---------------------------------------------------------------
 
 
+def inverse(g: Jet, rank_tol: float):
+    """Inverse of a metric jet at every point, as ``(ginv, det, degenerate)``.
+
+    Degeneracy is scale-aware: |det| below ``rank_tol * max|g_ij|^n``.
+    Degenerate matrices are inverted as the identity; the caller decides
+    what a degenerate point means."""
+    n = g.n
+    v = g.value
+    scale = np.max(np.abs(v), axis=(-2, -1))
+    det = np.linalg.det(v)
+    with np.errstate(all="ignore"):
+        degenerate = ~(np.abs(det) >= rank_tol * scale**n) | (scale == 0.0)
+    vi = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(n), v))
+    # The exact inverse of a symmetric matrix is symmetric; averaging the
+    # halves removes roundoff so downstream symmetry is exact.
+    vi = 0.5 * (vi + np.swapaxes(vi, -1, -2))
+    grad = hess = None
+    if g.order >= 1:
+        # d_k(g^-1) = -g^-1 (d_k g) g^-1, with D_k = g^-1 d_k g
+        d = np.einsum("...ia,...ajk->...ijk", vi, g.gradient)
+        grad = -np.einsum("...iak,...aj->...ijk", d, vi)
+        grad = 0.5 * (grad + np.swapaxes(grad, -3, -2))
+        if g.order == 2:
+            # d_kl(g^-1) = -g^-1 (d_kl g) g^-1 + D_k D_l g^-1 + D_l D_k g^-1
+            inner = np.einsum("...ia,...abkl,...bj->...ijkl", vi, g.hessian, vi)
+            twice = -np.einsum("...iak,...ajl->...ijkl", d, grad)
+            hess = twice + np.swapaxes(twice, -1, -2) - inner
+            hess = 0.5 * (hess + np.swapaxes(hess, -4, -3))
+    return jets._make(n, g.order, vi, grad, hess), det, degenerate
+
+
+def levi_civita(g: Jet, ginv: Jet) -> Jet:
+    """Christoffel symbols of ``g`` given its inverse; order ``g.order - 1``.
+
+    Gamma^i_jk = 1/2 g^ip (d_k g_pj + d_j g_pk - d_p g_jk).
+    """
+    dg = jets.derivative(g)  # dg[p, q, k] = d_k g_pq
+    c = jets.sub(
+        jets.add(dg, jets.einsum("pkj->pjk", dg), False),
+        jets.einsum("jkp->pjk", dg),
+        False,
+    )
+    return jets.mul(jets.einsum("ip,pjk->ijk", ginv, c), 0.5, check=False)
+
+
+def shift(gamma: Jet, psi: Jet) -> Jet:
+    """Gamma^i_jk + delta^i_j psi_k + delta^i_k psi_j."""
+    d = jets.einsum("ij,k->ijk", np.eye(gamma.n), psi)
+    return jets.add(gamma, jets.add(d, jets.einsum("ikj->ijk", d), False), False)
+
+
+def tracefree(t: Jet) -> Jet:
+    """Trace-free projection of a tensor t^i_jk symmetric in j, k."""
+    trace = jets.einsum("ppk->k", t)
+    return shift(t, jets.mul(trace, -1.0 / (t.n + 1), check=False))
+
+
 def invert_metric(g: MetricValue, *, rank_tol: float = DEFAULT_RANK_TOL) -> MetricValue:
     """Inverse metric with full derivative propagation.
 
     Degeneracy is scale-aware: |det| below ``rank_tol * max|g_ij|^n``
     raises :class:`DegenerateMetric` carrying the determinant and point.
     """
-    n = g.n
-    vals = g.values()
-    scale = float(np.max(np.abs(vals)))
-    det = float(np.linalg.det(vals))
-    if scale == 0.0 or abs(det) < rank_tol * scale**n:
+    ginv, det, degenerate = inverse(g.jet, rank_tol)
+    if degenerate:
         raise DegenerateMetric(det, point=g.point)
-
-    work = [list(row) for row in g.components]
-    one = jets.constant(1.0, n, g.order)
-    zero = jets.constant(0.0, n, g.order)
-    inverse = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col].value))
-        if work[pivot_row][col].value == 0.0:
-            raise DegenerateMetric(det, point=g.point)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inverse[col], inverse[pivot_row] = inverse[pivot_row], inverse[col]
-        pivot = work[col][col]
-        work[col] = [entry / pivot for entry in work[col]]
-        inverse[col] = [entry / pivot for entry in inverse[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = work[row][col]
-            if jets.is_zero(factor):
-                continue
-            work[row] = [a - factor * b for a, b in zip(work[row], work[col])]
-            inverse[row] = [a - factor * b for a, b in zip(inverse[row], inverse[col])]
-    # The exact inverse of a symmetric matrix is symmetric; averaging the
-    # halves removes elimination roundoff so downstream symmetry is exact.
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym = (inverse[i][j] + inverse[j][i]) * 0.5
-            inverse[i][j] = inverse[j][i] = sym
-    return MetricValue(inverse, point=g.point)
-
-
-def _christoffel(g: MetricValue, ginv: MetricValue) -> ConnectionValue:
-    n = g.n
-    dg = [[None] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(p, n):
-            row = [partial_derivative(g.components[p][q], k) for k in range(n)]
-            dg[p][q] = row
-            dg[q][p] = row
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = None
-                for p in range(n):
-                    gip = ginv.components[i][p]
-                    if jets.is_zero(gip):
-                        continue
-                    term = dg[p][j][k] + dg[p][k][j] - dg[j][k][p]
-                    contrib = gip * term
-                    acc = contrib if acc is None else acc + contrib
-                if acc is None:
-                    acc = jets.constant(0.0, n, g.order - 1)
-                gamma = acc * 0.5
-                out[i][j][k] = gamma
-                out[i][k][j] = gamma
-    return ConnectionValue(out, point=g.point)
+    return MetricValue(ginv, point=g.point)
 
 
 def christoffel(
@@ -243,7 +214,8 @@ def christoffel(
     """Levi-Civita connection of ``g``; output order is ``g.order - 1``."""
     if g.order < 1:
         raise ValueError("christoffel requires metric jets of order >= 1")
-    return _christoffel(g, invert_metric(g, rank_tol=rank_tol))
+    ginv = invert_metric(g, rank_tol=rank_tol).jet
+    return ConnectionValue(levi_civita(g.jet, ginv), point=g.point)
 
 
 def conformal_rescale_metric(g: MetricValue, phi: Jet) -> MetricValue:
@@ -251,14 +223,7 @@ def conformal_rescale_metric(g: MetricValue, phi: Jet) -> MetricValue:
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
     factor = jets.apply_function(phi * 2.0, "exp")
-    n = g.n
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            scaled = g.components[i][j] * factor
-            out[i][j] = scaled
-            out[j][i] = scaled
-    return MetricValue(out, point=g.point)
+    return MetricValue(jets.einsum("ij,->ij", g.jet, factor), point=g.point)
 
 
 def rescaled_connection(
@@ -274,89 +239,25 @@ def rescaled_connection(
         raise ValueError("rescaled_connection requires jets of order >= 1")
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
-    n = g.n
-    ginv = invert_metric(g, rank_tol=rank_tol)
-    base = _christoffel(g, ginv)
-    dphi = [partial_derivative(phi, k) for k in range(n)]
-    up = []
-    for i in range(n):
-        acc = None
-        for p in range(n):
-            gip = ginv.components[i][p]
-            if jets.is_zero(gip):
-                continue
-            contrib = gip * dphi[p]
-            acc = contrib if acc is None else acc + contrib
-        up.append(acc if acc is not None else jets.constant(0.0, n, phi.order - 1))
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                term = base.components[i][j][k] - up[i] * g.components[j][k]
-                if i == j:
-                    term = term + dphi[k]
-                if i == k:
-                    term = term + dphi[j]
-                out[i][j][k] = term
-                out[i][k][j] = term
-    return ConnectionValue(out, point=g.point)
+    ginv = invert_metric(g, rank_tol=rank_tol).jet
+    dphi = jets.derivative(phi)
+    up = jets.einsum("ip,p->i", ginv, dphi)
+    base = jets.sub(levi_civita(g.jet, ginv), jets.einsum("i,jk->ijk", up, g.jet))
+    return ConnectionValue(shift(base, dphi), point=g.point)
 
 
 def projective_transform(gamma: ConnectionValue, psi) -> ConnectionValue:
     """Representative change Gamma + delta psi + psi delta of the projective class."""
-    comps = psi.components if isinstance(psi, _JetComponents) else tuple(psi)
-    if len(comps) != gamma.n:
+    psi = psi if isinstance(psi, _TensorValue) else OneFormValue(psi)
+    if psi.n != gamma.n:
         raise ValueError("one-form dimension mismatch")
-    n = gamma.n
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                term = gamma.components[i][j][k]
-                if i == j:
-                    term = term + comps[k]
-                if i == k:
-                    term = term + comps[j]
-                out[i][j][k] = term
-                out[i][k][j] = term
-    return ConnectionValue(out, point=gamma.point)
+    return ConnectionValue(shift(gamma.jet, psi.jet), point=gamma.point)
 
 
 def thomas_symbol(gamma: ConnectionValue) -> ThomasValue:
     """Trace-adjusted connection values; equal symbols mean projectively
     equivalent connections."""
-    vals = gamma.values()
-    n = gamma.n
-    trace = np.einsum("ppk->k", vals)
-    c = 1.0 / (n + 1)
-    pi = vals.copy()
-    idx = np.arange(n)
-    pi[idx, idx, :] -= c * trace
-    pi[idx, :, idx] -= c * trace
-    return ThomasValue(pi)
-
-
-def thomas_projection_jets(t, n: int):
-    """Trace-free projection of an n*n*n array of jets (symmetric in j,k)."""
-    traces = []
-    for k in range(n):
-        acc = t[0][0][k]
-        for p in range(1, n):
-            acc = acc + t[p][p][k]
-        traces.append(acc)
-    c = 1.0 / (n + 1)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                term = t[i][j][k]
-                if i == j:
-                    term = term - traces[k] * c
-                if i == k:
-                    term = term - traces[j] * c
-                out[i][j][k] = term
-                out[i][k][j] = term
-    return out
+    return ThomasValue(tracefree(jets.truncate(gamma.jet, 0)).value)
 
 
 def projectively_equivalent(

@@ -1,14 +1,16 @@
-"""Truncated Taylor arithmetic up to second order.
+"""Truncated Taylor arithmetic up to second order, over stacks of points.
 
-A jet stores the value of a scalar quantity at one chart point together
-with its gradient and Hessian (as far as its order allows).  Arithmetic
-and elementary functions propagate derivatives exactly through the chain
-and product rules, so any expression pipeline built from jets yields exact
-first and second partials without finite differencing.
+A jet stores the value of a quantity with its gradient and Hessian (as far
+as its order allows).  The value has a leading shape: ``()`` for a scalar
+at one point, ``(S,)`` at S points, ``(S, n, n)`` for a matrix field at S
+points; the gradient appends one axis of length n and the Hessian two.
+Arithmetic, elementary functions and :func:`einsum` propagate derivatives
+exactly through the chain and product rules.  Orders are capped at 2.
 
-Orders are capped at 2: nothing downstream needs third derivatives, and
-the closed-form propagation rules stay small.  All components are 64-bit
-floats; results with non-finite components raise :class:`DomainError`.
+Checked operations (every operator, and the functions unless called with
+``check=False``) raise :class:`DomainError` on a non-finite component;
+unchecked ones leave NaN or inf there, so a caller evaluating many points
+at once can mark the failing points and re-run one of them checked.
 """
 
 from __future__ import annotations
@@ -24,40 +26,26 @@ __all__ = [
     "constant",
     "coordinate",
     "partial_derivative",
+    "derivative",
     "apply_function",
+    "einsum",
+    "stack",
     "FUNCTION_NAMES",
 ]
 
 _MAX_INT_POWER = 9999
-
-_ZERO_VEC: dict[int, np.ndarray] = {}
-_ZERO_MAT: dict[int, np.ndarray] = {}
-
-
-def _zero_vec(n: int) -> np.ndarray:
-    z = _ZERO_VEC.get(n)
-    if z is None:
-        z = np.zeros(n)
-        z.flags.writeable = False
-        _ZERO_VEC[n] = z
-    return z
-
-
-def _zero_mat(n: int) -> np.ndarray:
-    z = _ZERO_MAT.get(n)
-    if z is None:
-        z = np.zeros((n, n))
-        z.flags.writeable = False
-        _ZERO_MAT[n] = z
-    return z
+_NON_FINITE = "non-finite component in jet arithmetic"
+_DERIVATIVE_AXES = "YZ"  # einsum letters of the two derivative axes
 
 
 class Jet:
-    """Value, gradient and Hessian of a scalar at a point of an n-chart.
+    """Value, gradient and Hessian of a quantity on an n-chart.
 
     ``order`` is 0, 1 or 2; ``gradient`` is present iff ``order >= 1`` and
-    ``hessian`` iff ``order == 2``.  The Hessian is symmetrized on write.
-    Jets are value objects: never mutate the component arrays.
+    ``hessian`` iff ``order == 2``.  ``value`` is a float for a scalar at
+    one point and an array of the leading shape otherwise.  The Hessian is
+    symmetrized on write.  Jets are value objects: never mutate the
+    component arrays.
     """
 
     __slots__ = ("n", "order", "value", "gradient", "hessian")
@@ -67,34 +55,24 @@ class Jet:
             raise ValueError("chart dimension must be a positive integer")
         if order not in (0, 1, 2):
             raise ValueError("jet order must be 0, 1 or 2")
-        self.n = n
-        self.order = order
-        self.value = float(value)
-        if order >= 1:
-            if gradient is None:
-                grad = _zero_vec(n)
-            else:
-                grad = np.asarray(gradient, dtype=float)
-                if grad.shape != (n,):
-                    raise ValueError(f"gradient must have shape ({n},)")
-            self.gradient = grad
-        else:
-            self.gradient = None
+        value = np.asarray(value, dtype=float)
+        parts = [value]
+        for k, (name, part) in enumerate((("gradient", gradient), ("hessian", hessian)), 1):
+            shape = value.shape + (n,) * k
+            part = np.broadcast_to(0.0, shape) if part is None else np.asarray(part, dtype=float)
+            if part.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            parts.append(part if k <= order else None)
         if order == 2:
-            if hessian is None:
-                hess = _zero_mat(n)
-            else:
-                hess = np.asarray(hessian, dtype=float)
-                if hess.shape != (n, n):
-                    raise ValueError(f"hessian must have shape ({n}, {n})")
-                hess = 0.5 * (hess + hess.T)
-            self.hessian = hess
-        else:
-            self.hessian = None
-        _finite(self)
+            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], -1, -2))
+        self.n, self.order = n, order
+        self.value = float(value) if not value.shape else value
+        self.gradient, self.hessian = parts[1:]
+        _checked(self, True)
 
     def __repr__(self):
-        parts = [f"Jet(n={self.n}, order={self.order}, value={self.value!r}"]
+        value = np.asarray(self.value).tolist()
+        parts = [f"Jet(n={self.n}, order={self.order}, value={value!r}"]
         if self.gradient is not None:
             parts.append(f", gradient={self.gradient.tolist()!r}")
         if self.hessian is not None:
@@ -104,127 +82,283 @@ class Jet:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        order = min(self.order, other.order)
-        g = self.gradient + other.gradient if order >= 1 else None
-        h = self.hessian + other.hessian if order == 2 else None
-        return _finite(_make(self.n, order, self.value + other.value, g, h))
+        return _operator(add, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        order = min(self.order, other.order)
-        g = self.gradient - other.gradient if order >= 1 else None
-        h = self.hessian - other.hessian if order == 2 else None
-        return _finite(_make(self.n, order, self.value - other.value, g, h))
+        return _operator(sub, self, other)
 
     def __rsub__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
+        return _operator(sub, other, self)
 
     def __neg__(self):
-        g = -self.gradient if self.order >= 1 else None
-        h = -self.hessian if self.order == 2 else None
-        return _make(self.n, self.order, -self.value, g, h)
+        return neg(self)
 
     def __mul__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        order = min(self.order, other.order)
-        v = self.value * other.value
-        g = h = None
-        if order >= 1:
-            g = self.gradient * other.value + other.gradient * self.value
-            if order == 2:
-                cross = np.outer(self.gradient, other.gradient)
-                h = (
-                    self.hessian * other.value
-                    + other.hessian * self.value
-                    + cross
-                    + cross.T
-                )
-        return _finite(_make(self.n, order, v, g, h))
+        return _operator(mul, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        return self * _reciprocal(other)
+        return _operator(div, self, other)
 
     def __rtruediv__(self, other):
-        other = _coerce(other, self)
-        if other is None:
-            return NotImplemented
-        return other * _reciprocal(self)
+        return _operator(div, other, self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, Jet):
-            return _transcendental_pow(self, exponent)
         if isinstance(exponent, (int, float)):
-            e = float(exponent)
-            if not math.isfinite(e):
-                raise DomainError("non-finite exponent")
-            if e.is_integer():
-                if abs(e) > _MAX_INT_POWER:
-                    raise DomainError(
-                        f"integer exponent magnitude exceeds {_MAX_INT_POWER}"
-                    )
-                return _integer_power(self, int(e))
-            return _transcendental_pow(self, constant(e, self.n, self.order))
-        return NotImplemented
+            return power(self, float(exponent))
+        return _operator(power, self, exponent)
 
     def __rpow__(self, base):
-        if isinstance(base, (int, float)):
-            return _transcendental_pow(constant(float(base), self.n, self.order), self)
-        return NotImplemented
+        return _operator(power, base, self)
 
 
 def _make(n, order, value, gradient, hessian) -> Jet:
     """Trusted fast constructor: no validation, no symmetrization."""
     j = Jet.__new__(Jet)
-    j.n = n
-    j.order = order
-    j.value = value
-    j.gradient = gradient
-    j.hessian = hessian
+    j.n, j.order = n, order
+    j.value = float(value) if np.ndim(value) == 0 else value
+    j.gradient, j.hessian = gradient, hessian
     return j
 
 
-def _finite(j: Jet) -> Jet:
+def _part(a: Jet, k: int):
+    return (a.value, a.gradient, a.hessian)[k]
+
+
+def _build(n: int, order: int, part) -> Jet:
+    """Jet whose k-th component (value, gradient, Hessian) is ``part(k)``."""
+    return _make(n, order, *(part(k) if k <= order else None for k in range(3)))
+
+
+def truncate(a: Jet, order: int) -> Jet:
+    """The same jet with the components above ``order`` dropped."""
+    return a if a.order <= order else _build(a.n, order, lambda k: _part(a, k))
+
+
+def bad_points(a, shape) -> np.ndarray:
+    """Mask of the points (leading positions) with a non-finite component."""
+    if not isinstance(a, Jet):
+        return np.full(shape, not math.isfinite(a))
     # Any NaN/Inf poisons the sum, so one reduction per array suffices.
-    total = j.value
-    if j.gradient is not None:
-        total += float(j.gradient.sum())
-    if j.hessian is not None:
-        total += float(j.hessian.sum())
-    if not math.isfinite(total):
-        raise DomainError("non-finite component in jet arithmetic")
-    return j
+    total = np.asarray(a.value, dtype=float)
+    with np.errstate(all="ignore"):
+        if a.gradient is not None:
+            total = total + a.gradient.sum(axis=-1)
+        if a.hessian is not None:
+            total = total + a.hessian.sum(axis=(-2, -1))
+    return ~np.isfinite(total)
+
+
+def _checked(a, check: bool, message=_NON_FINITE):
+    if check and bad_points(a, ()).any():
+        raise DomainError(message() if callable(message) else message)
+    return a
 
 
 def _coerce(other, like: Jet):
     if isinstance(other, Jet):
         if other.n != like.n:
-            raise ValueError(
-                f"jet dimension mismatch: {other.n} vs {like.n}"
-            )
+            raise ValueError(f"jet dimension mismatch: {other.n} vs {like.n}")
         return other
     if isinstance(other, (int, float)):
-        return constant(float(other), like.n, like.order)
+        c = float(other)
+        if not math.isfinite(c):
+            raise DomainError("constant must be finite")
+        return c
     return None
 
 
-def constant(c: float, n: int, order: int = 2) -> Jet:
+def _operator(op, a, b):
+    """``op(a, b)`` for a jet operator whose other operand may be a number."""
+    like = a if isinstance(a, Jet) else b
+    a, b = _coerce(a, like), _coerce(b, like)
+    return NotImplemented if a is None or b is None else op(a, b)
+
+
+def _value(a):
+    return a.value if isinstance(a, Jet) else a
+
+
+# -- elementwise arithmetic ------------------------------------------------
+# Operands are jets or floats (constants); two floats give a float.
+
+
+def add(a, b, check: bool = True):
+    if not isinstance(a, Jet):
+        a, b = b, a
+    with np.errstate(all="ignore"):
+        if not isinstance(a, Jet):
+            out = a + b
+        elif not isinstance(b, Jet):
+            out = _make(a.n, a.order, a.value + b, a.gradient, a.hessian)
+        else:
+            out = _build(a.n, min(a.order, b.order), lambda k: _part(a, k) + _part(b, k))
+    return _checked(out, check)
+
+
+def neg(a):
+    return -a if not isinstance(a, Jet) else _scale(a, -1.0)
+
+
+def sub(a, b, check: bool = True):
+    return add(a, neg(b), check)
+
+
+def mul(a, b, check: bool = True):
+    if not isinstance(a, Jet):
+        a, b = b, a
+    with np.errstate(all="ignore"):
+        if not isinstance(a, Jet):
+            out = a * b
+        elif not isinstance(b, Jet):
+            out = _scale(a, b)
+        else:
+            order = min(a.order, b.order)
+            va, vb = np.asarray(a.value), np.asarray(b.value)
+            g = h = None
+            if order >= 1:
+                g = a.gradient * vb[..., None] + b.gradient * va[..., None]
+                if order == 2:
+                    cross = a.gradient[..., :, None] * b.gradient[..., None, :]
+                    h = a.hessian * vb[..., None, None] + b.hessian * va[..., None, None]
+                    h = h + cross + np.swapaxes(cross, -1, -2)
+            out = _make(a.n, order, va * vb, g, h)
+    return _checked(out, check)
+
+
+def _scale(a: Jet, c: float) -> Jet:
+    return _build(a.n, a.order, lambda k: _part(a, k) * c)
+
+
+def div(a, b, check: bool = True):
+    return mul(a, reciprocal(b, check), check)
+
+
+def _chain(a, f0, f1, f2):
+    if not isinstance(a, Jet):
+        return float(f0)
+    g = h = None
+    if a.order >= 1:
+        g = f1[..., None] * a.gradient
+        if a.order == 2:
+            outer = a.gradient[..., :, None] * a.gradient[..., None, :]
+            h = f1[..., None, None] * a.hessian + f2[..., None, None] * outer
+    return _make(a.n, a.order, f0, g, h)
+
+
+def reciprocal(a, check: bool = True):
+    if check and np.any(_value(a) == 0.0):
+        raise DomainError("division by zero")
+    with np.errstate(all="ignore"):
+        f0 = 1.0 / np.asarray(_value(a), dtype=float)
+        f1 = -f0 * f0
+        out = _chain(a, f0, f1, -2.0 * f1 * f0)
+    return _checked(out, check)
+
+
+def power(base, exponent, check: bool = True):
+    """``base ** exponent``: an integral float exponent multiplies out,
+    any other exponent goes through exp(exponent * log(base))."""
+    if isinstance(exponent, Jet) or not float(exponent).is_integer():
+        if not isinstance(exponent, Jet) and not math.isfinite(exponent):
+            raise DomainError("non-finite exponent")
+        if check and np.any(_value(base) <= 0.0):
+            raise DomainError("power with non-positive base requires an integer exponent")
+        log_base = apply_function(base, "log", check)
+        return apply_function(mul(exponent, log_base, check), "exp", check)
+    k = int(exponent)
+    if abs(k) > _MAX_INT_POWER:
+        raise DomainError(f"integer exponent magnitude exceeds {_MAX_INT_POWER}")
+    if k == 0:
+        if not isinstance(base, Jet):
+            return 1.0
+        return constant(1.0, base.n, base.order, np.shape(base.value))
+    if k < 0:
+        return reciprocal(power(base, -k, check), check)
+    out = base
+    for _ in range(k - 1):
+        out = mul(out, base, check)
+    return out
+
+
+# -- elementary functions ----------------------------------------------
+# Each rule maps input values to (f, f', f''), NaN outside the domain.
+
+
+def _log_rule(v):
+    v = np.where(v > 0.0, v, np.nan)
+    r = 1.0 / v
+    return np.log(v), r, -r * r
+
+
+def _sqrt_rule(v):
+    v = np.where(v > 0.0, v, np.nan)
+    s = np.sqrt(v)
+    d = 0.5 / s
+    return s, d, -0.5 * d / v
+
+
+def _tan_rule(v):
+    t = np.tan(np.where(np.cos(v) == 0.0, np.nan, v))
+    d = 1.0 + t * t
+    return t, d, 2.0 * t * d
+
+
+def _tanh_rule(v):
+    t = np.tanh(v)
+    d = 1.0 - t * t
+    return t, d, -2.0 * t * d
+
+
+_FUNCTION_TABLE = {
+    "exp": lambda v: (np.exp(v),) * 3,
+    "log": _log_rule,
+    "sin": lambda v: (np.sin(v), np.cos(v), -np.sin(v)),
+    "cos": lambda v: (np.cos(v), -np.sin(v), -np.cos(v)),
+    "tan": _tan_rule,
+    "sinh": lambda v: (np.sinh(v), np.cosh(v), np.sinh(v)),
+    "cosh": lambda v: (np.cosh(v), np.sinh(v), np.cosh(v)),
+    "tanh": _tanh_rule,
+    "sqrt": _sqrt_rule,
+}
+
+# Messages for inputs outside a function's domain, where its rule gives NaN.
+_DOMAIN_MESSAGES = {
+    "log": "log of a non-positive value",
+    "sqrt": "sqrt of a non-positive value (derivative unbounded at 0)",
+    "tan": "tan at a pole",
+}
+
+FUNCTION_NAMES = frozenset(_FUNCTION_TABLE)
+
+
+def apply_function(a, name: str, check: bool = True):
+    """Apply an elementary function to a jet through the chain rule."""
+    rule = _FUNCTION_TABLE.get(name)
+    if rule is None:
+        raise ValueError(f"unknown function '{name}'")
+    v = np.asarray(_value(a), dtype=float)
+    with np.errstate(all="ignore"):
+        f0, f1, f2 = rule(v)
+        out = _chain(a, f0, f1, f2)
+
+    def message():
+        if name in _DOMAIN_MESSAGES and np.any(np.isnan(f0)):
+            return _DOMAIN_MESSAGES[name]
+        if not np.all(np.isfinite(f0)):
+            return f"{name} overflow"
+        return _NON_FINITE
+
+    return _checked(out, check, message)
+
+
+# -- tensors of jets ----------------------------------------------------
+
+
+def constant(c: float, n: int, order: int = 2, shape: tuple = ()) -> Jet:
     """Jet of a constant: zero gradient and Hessian."""
     c = float(c)
     if not math.isfinite(c):
@@ -233,172 +367,99 @@ def constant(c: float, n: int, order: int = 2) -> Jet:
         raise ValueError("jet order must be 0, 1 or 2")
     if not isinstance(n, int) or n < 1:
         raise ValueError("chart dimension must be a positive integer")
-    return _make(
-        n,
-        order,
-        c,
-        _zero_vec(n) if order >= 1 else None,
-        _zero_mat(n) if order == 2 else None,
-    )
+    shape = tuple(shape)
+    part = lambda k: np.full(shape, c) if k == 0 else np.broadcast_to(0.0, shape + (n,) * k)
+    return _build(n, order, part)
 
 
 def coordinate(axis: int, point, order: int = 2) -> Jet:
-    """Jet seeding coordinate ``axis`` (0-based) at ``point``.
-
-    Value is the coordinate of the point, the gradient is the matching
-    basis vector and the Hessian vanishes.
-    """
-    p = [float(c) for c in point]
-    n = len(p)
-    if n < 1:
+    """Jet seeding coordinate ``axis`` (0-based) at ``point`` (shape (n,),
+    or (S, n) for S points): the basis vector as gradient, no Hessian."""
+    p = np.asarray(point, dtype=float)
+    if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("point must have at least one coordinate")
+    n = p.shape[-1]
     if not 0 <= axis < n:
         raise IndexError(f"coordinate axis {axis} out of range for dimension {n}")
+    lead = p.shape[:-1]
     grad = None
     if order >= 1:
-        grad = np.zeros(n)
-        grad[axis] = 1.0
-    return _finite(
-        _make(n, order, p[axis], grad, _zero_mat(n) if order == 2 else None)
-    )
+        grad = np.zeros(lead + (n,))
+        grad[..., axis] = 1.0
+    hess = np.broadcast_to(0.0, lead + (n, n)) if order == 2 else None
+    return _checked(_make(n, order, p[..., axis], grad, hess), True)
 
 
 def partial_derivative(a: Jet, axis: int) -> Jet:
     """Partial derivative along ``axis`` as a jet of order one less."""
-    if a.order < 1:
-        raise ValueError("cannot take a partial derivative of an order-0 jet")
     if not 0 <= axis < a.n:
         raise IndexError(f"coordinate axis {axis} out of range for dimension {a.n}")
-    if a.order == 1:
-        return _make(a.n, 0, float(a.gradient[axis]), None, None)
-    return _make(a.n, 1, float(a.gradient[axis]), a.hessian[axis].copy(), None)
+    return entry(derivative(a), (axis,))
 
 
-def _chain(a: Jet, f0: float, f1: float, f2: float) -> Jet:
-    g = h = None
-    if a.order >= 1:
-        g = f1 * a.gradient
-        if a.order == 2:
-            h = f1 * a.hessian + f2 * np.outer(a.gradient, a.gradient)
-    return _finite(_make(a.n, a.order, f0, g, h))
+def derivative(a: Jet) -> Jet:
+    """All first partials as one jet of order one less, whose last tensor
+    axis is the derivative index."""
+    if a.order < 1:
+        raise ValueError("cannot take a partial derivative of an order-0 jet")
+    return _make(a.n, a.order - 1, a.gradient, a.hessian, None)
 
 
-def _reciprocal(a: Jet) -> Jet:
-    if a.value == 0.0:
-        raise DomainError("division by zero")
-    f0 = 1.0 / a.value
-    f1 = -f0 * f0
-    return _chain(a, f0, f1, -2.0 * f1 * f0)
+def einsum(spec: str, *operands):
+    """Product rule for ``np.einsum`` over jets and constant arrays.
+
+    ``spec`` names the tensor axes only (``"ip,pjk->ijk"``); the leading
+    axes of the jets broadcast against each other and lead the result.
+    Constant arrays carry tensor axes only.  At most two operands may be
+    jets; the result has the lower of their orders.
+    """
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    jets = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
+    if not 1 <= len(jets) <= 2:
+        raise ValueError("einsum takes one or two jet operands")
+    order = min(operands[i].order for i in jets)
+
+    def run(marks: dict, tail: str) -> np.ndarray:
+        """One term: operand i contributes its derivative part ``marks[i]``."""
+        mark = [marks.get(i, "") for i in range(len(operands))]
+        subs = [f"...{t}{mark[i]}" if i in jets else t for i, t in enumerate(terms)]
+        arrays = [_part(op, len(mark[i])) if i in jets else op for i, op in enumerate(operands)]
+        return np.einsum(",".join(subs) + "->..." + output + tail, *arrays)
+
+    y, z = _DERIVATIVE_AXES
+    value = run({}, "")
+    grad = hess = None
+    if order >= 1:
+        grad = sum(run({i: y}, y) for i in jets)
+        if order == 2:
+            hess = sum(run({i: y + z}, y + z) for i in jets)
+            if len(jets) == 2:
+                first, second = jets
+                cross = run({first: y, second: z}, y + z)
+                hess = hess + cross + np.swapaxes(cross, -1, -2)
+    return _make(operands[jets[0]].n, order, value, grad, hess)
 
 
-def _integer_power(a: Jet, k: int) -> Jet:
-    if k == 0:
-        return constant(1.0, a.n, a.order)
-    if k < 0:
-        return _reciprocal(_integer_power(a, -k))
-    out = a
-    for _ in range(k - 1):
-        out = out * a
-    return out
+def stack(entries, shape: tuple) -> Jet:
+    """Tensor jet of the given shape from its scalar entries in row-major
+    order; entries broadcast over their leading shapes."""
+    entries = list(entries)
+    order = min(j.order for j in entries)
+    n = entries[0].n
+    lead = np.broadcast_shapes(*(np.shape(j.value) for j in entries))
+    shape = tuple(shape)
+
+    def gather(k):
+        out = np.empty(lead + (len(entries),) + (n,) * k)
+        for i, j in enumerate(entries):
+            out[(Ellipsis, i) + (slice(None),) * k] = _part(j, k)
+        return out.reshape(lead + shape + (n,) * k)
+
+    return _build(n, order, gather)
 
 
-def _transcendental_pow(base: Jet, exponent: Jet) -> Jet:
-    if base.value <= 0.0:
-        raise DomainError("power with non-positive base requires an integer exponent")
-    return apply_function(exponent * apply_function(base, "log"), "exp")
-
-
-# -- elementary functions ----------------------------------------------
-# Each rule maps the input value to (f, f', f'').
-
-
-def _exp_rule(v):
-    e = math.exp(v)
-    return e, e, e
-
-
-def _log_rule(v):
-    if v <= 0.0:
-        raise DomainError("log of a non-positive value")
-    r = 1.0 / v
-    return math.log(v), r, -r * r
-
-
-def _sqrt_rule(v):
-    if v <= 0.0:
-        raise DomainError("sqrt of a non-positive value (derivative unbounded at 0)")
-    s = math.sqrt(v)
-    d = 0.5 / s
-    return s, d, -0.5 * d / v
-
-
-def _sin_rule(v):
-    s, c = math.sin(v), math.cos(v)
-    return s, c, -s
-
-
-def _cos_rule(v):
-    s, c = math.sin(v), math.cos(v)
-    return c, -s, -c
-
-
-def _tan_rule(v):
-    if math.cos(v) == 0.0:
-        raise DomainError("tan at a pole")
-    t = math.tan(v)
-    d = 1.0 + t * t
-    return t, d, 2.0 * t * d
-
-
-def _sinh_rule(v):
-    s, c = math.sinh(v), math.cosh(v)
-    return s, c, s
-
-
-def _cosh_rule(v):
-    s, c = math.sinh(v), math.cosh(v)
-    return c, s, c
-
-
-def _tanh_rule(v):
-    t = math.tanh(v)
-    d = 1.0 - t * t
-    return t, d, -2.0 * t * d
-
-
-_FUNCTION_TABLE = {
-    "exp": _exp_rule,
-    "log": _log_rule,
-    "sin": _sin_rule,
-    "cos": _cos_rule,
-    "tan": _tan_rule,
-    "sinh": _sinh_rule,
-    "cosh": _cosh_rule,
-    "tanh": _tanh_rule,
-    "sqrt": _sqrt_rule,
-}
-
-FUNCTION_NAMES = frozenset(_FUNCTION_TABLE)
-
-
-def apply_function(a: Jet, name: str) -> Jet:
-    """Apply an elementary function to a jet through the chain rule."""
-    rule = _FUNCTION_TABLE.get(name)
-    if rule is None:
-        raise ValueError(f"unknown function '{name}'")
-    try:
-        f0, f1, f2 = rule(a.value)
-    except OverflowError:
-        raise DomainError(f"{name} overflow") from None
-    return _chain(a, f0, f1, f2)
-
-
-def is_zero(a: Jet) -> bool:
-    """True when every stored component is exactly zero."""
-    if a.value != 0.0:
-        return False
-    if a.gradient is not None and a.gradient.any():
-        return False
-    if a.hessian is not None and a.hessian.any():
-        return False
-    return True
+def entry(a: Jet, index: tuple) -> Jet:
+    """The scalar jet at tensor position ``index`` (a view)."""
+    at = (Ellipsis,) + tuple(index)
+    return _build(a.n, a.order, lambda k: _part(a, k)[at + (slice(None),) * k])

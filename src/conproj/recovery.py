@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .compatibility import _compat_tensor_from, _traces
+from .compatibility import _trace_form
 from .errors import NonConvergence
+from .expressions import Evaluator
 from .geometry import (
     MetricValue,
-    OneFormValue,
-    _christoffel,
     christoffel,
     conformal_rescale_metric,
-    invert_metric,
     thomas_symbol,
 )
 from .jets import Jet
@@ -47,10 +45,10 @@ MAX_BISECTIONS = 20
 def _gl_segment(f, a: float, b: float) -> np.ndarray:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    acc = None
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        sample = f(mid + half * node) * weight
-        acc = sample if acc is None else acc + sample
+    samples = f(mid + half * _GL_NODES)
+    acc = samples[0] * _GL_WEIGHTS[0]
+    for sample, weight in zip(samples[1:], _GL_WEIGHTS[1:]):
+        acc = acc + sample * weight
     return acc * half
 
 
@@ -75,14 +73,23 @@ def _adaptive(f, tol: float) -> np.ndarray:
     return _refine(f, 0.0, 1.0, _gl_segment(f, 0.0, 1.0), tol, 0)
 
 
-def _t_down_at(scenario: Scenario, point, order: int) -> OneFormValue:
-    g = metric_at(scenario, point, order + 1)
-    gamma = connection_at(scenario, point, order)
-    ginv = invert_metric(g, rank_tol=scenario.tolerances.rank)
-    base = _christoffel(g, ginv)
-    T = _compat_tensor_from(base, gamma)
-    _, t_down = _traces(g, ginv, T)
-    return t_down
+def _trace_one_form(scenario: Scenario, points, order: int):
+    """T_i at each of a stack of points, and at order 1 its gradient
+    (``grad[s, i, k] = d_k T_i``; None at order 0).  A point that fails is
+    re-run alone, which raises its error as a one-point call would."""
+
+    def at(ev):
+        down = _trace_form(scenario, ev, order)[-1]
+        parts = [down.value[..., None]] + ([down.gradient] if order >= 1 else [])
+        return np.concatenate(parts, axis=-1)
+
+    points = np.asarray(points, dtype=float)
+    ev = Evaluator(points, strict=False)
+    with np.errstate(all="ignore"):
+        out = at(ev)
+    for index in np.flatnonzero(ev.bad):
+        out[index] = at(Evaluator(points[index], strict=True))
+    return out[..., 0], (out[..., 1:] if order >= 1 else None)
 
 
 class RecoveredFactor:
@@ -127,30 +134,29 @@ class RecoveredFactor:
         target = self._inside(target)
         base = np.asarray(self.base)
         w = np.asarray(target) - base
-        scenario = self.scenario
 
-        def integrand(t: float) -> np.ndarray:
-            point = tuple(base + t * w)
-            t_down = _t_down_at(scenario, point, order=1)
-            values = t_down.values()
-            grads = np.stack([comp.gradient for comp in t_down.components], axis=0)
-            out = np.empty(1 + len(w))
-            out[0] = float(values @ w)
-            out[1:] = t * (grads.T @ w) + values
+        def integrand(ts: np.ndarray) -> np.ndarray:
+            values, grads = _trace_one_form(self.scenario, base + ts[:, None] * w, 1)
+            out = np.empty((len(ts), 1 + len(w)))
+            out[:, 0] = values @ w
+            out[:, 1:] = ts[:, None] * np.einsum("sij,i->sj", grads, w) + values
             return out
 
         result = _adaptive(integrand, self.quadrature_tol)
         return float(result[0]), result[1:]
 
+    def scaled_metric(self, point, phi: float) -> MetricValue:
+        """The scenario metric at ``point`` rescaled by exp(2*phi)."""
+        g = metric_at(self.scenario, point, order=0)
+        return MetricValue(g.jet * math.exp(2.0 * phi), point=g.point)
+
     def _segment_integral(self, start, end) -> np.ndarray:
         start = np.asarray(start)
         w = np.asarray(end) - start
-        scenario = self.scenario
 
-        def integrand(t: float) -> np.ndarray:
-            point = tuple(start + t * w)
-            values = _t_down_at(scenario, point, order=0).values()
-            return np.array([float(values @ w)])
+        def integrand(ts: np.ndarray) -> np.ndarray:
+            values, _ = _trace_one_form(self.scenario, start + ts[:, None] * w, 0)
+            return (values @ w)[:, None]
 
         return _adaptive(integrand, self.quadrature_tol)
 
@@ -179,19 +185,7 @@ def integrate_phi_path(scenario: Scenario, waypoints, *, quadrature_tol=None) ->
 def recover_metric(scenario: Scenario, base, points, *, quadrature_tol=None) -> list:
     """Recovered metric g * exp(2*phi) at each query point (value level)."""
     evaluator = RecoveredFactor(scenario, base, quadrature_tol=quadrature_tol)
-    out = []
-    for point in points:
-        phi = evaluator.phi(point)
-        g = metric_at(scenario, point, order=0)
-        factor = math.exp(2.0 * phi)
-        n = g.n
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                scaled = g.components[i][j] * factor
-                rows[i][j] = rows[j][i] = scaled
-        out.append(MetricValue(rows, point=point))
-    return out
+    return [evaluator.scaled_metric(point, evaluator.phi(point)) for point in points]
 
 
 @dataclass(frozen=True)
@@ -227,8 +221,7 @@ def verify_recovery(
         stream = point_stream(seed_val, index)
         point = draw_point(stream, scenario.box_min, scenario.box_max)
         phi_value, phi_gradient = evaluator.phi_and_gradient(point)
-        t_down = _t_down_at(scenario, point, order=1)
-        grads = np.stack([comp.gradient for comp in t_down.components], axis=0)
+        _, (grads,) = _trace_one_form(scenario, [point], 1)
         hessian = 0.5 * (grads + grads.T)
         phi_jet = Jet(n, 2, phi_value, phi_gradient, hessian)
         g = metric_at(scenario, point, order=2)

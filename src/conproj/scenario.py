@@ -30,16 +30,13 @@ import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from . import expressions as ex
 from . import jets
-from .errors import ExpressionError, ScenarioError
-from .geometry import (
-    ConnectionValue,
-    MetricValue,
-    OneFormValue,
-    christoffel,
-    projective_transform,
-)
+from .errors import DegenerateMetric, ExpressionError, ScenarioError
+from .geometry import ConnectionValue, MetricValue, inverse, levi_civita, shift
+from .jets import Jet
 from .sampling import draw_point, point_stream
 
 __all__ = [
@@ -53,6 +50,8 @@ __all__ = [
     "load_scenario_path",
     "metric_at",
     "connection_at",
+    "symmetric_jet",
+    "connection_jet",
     "sigma_at",
     "sample_points",
     "with_conformal_factor",
@@ -390,53 +389,60 @@ def _check_point(scenario: Scenario, point) -> tuple:
     return p
 
 
-def _eval_matrix(entries, point, order: int) -> MetricValue:
-    n = len(entries)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = ex.eval_expr(entries[i][j], point, order)
-            rows[i][j] = rows[j][i] = value
-    return MetricValue(rows, point=point)
+def symmetric_jet(entries, ev: ex.Evaluator, order: int, rank: int) -> Jet:
+    """Tensor jet of expression entries symmetric in the last two slots.
+
+    Only the entries whose last two indices ascend are evaluated, in
+    row-major order; each mirrored entry shares the same jet.
+    """
+    cells, flat = {}, []
+    for index in np.ndindex((ev.n,) * rank):
+        key = index[:-2] + tuple(sorted(index[-2:]))
+        if key not in cells:
+            entry = entries
+            for i in key:
+                entry = entry[i]
+            cells[key] = ev.jet(entry, order)
+        flat.append(cells[key])
+    return jets.stack(flat, (ev.n,) * rank)
+
+
+def inverse_at(ev: ex.Evaluator, g: Jet, rank_tol: float) -> Jet:
+    """Inverse of a metric jet; degenerate points are flagged on ``ev``."""
+    ginv, det, degenerate = inverse(g, rank_tol)
+    ev.flag(degenerate, lambda: DegenerateMetric(det, point=ev.point))
+    return ginv
+
+
+def connection_jet(scenario: Scenario, ev: ex.Evaluator, order: int) -> Jet:
+    """Scenario connection as a tensor jet at the evaluator's points;
+    recipes needing a metric derivative support orders 0 and 1."""
+    return _eval_recipe(scenario.connection, ev, order, scenario.tolerances.rank)
+
+
+def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
+    n = ev.n
+    if isinstance(recipe, LeviCivitaRecipe):
+        g = symmetric_jet(recipe.metric, ev, order + 1, 2)
+        return levi_civita(g, inverse_at(ev, g, rank_tol))
+    if isinstance(recipe, ExplicitRecipe):
+        return symmetric_jet(recipe.gamma, ev, order, 3)
+    if isinstance(recipe, ModifiedSRecipe):
+        g = symmetric_jet(recipe.metric, ev, order + 1, 2)
+        base = levi_civita(g, inverse_at(ev, g, rank_tol))
+        s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
+        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), False)
+    if isinstance(recipe, ProjectiveTransformRecipe):
+        base = _eval_recipe(recipe.base, ev, order, rank_tol)
+        psi = jets.stack([ev.jet(entry, order) for entry in recipe.psi], (n,))
+        return shift(base, psi)
+    raise TypeError(f"unknown connection recipe: {recipe!r}")
 
 
 def metric_at(scenario: Scenario, point, order: int = 2) -> MetricValue:
     """Scenario metric as jets of the requested order."""
-    p = _check_point(scenario, point)
-    return _eval_matrix(scenario.metric, p, order)
-
-
-def _eval_recipe(recipe, point, order: int, rank_tol: float) -> ConnectionValue:
-    n = len(point)
-    if isinstance(recipe, LeviCivitaRecipe):
-        g = _eval_matrix(recipe.metric, point, order + 1)
-        return christoffel(g, rank_tol=rank_tol)
-    if isinstance(recipe, ExplicitRecipe):
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    value = ex.eval_expr(recipe.gamma[i][j][k], point, order)
-                    out[i][j][k] = out[i][k][j] = value
-        return ConnectionValue(out, point=point)
-    if isinstance(recipe, ModifiedSRecipe):
-        g = _eval_matrix(recipe.metric, point, order + 1)
-        base = christoffel(g, rank_tol=rank_tol)
-        s = [ex.eval_expr(entry, point, order) for entry in recipe.s]
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    value = base.components[i][j][k] - s[i] * g.components[j][k]
-                    out[i][j][k] = out[i][k][j] = value
-        return ConnectionValue(out, point=point)
-    if isinstance(recipe, ProjectiveTransformRecipe):
-        base = _eval_recipe(recipe.base, point, order, rank_tol)
-        psi = OneFormValue(
-            [ex.eval_expr(entry, point, order) for entry in recipe.psi]
-        )
-        return projective_transform(base, psi)
-    raise TypeError(f"unknown connection recipe: {recipe!r}")
+    ev = ex.Evaluator(_check_point(scenario, point), strict=True)
+    return MetricValue(symmetric_jet(scenario.metric, ev, order, 2), point=ev.point)
 
 
 def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
@@ -444,15 +450,14 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     support orders 0 and 1."""
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
-    p = _check_point(scenario, point)
-    return _eval_recipe(scenario.connection, p, order, scenario.tolerances.rank)
+    ev = ex.Evaluator(_check_point(scenario, point), strict=True)
+    return ConnectionValue(connection_jet(scenario, ev, order), point=ev.point)
 
 
 def sigma_at(scenario: Scenario, point, order: int = 2):
     if scenario.sigma is None:
         return None
-    p = _check_point(scenario, point)
-    return ex.eval_expr(scenario.sigma, p, order)
+    return ex.eval_expr(scenario.sigma, _check_point(scenario, point), order)
 
 
 def sample_points(scenario: Scenario, count=None, seed=None) -> list:

@@ -245,3 +245,32 @@ def test_gen_example_bad_expression_exit_one(tmp_path, capsys):
 def test_usage_errors_exit_one():
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_recover_integrates_the_query_point_once(tmp_path, monkeypatch):
+    from conproj.recovery import RecoveredFactor
+
+    rng = np.random.default_rng(107)
+    doc, _ = round_trip_doc(rng, 2, samples=6)
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    original = RecoveredFactor._segment_integral
+
+    def counting(self, start, end):
+        calls.append((tuple(start), tuple(end)))
+        return original(self, start, end)
+
+    monkeypatch.setattr(RecoveredFactor, "_segment_integral", counting)
+    out = tmp_path / "recover.json"
+    argv = ["recover", str(scenario), "--base", "0,0", "--at", "0.4,-0.3"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    recovery = read_json(out)["recovery"]
+    from conproj import integrate_phi, load_scenario, recover_metric
+
+    scn = load_scenario(doc)
+    assert recovery["phi"] == integrate_phi(scn, (0.0, 0.0), (0.4, -0.3))
+    expected = recover_metric(scn, (0.0, 0.0), [(0.4, -0.3)])[0].values().tolist()
+    assert recovery["metric"] == expected

@@ -5,6 +5,7 @@ import pytest
 
 from conproj import (
     DegenerateMetric,
+    DomainError,
     MetricValue,
     check_compatibility,
     compat_tensor,
@@ -21,6 +22,7 @@ from conproj import (
     obstruction_at,
     rescaled_connection,
     sample_null_vectors,
+    sample_points,
     trace_vector,
 )
 from conproj.compatibility import NullVector
@@ -265,3 +267,46 @@ def test_report_is_deterministic():
     first = check_compatibility(scn)
     second = check_compatibility(scn)
     assert first == second
+
+
+def test_domain_error_names_first_bad_point_in_sample_order():
+    doc = flat_doc(2, samples=40, seed=3)
+    doc["metric"] = [["exp(sqrt(x1))", "0"], [None, "1"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    scn = load_scenario(doc)
+    with pytest.raises(DomainError) as excinfo:
+        check_compatibility(scn)
+    first_bad = next(p for p in sample_points(scn) if p[0] <= 0.0)
+    assert excinfo.value.path == "sqrt(x1)"
+    assert excinfo.value.point == first_bad
+
+
+def test_single_degenerate_point_is_skipped_with_its_det():
+    doc = flat_doc(2, samples=150, seed=11)
+    probe = sample_points(load_scenario(doc))
+    bad_index = 37
+    # the metric degenerates exactly at one sample point
+    cut = f"(x1 - {probe[bad_index][0]!r})^2"
+    doc["metric"] = [["1", "0"], [None, cut]]
+    doc["connection"] = {"kind": "levi_civita", "metric": doc["metric"]}
+    report = check_compatibility(load_scenario(doc))
+    assert report.skipped == ((probe[bad_index], 0.0),)
+    assert len(report.per_point) == 149
+    assert probe[bad_index] not in [s.point for s in report.per_point]
+    assert report.verdict == "compatible"
+    assert report.max_a == max(s.a for s in report.per_point)
+    assert report.max_b == max(s.b for s in report.per_point)
+
+
+def test_per_point_summaries_do_not_depend_on_sample_count():
+    rng = np.random.default_rng(59)
+    doc, _ = round_trip_doc(rng, 3, samples=40, lorentzian=True)
+    scn = load_scenario(doc)
+    full = check_compatibility(scn).per_point
+    for k in (1, 7):
+        part = check_compatibility(scn, samples=k).per_point
+        for small, large in zip(part, full[:k]):
+            assert small.point == large.point
+            for name in ("a", "b", "eps", "scale"):
+                x, y = getattr(small, name), getattr(large, name)
+                assert abs(x - y) <= 1e-14 * max(1.0, abs(y)), (name, x, y)
