@@ -172,17 +172,16 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
     )
     finite = np.isfinite(scale + _absmax(a, lead) + _absmax(b, lead))
     ev.flag(~finite, lambda: DomainError(jets._NON_FINITE, point=ev.point))
-    point = ev.point
     return ObstructionData(
-        point=point,
+        point=ev.point,
         T=ConnectionValue(T).components,
         t_up=VectorValue(up),
         t_down=OneFormValue(down),
         a=a,
         b=b,
         scale=scale,
-        metric=MetricValue(g, point=point),
-        connection=ConnectionValue(gamma, point=point),
+        metric=MetricValue(g, point=ev.point),
+        connection=ConnectionValue(gamma, point=ev.point),
         diff_values=base.value - gamma.value,
     )
 

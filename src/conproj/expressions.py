@@ -509,7 +509,8 @@ class Evaluator:
     def jet(self, e: Expr, order: int) -> jets.Jet:
         """Jet of ``e`` of the given order at every point."""
         try:
-            out = self._node(e, order)
+            with np.errstate(all="ignore"):
+                out = self._node(e, order)
         except DomainError as err:
             if err.point is None:
                 err.point = self.point

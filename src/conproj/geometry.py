@@ -48,10 +48,11 @@ class _TensorValue:
 
     def __init__(self, components, point=None):
         if not isinstance(components, Jet):
-            grid = self._mirror(np.array(components, dtype=object))
-            n = grid.shape[0]
-            if grid.shape != (n,) * self._rank:
+            grid = np.array(components, dtype=object)
+            n = grid.shape[0] if grid.ndim else 0
+            if n < 1 or grid.shape != (n,) * self._rank:
                 raise ValueError(f"components must form a {self._rank}-index array")
+            grid = self._mirror(grid)
             if any(not isinstance(j, Jet) for j in grid.flat):
                 raise TypeError("components must be jets")
             if any(j.n != n for j in grid.flat):
@@ -145,8 +146,7 @@ def inverse(g: Jet, rank_tol: float):
     Degeneracy is scale-aware: |det| below ``rank_tol * max|g_ij|^n``.
     Degenerate matrices are inverted as the identity; the caller decides
     what a degenerate point means."""
-    n = g.n
-    v = g.value
+    n, v = g.n, g.value
     scale = np.max(np.abs(v), axis=(-2, -1))
     det = np.linalg.det(v)
     with np.errstate(all="ignore"):

@@ -10,7 +10,8 @@ exactly through the chain and product rules.  Orders are capped at 2.
 Checked operations (every operator, and the functions unless called with
 ``check=False``) raise :class:`DomainError` on a non-finite component;
 unchecked ones leave NaN or inf there, so a caller evaluating many points
-at once can mark the failing points and re-run one of them checked.
+at once can mark the failing points and re-run one of them checked.  The
+functions leave numpy's floating-point warnings to their callers.
 """
 
 from __future__ import annotations
@@ -144,17 +145,20 @@ def bad_points(a, shape) -> np.ndarray:
         return np.full(shape, not math.isfinite(a))
     # Any NaN/Inf poisons the sum, so one reduction per array suffices.
     total = np.asarray(a.value, dtype=float)
-    with np.errstate(all="ignore"):
-        if a.gradient is not None:
-            total = total + a.gradient.sum(axis=-1)
-        if a.hessian is not None:
-            total = total + a.hessian.sum(axis=(-2, -1))
+    if a.gradient is not None:
+        total = total + a.gradient.sum(axis=-1)
+    if a.hessian is not None:
+        total = total + a.hessian.sum(axis=(-2, -1))
     return ~np.isfinite(total)
 
 
 def _checked(a, check: bool, message=_NON_FINITE):
-    if check and bad_points(a, ()).any():
-        raise DomainError(message() if callable(message) else message)
+    if check:
+        # One NaN/Inf poisons the sum of all components.
+        parts = (a.value, a.gradient, a.hessian) if isinstance(a, Jet) else (a,)
+        total = sum(p if isinstance(p, float) else float(p.sum()) for p in parts if p is not None)
+        if not math.isfinite(total):
+            raise DomainError(message() if callable(message) else message)
     return a
 
 
@@ -175,11 +179,18 @@ def _operator(op, a, b):
     """``op(a, b)`` for a jet operator whose other operand may be a number."""
     like = a if isinstance(a, Jet) else b
     a, b = _coerce(a, like), _coerce(b, like)
-    return NotImplemented if a is None or b is None else op(a, b)
+    if a is None or b is None:
+        return NotImplemented
+    with np.errstate(all="ignore"):
+        return op(a, b)
 
 
 def _value(a):
     return a.value if isinstance(a, Jet) else a
+
+
+def _col(v, axes: int):  # ``v`` broadcast over ``axes`` derivative axes
+    return v if isinstance(v, float) else v[(...,) + (None,) * axes]
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -189,13 +200,12 @@ def _value(a):
 def add(a, b, check: bool = True):
     if not isinstance(a, Jet):
         a, b = b, a
-    with np.errstate(all="ignore"):
-        if not isinstance(a, Jet):
-            out = a + b
-        elif not isinstance(b, Jet):
-            out = _make(a.n, a.order, a.value + b, a.gradient, a.hessian)
-        else:
-            out = _build(a.n, min(a.order, b.order), lambda k: _part(a, k) + _part(b, k))
+    if not isinstance(a, Jet):
+        out = a + b
+    elif not isinstance(b, Jet):
+        out = _make(a.n, a.order, a.value + b, a.gradient, a.hessian)
+    else:
+        out = _build(a.n, min(a.order, b.order), lambda k: _part(a, k) + _part(b, k))
     return _checked(out, check)
 
 
@@ -210,22 +220,21 @@ def sub(a, b, check: bool = True):
 def mul(a, b, check: bool = True):
     if not isinstance(a, Jet):
         a, b = b, a
-    with np.errstate(all="ignore"):
-        if not isinstance(a, Jet):
-            out = a * b
-        elif not isinstance(b, Jet):
-            out = _scale(a, b)
-        else:
-            order = min(a.order, b.order)
-            va, vb = np.asarray(a.value), np.asarray(b.value)
-            g = h = None
-            if order >= 1:
-                g = a.gradient * vb[..., None] + b.gradient * va[..., None]
-                if order == 2:
-                    cross = a.gradient[..., :, None] * b.gradient[..., None, :]
-                    h = a.hessian * vb[..., None, None] + b.hessian * va[..., None, None]
-                    h = h + cross + np.swapaxes(cross, -1, -2)
-            out = _make(a.n, order, va * vb, g, h)
+    if not isinstance(a, Jet):
+        out = a * b
+    elif not isinstance(b, Jet):
+        out = _scale(a, b)
+    else:
+        order = min(a.order, b.order)
+        va, vb = a.value, b.value
+        g = h = None
+        if order >= 1:
+            g = a.gradient * _col(vb, 1) + b.gradient * _col(va, 1)
+            if order == 2:
+                cross = a.gradient[..., :, None] * b.gradient[..., None, :]
+                h = a.hessian * _col(vb, 2) + b.hessian * _col(va, 2)
+                h = h + cross + np.swapaxes(cross, -1, -2)
+        out = _make(a.n, order, va * vb, g, h)
     return _checked(out, check)
 
 
@@ -242,21 +251,19 @@ def _chain(a, f0, f1, f2):
         return float(f0)
     g = h = None
     if a.order >= 1:
-        g = f1[..., None] * a.gradient
+        g = _col(f1, 1) * a.gradient
         if a.order == 2:
             outer = a.gradient[..., :, None] * a.gradient[..., None, :]
-            h = f1[..., None, None] * a.hessian + f2[..., None, None] * outer
+            h = _col(f1, 2) * a.hessian + _col(f2, 2) * outer
     return _make(a.n, a.order, f0, g, h)
 
 
 def reciprocal(a, check: bool = True):
     if check and np.any(_value(a) == 0.0):
         raise DomainError("division by zero")
-    with np.errstate(all="ignore"):
-        f0 = 1.0 / np.asarray(_value(a), dtype=float)
-        f1 = -f0 * f0
-        out = _chain(a, f0, f1, -2.0 * f1 * f0)
-    return _checked(out, check)
+    f0 = 1.0 / np.asarray(_value(a), dtype=float)
+    f1 = -f0 * f0
+    return _checked(_chain(a, f0, f1, -2.0 * f1 * f0), check)
 
 
 def power(base, exponent, check: bool = True):
@@ -340,9 +347,8 @@ def apply_function(a, name: str, check: bool = True):
     rule = _FUNCTION_TABLE.get(name)
     if rule is None:
         raise ValueError(f"unknown function '{name}'")
-    v = np.asarray(_value(a), dtype=float)
     with np.errstate(all="ignore"):
-        f0, f1, f2 = rule(v)
+        f0, f1, f2 = rule(np.asarray(_value(a), dtype=float))
         out = _chain(a, f0, f1, f2)
 
     def message():
