@@ -143,15 +143,15 @@ class EquivalenceResult(NamedTuple):
 def inverse(g: Jet, rank_tol: float):
     """Inverse of a metric jet at every point, as ``(ginv, det, degenerate)``.
 
-    Degeneracy is scale-aware: |det| below ``rank_tol * max|g_ij|^n``.
-    Degenerate matrices are inverted as the identity; the caller decides
-    what a degenerate point means."""
+    Degeneracy is scale-aware (|det| below ``rank_tol * max|g_ij|^n``).
+    Degenerate or non-finite matrices are inverted as the identity."""
     n, v = g.n, g.value
     scale = np.max(np.abs(v), axis=(-2, -1))
     det = np.linalg.det(v)
     with np.errstate(all="ignore"):
         degenerate = ~(np.abs(det) >= rank_tol * scale**n) | (scale == 0.0)
-    vi = np.linalg.inv(np.where(degenerate[..., None, None], np.eye(n), v))
+    skip = degenerate | ~np.isfinite(scale)
+    vi = np.linalg.inv(np.where(skip[..., None, None], np.eye(n), v))
     # The exact inverse of a symmetric matrix is symmetric; averaging the
     # halves removes roundoff so downstream symmetry is exact.
     vi = 0.5 * (vi + np.swapaxes(vi, -1, -2))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -310,3 +311,15 @@ def test_per_point_summaries_do_not_depend_on_sample_count():
             for name in ("a", "b", "eps", "scale"):
                 x, y = getattr(small, name), getattr(large, name)
                 assert abs(x - y) <= 1e-14 * max(1.0, abs(y)), (name, x, y)
+
+
+def test_overflowing_metric_raises_domain_error_at_first_overflow():
+    doc = flat_doc(2, samples=40, seed=3)
+    doc["metric"] = [["1 + exp(800*x1)", "0"], [None, "1 + exp(800*x1)"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    scn = load_scenario(doc)
+    with pytest.raises(DomainError) as excinfo:
+        check_compatibility(scn)
+    threshold = math.log(sys.float_info.max) / 800.0
+    assert excinfo.value.path == "exp(800.0*x1)"
+    assert excinfo.value.point == next(p for p in sample_points(scn) if p[0] > threshold)
