@@ -58,45 +58,39 @@ def inverse(g):
     return g.adjugate(method="berkowitz") / g.det(method="berkowitz")
 
 
+def tensor(n, entry):
+    """Nested lists t[i][j][k] = entry(i, j, k)."""
+    return [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+
+
 def levi_civita(g, xs):
     n = len(xs)
     ginv = inverse(g)
-    return [
-        [
-            [
-                sum(
-                    ginv[i, p]
-                    * (sympy.diff(g[p, j], xs[k]) + sympy.diff(g[p, k], xs[j]) - sympy.diff(g[j, k], xs[p]))
-                    for p in range(n)
-                )
-                / 2
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+
+    def d(a, b, c):
+        return sympy.diff(g[a, b], xs[c])
+
+    return tensor(
+        n, lambda i, j, k: sum(ginv[i, p] * (d(p, j, k) + d(p, k, j) - d(j, k, p)) for p in range(n)) / 2
+    )
 
 
 def connection(recipe, xs):
     n = len(xs)
+    delta = sympy.eye(n)
     if isinstance(recipe, LeviCivitaRecipe):
         return levi_civita(matrix(recipe.metric, xs), xs)
     if isinstance(recipe, ExplicitRecipe):
-        return [[[to_sympy(recipe.gamma[i][j][k], xs) for k in range(n)] for j in range(n)] for i in range(n)]
+        return tensor(n, lambda i, j, k: to_sympy(recipe.gamma[i][j][k], xs))
     if isinstance(recipe, ModifiedSRecipe):
         g = matrix(recipe.metric, xs)
         base = levi_civita(g, xs)
         s = [to_sympy(e, xs) for e in recipe.s]
-        return [[[base[i][j][k] - s[i] * g[j, k] for k in range(n)] for j in range(n)] for i in range(n)]
+        return tensor(n, lambda i, j, k: base[i][j][k] - s[i] * g[j, k])
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = connection(recipe.base, xs)
         psi = [to_sympy(e, xs) for e in recipe.psi]
-        delta = sympy.eye(n)
-        return [
-            [[base[i][j][k] + delta[i, j] * psi[k] + delta[i, k] * psi[j] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        return tensor(n, lambda i, j, k: base[i][j][k] + delta[i, j] * psi[k] + delta[i, k] * psi[j])
     raise TypeError(recipe)
 
 
@@ -109,28 +103,21 @@ def obstructions(scenario):
     base = levi_civita(g, xs)
     gamma = connection(scenario.connection, xs)
     delta = sympy.eye(n)
-    diff = [[[base[i][j][k] - gamma[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    diff = tensor(n, lambda i, j, k: base[i][j][k] - gamma[i][j][k])
     trace = [sum(diff[p][p][k] for p in range(n)) for k in range(n)]
-    T = [
-        [
-            [diff[i][j][k] - (delta[i, j] * trace[k] + delta[i, k] * trace[j]) / (n + 1) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    T = tensor(
+        n, lambda i, j, k: diff[i][j][k] - (delta[i, j] * trace[k] + delta[i, k] * trace[j]) / (n + 1)
+    )
     c = sympy.Rational(n + 1, (n + 2) * (n - 1))
     up = [c * sum(ginv[j, k] * T[i][j][k] for j in range(n) for k in range(n)) for i in range(n)]
+    # cancelling T_i first keeps its derivatives, and so B, small
     down = [sympy.cancel(sum(g[i, j] * up[j] for j in range(n))) for i in range(n)]
-    A = [
-        [
-            [
-                T[i][j][k] - g[j, k] * up[i] + (delta[i, j] * down[k] + delta[i, k] * down[j]) / (n + 1)
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    A = tensor(
+        n,
+        lambda i, j, k: T[i][j][k]
+        - g[j, k] * up[i]
+        + (delta[i, j] * down[k] + delta[i, k] * down[j]) / (n + 1),
+    )
     B = [[sympy.diff(down[i], xs[j]) - sympy.diff(down[j], xs[i]) for i in range(n)] for j in range(n)]
     return xs, A, B
 
