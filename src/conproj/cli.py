@@ -67,10 +67,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except ConprojError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ConprojError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

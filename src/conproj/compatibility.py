@@ -34,7 +34,6 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .linalg import jacobi_eigh
 from .sampling import SplitMix64, draw_point, point_stream
 from .scenario import (
     Scenario,
@@ -232,17 +231,18 @@ def sample_null_vectors(
 ) -> list:
     """Random vectors on the metric's null cone.
 
-    The value matrix is diagonalized by cyclic Jacobi iteration; a draw
-    combines a random direction from the positive eigenspace with one from
-    the negative eigenspace, scaled so the quadratic form cancels.  For a
-    definite metric the cone is trivial and the list is empty.
+    The value matrix is diagonalized by ``np.linalg.eigh``; a draw combines
+    a random direction from the positive eigenspace with one from the
+    negative eigenspace, scaled so the quadratic form cancels.  For a
+    definite metric the cone is trivial and the list is empty.  The null
+    residual is measured relative to the largest eigenvalue, so it does not
+    depend on the overall scale of the metric.
     """
     values = g.values()
-    eigenvalues, eigenvectors = jacobi_eigh(values)
+    eigenvalues, eigenvectors = np.linalg.eigh(values)
     scale = float(np.max(np.abs(eigenvalues)))
-    det = float(np.prod(eigenvalues))
     if scale == 0.0 or np.min(np.abs(eigenvalues)) < rank_tol * scale:
-        raise DegenerateMetric(det, point=g.point)
+        raise DegenerateMetric(float(np.prod(eigenvalues)), point=g.point)
     positive = [i for i, w in enumerate(eigenvalues) if w > 0.0]
     negative = [i for i, w in enumerate(eigenvalues) if w < 0.0]
     if not positive or not negative:
@@ -256,7 +256,7 @@ def sample_null_vectors(
         )
         u = u / np.max(np.abs(u))
         residual = abs(float(u @ values @ u))
-        if residual > NULL_TOL * float(u @ u):
+        if residual > NULL_TOL * scale * float(u @ u):
             raise ConprojError("null-cone sampling lost precision")
         out.append(NullVector(point=g.point, u=u))
     return out

@@ -3,9 +3,10 @@
 Each null vector v imposes one linear equation g_ij v^i v^j = 0 on the
 n(n+1)/2 independent components of a symmetric matrix.  With at least
 n(n+1)/2 - 1 generic vectors the solution space is one-dimensional and
-spans the conformal class at the point; the representative returned here
-is canonicalized to unit max-norm with its first nonzero component (in
-row-major order) positive.
+spans the conformal class at the point.  The rank of the system is read
+off its singular values (``np.linalg.svd``), relative to the largest, and
+the representative returned here is canonicalized to unit max-norm with
+its first nonzero component (in row-major order) positive.
 """
 
 from __future__ import annotations
@@ -35,59 +36,17 @@ class ConeSample:
         object.__setattr__(self, "vectors", vectors)
 
 
-def _monomial_row(v: np.ndarray, n: int) -> list:
-    # Doubling the off-diagonal monomials keeps the unknown vector equal to
-    # the independent components of the symmetric matrix.
-    row = []
-    for i in range(n):
-        for j in range(i, n):
-            row.append(v[i] * v[j] if i == j else 2.0 * v[i] * v[j])
-    return row
-
-
-def _eliminate(a: np.ndarray, rank_tol: float):
-    """Gaussian elimination with full pivoting.
-
-    Returns (rank, column permutation, reduced matrix).  A pivot counts
-    only while it stays above ``rank_tol`` times the largest initial pivot.
-    """
-    a = a.copy()
-    rows, cols = a.shape
-    perm = list(range(cols))
-    threshold = None
-    rank = 0
-    for step in range(min(rows, cols)):
-        sub = np.abs(a[step:, step:])
-        flat = int(np.argmax(sub))
-        r_off, c_off = divmod(flat, cols - step)
-        pivot = sub[r_off, c_off]
-        if threshold is None:
-            threshold = rank_tol * pivot
-        if pivot == 0.0 or pivot < threshold:
-            break
-        r, c = step + r_off, step + c_off
-        if r != step:
-            a[[step, r], :] = a[[r, step], :]
-        if c != step:
-            a[:, [step, c]] = a[:, [c, step]]
-            perm[step], perm[c] = perm[c], perm[step]
-        for row in range(step + 1, rows):
-            factor = a[row, step] / a[step, step]
-            if factor != 0.0:
-                a[row, step:] -= factor * a[step, step:]
-                a[row, step] = 0.0
-        rank += 1
-    return rank, perm, a
-
-
 def reconstruct_conformal(
     vectors, n: int, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Solve the annihilation system over the given null vectors.
 
-    Raises :class:`TooFewVectors` when fewer than n(n+1)/2 - 1 vectors are
-    supplied and :class:`NonGenericConfiguration` when the solution space
-    is not one-dimensional (the dimension found is attached).
+    The rank of the system is the number of its singular values above
+    ``rank_tol`` times the largest one, and the representative is the
+    last right-singular vector.  Raises :class:`TooFewVectors` when fewer
+    than n(n+1)/2 - 1 vectors are supplied and
+    :class:`NonGenericConfiguration` when the solution space is not
+    one-dimensional (the dimension found is attached).
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -103,27 +62,21 @@ def reconstruct_conformal(
     needed = unknowns - 1
     if len(vs) < needed:
         raise TooFewVectors(len(vs), needed)
-    system = np.array([_monomial_row(v, n) for v in vs])
+    rows, cols = np.triu_indices(n)
+    # Doubling the off-diagonal monomials keeps the unknown vector equal to
+    # the independent components of the symmetric matrix.
+    v = np.array(vs)
+    system = v[:, rows] * v[:, cols]
+    system[:, rows != cols] *= 2.0
 
-    rank, perm, reduced = _eliminate(system, rank_tol)
+    _, sigma, vt = np.linalg.svd(system)
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     nullity = unknowns - rank
     if nullity != 1:
         raise NonGenericConfiguration(nullity)
 
-    solution = np.zeros(unknowns)
-    solution[unknowns - 1] = 1.0
-    for i in range(rank - 1, -1, -1):
-        solution[i] = -float(reduced[i, i + 1 :] @ solution[i + 1 :]) / reduced[i, i]
-    unscrambled = np.zeros(unknowns)
-    for position, original in enumerate(perm):
-        unscrambled[original] = solution[position]
-
     g = np.zeros((n, n))
-    cursor = 0
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = unscrambled[cursor]
-            cursor += 1
+    g[rows, cols] = g[cols, rows] = vt[-1]
     return canonicalize_metric(g)
 
 

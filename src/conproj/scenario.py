@@ -26,8 +26,9 @@ of a base recipe by a one-form.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -69,6 +70,16 @@ class Tolerances:
     residual: float = 1e-8
     rank: float = 1e-10
     quadrature: float = 1e-10
+
+    def __post_init__(self):
+        # One rule for scenario files and command-line overrides alike.
+        for field in fields(self):
+            value = float(getattr(self, field.name))
+            if not math.isfinite(value) or value <= 0:
+                raise ScenarioError(
+                    f"'{field.name}' must be finite and positive", "$.tolerances"
+                )
+            object.__setattr__(self, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -328,18 +339,9 @@ def load_scenario(document) -> Scenario:
     if not isinstance(tol_doc, Mapping):
         raise ScenarioError("'tolerances' must be an object", "$.tolerances")
     _check_keys(tol_doc, {"residual", "rank", "quadrature"}, "$.tolerances")
-    defaults = Tolerances()
-    tol_values = {}
-    for key, fallback in (
-        ("residual", defaults.residual),
-        ("rank", defaults.rank),
-        ("quadrature", defaults.quadrature),
-    ):
-        value = _load_number(tol_doc, key, "$.tolerances", default=fallback)
-        if value <= 0:
-            raise ScenarioError(f"'{key}' must be positive", "$.tolerances")
-        tol_values[key] = float(value)
-    tolerances = Tolerances(**tol_values)
+    tolerances = Tolerances(
+        **{key: _load_number(tol_doc, key, "$.tolerances") for key in tol_doc}
+    )
 
     samples = document.get("samples", DEFAULT_SAMPLES)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:

@@ -274,3 +274,39 @@ def test_recover_integrates_the_query_point_once(tmp_path, monkeypatch):
     assert recovery["phi"] == integrate_phi(scn, (0.0, 0.0), (0.4, -0.3))
     expected = recover_metric(scn, (0.0, 0.0), [(0.4, -0.3)])[0].values().tolist()
     assert recovery["metric"] == expected
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-residual", "--tol-quadrature"])
+def test_tolerance_flags_must_be_finite_and_positive(drift_file, capsys, flag, value):
+    assert main(["check", str(drift_file), flag, value, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
+    doc = drift_doc(samples=5)
+    path = tmp_path / "inf.json"
+    text = json.dumps(doc)[:-1] + ', "tolerances": {"residual": Infinity}}'
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{scenario}", "--samples", "0"],
+        ["recover", "{scenario}", "--base", "5,5", "--at", "0,0"],
+        ["gen-example", "--metric", "{bad_json}", "--s", "0,0"],
+    ],
+    ids=["zero-samples", "base-outside-box", "invalid-metric-json"],
+)
+def test_user_errors_print_one_line_and_exit_one(
+    tmp_path, round_trip_file, capsys, argv
+):
+    bad_json = tmp_path / "metric.json"
+    bad_json.write_text("{not json", encoding="utf-8")
+    paths = {"scenario": round_trip_file, "bad_json": bad_json}
+    assert main([arg.format(**paths) for arg in argv] + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err

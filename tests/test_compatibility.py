@@ -323,3 +323,37 @@ def test_overflowing_metric_raises_domain_error_at_first_overflow():
     threshold = math.log(sys.float_info.max) / 800.0
     assert excinfo.value.path == "exp(800.0*x1)"
     assert excinfo.value.point == next(p for p in sample_points(scn) if p[0] > threshold)
+
+
+def _scaled_minkowski_doc(scale):
+    diag = ["-1", "1", "1"]
+    rows = [[diag[i] if i == j else "0" for j in range(3)] for i in range(3)]
+    scaled = [[f"{scale!r}*({entry})" for entry in row] for row in rows]
+    return {
+        "dimension": 3,
+        "coordinates": ["x1", "x2", "x3"],
+        "box": {"min": [-1.0] * 3, "max": [1.0] * 3},
+        "metric": scaled,
+        "connection": {"kind": "levi_civita", "metric": rows},
+        "samples": 20,
+        "seed": 5,
+    }
+
+
+def test_constant_rescaling_of_the_metric_keeps_the_verdict():
+    # the shared metric is unique only up to a constant factor
+    unit = check_compatibility(load_scenario(_scaled_minkowski_doc(1.0)))
+    scaled = check_compatibility(load_scenario(_scaled_minkowski_doc(1e7)))
+    assert unit.verdict == scaled.verdict == "compatible"
+    assert unit.eps_verdict == scaled.eps_verdict == "holds"
+    assert scaled.null_vectors == unit.null_vectors > 0
+
+
+def test_sample_null_vectors_on_a_huge_metric():
+    values = 1e200 * np.array([[-1.0, 0.3], [0.3, 1.0]])
+    g = MetricValue([[constant(values[i][j], 2) for j in range(2)] for i in range(2)])
+    vectors = sample_null_vectors(g, 4, SplitMix64(9))
+    assert len(vectors) == 4
+    unit = values / 1e200
+    for nv in vectors:
+        assert abs(float(nv.u @ unit @ nv.u)) <= 1e-10 * float(nv.u @ nv.u)

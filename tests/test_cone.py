@@ -123,3 +123,13 @@ def test_cone_sample_validation():
     assert len(sample.vectors) == 2
     with pytest.raises(ValueError):
         ConeSample(point=(0.0, 0.0), vectors=((0.0, 0.0),))
+
+
+def test_rank_threshold_is_relative():
+    # two nearly equal lines span one equation numerically: nullity 2
+    with pytest.raises(NonGenericConfiguration) as info:
+        reconstruct_conformal([(1.0, 1.0), (1.0, 1.0 + 1e-13)], 2)
+    assert info.value.nullity == 2
+    # tiny but independent lines still determine the cone
+    g = reconstruct_conformal([(1e-6, 1e-6), (1e-6, -1e-6)], 2)
+    assert np.allclose(g, canonicalize_metric(np.diag([-1.0, 1.0])))

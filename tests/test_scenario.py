@@ -159,3 +159,11 @@ def test_sigma_field_and_transforms():
     shifted = with_projective_shift(scn, ["1", "0"])
     vals = connection_at(shifted, (0.0, 0.0), order=0).values()
     assert vals[0, 0, 0] == 2.0
+
+
+@pytest.mark.parametrize("key", ["residual", "rank", "quadrature"])
+@pytest.mark.parametrize("value", ["Infinity", "NaN", "0"])
+def test_tolerances_must_be_finite_and_positive(key, value):
+    text = json.dumps(flat_doc(2))[:-1] + f', "tolerances": {{"{key}": {value}}}}}'
+    with pytest.raises(ScenarioError, match=rf"\$\.tolerances.*'{key}'"):
+        load_scenario(text)
