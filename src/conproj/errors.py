@@ -77,7 +77,8 @@ class DegenerateMetric(ConprojError):
 
 
 class NonConvergence(ConprojError):
-    """Adaptive quadrature exhausted its bisection budget."""
+    """Adaptive quadrature exhausted its segment budget; the message names
+    the integral's end points, its error estimate and the segments used."""
 
 
 class TooFewVectors(ConprojError):

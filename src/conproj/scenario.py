@@ -26,8 +26,8 @@ of a base recipe by a one-form.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence, Union
 
@@ -74,12 +74,12 @@ class Tolerances:
     def __post_init__(self):
         # One rule for scenario files and command-line overrides alike.
         for field in fields(self):
-            value = float(getattr(self, field.name))
-            if not math.isfinite(value) or value <= 0:
+            value = getattr(self, field.name)
+            if not 0 < value <= sys.float_info.max:
                 raise ScenarioError(
                     f"'{field.name}' must be finite and positive", "$.tolerances"
                 )
-            object.__setattr__(self, field.name, value)
+            object.__setattr__(self, field.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,10 @@ def _load_recipe(doc, coords, n: int, path: str) -> ConnectionRecipe:
     raise ScenarioError(f"unknown connection kind {kind!r}", path)
 
 
-def _load_number(doc, key, path, *, required=False, default=None):
-    if key not in doc:
-        if required:
-            raise ScenarioError(f"missing '{key}'", path)
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"'{key}' must be a number", path)
-    return value
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def load_scenario(document) -> Scenario:
@@ -320,12 +315,13 @@ def load_scenario(document) -> Scenario:
             not isinstance(arr, Sequence)
             or isinstance(arr, (str, bytes))
             or len(arr) != n
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in arr)
+            or not all(_is_number(v) for v in arr)
         ):
-            raise ScenarioError(f"'{key}' must be an array of {n} numbers", f"$.box.{key}")
+            raise ScenarioError(f"'{key}' must be an array of {n} finite numbers", f"$.box.{key}")
         bounds[key] = tuple(float(v) for v in arr)
-    if any(lo >= hi for lo, hi in zip(bounds["min"], bounds["max"])):
-        raise ScenarioError("box must satisfy min < max on every axis", "$.box")
+    widths = [hi - lo for lo, hi in zip(bounds["min"], bounds["max"])]
+    if not all(0 < width <= sys.float_info.max for width in widths):
+        raise ScenarioError("box must have min < max and a finite width on every axis", "$.box")
 
     if "metric" not in document:
         raise ScenarioError("missing 'metric'", "$")
@@ -339,9 +335,10 @@ def load_scenario(document) -> Scenario:
     if not isinstance(tol_doc, Mapping):
         raise ScenarioError("'tolerances' must be an object", "$.tolerances")
     _check_keys(tol_doc, {"residual", "rank", "quadrature"}, "$.tolerances")
-    tolerances = Tolerances(
-        **{key: _load_number(tol_doc, key, "$.tolerances") for key in tol_doc}
-    )
+    for key, value in tol_doc.items():
+        if not _is_number(value):
+            raise ScenarioError(f"'{key}' must be a finite number", "$.tolerances")
+    tolerances = Tolerances(**tol_doc)
 
     samples = document.get("samples", DEFAULT_SAMPLES)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:

@@ -310,3 +310,23 @@ def test_user_errors_print_one_line_and_exit_one(
     assert main([arg.format(**paths) for arg in argv] + ["--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("tolerances", '{"residual": 1' + "0" * 400 + "}"),
+        ("box", '{"min": [-1, -1, -1], "max": [1' + "0" * 400 + ", 1, 1]}"),
+        ("box", '{"min": [NaN, -1, -1], "max": [1, 1, 1]}'),
+        ("box", '{"min": [-1e308, -1, -1], "max": [1e308, 1, 1]}'),
+    ],
+    ids=["huge-tolerance", "huge-box-bound", "nan-box-bound", "box-width"],
+)
+def test_non_float_scenario_numbers_exit_one(tmp_path, capsys, section, values):
+    doc = drift_doc(samples=5)
+    doc.pop(section, None)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc)[:-1] + f', "{section}": {values}}}', encoding="utf-8")
+    assert main(["check", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: $.{section}") and "Traceback" not in err

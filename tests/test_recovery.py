@@ -168,3 +168,50 @@ def test_quadrature_nonconvergence_is_reported():
     scn = load_scenario(doc)
     with pytest.raises(NonConvergence):
         integrate_phi(scn, (-1.0, 0.0), (1.0, 0.0), quadrature_tol=1e-300)
+
+
+def test_nonconvergence_names_the_integral():
+    doc = rescaled_flat_doc()
+    doc["connection"] = {
+        "kind": "levi_civita",
+        "metric": [["exp(2*sin(500*x1))", "0"], [None, "1"]],
+    }
+    scn = load_scenario(doc)
+    message = (
+        r"quadrature from \(-1\.0, 0\.0\) to \(1\.0, 0\.5\) did not settle in \d+ "
+        r"of at most 1024 segments \(error estimate \d\.\d{3}e[+-]\d+\)"
+    )
+    with pytest.raises(NonConvergence, match=message):
+        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.5), quadrature_tol=1e-300)
+
+
+def test_recover_metric_batch_matches_one_point_calls():
+    rng = np.random.default_rng(97)
+    doc, _ = round_trip_doc(rng, 3, samples=6)
+    scn = load_scenario(doc)
+    base = (0.1, -0.2, 0.0)
+    points = [tuple(rng.uniform(-0.9, 0.9, 3)) for _ in range(29)] + [base]
+    batch = recover_metric(scn, base, points)
+    for point, got in zip(points, batch):
+        alone = recover_metric(scn, base, [point])[0].values()
+        assert np.allclose(got.values(), alone, rtol=1e-15, atol=0.0)
+
+
+def test_recovery_batches_its_evaluations(monkeypatch):
+    import conproj.recovery as recovery
+
+    built = []
+
+    class Counting(recovery.Evaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "Evaluator", Counting)
+    scn = load_scenario(rescaled_flat_doc("0.3*tanh(8*x1)", samples=20, seed=3))
+    phi = integrate_phi(scn, (-0.9, -0.2), (0.8, 0.3))
+    assert abs(phi - 0.3 * (math.tanh(6.4) - math.tanh(-7.2))) <= 1e-10
+    assert len(built) <= 8
+    built.clear()
+    assert verify_recovery(scn, (-0.9, -0.2)).passed
+    assert len(built) <= 10

@@ -167,3 +167,22 @@ def test_tolerances_must_be_finite_and_positive(key, value):
     text = json.dumps(flat_doc(2))[:-1] + f', "tolerances": {{"{key}": {value}}}}}'
     with pytest.raises(ScenarioError, match=rf"\$\.tolerances.*'{key}'"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "section, values, path",
+    [
+        ("tolerances", '{"residual": 1' + "0" * 400 + "}", r"\$\.tolerances: 'residual'"),
+        ("box", '{"min": [-1, -1], "max": [1' + "0" * 400 + ", 1]}", r"\$\.box\.max:"),
+        ("box", '{"min": [-Infinity, -1], "max": [1, 1]}', r"\$\.box\.min:"),
+        ("box", '{"min": [-1, NaN], "max": [1, 1]}', r"\$\.box\.min:"),
+        ("box", '{"min": [-1e308, -1], "max": [1e308, 1]}', r"\$\.box:.*finite width"),
+    ],
+    ids=["huge-tolerance", "huge-box-bound", "infinite-box-bound", "nan-box-bound", "box-width"],
+)
+def test_scenario_numbers_must_be_finite_floats(section, values, path):
+    doc = flat_doc(2)
+    doc.pop(section, None)
+    text = json.dumps(doc)[:-1] + f', "{section}": {values}}}'
+    with pytest.raises(ScenarioError, match=path):
+        load_scenario(text)
