@@ -16,7 +16,6 @@ it is implied by compatibility but does not imply it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .sampling import SplitMix64, draw_point, point_stream
+from .sampling import SplitMix64, draw_point, point_stream, uniform_draws
 from .scenario import (
     Scenario,
     Tolerances,
@@ -236,41 +235,72 @@ def sample_null_vectors(
     negative eigenspace, scaled so the quadratic form cancels.  For a
     definite metric the cone is trivial and the list is empty.  The null
     residual is measured relative to the largest eigenvalue, so it does not
-    depend on the overall scale of the metric.
+    depend on the overall scale of the metric.  ``rng`` skips the draws used.
     """
-    values = g.values()
-    eigenvalues, eigenvectors = np.linalg.eigh(values)
-    scale = float(np.max(np.abs(eigenvalues)))
-    if scale == 0.0 or np.min(np.abs(eigenvalues)) < rank_tol * scale:
-        raise DegenerateMetric(float(np.prod(eigenvalues)), point=g.point)
-    positive = [i for i, w in enumerate(eigenvalues) if w > 0.0]
-    negative = [i for i, w in enumerate(eigenvalues) if w < 0.0]
-    if not positive or not negative:
-        return []
-    out = []
-    for _ in range(count):
-        plus = _random_cone_leg(values, eigenvectors, positive, rng)
-        minus = _random_cone_leg(values, eigenvectors, negative, rng)
-        u = plus / math.sqrt(abs(float(plus @ values @ plus))) + minus / math.sqrt(
-            abs(float(minus @ values @ minus))
-        )
-        u = u / np.max(np.abs(u))
-        residual = abs(float(u @ values @ u))
-        if residual > NULL_TOL * scale * float(u @ u):
-            raise ConprojError("null-cone sampling lost precision")
-        out.append(NullVector(point=g.point, u=u))
-    return out
+    u, has, used, fails = _null_cone(g.values()[None], count, np.array([rng.state]), rank_tol)
+    rng.skip(int(used[0]))
+    if isinstance(fails[0], DegenerateMetric):
+        raise DegenerateMetric(fails[0].det, point=g.point)
+    if fails[0] is not None:
+        raise fails[0]
+    return [NullVector(point=g.point, u=v) for v in u[0]] if has[0] else []
 
 
-def _random_cone_leg(values, eigenvectors, subspace, rng: SplitMix64) -> np.ndarray:
-    for _ in range(1000):
-        coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in subspace])
-        if float(coeffs @ coeffs) < 1e-4:
-            continue
-        leg = eigenvectors[:, subspace] @ coeffs
-        if abs(float(leg @ values @ leg)) > 0.0:
-            return leg
-    raise ConprojError("failed to draw a usable cone direction")
+def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float):
+    """``count`` null vectors at each indefinite point of a metric stack
+    ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
+    point at a time would; a point with m negative eigenvalues (eigenvectors
+    ``[:, :m]``) draws legs plus, minus, plus, ..., and a rejected leg is
+    drawn again from the next positions, shifting every later leg.  Returns
+    the vectors, whether each point has them, its draws used and its error."""
+    S, n = values.shape[:2]
+    lam, vec = np.linalg.eigh(values)
+    scale = np.max(np.abs(lam), axis=1)
+    degenerate = (scale == 0.0) | (np.min(np.abs(lam), axis=1) < rank_tol * scale)
+    fails = [DegenerateMetric(np.prod(w)) if d else None for w, d in zip(lam, degenerate.tolist())]
+    negative = np.sum(lam < 0.0, axis=1)
+    has = (negative > 0) & (negative < n) & ~degenerate & (count > 0)
+    u, used = np.zeros((S, max(count, 0), n)), np.zeros(S, dtype=np.int64)
+    for m in set(negative[has].tolist()):
+        group, legs = np.flatnonzero(has & (negative == m)), 2 * count
+        V, G, st = vec[group], values[group], states[group, None, None]
+        k = np.array([n - m, m] * count)  # draws per leg
+        slot = np.arange(n) - np.array([m, 0] * count)[:, None]  # stream offset, if taken
+        take = (slot >= 0) & (slot < k[:, None])  # the coefficients a leg uses
+        extra = np.zeros((group.size, legs), dtype=np.int64)  # rejected tries
+        cap = np.full(group.size, legs)  # the leg that ran out of tries
+        leg, q = np.empty((group.size, legs, n)), np.empty((group.size, legs))
+        live = np.arange(group.size)
+        while live.size:
+            begin = np.cumsum(k * (extra[live] + 1), axis=1) - k
+            c = np.where(take, uniform_draws(st[live], begin[..., None] + slot, -1.0, 1.0), 0.0)
+            leg[live] = np.einsum("gij,glj->gli", V[live], c)
+            q[live] = np.einsum("gli,gij,glj->gl", leg[live], G[live], leg[live])
+            rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
+            again = rejected.any(axis=1)
+            live, first = live[again], rejected[again].argmax(axis=1)
+            extra[live, first] += 1
+            out = extra[live, first] == 1000
+            cap[live[out]] = first[out]
+            live = live[~out]
+        ends = np.cumsum(k * (extra + 1), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # legs past a cap
+            w = leg / np.sqrt(np.abs(q))[..., None]
+            w = w[:, 0::2] + w[:, 1::2]
+            w /= np.max(np.abs(w), axis=-1, keepdims=True)
+        residual = np.abs(np.einsum("gci,gij,gcj->gc", w, G, w))
+        lost = residual > NULL_TOL * scale[group, None] * np.einsum("gci,gci->gc", w, w)
+        lost &= np.arange(count) < cap[:, None] // 2
+        u[group], used[group] = w, ends[:, -1]
+        for i in np.flatnonzero(lost.any(axis=1) | (cap < legs)):
+            p = group[i]
+            if lost[i].any():
+                used[p] = ends[i, 2 * lost[i].argmax() + 1]
+                fails[p] = ConprojError("null-cone sampling lost precision")
+            else:
+                used[p] = ends[i, cap[i]] - k[cap[i]]
+                fails[p] = ConprojError("failed to draw a usable cone direction")
+    return u, has, used, fails
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
@@ -286,15 +316,30 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
     base = levi_civita(g.jet, invert_metric(g).jet)
-    return float(_eps_from_diff(base.value - gamma.jet.value, vec))
+    return float(_eps_from_diff(base.value - gamma.jet.value, vec[None])[0])
 
 
 def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """EPS residual of each direction in ``u`` (shape (n,) or (m, n))."""
-    d = np.einsum("ijk,...j,...k->...i", diff_values, u, u)
+    """EPS residual of each direction ``u[..., m, :]`` against the difference
+    tensor ``diff_values[..., :, :, :]`` of its point."""
+    d = np.einsum("...ijk,...mj,...mk->...mi", diff_values, u, u)
     uu = np.einsum("...i,...i->...", u, u)
     parallel = np.einsum("...i,...i->...", d, u) / uu
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
+
+
+def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
+    """Per point of an obstruction stack (or one point): A, B, scale, EPS over
+    its 2n null vectors, whether it has them and its null-cone error or None."""
+    n, scale = obs.metric.n, np.reshape(obs.scale, -1)
+    values = np.reshape(obs.metric.jet.value, (-1, n, n))
+    values = np.where(np.reshape(bad, (-1, 1, 1)), np.eye(n), values)
+    rank_tol = scenario.tolerances.rank
+    u, has, _, fails = _null_cone(values, 2 * n, states[: len(scale)], rank_tol)
+    eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
+    eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
+    a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
+    return a, b, scale, eps, has, fails
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
@@ -310,23 +355,23 @@ def check_compatibility(
 ) -> CompatReport:
     """Sample the box and aggregate the obstruction and EPS residuals.
 
-    The obstructions of up to ``CHUNK_POINTS`` points are evaluated at once;
-    each point's own stream then goes on into its null-vector draws.  A
-    point whose evaluation fails is re-run alone, so the first failure in
-    sample order raises as at that point alone.  Points where the metric
-    degenerates are skipped and reported as long as they stay under 1% of
-    the samples; beyond that the degeneracy is fatal.  Per-point residuals
-    are scale-normalized before aggregation.
+    The obstructions, null vectors and EPS of up to ``CHUNK_POINTS`` points
+    are evaluated at once; each point's own stream goes on into its
+    null-vector draws.  A point whose evaluation fails is re-run alone, so
+    the first failure in sample order raises as at that point alone.
+    Points where the metric degenerates are skipped and reported as long as
+    they stay under 1% of the samples; beyond that the degeneracy is fatal.
+    Per-point residuals are scale-normalized before aggregation.
     """
     count = scenario.samples if samples is None else samples
     if count < 1:
         raise ValueError("sample count must be positive")
     seed_val = scenario.seed if seed is None else seed
     tol = scenario.tolerances.residual
-    rank_tol = scenario.tolerances.rank
     nulls_per_point = 2 * scenario.dimension
     streams = [point_stream(seed_val, index) for index in range(count)]
     points = [draw_point(s, scenario.box_min, scenario.box_max) for s in streams]
+    states = np.array([s.state for s in streams], dtype=np.uint64)
 
     per_point = []
     skipped = []
@@ -338,16 +383,16 @@ def check_compatibility(
         ev = Evaluator(chunk, strict=False)
         with np.errstate(all="ignore"):
             batch = _obstructions(scenario, ev)
+            figures = _point_figures(batch, states[start:], scenario, ev.bad)
         for offset, point in enumerate(chunk):
             try:
-                obs, at = batch, offset
+                figs, at = figures, offset
                 if ev.bad[offset]:
-                    obs, at = obstruction_at(scenario, point), ()
-                values = obs.metric.jet.value[at]
-                g = MetricValue(Jet(len(values), 0, values), point=point)
-                null_vectors = sample_null_vectors(
-                    g, nulls_per_point, streams[start + offset], rank_tol=rank_tol
-                )
+                    alone = obstruction_at(scenario, point)
+                    figs, at = _point_figures(alone, states[start + offset :], scenario), 0
+                a, b, scale, eps, has, failure = (x[at] for x in figs)
+                if failure is not None:
+                    raise failure
             except DegenerateMetric as err:
                 skipped.append((point, err.det))
                 if len(skipped) * 100 >= count:
@@ -357,21 +402,13 @@ def check_compatibility(
                         detail=f"{len(skipped)} of {count} sample points degenerate",
                     ) from err
                 continue
-            scale = float(obs.scale[at])
             eps_val = None
-            if null_vectors:
-                total_nulls += len(null_vectors)
-                directions = np.array([nv.u for nv in null_vectors])
-                eps_val = float(np.max(_eps_from_diff(obs.diff_values[at], directions)))
+            if has:
+                total_nulls += nulls_per_point
+                eps_val = float(eps)
                 max_eps = eps_val if max_eps is None else max(max_eps, eps_val)
             per_point.append(
-                PointSummary(
-                    point=point,
-                    a=float(np.max(np.abs(obs.a[at]))) / scale,
-                    b=float(np.max(np.abs(obs.b[at]))) / scale,
-                    eps=eps_val,
-                    scale=scale,
-                )
+                PointSummary(point=point, a=float(a), b=float(b), eps=eps_val, scale=float(scale))
             )
 
     max_a = max((s.a for s in per_point), default=0.0)

@@ -78,6 +78,16 @@ class Call:
 Expr = Union[Literal, Variable, Neg, Binary, Call]
 
 
+def _cached_hash(node) -> int:
+    """The dataclass hash, computed once: an evaluator's memo looks up every subtree."""
+    if "_hash" not in node.__dict__:
+        node.__dict__["_hash"] = hash(tuple(getattr(node, f) for f in node.__dataclass_fields__))
+    return node.__dict__["_hash"]
+
+
+Neg.__hash__ = Binary.__hash__ = Call.__hash__ = _cached_hash
+
+
 # -- tokenizer / parser -------------------------------------------------
 
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

@@ -22,7 +22,7 @@ from .errors import NonConvergence
 from .expressions import Evaluator
 from .geometry import MetricValue, tracefree
 from .jets import Jet
-from .scenario import Scenario, metric_at, sample_points
+from .scenario import Scenario, _check_point, sample_points, symmetric_jet
 
 __all__ = [
     "RecoveredFactor",
@@ -40,15 +40,20 @@ MAX_SEGMENTS = 1024
 
 def _trace_values(scenario: Scenario, points: np.ndarray, order: int) -> list:
     """g, g^-1, T^i_jk and T_i (and at order 1 ``d_k T_i`` as ``[s, i, k]``)
-    at a stack of points, at most ``CHUNK_POINTS`` per evaluator (an empty
-    stack still runs one, for the shapes).  Points are evaluated leniently;
-    each failing one is re-run alone, which raises its error as a one-point
-    call would."""
+    at a stack of points."""
 
     def at(ev):
         g, ginv, _, _, T, _, down = _trace_form(scenario, ev, order)
         return [g.value, ginv.value, T.value, down.value, down.gradient][: 4 + order]
 
+    return _batched(points, at)
+
+
+def _batched(points: np.ndarray, at) -> list:
+    """The arrays ``at(ev)`` at a stack of points, at most ``CHUNK_POINTS``
+    per evaluator (an empty stack still runs one, for the shapes).  Points
+    are evaluated leniently; each failing one is re-run alone, which raises
+    its error as a one-point call would."""
     parts, bad = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
         ev = Evaluator(points[start : start + CHUNK_POINTS], strict=False)
@@ -165,8 +170,7 @@ class RecoveredFactor:
 
     def scaled_metric(self, point, phi: float) -> MetricValue:
         """The scenario metric at ``point`` rescaled by exp(2*phi)."""
-        g = metric_at(self.scenario, point, order=0)
-        return MetricValue(g.jet * math.exp(2.0 * phi), point=g.point)
+        return _scaled_metrics(self.scenario, [_check_point(self.scenario, point)], [phi])[0]
 
     def _segment_integral(self, start, end) -> np.ndarray:
         return _integrate(self.scenario, start, end, 0, self.quadrature_tol)[0]
@@ -195,7 +199,19 @@ def recover_metric(scenario: Scenario, base, points, *, quadrature_tol=None) -> 
     points = [factor._inside(point) for point in points]
     away = [point for point in points if point != factor.base]
     phi = dict(zip(away, _integrate(scenario, factor.base, away, 0, factor.quadrature_tol)[:, 0]))
-    return [factor.scaled_metric(point, float(phi.get(point, 0.0))) for point in points]
+    return _scaled_metrics(scenario, points, [float(phi.get(p, 0.0)) for p in points])
+
+
+def _scaled_metrics(scenario: Scenario, points: list, phis: list) -> list:
+    """The scenario metric at each point (tuples) rescaled by exp(2*phi),
+    evaluated in lenient batches."""
+    n = scenario.dimension
+    stack = np.reshape(points, (-1, n))
+    (g,) = _batched(stack, lambda ev: [symmetric_jet(scenario.metric, ev, 0, 2).value])
+    return [
+        MetricValue(Jet(n, 0, v) * math.exp(2.0 * phi), point=p)
+        for p, v, phi in zip(points, g, phis)
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,15 @@ evaluation.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
+    """Finalizer of one draw; ``z`` is an int or a numpy ``uint64`` array."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -37,6 +40,22 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
+
+    @property
+    def state(self) -> int:
+        """The stream position that :func:`uniform_draws` continues from."""
+        return self._state
+
+    def skip(self, draws: int) -> None:
+        self._state = (self._state + draws * _GAMMA) & MASK64
+
+
+def uniform_draws(states, positions, lo: float, hi: float) -> np.ndarray:
+    """``SplitMix64.uniform(lo, hi)`` bit for bit at draw ``positions`` (0 is
+    the next) of the streams in ``states``; ``uint64`` arithmetic wraps."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(states, np.uint64) + (np.asarray(positions, np.uint64) + 1) * _GAMMA
+        return lo + (hi - lo) * ((_mix64(z) >> 11) * 2.0**-53)
 
 
 def point_stream(seed: int, index: int) -> SplitMix64:

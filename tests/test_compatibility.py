@@ -1,5 +1,7 @@
+import copy
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from conproj import (
     eps_residual,
     invert_metric,
     load_scenario,
+    load_scenario_path,
     metric_at,
     obstruction_at,
     rescaled_connection,
@@ -27,7 +30,7 @@ from conproj import (
     trace_vector,
 )
 from conproj.compatibility import NullVector
-from conproj.sampling import SplitMix64
+from conproj.sampling import SplitMix64, draw_point, point_stream
 from helpers import drift_doc, flat_doc, round_trip_doc
 
 
@@ -357,3 +360,90 @@ def test_sample_null_vectors_on_a_huge_metric():
     unit = values / 1e200
     for nv in vectors:
         assert abs(float(nv.u @ unit @ nv.u)) <= 1e-10 * float(nv.u @ nv.u)
+
+
+_GAMMA_2D = [[["0.3*x2", "0.5"], [None, "x1"]], [["0.2", "-0.4*x1"], [None, "0.7"]]]
+
+
+def _two_d_doc(metric, samples, seed):
+    return {
+        "dimension": 2,
+        "coordinates": ["x1", "x2"],
+        "box": {"min": [-1.0, -1.0], "max": [1.0, 1.0]},
+        "metric": metric,
+        "connection": {"kind": "explicit", "gamma": _GAMMA_2D},
+        "samples": samples,
+        "seed": seed,
+    }
+
+
+def _assert_check_matches_one_point_calls(scn):
+    """Per-point EPS and null-vector count of the batched check against
+    sample_null_vectors and eps_residual at each point, on each point's
+    stream continued after its coordinates.  Returns the number of points
+    whose legs were redrawn."""
+    report = check_compatibility(scn)
+    assert not report.skipped and len(report.per_point) == scn.samples
+    n, nulls_per_point = scn.dimension, 2 * scn.dimension
+    total = redrawn = 0
+    for index, summary in enumerate(report.per_point):
+        stream = point_stream(scn.seed, index)
+        point = draw_point(stream, scn.box_min, scn.box_max)
+        assert summary.point == point
+        plain = copy.copy(stream)
+        g = metric_at(scn, point, 1)
+        nulls = sample_null_vectors(g, nulls_per_point, stream, rank_tol=scn.tolerances.rank)
+        total += len(nulls)
+        if not nulls:
+            assert summary.eps is None
+            continue
+        for _ in range(nulls_per_point * n):  # one draw per coefficient
+            plain.next_u64()
+        redrawn += plain.next_u64() != stream.next_u64()
+        gamma = connection_at(scn, point, 1)
+        expected = max(eps_residual(g, gamma, nv) for nv in nulls)
+        assert abs(summary.eps - expected) <= 1e-13 * expected, (point, summary.eps, expected)
+    assert report.null_vectors == total
+    return redrawn
+
+
+def test_batched_null_cone_matches_one_point_calls_with_redrawn_legs():
+    # one-dimensional legs: about 1% of them fall under |c|^2 < 1e-4
+    metric = [["-1 + 0.1*x1*x2", "0.2*x1"], [None, "1 + 0.05*x2^2"]]
+    scn = load_scenario(_two_d_doc(metric, 300, 11))
+    assert _assert_check_matches_one_point_calls(scn) >= 10
+
+
+def test_batched_null_cone_matches_one_point_calls_in_a_mixed_signature_box():
+    scn = load_scenario(_two_d_doc([["x1", "0"], [None, "1"]], 300, 3))
+    _assert_check_matches_one_point_calls(scn)
+    report = check_compatibility(scn)
+    lorentzian = [s for s in report.per_point if s.eps is not None]
+    assert 0 < len(lorentzian) < len(report.per_point)
+    assert all(s.point[0] < 0.0 for s in lorentzian)
+
+
+def test_check_batches_its_null_cone_work(monkeypatch):
+    eigh, next_u64 = np.linalg.eigh, SplitMix64.next_u64
+    eighs, draws = [], []
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    def counting_next_u64(self):
+        draws.append(1)
+        return next_u64(self)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(SplitMix64, "next_u64", counting_next_u64)
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    scn = load_scenario_path(path)
+    report = check_compatibility(scn)
+    assert scn.samples == 200 and report.null_vectors == 200 * 6
+    assert len(eighs) == 1
+    assert len(draws) == 200 * 3  # the coordinates of the points only
+    monkeypatch.undo()
+    rng = SplitMix64(7)
+    assert sample_null_vectors(metric_at(scn, (0.1, 0.2, 0.3), 0), 0, rng) == []
+    assert rng.next_u64() == SplitMix64(7).next_u64()
