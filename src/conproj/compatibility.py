@@ -33,7 +33,7 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .sampling import SplitMix64, draw_point, point_stream, uniform_draws
+from .sampling import SplitMix64, draw_points, uniform_draws
 from .scenario import (
     Scenario,
     Tolerances,
@@ -86,7 +86,7 @@ class ObstructionData:
     """
 
     point: tuple | None
-    T: tuple
+    t_tensor: ConnectionValue
     t_up: VectorValue
     t_down: OneFormValue
     a: np.ndarray
@@ -95,6 +95,11 @@ class ObstructionData:
     metric: MetricValue
     connection: ConnectionValue
     diff_values: np.ndarray
+
+    @property
+    def T(self) -> list:
+        """Trace-free difference tensor T^i_jk as nested scalar jets."""
+        return self.t_tensor.components
 
     @property
     def a_residual(self) -> float:
@@ -131,11 +136,11 @@ class CompatReport:
 
 
 def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
-    """Metric (order ``order + 1``), inverse, connection, Levi-Civita
-    connection, trace-free difference T and its traces T^i, T_i."""
+    """Metric (order ``order + 1``), inverse (order ``order``), connection,
+    Levi-Civita connection, trace-free difference T and its traces T^i, T_i."""
     g = symmetric_jet(scenario.metric, ev, order + 1, 2)
     gamma = connection_jet(scenario, ev, order)
-    ginv = inverse_at(ev, g, scenario.tolerances.rank)
+    ginv = inverse_at(ev, jets.truncate(g, order), scenario.tolerances.rank)
     base = levi_civita(g, ginv)
     T = tracefree(jets.sub(base, gamma, False))
     up, down = _traces(g, ginv, T)
@@ -172,7 +177,7 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
     ev.flag(~finite, lambda: DomainError(jets._NON_FINITE, point=ev.point))
     return ObstructionData(
         point=ev.point,
-        T=ConnectionValue(T).components,
+        t_tensor=ConnectionValue(T),
         t_up=VectorValue(up),
         t_down=OneFormValue(down),
         a=a,
@@ -329,8 +334,8 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
-    """Per point of an obstruction stack (or one point): A, B, scale, EPS over
-    its 2n null vectors, whether it has them and its null-cone error or None."""
+    """Lists over the points of an obstruction stack (or one point): A, B, scale,
+    EPS over its 2n null vectors, whether it has them and its null-cone error or None."""
     n, scale = obs.metric.n, np.reshape(obs.scale, -1)
     values = np.reshape(obs.metric.jet.value, (-1, n, n))
     values = np.where(np.reshape(bad, (-1, 1, 1)), np.eye(n), values)
@@ -339,7 +344,7 @@ def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
     a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
-    return a, b, scale, eps, has, fails
+    return a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist(), fails
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
@@ -364,33 +369,25 @@ def check_compatibility(
     Per-point residuals are scale-normalized before aggregation.
     """
     count = scenario.samples if samples is None else samples
-    if count < 1:
-        raise ValueError("sample count must be positive")
     seed_val = scenario.seed if seed is None else seed
     tol = scenario.tolerances.residual
-    nulls_per_point = 2 * scenario.dimension
-    streams = [point_stream(seed_val, index) for index in range(count)]
-    points = [draw_point(s, scenario.box_min, scenario.box_max) for s in streams]
-    states = np.array([s.state for s in streams], dtype=np.uint64)
+    points, states = draw_points(seed_val, count, scenario.box_min, scenario.box_max)
 
     per_point = []
     skipped = []
-    max_eps = None
-    total_nulls = 0
 
     for start in range(0, count, CHUNK_POINTS):
-        chunk = points[start : start + CHUNK_POINTS]
-        ev = Evaluator(chunk, strict=False)
+        ev = Evaluator(points[start : start + CHUNK_POINTS], strict=False)
         with np.errstate(all="ignore"):
             batch = _obstructions(scenario, ev)
             figures = _point_figures(batch, states[start:], scenario, ev.bad)
-        for offset, point in enumerate(chunk):
+        rows = zip(map(tuple, ev.points.tolist()), ev.bad.tolist(), *figures)
+        for offset, (point, bad, a, b, scale, eps, has, failure) in enumerate(rows):
             try:
-                figs, at = figures, offset
-                if ev.bad[offset]:
+                if bad:
                     alone = obstruction_at(scenario, point)
-                    figs, at = _point_figures(alone, states[start + offset :], scenario), 0
-                a, b, scale, eps, has, failure = (x[at] for x in figs)
+                    figs = _point_figures(alone, states[start + offset :], scenario)
+                    a, b, scale, eps, has, failure = (x[0] for x in figs)
                 if failure is not None:
                     raise failure
             except DegenerateMetric as err:
@@ -402,15 +399,11 @@ def check_compatibility(
                         detail=f"{len(skipped)} of {count} sample points degenerate",
                     ) from err
                 continue
-            eps_val = None
-            if has:
-                total_nulls += nulls_per_point
-                eps_val = float(eps)
-                max_eps = eps_val if max_eps is None else max(max_eps, eps_val)
-            per_point.append(
-                PointSummary(point=point, a=float(a), b=float(b), eps=eps_val, scale=float(scale))
-            )
+            per_point.append(PointSummary(point, a, b, eps if has else None, scale))
 
+    eps_values = [s.eps for s in per_point if s.eps is not None]
+    max_eps = max(eps_values, default=None)
+    total_nulls = 2 * scenario.dimension * len(eps_values)
     max_a = max((s.a for s in per_point), default=0.0)
     max_b = max((s.b for s in per_point), default=0.0)
     a_ok = max_a <= tol

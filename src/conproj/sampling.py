@@ -65,3 +65,16 @@ def point_stream(seed: int, index: int) -> SplitMix64:
 
 def draw_point(stream: SplitMix64, box_min, box_max) -> tuple[float, ...]:
     return tuple(stream.uniform(lo, hi) for lo, hi in zip(box_min, box_max))
+
+
+def draw_points(seed: int, count: int, box_min, box_max):
+    """``draw_point(point_stream(seed, i), ...)`` for each ``i < count`` bit for bit,
+    as a ``(count, n)`` array, and the ``uint64`` state of each stream after it."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError("sample count must be positive")
+    lo, hi = np.array(box_min), np.array(box_max)
+    index = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        states = _mix64(np.uint64(seed & MASK64) + index * _STREAM_SALT)
+        after = states + (len(lo) * _GAMMA & MASK64)
+    return uniform_draws(states[:, None], np.arange(len(lo)), lo, hi), after

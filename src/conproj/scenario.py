@@ -38,7 +38,7 @@ from . import jets
 from .errors import DegenerateMetric, ExpressionError, ScenarioError
 from .geometry import ConnectionValue, MetricValue, inverse, levi_civita, shift
 from .jets import Jet
-from .sampling import draw_point, point_stream
+from .sampling import draw_points
 
 __all__ = [
     "Tolerances",
@@ -423,12 +423,12 @@ def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
     n = ev.n
     if isinstance(recipe, LeviCivitaRecipe):
         g = symmetric_jet(recipe.metric, ev, order + 1, 2)
-        return levi_civita(g, inverse_at(ev, g, rank_tol))
+        return levi_civita(g, inverse_at(ev, jets.truncate(g, order), rank_tol))
     if isinstance(recipe, ExplicitRecipe):
         return symmetric_jet(recipe.gamma, ev, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
         g = symmetric_jet(recipe.metric, ev, order + 1, 2)
-        base = levi_civita(g, inverse_at(ev, g, rank_tol))
+        base = levi_civita(g, inverse_at(ev, jets.truncate(g, order), rank_tol))
         s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
         return jets.sub(base, jets.einsum("i,jk->ijk", s, g), False)
     if isinstance(recipe, ProjectiveTransformRecipe):
@@ -463,10 +463,8 @@ def sample_points(scenario: Scenario, count=None, seed=None) -> list:
     """The deterministic sample points a check over this scenario visits."""
     total = scenario.samples if count is None else count
     seed_val = scenario.seed if seed is None else seed
-    return [
-        draw_point(point_stream(seed_val, i), scenario.box_min, scenario.box_max)
-        for i in range(total)
-    ]
+    points, _ = draw_points(seed_val, total, scenario.box_min, scenario.box_max)
+    return [tuple(p) for p in points.tolist()]
 
 
 # -- representative changes ----------------------------------------------------

@@ -442,8 +442,41 @@ def test_check_batches_its_null_cone_work(monkeypatch):
     report = check_compatibility(scn)
     assert scn.samples == 200 and report.null_vectors == 200 * 6
     assert len(eighs) == 1
-    assert len(draws) == 200 * 3  # the coordinates of the points only
+    assert len(draws) == 0  # the points and legs are array draws
     monkeypatch.undo()
     rng = SplitMix64(7)
     assert sample_null_vectors(metric_at(scn, (0.1, 0.2, 0.3), 0), 0, rng) == []
     assert rng.next_u64() == SplitMix64(7).next_u64()
+
+
+def test_check_inverts_the_metric_only_to_the_order_it_reads(monkeypatch):
+    import conproj.scenario as scenario
+    from conproj import integrate_phi, verify_recovery
+
+    inverse, orders = scenario.inverse, []
+
+    def recording_inverse(g, rank_tol):
+        orders.append(g.order)
+        return inverse(g, rank_tol)
+
+    monkeypatch.setattr(scenario, "inverse", recording_inverse)
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    check_compatibility(load_scenario_path(path))
+    assert orders and max(orders) == 1
+    doc, _ = round_trip_doc(np.random.default_rng(5), 3, samples=12, lorentzian=True)
+    scn = load_scenario(doc)
+    orders.clear()
+    check_compatibility(scn)
+    assert orders and max(orders) == 1
+    integrate_phi(scn, (0.0, 0.0, 0.0), (0.3, -0.2, 0.4))
+    verify_recovery(scn, (0.0, 0.0, 0.0), samples=3)
+    assert set(orders) == {0, 1}
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.0])
+def test_check_rejects_a_sample_count_that_is_not_a_positive_int(samples):
+    scn = load_scenario(flat_doc(2, samples=5))
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        check_compatibility(scn, samples=samples)
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        sample_points(scn, samples)

@@ -157,6 +157,13 @@ def test_verify_recovery_fails_on_drift_scenario():
     assert result.max_deviation > 0.05
 
 
+@pytest.mark.parametrize("samples", [0, -3, True])
+def test_verify_recovery_rejects_a_sample_count_that_is_not_a_positive_int(samples):
+    scn = load_scenario(flat_doc(2, samples=6))
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        verify_recovery(scn, (0.0, 0.0), samples=samples)
+
+
 def test_quadrature_nonconvergence_is_reported():
     # a pole inside the integration segment cannot settle
     doc = rescaled_flat_doc()

@@ -1,6 +1,14 @@
 import numpy as np
+import pytest
 
-from conproj.sampling import MASK64, SplitMix64, point_stream, uniform_draws
+from conproj.sampling import (
+    MASK64,
+    SplitMix64,
+    draw_point,
+    draw_points,
+    point_stream,
+    uniform_draws,
+)
 
 
 def test_point_stream_draws_are_pinned():
@@ -41,3 +49,15 @@ def test_skip_advances_like_draws():
     assert drawn.state == skipped.state
     assert drawn.next_u64() == skipped.next_u64()
     assert uniform_draws(skipped.state, 0, -1.0, 1.0) == drawn.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -3, 2**63 + 5, 2**64 - 1])
+def test_draw_points_match_the_point_streams(seed):
+    # the salt and gamma additions wrap past 2**64 for the large seeds
+    box_min, box_max = (-1.0, 0.25, -3.0), (2.0, 0.75, 1e-3)
+    points, states = draw_points(seed, 300, box_min, box_max)
+    assert points.shape == (300, 3) and states.dtype == np.uint64
+    for index, (point, state) in enumerate(zip(points.tolist(), states.tolist())):
+        stream = point_stream(seed, index)
+        assert tuple(point) == draw_point(stream, box_min, box_max)
+        assert state == stream.state
