@@ -23,7 +23,7 @@ from .compatibility import (
     sample_null_vectors,
     trace_vector,
 )
-from .cone import ConeSample, canonicalize_metric, reconstruct_conformal
+from .cone import canonicalize_metric, reconstruct_conformal
 from .errors import (
     ConprojError,
     DegenerateMetric,
@@ -45,7 +45,6 @@ from .expressions import (
 )
 from .geometry import (
     ConnectionValue,
-    EquivalenceResult,
     MetricValue,
     OneFormValue,
     ThomasValue,
@@ -54,7 +53,6 @@ from .geometry import (
     conformal_rescale_metric,
     invert_metric,
     projective_transform,
-    projectively_equivalent,
     rescaled_connection,
     thomas_symbol,
 )
@@ -75,7 +73,6 @@ from .scenario import (
     load_scenario_path,
     metric_at,
     sample_points,
-    sigma_at,
     with_conformal_factor,
     with_projective_shift,
 )
@@ -100,7 +97,6 @@ __all__ = [
     "load_scenario_path",
     "metric_at",
     "connection_at",
-    "sigma_at",
     "sample_points",
     "with_conformal_factor",
     "with_projective_shift",
@@ -110,14 +106,12 @@ __all__ = [
     "ThomasValue",
     "OneFormValue",
     "VectorValue",
-    "EquivalenceResult",
     "invert_metric",
     "christoffel",
     "conformal_rescale_metric",
     "rescaled_connection",
     "projective_transform",
     "thomas_symbol",
-    "projectively_equivalent",
     # compatibility
     "NullVector",
     "ObstructionData",
@@ -139,7 +133,6 @@ __all__ = [
     "recover_metric",
     "verify_recovery",
     # cone
-    "ConeSample",
     "reconstruct_conformal",
     "canonicalize_metric",
     # errors

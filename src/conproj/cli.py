@@ -26,11 +26,7 @@ from pathlib import Path
 from . import __version__
 from .compatibility import CompatReport, check_compatibility
 from .cone import reconstruct_conformal
-from .errors import (
-    ConprojError,
-    NonGenericConfiguration,
-    TooFewVectors,
-)
+from .errors import ConprojError, NonGenericConfiguration
 from .expressions import (
     differentiate,
     fold_add,
@@ -40,7 +36,7 @@ from .expressions import (
     symbolic_inverse,
 )
 from .recovery import RecoveredFactor, verify_recovery
-from .scenario import Scenario, load_scenario
+from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, Scenario, load_scenario
 
 _BUILTIN_METRICS = {
     "euclidean2": (2, [["1", "0"], ["0", "1"]]),
@@ -115,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "compatible scenario",
     )
     gen.add_argument("--out", type=Path)
-    gen.add_argument("--samples", type=int, default=200)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--quiet", action="store_true")
     gen.set_defaults(handler=_cmd_gen_example)
 
@@ -141,14 +137,11 @@ def _load_scenario_file(path: Path):
 
 def _override_tolerances(scenario: Scenario, args) -> Scenario:
     tol = scenario.tolerances
-    changed = False
-    if getattr(args, "tol_residual", None) is not None:
+    if args.tol_residual is not None:
         tol = replace(tol, residual=args.tol_residual)
-        changed = True
-    if getattr(args, "tol_quadrature", None) is not None:
+    if args.tol_quadrature is not None:
         tol = replace(tol, quadrature=args.tol_quadrature)
-        changed = True
-    return replace(scenario, tolerances=tol) if changed else scenario
+    return replace(scenario, tolerances=tol)
 
 
 def _parse_point(text: str, n: int) -> tuple:
@@ -268,9 +261,6 @@ def _cmd_cone(args) -> int:
     except NonGenericConfiguration as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except TooFewVectors as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     document = {
         "tool": "conproj",
         "version": __version__,

@@ -24,6 +24,7 @@ from . import jets
 from .errors import ConprojError, DegenerateMetric, DomainError
 from .expressions import Evaluator
 from .geometry import (
+    DEFAULT_RANK_TOL,
     ConnectionValue,
     MetricValue,
     OneFormValue,
@@ -93,7 +94,6 @@ class ObstructionData:
     b: np.ndarray
     scale: float
     metric: MetricValue
-    connection: ConnectionValue
     diff_values: np.ndarray
 
     @property
@@ -184,7 +184,6 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
         b=b,
         scale=scale,
         metric=MetricValue(g, point=ev.point),
-        connection=ConnectionValue(gamma, point=ev.point),
         diff_values=base.value - gamma.value,
     )
 
@@ -231,7 +230,7 @@ def sample_null_vectors(
     count: int,
     rng: SplitMix64,
     *,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list:
     """Random vectors on the metric's null cone.
 
@@ -349,7 +348,7 @@ def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
-    return _obstructions(scenario, Evaluator(_check_point(scenario, point), strict=True))
+    return _obstructions(scenario, Evaluator(_check_point(scenario, point)))
 
 
 def check_compatibility(
@@ -377,7 +376,7 @@ def check_compatibility(
     skipped = []
 
     for start in range(0, count, CHUNK_POINTS):
-        ev = Evaluator(points[start : start + CHUNK_POINTS], strict=False)
+        ev = Evaluator(points[start : start + CHUNK_POINTS])
         with np.errstate(all="ignore"):
             batch = _obstructions(scenario, ev)
             figures = _point_figures(batch, states[start:], scenario, ev.bad)

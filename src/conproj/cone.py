@@ -11,38 +11,19 @@ its first nonzero component (in row-major order) positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonGenericConfiguration, TooFewVectors
+from .geometry import DEFAULT_RANK_TOL
 
-__all__ = ["ConeSample", "reconstruct_conformal", "canonicalize_metric"]
-
-DEFAULT_RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ConeSample:
-    """Null vectors collected at one chart point."""
-
-    point: tuple
-    vectors: tuple
-
-    def __post_init__(self):
-        vectors = tuple(np.asarray(v, dtype=float) for v in self.vectors)
-        if any(not v.any() for v in vectors):
-            raise ValueError("cone vectors must be nonzero")
-        object.__setattr__(self, "vectors", vectors)
+__all__ = ["reconstruct_conformal", "canonicalize_metric"]
 
 
-def reconstruct_conformal(
-    vectors, n: int, *, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     """Solve the annihilation system over the given null vectors.
 
     The rank of the system is the number of its singular values above
-    ``rank_tol`` times the largest one, and the representative is the
+    ``DEFAULT_RANK_TOL`` times the largest one, and the representative is the
     last right-singular vector.  Raises :class:`TooFewVectors` when fewer
     than n(n+1)/2 - 1 vectors are supplied and
     :class:`NonGenericConfiguration` when the solution space is not
@@ -70,7 +51,7 @@ def reconstruct_conformal(
     system[:, rows != cols] *= 2.0
 
     _, sigma, vt = np.linalg.svd(system)
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
     nullity = unknowns - rank
     if nullity != 1:
         raise NonGenericConfiguration(nullity)

@@ -491,17 +491,18 @@ class Evaluator:
 
     Evaluation is recursive and strictly left-to-right.  Each distinct
     subtree is evaluated once per evaluator, so a tree that recurs across
-    or inside the entries of a scenario costs nothing more.  A ``strict``
-    evaluator raises :class:`DomainError` at the first failure, tagged with
-    the innermost failing subexpression and the point; a lenient one marks
-    the failing points in ``bad`` and goes on.
+    or inside the entries of a scenario costs nothing more.  A one-point
+    evaluator is strict: it raises :class:`DomainError` at the first
+    failure, tagged with the innermost failing subexpression and the point.
+    A stack of points is evaluated leniently: the failing points are marked
+    in ``bad`` and evaluation goes on.
     """
 
-    def __init__(self, points, *, strict: bool):
+    def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         self.shape = self.points.shape[:-1]
         self.n = self.points.shape[-1]
-        self.strict = strict
+        self.strict = not self.shape
         self.bad = np.zeros(self.shape, dtype=bool)
         # the evaluation point of a one-point evaluator
         self.point = None if self.shape else tuple(float(c) for c in self.points)
@@ -578,4 +579,4 @@ def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     """
     if order not in (0, 1, 2):
         raise ValueError("jet order must be 0, 1 or 2")
-    return Evaluator([float(c) for c in point], strict=True).jet(e, order)
+    return Evaluator([float(c) for c in point]).jet(e, order)

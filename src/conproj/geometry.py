@@ -8,8 +8,6 @@ point.  All residual norms in this package are max-absolute norms.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
-
 import numpy as np
 
 from . import jets
@@ -22,16 +20,16 @@ __all__ = [
     "ThomasValue",
     "OneFormValue",
     "VectorValue",
-    "EquivalenceResult",
     "invert_metric",
     "christoffel",
     "conformal_rescale_metric",
     "rescaled_connection",
     "projective_transform",
     "thomas_symbol",
-    "projectively_equivalent",
 ]
 
+# The one rank tolerance: Tolerances.rank defaults to it, and callers with no
+# scenario (invert_metric, reconstruct_conformal, ...) use it.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -132,11 +130,6 @@ class ThomasValue:
         self.components = pi
 
 
-class EquivalenceResult(NamedTuple):
-    equivalent: bool
-    max_deviation: float
-
-
 # -- kernels ---------------------------------------------------------------
 
 
@@ -196,25 +189,23 @@ def tracefree(t: Jet) -> Jet:
     return shift(t, jets.mul(trace, -1.0 / (t.n + 1), check=False))
 
 
-def invert_metric(g: MetricValue, *, rank_tol: float = DEFAULT_RANK_TOL) -> MetricValue:
+def invert_metric(g: MetricValue) -> MetricValue:
     """Inverse metric with full derivative propagation.
 
-    Degeneracy is scale-aware: |det| below ``rank_tol * max|g_ij|^n``
+    Degeneracy is scale-aware: |det| below ``DEFAULT_RANK_TOL * max|g_ij|^n``
     raises :class:`DegenerateMetric` carrying the determinant and point.
     """
-    ginv, det, degenerate = inverse(g.jet, rank_tol)
+    ginv, det, degenerate = inverse(g.jet, DEFAULT_RANK_TOL)
     if degenerate:
         raise DegenerateMetric(det, point=g.point)
     return MetricValue(ginv, point=g.point)
 
 
-def christoffel(
-    g: MetricValue, *, rank_tol: float = DEFAULT_RANK_TOL
-) -> ConnectionValue:
+def christoffel(g: MetricValue) -> ConnectionValue:
     """Levi-Civita connection of ``g``; output order is ``g.order - 1``."""
     if g.order < 1:
         raise ValueError("christoffel requires metric jets of order >= 1")
-    ginv = invert_metric(g, rank_tol=rank_tol).jet
+    ginv = invert_metric(g).jet
     return ConnectionValue(levi_civita(g.jet, ginv), point=g.point)
 
 
@@ -226,9 +217,7 @@ def conformal_rescale_metric(g: MetricValue, phi: Jet) -> MetricValue:
     return MetricValue(jets.einsum("ij,->ij", g.jet, factor), point=g.point)
 
 
-def rescaled_connection(
-    g: MetricValue, phi: Jet, *, rank_tol: float = DEFAULT_RANK_TOL
-) -> ConnectionValue:
+def rescaled_connection(g: MetricValue, phi: Jet) -> ConnectionValue:
     """Levi-Civita connection of the rescaled metric, built directly.
 
     Adds the closed-form correction delta^i_j d_k(phi) + delta^i_k d_j(phi)
@@ -239,7 +228,7 @@ def rescaled_connection(
         raise ValueError("rescaled_connection requires jets of order >= 1")
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
-    ginv = invert_metric(g, rank_tol=rank_tol).jet
+    ginv = invert_metric(g).jet
     dphi = jets.derivative(phi)
     up = jets.einsum("ip,p->i", ginv, dphi)
     base = jets.sub(levi_civita(g.jet, ginv), jets.einsum("i,jk->ijk", up, g.jet))
@@ -259,18 +248,3 @@ def thomas_symbol(gamma: ConnectionValue) -> ThomasValue:
     equivalent connections."""
     return ThomasValue(tracefree(jets.truncate(gamma.jet, 0)).value)
 
-
-def projectively_equivalent(
-    conn_a: Callable,
-    conn_b: Callable,
-    points: Sequence,
-    *,
-    tol: float = 1e-12,
-) -> EquivalenceResult:
-    """Compare the Thomas symbols of two connection fields over sample points."""
-    deviation = 0.0
-    for point in points:
-        pi_a = thomas_symbol(conn_a(point)).components
-        pi_b = thomas_symbol(conn_b(point)).components
-        deviation = max(deviation, float(np.max(np.abs(pi_a - pi_b))))
-    return EquivalenceResult(deviation <= tol, deviation)

@@ -56,13 +56,13 @@ def _batched(points: np.ndarray, at) -> list:
     its error as a one-point call would."""
     parts, bad = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
-        ev = Evaluator(points[start : start + CHUNK_POINTS], strict=False)
+        ev = Evaluator(points[start : start + CHUNK_POINTS])
         with np.errstate(all="ignore"):
             parts.append(at(ev))
         bad.extend(start + np.flatnonzero(ev.bad))
     out = [np.concatenate(column) for column in zip(*parts)]
     for index in bad:
-        for array, value in zip(out, at(Evaluator(points[index], strict=True))):
+        for array, value in zip(out, at(Evaluator(points[index]))):
             array[index] = value
     return out
 
@@ -83,15 +83,16 @@ def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
     return sum(f[:, k] * weight for k, weight in enumerate(_GL_WEIGHTS)) * half[:, None]
 
 
-def _integrate(scenario: Scenario, starts, ends, order: int, tol: float) -> np.ndarray:
+def _integrate(scenario: Scenario, starts, ends, order: int) -> np.ndarray:
     """Integrals of ``T_i w^i`` over ``t`` in [0, 1] along ``c(t) = start + t w``,
     ``w = end - start``, one row each: shape (m, 1), or at order 1 (m, 1 + n)
     with the end-point gradient after the value (see ``phi_and_gradient``).
 
     A segment settles when the sum of its halves differs from its own
-    estimate by less than the tolerance, which halves with each level.
-    Each level evaluates the halves of every unsettled segment at once, so
-    an integral's tree, result and failure do not depend on its batch.
+    estimate by less than the scenario's quadrature tolerance, which halves
+    with each level.  Each level evaluates the halves of every unsettled
+    segment at once, so an integral's tree, result and failure do not
+    depend on its batch.
     """
     ends = np.asarray(ends, dtype=float).reshape(-1, scenario.dimension)
     starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
@@ -101,6 +102,7 @@ def _integrate(scenario: Scenario, starts, ends, order: int, tol: float) -> np.n
     whole = _gauss_legendre(scenario, starts, w, owner, lo, hi, order)
     total = np.zeros_like(whole)
     used = np.ones(m, dtype=int)
+    tol = scenario.tolerances.quadrature
     while owner.size:
         mid = 0.5 * (lo + hi)
         lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
@@ -133,12 +135,9 @@ class RecoveredFactor:
     the recovered metric is surfaced by the choice of base, not hidden.
     """
 
-    def __init__(self, scenario: Scenario, base, *, quadrature_tol=None):
+    def __init__(self, scenario: Scenario, base):
         self.scenario = scenario
         self.base = self._inside(base)
-        self.quadrature_tol = (
-            scenario.tolerances.quadrature if quadrature_tol is None else quadrature_tol
-        )
 
     def _inside(self, point) -> tuple:
         p = tuple(float(c) for c in point)
@@ -165,7 +164,7 @@ class RecoveredFactor:
         gradient is what makes downstream verification fail too.
         """
         target = self._inside(target)
-        result = _integrate(self.scenario, self.base, target, 1, self.quadrature_tol)[0]
+        result = _integrate(self.scenario, self.base, target, 1)[0]
         return float(result[0]), result[1:]
 
     def scaled_metric(self, point, phi: float) -> MetricValue:
@@ -173,32 +172,32 @@ class RecoveredFactor:
         return _scaled_metrics(self.scenario, [_check_point(self.scenario, point)], [phi])[0]
 
     def _segment_integral(self, start, end) -> np.ndarray:
-        return _integrate(self.scenario, start, end, 0, self.quadrature_tol)[0]
+        return _integrate(self.scenario, start, end, 0)[0]
 
 
-def integrate_phi(scenario: Scenario, base, target, *, quadrature_tol=None) -> float:
+def integrate_phi(scenario: Scenario, base, target) -> float:
     """Line integral of the trace one-form from ``base`` to ``target``."""
-    return RecoveredFactor(scenario, base, quadrature_tol=quadrature_tol).phi(target)
+    return RecoveredFactor(scenario, base).phi(target)
 
 
-def integrate_phi_path(scenario: Scenario, waypoints, *, quadrature_tol=None) -> float:
+def integrate_phi_path(scenario: Scenario, waypoints) -> float:
     """Integral along a polyline of straight legs through ``waypoints``."""
     points = list(waypoints)
     if len(points) < 2:
         raise ValueError("a path needs at least two waypoints")
-    factor = RecoveredFactor(scenario, points[0], quadrature_tol=quadrature_tol)
+    factor = RecoveredFactor(scenario, points[0])
     points = np.array([factor._inside(point) for point in points])
     moved = np.any(points[1:] != points[:-1], axis=1)
-    legs = _integrate(scenario, points[:-1][moved], points[1:][moved], 0, factor.quadrature_tol)
+    legs = _integrate(scenario, points[:-1][moved], points[1:][moved], 0)
     return float(np.sum(legs))
 
 
-def recover_metric(scenario: Scenario, base, points, *, quadrature_tol=None) -> list:
+def recover_metric(scenario: Scenario, base, points) -> list:
     """Recovered metric g * exp(2*phi) at each query point (value level)."""
-    factor = RecoveredFactor(scenario, base, quadrature_tol=quadrature_tol)
+    factor = RecoveredFactor(scenario, base)
     points = [factor._inside(point) for point in points]
     away = [point for point in points if point != factor.base]
-    phi = dict(zip(away, _integrate(scenario, factor.base, away, 0, factor.quadrature_tol)[:, 0]))
+    phi = dict(zip(away, _integrate(scenario, factor.base, away, 0)[:, 0]))
     return _scaled_metrics(scenario, points, [float(phi.get(p, 0.0)) for p in points])
 
 
@@ -227,7 +226,6 @@ def verify_recovery(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    quadrature_tol=None,
 ) -> RecoveryVerification:
     """Compare the recovered metric's projective class against the scenario's.
 
@@ -240,10 +238,10 @@ def verify_recovery(
     """
     count = scenario.samples if samples is None else samples
     seed_val = scenario.seed if seed is None else seed
-    factor = RecoveredFactor(scenario, base, quadrature_tol=quadrature_tol)
+    factor = RecoveredFactor(scenario, base)
     n = scenario.dimension
     points = np.reshape(sample_points(scenario, count, seed_val), (-1, n))
-    dphi = _integrate(scenario, factor.base, points, 1, factor.quadrature_tol)[:, 1:]
+    dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
     g, ginv, T, _ = _trace_values(scenario, points, 0)
     rescaling = Jet(n, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
     max_deviation = float(np.max(np.abs(T - tracefree(rescaling).value), initial=0.0))

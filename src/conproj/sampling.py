@@ -72,6 +72,8 @@ def draw_points(seed: int, count: int, box_min, box_max):
     as a ``(count, n)`` array, and the ``uint64`` state of each stream after it."""
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError("sample count must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError("seed must be an integer")
     lo, hi = np.array(box_min), np.array(box_max)
     index = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -36,7 +36,7 @@ import numpy as np
 from . import expressions as ex
 from . import jets
 from .errors import DegenerateMetric, ExpressionError, ScenarioError
-from .geometry import ConnectionValue, MetricValue, inverse, levi_civita, shift
+from .geometry import DEFAULT_RANK_TOL, ConnectionValue, MetricValue, inverse, levi_civita, shift
 from .jets import Jet
 from .sampling import draw_points
 
@@ -53,7 +53,6 @@ __all__ = [
     "connection_at",
     "symmetric_jet",
     "connection_jet",
-    "sigma_at",
     "sample_points",
     "with_conformal_factor",
     "with_projective_shift",
@@ -68,7 +67,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 @dataclass(frozen=True)
 class Tolerances:
     residual: float = 1e-8
-    rank: float = 1e-10
+    rank: float = DEFAULT_RANK_TOL
     quadrature: float = 1e-10
 
     def __post_init__(self):
@@ -120,7 +119,6 @@ class Scenario:
     tolerances: Tolerances = Tolerances()
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
-    sigma: ex.Expr | None = None
     name: str | None = None
     description: str | None = None
 
@@ -266,7 +264,6 @@ def load_scenario(document) -> Scenario:
             "tolerances",
             "samples",
             "seed",
-            "sigma",
             "name",
             "description",
         },
@@ -347,10 +344,6 @@ def load_scenario(document) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("'seed' must be an integer", "$.seed")
 
-    sigma = None
-    if "sigma" in document and document["sigma"] is not None:
-        sigma = _parse_entry(document["sigma"], coords, "$.sigma")
-
     for key in ("name", "description"):
         if key in document and not isinstance(document[key], str):
             raise ScenarioError(f"'{key}' must be a string", f"$.{key}")
@@ -365,7 +358,6 @@ def load_scenario(document) -> Scenario:
         tolerances=tolerances,
         samples=samples,
         seed=seed,
-        sigma=sigma,
         name=document.get("name"),
         description=document.get("description"),
     )
@@ -440,7 +432,7 @@ def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
 
 def metric_at(scenario: Scenario, point, order: int = 2) -> MetricValue:
     """Scenario metric as jets of the requested order."""
-    ev = ex.Evaluator(_check_point(scenario, point), strict=True)
+    ev = ex.Evaluator(_check_point(scenario, point))
     return MetricValue(symmetric_jet(scenario.metric, ev, order, 2), point=ev.point)
 
 
@@ -449,14 +441,8 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     support orders 0 and 1."""
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
-    ev = ex.Evaluator(_check_point(scenario, point), strict=True)
+    ev = ex.Evaluator(_check_point(scenario, point))
     return ConnectionValue(connection_jet(scenario, ev, order), point=ev.point)
-
-
-def sigma_at(scenario: Scenario, point, order: int = 2):
-    if scenario.sigma is None:
-        return None
-    return ex.eval_expr(scenario.sigma, _check_point(scenario, point), order)
 
 
 def sample_points(scenario: Scenario, count=None, seed=None) -> list:

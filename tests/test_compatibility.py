@@ -28,6 +28,7 @@ from conproj import (
     sample_null_vectors,
     sample_points,
     trace_vector,
+    verify_recovery,
 )
 from conproj.compatibility import NullVector
 from conproj.sampling import SplitMix64, draw_point, point_stream
@@ -480,3 +481,24 @@ def test_check_rejects_a_sample_count_that_is_not_a_positive_int(samples):
         check_compatibility(scn, samples=samples)
     with pytest.raises(ValueError, match="sample count must be positive"):
         sample_points(scn, samples)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_a_seed_that_is_not_an_int_is_rejected(seed):
+    scn = load_scenario(flat_doc(2, samples=5))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_compatibility(scn, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_points(scn, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        verify_recovery(scn, (0.0, 0.0), seed=seed)
+
+
+def test_a_narrow_bump_in_the_drift_fails_B_at_5000_samples():
+    # B fails only within about 0.1 of (0.6, 0.6, 0.6), a small share of the
+    # box.  5000 samples find it; the default 200 read it as compatible on
+    # most seeds, a known limit of a sampled verdict (see the README).
+    bump = "0.01*exp(-2000*((x1-0.6)^2+(x2-0.6)^2+(x3-0.6)^2))"
+    scn = load_scenario(drift_doc(s=("0", "0", bump)))
+    for seed in range(3):
+        assert check_compatibility(scn, samples=5000, seed=seed).verdict == "fails_B"

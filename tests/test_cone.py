@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conproj import (
-    ConeSample,
     MetricValue,
     NonGenericConfiguration,
     TooFewVectors,
@@ -116,13 +115,6 @@ def test_canonicalization_idempotent():
         assert np.max(np.abs(once)) == 1.0
     with pytest.raises(ValueError):
         canonicalize_metric(np.zeros((2, 2)))
-
-
-def test_cone_sample_validation():
-    sample = ConeSample(point=(0.0, 0.0), vectors=((1.0, 1.0), (1.0, -1.0)))
-    assert len(sample.vectors) == 2
-    with pytest.raises(ValueError):
-        ConeSample(point=(0.0, 0.0), vectors=((0.0, 0.0),))
 
 
 def test_rank_threshold_is_relative():

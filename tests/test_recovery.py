@@ -172,9 +172,10 @@ def test_quadrature_nonconvergence_is_reported():
         "kind": "levi_civita",
         "metric": [["exp(2*sin(500*x1))", "0"], [None, "1"]],
     }
+    doc["tolerances"] = {"quadrature": 1e-300}
     scn = load_scenario(doc)
     with pytest.raises(NonConvergence):
-        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.0), quadrature_tol=1e-300)
+        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.0))
 
 
 def test_nonconvergence_names_the_integral():
@@ -183,13 +184,14 @@ def test_nonconvergence_names_the_integral():
         "kind": "levi_civita",
         "metric": [["exp(2*sin(500*x1))", "0"], [None, "1"]],
     }
+    doc["tolerances"] = {"quadrature": 1e-300}
     scn = load_scenario(doc)
     message = (
         r"quadrature from \(-1\.0, 0\.0\) to \(1\.0, 0\.5\) did not settle in \d+ "
         r"of at most 1024 segments \(error estimate \d\.\d{3}e[+-]\d+\)"
     )
     with pytest.raises(NonConvergence, match=message):
-        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.5), quadrature_tol=1e-300)
+        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.5))
 
 
 def test_recover_metric_batch_matches_one_point_calls():

@@ -11,7 +11,6 @@ from conproj import (
     load_scenario_path,
     metric_at,
     sample_points,
-    sigma_at,
     with_conformal_factor,
     with_projective_shift,
 )
@@ -147,12 +146,8 @@ def test_connection_recipes_compose():
 
 
 def test_sigma_field_and_transforms():
-    doc = flat_doc(2)
-    doc["sigma"] = "0.5*x1"
-    scn = load_scenario(doc)
-    assert sigma_at(scn, (1.0, 0.0), 0).value == 0.5
-
-    rescaled = with_conformal_factor(scn, scn.sigma)
+    scn = load_scenario(flat_doc(2))
+    rescaled = with_conformal_factor(scn, "0.5*x1")
     g = metric_at(rescaled, (1.0, 0.0), 0)
     assert np.allclose(g.values(), np.exp(1.0) * np.eye(2))
 
