@@ -29,6 +29,7 @@ from .geometry import (
     MetricValue,
     OneFormValue,
     VectorValue,
+    ill_conditioned,
     invert_metric,
     levi_civita,
     tracefree,
@@ -225,43 +226,38 @@ def condition_b_residual(t_down: OneFormValue) -> np.ndarray:
     return _condition_b(t_down.jet)
 
 
-def sample_null_vectors(
-    g: MetricValue,
-    count: int,
-    rng: SplitMix64,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> list:
+def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """Random vectors on the metric's null cone.
 
     The value matrix is diagonalized by ``np.linalg.eigh``; a draw combines
     a random direction from the positive eigenspace with one from the
     negative eigenspace, scaled so the quadratic form cancels.  For a
-    definite metric the cone is trivial and the list is empty.  The null
-    residual is measured relative to the largest eigenvalue, so it does not
-    depend on the overall scale of the metric.  ``rng`` skips the draws used.
+    definite metric the cone is trivial and the list is empty.  Degeneracy
+    (``ill_conditioned`` of max|lambda| / min|lambda|) and the null residual
+    are relative to the largest eigenvalue, so neither depends on the scale
+    of the metric.  ``rng`` skips the draws used; a raising call uses none.
     """
-    u, has, used, fails = _null_cone(g.values()[None], count, np.array([rng.state]), rank_tol)
-    rng.skip(int(used[0]))
-    if isinstance(fails[0], DegenerateMetric):
-        raise DegenerateMetric(fails[0].det, point=g.point)
+    states = np.array([rng.state])
+    u, has, used, fails = _null_cone(g.values()[None], count, states, DEFAULT_RANK_TOL, g.point)
     if fails[0] is not None:
         raise fails[0]
+    rng.skip(int(used[0]))
     return [NullVector(point=g.point, u=v) for v in u[0]] if has[0] else []
 
 
-def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float):
+def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point=None):
     """``count`` null vectors at each indefinite point of a metric stack
     ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
     point at a time would; a point with m negative eigenvalues (eigenvectors
     ``[:, :m]``) draws legs plus, minus, plus, ..., and a rejected leg is
-    drawn again from the next positions, shifting every later leg.  Returns
-    the vectors, whether each point has them, its draws used and its error."""
+    drawn again from the next positions, shifting every later leg.  Returns the
+    vectors, whether each point has them, its draws and its error or None."""
     S, n = values.shape[:2]
     lam, vec = np.linalg.eigh(values)
     scale = np.max(np.abs(lam), axis=1)
-    degenerate = (scale == 0.0) | (np.min(np.abs(lam), axis=1) < rank_tol * scale)
-    fails = [DegenerateMetric(np.prod(w)) if d else None for w, d in zip(lam, degenerate.tolist())]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        degenerate = ill_conditioned(scale / np.min(np.abs(lam), axis=1), rank_tol)
+    fails = [DegenerateMetric(np.prod(w), point) if d else None for w, d in zip(lam, degenerate)]
     negative = np.sum(lam < 0.0, axis=1)
     has = (negative > 0) & (negative < n) & ~degenerate & (count > 0)
     u, used = np.zeros((S, max(count, 0), n)), np.zeros(S, dtype=np.int64)
@@ -272,7 +268,6 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         slot = np.arange(n) - np.array([m, 0] * count)[:, None]  # stream offset, if taken
         take = (slot >= 0) & (slot < k[:, None])  # the coefficients a leg uses
         extra = np.zeros((group.size, legs), dtype=np.int64)  # rejected tries
-        cap = np.full(group.size, legs)  # the leg that ran out of tries
         leg, q = np.empty((group.size, legs, n)), np.empty((group.size, legs))
         live = np.arange(group.size)
         while live.size:
@@ -284,26 +279,18 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
             again = rejected.any(axis=1)
             live, first = live[again], rejected[again].argmax(axis=1)
             extra[live, first] += 1
-            out = extra[live, first] == 1000
-            cap[live[out]] = first[out]
-            live = live[~out]
-        ends = np.cumsum(k * (extra + 1), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # legs past a cap
+            live = live[extra[live, first] < 1000]
+        capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
+        with np.errstate(all="ignore"):  # legs past a cap
             w = leg / np.sqrt(np.abs(q))[..., None]
             w = w[:, 0::2] + w[:, 1::2]
             w /= np.max(np.abs(w), axis=-1, keepdims=True)
-        residual = np.abs(np.einsum("gci,gij,gcj->gc", w, G, w))
+            residual = np.abs(np.einsum("gci,gij,gcj->gc", w, G, w))
         lost = residual > NULL_TOL * scale[group, None] * np.einsum("gci,gci->gc", w, w)
-        lost &= np.arange(count) < cap[:, None] // 2
-        u[group], used[group] = w, ends[:, -1]
-        for i in np.flatnonzero(lost.any(axis=1) | (cap < legs)):
-            p = group[i]
-            if lost[i].any():
-                used[p] = ends[i, 2 * lost[i].argmax() + 1]
-                fails[p] = ConprojError("null-cone sampling lost precision")
-            else:
-                used[p] = ends[i, cap[i]] - k[cap[i]]
-                fails[p] = ConprojError("failed to draw a usable cone direction")
+        u[group], used[group] = w, np.sum(k * (extra + 1), axis=1)
+        reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
+        for i in np.flatnonzero(lost.any(axis=1) | capped):
+            fails[group[i]] = ConprojError(reasons[int(capped[i])])
     return u, has, used, fails
 
 
@@ -338,8 +325,7 @@ def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
     n, scale = obs.metric.n, np.reshape(obs.scale, -1)
     values = np.reshape(obs.metric.jet.value, (-1, n, n))
     values = np.where(np.reshape(bad, (-1, 1, 1)), np.eye(n), values)
-    rank_tol = scenario.tolerances.rank
-    u, has, _, fails = _null_cone(values, 2 * n, states[: len(scale)], rank_tol)
+    u, has, _, fails = _null_cone(values, 2 * n, states[: len(scale)], scenario.tolerances.rank)
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
     a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))

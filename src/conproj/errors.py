@@ -64,7 +64,7 @@ class ScenarioError(ConprojError):
 
 
 class DegenerateMetric(ConprojError):
-    """Metric determinant fell under the scale-aware rank threshold."""
+    """Metric condition number exceeds 1 / rank tolerance; ``det`` is its determinant."""
 
     def __init__(self, det: float, point=None, detail: str | None = None):
         self.det = float(det)

@@ -133,18 +133,27 @@ class ThomasValue:
 # -- kernels ---------------------------------------------------------------
 
 
+def ill_conditioned(condition, rank_tol: float) -> np.ndarray:
+    """The one degeneracy rule: a relative condition number above 1 / rank_tol, or NaN."""
+    return ~(condition <= 1.0 / rank_tol)
+
+
 def inverse(g: Jet, rank_tol: float):
     """Inverse of a metric jet at every point, as ``(ginv, det, degenerate)``.
 
-    Degeneracy is scale-aware (|det| below ``rank_tol * max|g_ij|^n``).
-    Degenerate or non-finite matrices are inverted as the identity."""
+    Degenerate points have no finite log|det| (exactly singular or not
+    finite) or are :func:`ill_conditioned` in ``max|g_ij| * max|g^ij|``; they
+    are inverted as the identity.  log|det| does not underflow on a tiny metric."""
     n, v = g.n, g.value
-    scale = np.max(np.abs(v), axis=(-2, -1))
-    det = np.linalg.det(v)
     with np.errstate(all="ignore"):
-        degenerate = ~(np.abs(det) >= rank_tol * scale**n) | (scale == 0.0)
-    skip = degenerate | ~np.isfinite(scale)
-    vi = np.linalg.inv(np.where(skip[..., None, None], np.eye(n), v))
+        # slogdet factorises v as inv does: a finite log|det| means inv succeeds.
+        sign, logdet = np.linalg.slogdet(v)
+        skip = ~np.isfinite(logdet)
+        vi = np.linalg.inv(np.where(skip[..., None, None], np.eye(n), v))
+        condition = np.max(np.abs(v), axis=(-2, -1)) * np.max(np.abs(vi), axis=(-2, -1))
+        det = sign * np.exp(logdet)
+    degenerate = skip | ill_conditioned(condition, rank_tol)
+    vi[degenerate] = np.eye(n)
     # The exact inverse of a symmetric matrix is symmetric; averaging the
     # halves removes roundoff so downstream symmetry is exact.
     vi = 0.5 * (vi + np.swapaxes(vi, -1, -2))
@@ -192,7 +201,7 @@ def tracefree(t: Jet) -> Jet:
 def invert_metric(g: MetricValue) -> MetricValue:
     """Inverse metric with full derivative propagation.
 
-    Degeneracy is scale-aware: |det| below ``DEFAULT_RANK_TOL * max|g_ij|^n``
+    A condition number ``max|g_ij| * max|g^ij|`` over ``1 / DEFAULT_RANK_TOL``
     raises :class:`DegenerateMetric` carrying the determinant and point.
     """
     ginv, det, degenerate = inverse(g.jet, DEFAULT_RANK_TOL)

@@ -267,8 +267,8 @@ def reciprocal(a, check: bool = True):
 
 
 def power(base, exponent, check: bool = True):
-    """``base ** exponent``: an integral float exponent multiplies out,
-    any other exponent goes through exp(exponent * log(base))."""
+    """``base ** exponent``: an integral float exponent multiplies out by
+    repeated squaring, any other exponent goes through exp(exponent * log(base))."""
     if isinstance(exponent, Jet) or not float(exponent).is_integer():
         if not isinstance(exponent, Jet) and not math.isfinite(exponent):
             raise DomainError("non-finite exponent")
@@ -285,9 +285,10 @@ def power(base, exponent, check: bool = True):
         return constant(1.0, base.n, base.order, np.shape(base.value))
     if k < 0:
         return reciprocal(power(base, -k, check), check)
-    out = base
-    for _ in range(k - 1):
-        out = mul(out, base, check)
+    out = base  # square-and-multiply over the bits of k after the leading one
+    for bit in bin(k)[3:]:
+        out = mul(out, out, check)
+        out = mul(out, base, check) if bit == "1" else out
     return out
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conproj import (
+    ConprojError,
     DegenerateMetric,
     DomainError,
     MetricValue,
@@ -19,6 +20,7 @@ from conproj import (
     coordinate,
     christoffel,
     eps_residual,
+    integrate_phi,
     invert_metric,
     load_scenario,
     load_scenario_path,
@@ -30,7 +32,7 @@ from conproj import (
     trace_vector,
     verify_recovery,
 )
-from conproj.compatibility import NullVector
+from conproj.compatibility import CHUNK_POINTS, NullVector
 from conproj.sampling import SplitMix64, draw_point, point_stream
 from helpers import drift_doc, flat_doc, round_trip_doc
 
@@ -179,15 +181,35 @@ def test_sample_null_vectors_minkowski_two_d():
         assert abs(quad) <= 1e-10 * float(u @ u)
 
 
+def constant_metric(values):
+    n = len(values)
+    return MetricValue([[constant(values[i][j], n) for j in range(n)] for i in range(n)])
+
+
 def test_sample_null_vectors_degenerate():
-    g = MetricValue(
-        [
-            [constant(1.0, 2), constant(1.0, 2)],
-            [constant(1.0, 2), constant(1.0, 2)],
-        ]
-    )
-    with pytest.raises(DegenerateMetric):
-        sample_null_vectors(g, 2, SplitMix64(1))
+    for values in ([[1.0, 1.0], [1.0, 1.0]], [[-1e12, 0.0], [0.0, 1.0]]):
+        with pytest.raises(DegenerateMetric):
+            sample_null_vectors(constant_metric(values), 2, SplitMix64(1))
+
+
+def test_sample_null_vectors_that_lose_precision_raise_and_draw_nothing():
+    rng = SplitMix64(1)
+    with pytest.raises(ConprojError, match="null-cone sampling lost precision"):
+        sample_null_vectors(constant_metric(np.diag([-1e-318, 1e-318])), 4, rng)
+    assert rng.state == SplitMix64(1).state
+
+
+def test_sample_null_vectors_that_run_out_of_redraws_raise_and_draw_nothing(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    def zeros(states, positions, lo, hi):
+        return np.zeros(np.broadcast_shapes(np.shape(states), np.shape(positions)))
+
+    monkeypatch.setattr(compatibility, "uniform_draws", zeros)
+    rng = SplitMix64(1)
+    with pytest.raises(ConprojError, match="failed to draw a usable cone direction"):
+        sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), 4, rng)
+    assert rng.state == SplitMix64(1).state
 
 
 def test_eps_residual_cases():
@@ -329,14 +351,16 @@ def test_overflowing_metric_raises_domain_error_at_first_overflow():
     assert excinfo.value.point == next(p for p in sample_points(scn) if p[0] > threshold)
 
 
-def _scaled_minkowski_doc(scale):
-    diag = ["-1", "1", "1"]
-    rows = [[diag[i] if i == j else "0" for j in range(3)] for i in range(3)]
+def _scaled_minkowski_doc(scale, n=3, c=1.0):
+    """Minkowski metric diag(-c^2, 1, ..., 1) times ``scale``, with the
+    Levi-Civita connection of the unscaled metric."""
+    diag = [f"-{c * c!r}"] + ["1"] * (n - 1)
+    rows = [[diag[i] if i == j else "0" for j in range(n)] for i in range(n)]
     scaled = [[f"{scale!r}*({entry})" for entry in row] for row in rows]
     return {
-        "dimension": 3,
-        "coordinates": ["x1", "x2", "x3"],
-        "box": {"min": [-1.0] * 3, "max": [1.0] * 3},
+        "dimension": n,
+        "coordinates": [f"x{i + 1}" for i in range(n)],
+        "box": {"min": [-1.0] * n, "max": [1.0] * n},
         "metric": scaled,
         "connection": {"kind": "levi_civita", "metric": rows},
         "samples": 20,
@@ -346,11 +370,27 @@ def _scaled_minkowski_doc(scale):
 
 def test_constant_rescaling_of_the_metric_keeps_the_verdict():
     # the shared metric is unique only up to a constant factor
-    unit = check_compatibility(load_scenario(_scaled_minkowski_doc(1.0)))
-    scaled = check_compatibility(load_scenario(_scaled_minkowski_doc(1e7)))
-    assert unit.verdict == scaled.verdict == "compatible"
-    assert unit.eps_verdict == scaled.eps_verdict == "holds"
-    assert scaled.null_vectors == unit.null_vectors > 0
+    for n in (3, 4):
+        unit = check_compatibility(load_scenario(_scaled_minkowski_doc(1.0, n)))
+        assert unit.verdict == "compatible" and unit.eps_verdict == "holds"
+        assert unit.null_vectors > 0
+        for scale in (1e-200, 1e-100, 1e7, 1e200):
+            scaled = check_compatibility(load_scenario(_scaled_minkowski_doc(scale, n)))
+            assert scaled.verdict == "compatible" and scaled.eps_verdict == "holds", scale
+            assert scaled.null_vectors == unit.null_vectors and not scaled.skipped
+
+
+@pytest.mark.parametrize("n, c", [(4, 100.0), (3, 1000.0)])
+def test_an_anisotropic_minkowski_metric_is_not_degenerate(n, c):
+    # condition number c^2, far under 1 / rank, though |det| = c^2 falls
+    # under rank * max|g_ij|^n = 1e-10 * c^(2n)
+    scn = load_scenario(_scaled_minkowski_doc(1.0, n, c))
+    report = check_compatibility(scn)
+    assert report.verdict == "compatible" and report.eps_verdict == "holds"
+    assert not report.skipped and len(report.per_point) == scn.samples
+    g = metric_at(scn, (0.1,) * n, 1)
+    assert np.allclose(invert_metric(g).values() @ g.values(), np.eye(n), rtol=0.0, atol=1e-15)
+    assert integrate_phi(scn, (0.0,) * n, (0.5,) * n) == 0.0
 
 
 def test_sample_null_vectors_on_a_huge_metric():
@@ -393,7 +433,7 @@ def _assert_check_matches_one_point_calls(scn):
         assert summary.point == point
         plain = copy.copy(stream)
         g = metric_at(scn, point, 1)
-        nulls = sample_null_vectors(g, nulls_per_point, stream, rank_tol=scn.tolerances.rank)
+        nulls = sample_null_vectors(g, nulls_per_point, stream)
         total += len(nulls)
         if not nulls:
             assert summary.eps is None
@@ -448,6 +488,34 @@ def test_check_batches_its_null_cone_work(monkeypatch):
     rng = SplitMix64(7)
     assert sample_null_vectors(metric_at(scn, (0.1, 0.2, 0.3), 0), 0, rng) == []
     assert rng.next_u64() == SplitMix64(7).next_u64()
+
+
+def test_check_and_recovery_factorise_only_in_eigh_and_inv(monkeypatch):
+    # The inverse reads its degeneracy off the matrix it inverts, and the
+    # null cone off its one eigh per chunk: no other factorisation runs.
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append("eigh")
+        return eigh(*args, **kwargs)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"np.linalg.{name} called")
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name in ("eigvalsh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refused(name))
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    scn = load_scenario_path(path)
+    check_compatibility(scn, samples=200)
+    check_compatibility(scn, samples=CHUNK_POINTS + 1)
+    integrate_phi(scn, (0.0, 0.0, 0.0), (0.3, -0.2, 0.4))
+    verify_recovery(scn, (0.0, 0.0, 0.0), samples=5)
+    assert calls == ["eigh"] * 3
 
 
 def test_check_inverts_the_metric_only_to_the_order_it_reads(monkeypatch):

@@ -65,9 +65,21 @@ def test_invert_two_by_two_closed_form():
 
 
 def test_invert_degenerate():
-    g = MetricValue(jet_matrix([[1, 1], [1, 1]], 2))
-    with pytest.raises(DegenerateMetric):
-        invert_metric(g)
+    for values in ([[1, 1], [1, 1]], [[-1e12, 0], [0, 1]]):
+        g = MetricValue(jet_matrix(values, 2))
+        with pytest.raises(DegenerateMetric):
+            invert_metric(g)
+
+
+def test_invert_reads_degeneracy_off_the_condition_number():
+    # condition numbers 1e4 and 1e6, far under 1 / DEFAULT_RANK_TOL, though
+    # |det| falls under DEFAULT_RANK_TOL * max|g_ij|^n
+    for diag in ([-1e4, 1, 1, 1], [-1e6, 1, 1]):
+        inv = invert_metric(MetricValue(jet_matrix(np.diag(diag), len(diag))))
+        assert np.array_equal(inv.values(), np.diag(1.0 / np.array(diag)))
+    for scale in (1e-200, 1e200):
+        inv = invert_metric(MetricValue(jet_matrix(scale * np.diag([-1.0, 1, 1, 1]), 4)))
+        assert np.allclose(inv.values() * scale, np.diag([-1.0, 1, 1, 1]), rtol=1e-15)
 
 
 def test_jet_inverse_is_two_sided_identity():

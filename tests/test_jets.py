@@ -128,6 +128,30 @@ def test_integer_power_lowering():
         y ** 10**6
 
 
+def test_integer_power_squares_repeatedly(monkeypatch):
+    from conproj import jets
+
+    mul, calls = jets.mul, []
+
+    def counting_mul(*args, **kwargs):
+        calls.append(1)
+        return mul(*args, **kwargs)
+
+    x1, k = 0.3, 9999
+    base = coordinate(0, (x1, 0.2)) * 1e-4 + 1.0
+    monkeypatch.setattr(jets, "mul", counting_mul)
+    j = jets.power(base, k)
+    assert len(calls) <= 28
+    calls.clear()
+    jets.power(base, 2)
+    assert len(calls) == 1
+    b = 1.0 + 1e-4 * x1
+    expected = [b**k, k * b ** (k - 1) * 1e-4, k * (k - 1) * b ** (k - 2) * 1e-8]
+    for got, want in zip((j.value, j.gradient[0], j.hessian[0, 0]), expected):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert not j.gradient[1] and not j.hessian[1].any()
+
+
 def test_jet_exponent():
     x = coordinate(0, (2.0, 1.0))
     y = coordinate(1, (2.0, 1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conproj import (
+    DomainError,
     NonConvergence,
     RecoveredFactor,
     eval_expr,
@@ -13,6 +14,7 @@ from conproj import (
     metric_at,
     parse_expression,
     recover_metric,
+    sample_points,
     verify_recovery,
 )
 from helpers import (
@@ -224,3 +226,27 @@ def test_recovery_batches_its_evaluations(monkeypatch):
     built.clear()
     assert verify_recovery(scn, (-0.9, -0.2)).passed
     assert len(built) <= 10
+
+
+def _on_segment(p, start, end):
+    p, start, end = (np.asarray(x, dtype=float) for x in (p, start, end))
+    w, d = end - start, p - start
+    t = float(d @ w) / float(w @ w)
+    return 0.0 <= t <= 1.0 and np.allclose(d, t * w, rtol=0.0, atol=1e-12)
+
+
+def test_a_bad_quadrature_node_is_rerun_alone_and_raises_its_error():
+    doc = flat_doc(2, samples=12, seed=2)
+    doc["metric"] = [["exp(sqrt(x1))", "0"], [None, "1"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    scn = load_scenario(doc)
+    base, end = (0.5, 0.2), (-0.5, -0.1)
+    with pytest.raises(DomainError) as excinfo:
+        integrate_phi(scn, base, end)
+    assert excinfo.value.path == "sqrt(x1)"
+    assert excinfo.value.point[0] <= 0.0 and _on_segment(excinfo.value.point, base, end)
+    with pytest.raises(DomainError) as excinfo:
+        verify_recovery(scn, base)
+    assert excinfo.value.path == "sqrt(x1)" and excinfo.value.point[0] <= 0.0
+    ends = [p for p in sample_points(scn) if p[0] <= 0.0]
+    assert any(_on_segment(excinfo.value.point, base, p) for p in ends)
