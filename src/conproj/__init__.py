@@ -15,13 +15,9 @@ from .compatibility import (
     ObstructionData,
     PointSummary,
     check_compatibility,
-    compat_tensor,
-    condition_a_residual,
-    condition_b_residual,
     eps_residual,
     obstruction_at,
     sample_null_vectors,
-    trace_vector,
 )
 from .cone import canonicalize_metric, reconstruct_conformal
 from .errors import (
@@ -117,10 +113,6 @@ __all__ = [
     "ObstructionData",
     "PointSummary",
     "CompatReport",
-    "compat_tensor",
-    "trace_vector",
-    "condition_a_residual",
-    "condition_b_residual",
     "sample_null_vectors",
     "eps_residual",
     "obstruction_at",

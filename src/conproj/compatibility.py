@@ -50,10 +50,6 @@ __all__ = [
     "ObstructionData",
     "PointSummary",
     "CompatReport",
-    "compat_tensor",
-    "trace_vector",
-    "condition_a_residual",
-    "condition_b_residual",
     "sample_null_vectors",
     "eps_residual",
     "obstruction_at",
@@ -194,38 +190,6 @@ def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
     return np.max(np.abs(x), axis=tuple(range(lead, x.ndim)))
 
 
-def compat_tensor(g: MetricValue, gamma: ConnectionValue):
-    """Trace-free difference tensor between the Levi-Civita connection of
-    ``g`` and ``gamma``, as jets (order ``min(g.order - 1, gamma.order)``)."""
-    if g.order < 1:
-        raise ValueError("compat_tensor requires metric jets of order >= 1")
-    base = levi_civita(g.jet, invert_metric(g).jet)
-    return ConnectionValue(tracefree(jets.sub(base, gamma.jet)), point=g.point).components
-
-
-def trace_vector(g: MetricValue, T):
-    """Contractions T^i = (n+1)/((n+2)(n-1)) g^{jk} T^i_jk and T_i = g_ij T^j."""
-    if g.n < 2:
-        raise ValueError("trace coefficient requires dimension >= 2")
-    up, down = _traces(g.jet, invert_metric(g).jet, ConnectionValue(T).jet)
-    return VectorValue(up), OneFormValue(down)
-
-
-def condition_a_residual(
-    g: MetricValue, T, t_up: VectorValue, t_down: OneFormValue
-) -> np.ndarray:
-    """Value-level residual array of the algebraic condition."""
-    t = ConnectionValue(T).jet.value
-    return _condition_a(t, t_up.jet.value, t_down.jet.value, g.jet.value)
-
-
-def condition_b_residual(t_down: OneFormValue) -> np.ndarray:
-    """Closedness residual B_ji = d_j T_i - d_i T_j from the jets' gradients."""
-    if t_down.order < 1:
-        raise ValueError("condition (B) requires one-form jets of order >= 1")
-    return _condition_b(t_down.jet)
-
-
 def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """Random vectors on the metric's null cone.
 
@@ -237,30 +201,35 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     are relative to the largest eigenvalue, so neither depends on the scale
     of the metric.  ``rng`` skips the draws used; a raising call uses none.
     """
+    if count < 0:
+        raise ValueError("null vector count must be non-negative")
     states = np.array([rng.state])
-    u, has, used, fails = _null_cone(g.values()[None], count, states, DEFAULT_RANK_TOL, g.point)
+    u, has, used, fails = _null_cone(g.values()[None], count, states, DEFAULT_RANK_TOL, [g.point])
     if fails[0] is not None:
         raise fails[0]
     rng.skip(int(used[0]))
     return [NullVector(point=g.point, u=v) for v in u[0]] if has[0] else []
 
 
-def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point=None):
+def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, points):
     """``count`` null vectors at each indefinite point of a metric stack
     ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
     point at a time would; a point with m negative eigenvalues (eigenvectors
     ``[:, :m]``) draws legs plus, minus, plus, ..., and a rejected leg is
     drawn again from the next positions, shifting every later leg.  Returns the
-    vectors, whether each point has them, its draws and its error or None."""
+    vectors, whether each point has them, its draws and its error, naming its
+    entry of ``points`` (a tuple or None), or None."""
     S, n = values.shape[:2]
     lam, vec = np.linalg.eigh(values)
     scale = np.max(np.abs(lam), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         degenerate = ill_conditioned(scale / np.min(np.abs(lam), axis=1), rank_tol)
-    fails = [DegenerateMetric(np.prod(w), point) if d else None for w, d in zip(lam, degenerate)]
+    fails = [
+        DegenerateMetric(np.prod(w), p) if d else None for w, d, p in zip(lam, degenerate, points)
+    ]
     negative = np.sum(lam < 0.0, axis=1)
     has = (negative > 0) & (negative < n) & ~degenerate & (count > 0)
-    u, used = np.zeros((S, max(count, 0), n)), np.zeros(S, dtype=np.int64)
+    u, used = np.zeros((S, count, n)), np.zeros(S, dtype=np.int64)
     for m in set(negative[has].tolist()):
         group, legs = np.flatnonzero(has & (negative == m)), 2 * count
         V, G, st = vec[group], values[group], states[group, None, None]
@@ -290,7 +259,9 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         u[group], used[group] = w, np.sum(k * (extra + 1), axis=1)
         reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
         for i in np.flatnonzero(lost.any(axis=1) | capped):
-            fails[group[i]] = ConprojError(reasons[int(capped[i])])
+            p = points[group[i]]
+            where = f" at point {p}" if p is not None else ""
+            fails[group[i]] = ConprojError(reasons[int(capped[i])] + where)
     return u, has, used, fails
 
 
@@ -319,13 +290,13 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
 
 
-def _point_figures(obs: ObstructionData, states, scenario: Scenario, bad=False):
-    """Lists over the points of an obstruction stack (or one point): A, B, scale,
+def _point_figures(obs: ObstructionData, points, states, scenario: Scenario, bad=False):
+    """Lists over the ``points`` of an obstruction stack (or one point): A, B, scale,
     EPS over its 2n null vectors, whether it has them and its null-cone error or None."""
     n, scale = obs.metric.n, np.reshape(obs.scale, -1)
     values = np.reshape(obs.metric.jet.value, (-1, n, n))
     values = np.where(np.reshape(bad, (-1, 1, 1)), np.eye(n), values)
-    u, has, _, fails = _null_cone(values, 2 * n, states[: len(scale)], scenario.tolerances.rank)
+    u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, points)
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
     a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
@@ -363,15 +334,16 @@ def check_compatibility(
 
     for start in range(0, count, CHUNK_POINTS):
         ev = Evaluator(points[start : start + CHUNK_POINTS])
+        chunk = list(map(tuple, ev.points.tolist()))
         with np.errstate(all="ignore"):
             batch = _obstructions(scenario, ev)
-            figures = _point_figures(batch, states[start:], scenario, ev.bad)
-        rows = zip(map(tuple, ev.points.tolist()), ev.bad.tolist(), *figures)
+            figures = _point_figures(batch, chunk, states[start:], scenario, ev.bad)
+        rows = zip(chunk, ev.bad.tolist(), *figures)
         for offset, (point, bad, a, b, scale, eps, has, failure) in enumerate(rows):
             try:
                 if bad:
                     alone = obstruction_at(scenario, point)
-                    figs = _point_figures(alone, states[start + offset :], scenario)
+                    figs = _point_figures(alone, [point], states[start + offset :], scenario)
                     a, b, scale, eps, has, failure = (x[0] for x in figs)
                 if failure is not None:
                     raise failure
@@ -380,7 +352,7 @@ def check_compatibility(
                 if len(skipped) * 100 >= count:
                     raise DegenerateMetric(
                         err.det,
-                        point=err.point if err.point is not None else point,
+                        point=point,
                         detail=f"{len(skipped)} of {count} sample points degenerate",
                     ) from err
                 continue

@@ -66,10 +66,12 @@ def canonicalize_metric(matrix) -> np.ndarray:
 
     Idempotent, and the quotient map for comparing conformal
     representatives: two matrices span the same ray iff they canonicalize
-    to the same array.
+    to the same array.  Raises ``ValueError`` on a non-finite entry.
     """
     g = np.asarray(matrix, dtype=float)
-    g = 0.5 * (g + g.T)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries must be finite")
+    g = 0.5 * g + 0.5 * g.T  # halving first cannot overflow
     scale = float(np.max(np.abs(g)))
     if scale == 0.0:
         raise ValueError("cannot canonicalize the zero matrix")

@@ -495,7 +495,8 @@ class Evaluator:
     evaluator is strict: it raises :class:`DomainError` at the first
     failure, tagged with the innermost failing subexpression and the point.
     A stack of points is evaluated leniently: the failing points are marked
-    in ``bad`` and evaluation goes on.
+    in ``bad`` and evaluation goes on.  An error that fails every point at
+    once raises from a stack too, tagged with its first point.
     """
 
     def __init__(self, points):
@@ -523,8 +524,8 @@ class Evaluator:
             with np.errstate(all="ignore"):
                 out = self._node(e, order)
         except DomainError as err:
-            if err.point is None:
-                err.point = self.point
+            if err.point is None and self.points.size:
+                err.point = tuple(self.points.reshape(-1, self.n)[0].tolist())
             raise
         if not isinstance(out, jets.Jet):
             # A non-finite constant has already been flagged.

@@ -227,3 +227,18 @@ def flat_doc(n=2, samples=10, seed=0):
         "samples": samples,
         "seed": seed,
     }
+
+
+def rescaled_flat_doc(phi="x1", samples=12, seed=2):
+    """Flat 2-d metric whose connection comes from exp(2*phi)-rescaled flat
+    space: the trace one-form is exactly the gradient of phi."""
+    conn_metric = [[f"exp(2*({phi}))", "0"], [None, f"exp(2*({phi}))"]]
+    return {
+        "dimension": 2,
+        "coordinates": ["x1", "x2"],
+        "box": {"min": [-1, -1], "max": [1, 1]},
+        "metric": [["1", "0"], ["0", "1"]],
+        "connection": {"kind": "levi_civita", "metric": conn_metric},
+        "samples": samples,
+        "seed": seed,
+    }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conproj.cli import main
-from helpers import drift_doc, round_trip_doc
+from helpers import drift_doc, flat_doc, round_trip_doc
 
 
 @pytest.fixture()
@@ -293,23 +293,30 @@ def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, detail",
     [
-        ["check", "{scenario}", "--samples", "0"],
-        ["recover", "{scenario}", "--base", "5,5", "--at", "0,0"],
-        ["gen-example", "--metric", "{bad_json}", "--s", "0,0"],
+        (["check", "{scenario}", "--samples", "0"], ""),
+        (["recover", "{scenario}", "--base", "5,5", "--at", "0,0"], ""),
+        (["gen-example", "--metric", "{bad_json}", "--s", "0,0"], ""),
+        (["check", "{domain}"], "in 'sqrt(x1)' at point ("),
     ],
-    ids=["zero-samples", "base-outside-box", "invalid-metric-json"],
+    ids=["zero-samples", "base-outside-box", "invalid-metric-json", "domain-error"],
 )
 def test_user_errors_print_one_line_and_exit_one(
-    tmp_path, round_trip_file, capsys, argv
+    tmp_path, round_trip_file, capsys, argv, detail
 ):
     bad_json = tmp_path / "metric.json"
     bad_json.write_text("{not json", encoding="utf-8")
-    paths = {"scenario": round_trip_file, "bad_json": bad_json}
+    doc = flat_doc(2, samples=40, seed=3)
+    doc["metric"] = [["exp(sqrt(x1))", "0"], [None, "1"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(doc), encoding="utf-8")
+    paths = {"scenario": round_trip_file, "bad_json": bad_json, "domain": domain}
     assert main([arg.format(**paths) for arg in argv] + ["--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert detail in err
 
 
 @pytest.mark.parametrize(

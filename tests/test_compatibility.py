@@ -12,12 +12,8 @@ from conproj import (
     DomainError,
     MetricValue,
     check_compatibility,
-    compat_tensor,
-    condition_a_residual,
-    condition_b_residual,
     connection_at,
     constant,
-    coordinate,
     christoffel,
     eps_residual,
     integrate_phi,
@@ -26,15 +22,13 @@ from conproj import (
     load_scenario_path,
     metric_at,
     obstruction_at,
-    rescaled_connection,
     sample_null_vectors,
     sample_points,
-    trace_vector,
     verify_recovery,
 )
 from conproj.compatibility import CHUNK_POINTS, NullVector
 from conproj.sampling import SplitMix64, draw_point, point_stream
-from helpers import drift_doc, flat_doc, round_trip_doc
+from helpers import drift_doc, flat_doc, rescaled_flat_doc, round_trip_doc
 
 
 def identity_metric(n, order=2):
@@ -46,24 +40,24 @@ def identity_metric(n, order=2):
     )
 
 
-def flat_phi_setup():
-    """Flat 2-d metric with the connection of exp(2*x1)-rescaled flat space."""
-    g = identity_metric(2)
-    phi = coordinate(0, (0.0, 0.0))
-    gamma = rescaled_connection(g, phi)
-    return g, gamma
+def flat_phi_obstructions():
+    """Obstructions at the origin of a flat 2-d metric with the connection
+    of exp(2*x1)-rescaled flat space."""
+    return obstruction_at(load_scenario(rescaled_flat_doc()), (0.0, 0.0))
+
+
+def own_connection_obstructions():
+    """Obstructions of a flat 2-d metric against its own Levi-Civita connection."""
+    return obstruction_at(load_scenario(flat_doc(2)), (0.3, -0.2))
 
 
 def test_compat_tensor_vanishes_for_own_connection():
-    scn = load_scenario(flat_doc(2))
-    g = metric_at(scn, (0.3, -0.2), 2)
-    T = compat_tensor(g, connection_at(scn, (0.3, -0.2), 1))
+    T = own_connection_obstructions().T
     assert all(abs(T[i][j][k].value) == 0.0 for i in range(2) for j in range(2) for k in range(2))
 
 
 def test_compat_tensor_hand_values():
-    g, gamma = flat_phi_setup()
-    T = compat_tensor(g, gamma)
+    T = flat_phi_obstructions().T
     tv = np.array([[[T[i][j][k].value for k in range(2)] for j in range(2)] for i in range(2)])
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0 / 3.0
@@ -76,42 +70,23 @@ def test_compat_tensor_hand_values():
 
 
 def test_trace_vector_hand_values():
-    g, gamma = flat_phi_setup()
-    T = compat_tensor(g, gamma)
-    t_up, t_down = trace_vector(g, T)
+    obs = flat_phi_obstructions()
     # coefficient (n+1)/((n+2)(n-1)) = 3/4 and (3/4)(1/3 + 1) = 1
-    assert np.allclose(t_up.values(), [1.0, 0.0])
-    assert np.allclose(t_down.values(), [1.0, 0.0])
+    assert np.allclose(obs.t_up.values(), [1.0, 0.0])
+    assert np.allclose(obs.t_down.values(), [1.0, 0.0])
 
-    zero_T = [[[constant(0.0, 2, 1)] * 2 for _ in range(2)] for _ in range(2)]
-    up, down = trace_vector(g, zero_T)
-    assert not up.values().any() and not down.values().any()
+    zero = own_connection_obstructions()
+    assert not zero.t_up.values().any() and not zero.t_down.values().any()
 
 
 def test_condition_a_hand_values():
-    g, gamma = flat_phi_setup()
-    T = compat_tensor(g, gamma)
-    t_up, t_down = trace_vector(g, T)
-    a = condition_a_residual(g, T, t_up, t_down)
     # spot slot (0,0,0): 1/3 - 1 + 1/3 + 1/3 = 0, and every other slot too
-    assert np.max(np.abs(a)) < 1e-15
-
-    zero_T = [[[constant(0.0, 2, 1)] * 2 for _ in range(2)] for _ in range(2)]
-    up, down = trace_vector(g, zero_T)
-    assert not condition_a_residual(g, zero_T, up, down).any()
+    assert np.max(np.abs(flat_phi_obstructions().a)) < 1e-15
+    assert not own_connection_obstructions().a.any()
 
 
 def test_condition_b_hand_values():
-    g, gamma = flat_phi_setup()
-    T = compat_tensor(g, gamma)
-    _, t_down = trace_vector(g, T)
-    b = condition_b_residual(t_down)
-    assert not b.any()  # T_i constant here
-
-    with pytest.raises(ValueError):
-        condition_b_residual(
-            type(t_down)([constant(1.0, 2, 0), constant(0.0, 2, 0)])
-        )
+    assert not flat_phi_obstructions().b.any()  # T_i constant here
 
 
 def test_drift_scenario_obstruction_values():
@@ -199,17 +174,36 @@ def test_sample_null_vectors_that_lose_precision_raise_and_draw_nothing():
     assert rng.state == SplitMix64(1).state
 
 
+def _zero_draws(states, positions, lo, hi):
+    return np.zeros(np.broadcast_shapes(np.shape(states), np.shape(positions)))
+
+
 def test_sample_null_vectors_that_run_out_of_redraws_raise_and_draw_nothing(monkeypatch):
     import conproj.compatibility as compatibility
 
-    def zeros(states, positions, lo, hi):
-        return np.zeros(np.broadcast_shapes(np.shape(states), np.shape(positions)))
-
-    monkeypatch.setattr(compatibility, "uniform_draws", zeros)
+    monkeypatch.setattr(compatibility, "uniform_draws", _zero_draws)
     rng = SplitMix64(1)
     with pytest.raises(ConprojError, match="failed to draw a usable cone direction"):
         sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), 4, rng)
     assert rng.state == SplitMix64(1).state
+
+
+def test_sample_null_vectors_rejects_a_negative_count():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), -1, rng)
+    assert rng.state == SplitMix64(1).state
+
+
+def test_check_names_the_point_where_null_cone_sampling_fails(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    monkeypatch.setattr(compatibility, "uniform_draws", _zero_draws)
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    scn = load_scenario_path(path)
+    with pytest.raises(ConprojError, match="failed to draw a usable cone direction") as excinfo:
+        check_compatibility(scn, samples=5)
+    assert str(sample_points(scn, 5)[0]) in str(excinfo.value)
 
 
 def test_eps_residual_cases():
@@ -306,6 +300,32 @@ def test_domain_error_names_first_bad_point_in_sample_order():
     first_bad = next(p for p in sample_points(scn) if p[0] <= 0.0)
     assert excinfo.value.path == "sqrt(x1)"
     assert excinfo.value.point == first_bad
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1 + x1^100000", "integer exponent magnitude exceeds 9999"),
+        ("x1^(1e400)", "non-finite exponent"),
+        ("1e400", "constant must be finite"),
+    ],
+)
+def test_an_error_at_every_point_names_the_first_sample_point(entry, message):
+    doc = flat_doc(2)
+    doc["metric"] = [[entry, "0"], [None, "1"]]
+    scn = load_scenario(doc)
+    with pytest.raises(DomainError, match=message) as excinfo:
+        check_compatibility(scn)
+    assert excinfo.value.point == sample_points(scn)[0]
+
+
+def test_check_explicit_connection_fails_a():
+    doc = flat_doc(2)
+    gamma = [[["0", "1"], [None, "0"]], [["0", "0"], [None, "0"]]]  # G^0_01 = G^0_10 = 1
+    doc["connection"] = {"kind": "explicit", "gamma": gamma}
+    report = check_compatibility(load_scenario(doc))
+    assert report.verdict == "fails_A"
+    assert math.isclose(report.max_a, 0.5, rel_tol=1e-12) and report.max_b == 0.0
 
 
 def test_single_degenerate_point_is_skipped_with_its_det():

@@ -117,6 +117,17 @@ def test_canonicalization_idempotent():
         canonicalize_metric(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_canonicalization_rejects_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="finite"):
+        canonicalize_metric(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_canonicalization_of_a_huge_matrix_does_not_overflow():
+    huge = np.array([[1e308, 1e308], [1e308, -1e308]])
+    assert np.array_equal(canonicalize_metric(huge), [[1.0, 1.0], [1.0, -1.0]])
+
+
 def test_rank_threshold_is_relative():
     # two nearly equal lines span one equation numerically: nullity 2
     with pytest.raises(NonGenericConfiguration) as info:

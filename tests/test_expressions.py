@@ -83,6 +83,32 @@ def test_eval_matches_jet_examples():
     assert c.value == 7.0 and not c.gradient.any()
 
 
+def _tan(x, y):
+    sec2 = 1 / math.cos(x) ** 2
+    return math.tan(x), [sec2, 0.0], [[2 * math.tan(x) * sec2, 0.0], [0.0, 0.0]]
+
+
+def _inverse_square(x, y):
+    return x**-2, [-2 * x**-3, 0.0], [[6 * x**-4, 0.0], [0.0, 0.0]]
+
+
+def _power(x, y):
+    v, lx = x**y, math.log(x)
+    mixed = x ** (y - 1) * (1 + y * lx)
+    return v, [y * x ** (y - 1), v * lx], [[y * (y - 1) * x ** (y - 2), mixed], [mixed, v * lx**2]]
+
+
+@pytest.mark.parametrize(
+    "src, closed_form", [("tan(x1)", _tan), ("x1^-2", _inverse_square), ("x1^x2", _power)]
+)
+def test_eval_matches_closed_forms(src, closed_form):
+    j = eval_expr(parse_expression(src, ("x1", "x2")), (0.7, 1.3))
+    value, gradient, hessian = closed_form(0.7, 1.3)
+    assert math.isclose(j.value, value, rel_tol=1e-14)
+    assert np.allclose(j.gradient, gradient, rtol=1e-14, atol=1e-14)
+    assert np.allclose(j.hessian, hessian, rtol=1e-14, atol=1e-14)
+
+
 def test_order_zero_value_equals_order_two_value():
     rng = np.random.default_rng(5)
     for _ in range(30):

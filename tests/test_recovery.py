@@ -22,23 +22,9 @@ from helpers import (
     drift_doc,
     fd_gradient,
     flat_doc,
+    rescaled_flat_doc,
     round_trip_doc,
 )
-
-
-def rescaled_flat_doc(phi="x1", samples=12, seed=2):
-    """Flat 2-d metric whose connection comes from exp(2*phi)-rescaled flat
-    space: the trace one-form is exactly the gradient of phi."""
-    conn_metric = [[f"exp(2*({phi}))", "0"], [None, f"exp(2*({phi}))"]]
-    return {
-        "dimension": 2,
-        "coordinates": ["x1", "x2"],
-        "box": {"min": [-1, -1], "max": [1, 1]},
-        "metric": [["1", "0"], ["0", "1"]],
-        "connection": {"kind": "levi_civita", "metric": conn_metric},
-        "samples": samples,
-        "seed": seed,
-    }
 
 
 def phi_value(phi_src, coords, point):
@@ -250,3 +236,13 @@ def test_a_bad_quadrature_node_is_rerun_alone_and_raises_its_error():
     assert excinfo.value.path == "sqrt(x1)" and excinfo.value.point[0] <= 0.0
     ends = [p for p in sample_points(scn) if p[0] <= 0.0]
     assert any(_on_segment(excinfo.value.point, base, p) for p in ends)
+
+
+@pytest.mark.parametrize("entry", ["1 + x1^100000", "x1^(1e400)"])
+def test_an_error_at_every_node_names_a_point_on_the_segment(entry):
+    doc = flat_doc(2)
+    doc["metric"] = [[entry, "0"], [None, "1"]]
+    base, end = (0.1, 0.2), (0.5, -0.3)
+    with pytest.raises(DomainError) as excinfo:
+        integrate_phi(load_scenario(doc), base, end)
+    assert _on_segment(excinfo.value.point, base, end)
