@@ -94,11 +94,6 @@ class ObstructionData:
     diff_values: np.ndarray
 
     @property
-    def T(self) -> list:
-        """Trace-free difference tensor T^i_jk as nested scalar jets."""
-        return self.t_tensor.components
-
-    @property
     def a_residual(self) -> float:
         return float(np.max(np.abs(self.a))) / self.scale
 
@@ -201,8 +196,8 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     are relative to the largest eigenvalue, so neither depends on the scale
     of the metric.  ``rng`` skips the draws used; a raising call uses none.
     """
-    if count < 0:
-        raise ValueError("null vector count must be non-negative")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError("null vector count must be a non-negative integer")
     states = np.array([rng.state])
     u, has, used, fails = _null_cone(g.values()[None], count, states, DEFAULT_RANK_TOL, [g.point])
     if fails[0] is not None:
@@ -303,6 +298,31 @@ def _point_figures(obs: ObstructionData, points, states, scenario: Scenario, bad
     return a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist(), fails
 
 
+def _error_alone(run, point) -> ConprojError:
+    """The error of a point that failed in a batch, from ``run()`` evaluating it alone."""
+    try:
+        run()
+    except ConprojError as err:
+        return err
+    raise ConprojError(f"point {point} failed in a batch but not alone")
+
+
+def _skipped(point, failure, skipped: list, count: int) -> bool:
+    """The one rule for a sample point that failed with ``failure`` (or None):
+    a degenerate metric is skipped, with its point and det put on ``skipped``,
+    as long as the skipped points stay under 1% of the ``count`` samples;
+    beyond that, and on any other failure, it raises."""
+    if failure is None:
+        return False
+    if not isinstance(failure, DegenerateMetric):
+        raise failure
+    skipped.append((point, failure.det))
+    if len(skipped) * 100 >= count:
+        detail = f"{len(skipped)} of {count} sample points degenerate"
+        raise DegenerateMetric(failure.det, point=point, detail=detail) from failure
+    return True
+
+
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
     return _obstructions(scenario, Evaluator(_check_point(scenario, point)))
@@ -338,25 +358,11 @@ def check_compatibility(
         with np.errstate(all="ignore"):
             batch = _obstructions(scenario, ev)
             figures = _point_figures(batch, chunk, states[start:], scenario, ev.bad)
-        rows = zip(chunk, ev.bad.tolist(), *figures)
-        for offset, (point, bad, a, b, scale, eps, has, failure) in enumerate(rows):
-            try:
-                if bad:
-                    alone = obstruction_at(scenario, point)
-                    figs = _point_figures(alone, [point], states[start + offset :], scenario)
-                    a, b, scale, eps, has, failure = (x[0] for x in figs)
-                if failure is not None:
-                    raise failure
-            except DegenerateMetric as err:
-                skipped.append((point, err.det))
-                if len(skipped) * 100 >= count:
-                    raise DegenerateMetric(
-                        err.det,
-                        point=point,
-                        detail=f"{len(skipped)} of {count} sample points degenerate",
-                    ) from err
-                continue
-            per_point.append(PointSummary(point, a, b, eps if has else None, scale))
+        for point, bad, a, b, scale, eps, has, failure in zip(chunk, ev.bad.tolist(), *figures):
+            if bad:
+                failure = _error_alone(lambda: obstruction_at(scenario, point), point)
+            if not _skipped(point, failure, skipped, count):
+                per_point.append(PointSummary(point, a, b, eps if has else None, scale))
 
     eps_values = [s.eps for s in per_point if s.eps is not None]
     max_eps = max(eps_values, default=None)

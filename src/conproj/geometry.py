@@ -2,8 +2,9 @@
 
 The metric inverse comes from ``np.linalg.inv`` and the closed forms for
 the derivatives of an inverse; Christoffel symbols, rescalings and
-projective shifts are einsums.  The value classes wrap the jets of one
-point.  All residual norms in this package are max-absolute norms.
+projective shifts are einsums.  Each value class wraps one tensor jet, at
+one point or over a stack of points.  All residual norms in this package
+are max-absolute norms.
 """
 
 from __future__ import annotations
@@ -34,78 +35,46 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 class _TensorValue:
-    """A tensor jet, built from a :class:`Jet` or nested scalar jets.
-
-    With ``_symmetric`` it is symmetric in its last two slots: entries whose
-    last two indices ascend are authoritative, and each mirrored entry of
-    ``components`` is the identical object."""
+    """One tensor jet whose last ``_rank`` axes have length ``n``; any axes
+    before them index points."""
 
     _rank = 1
-    _symmetric = False
-    __slots__ = ("jet", "n", "order", "point", "_components")
+    __slots__ = ("jet", "n", "order", "point")
 
-    def __init__(self, components, point=None):
-        if not isinstance(components, Jet):
-            grid = np.array(components, dtype=object)
-            n = grid.shape[0] if grid.ndim else 0
-            if n < 1 or grid.shape != (n,) * self._rank:
-                raise ValueError(f"components must form a {self._rank}-index array")
-            grid = self._mirror(grid)
-            if any(not isinstance(j, Jet) for j in grid.flat):
-                raise TypeError("components must be jets")
-            if any(j.n != n for j in grid.flat):
-                raise ValueError("jet chart dimension must match the array size")
-            if len({j.order for j in grid.flat}) != 1:
-                raise ValueError("components must share one jet order")
-            components = jets.stack(grid.flat, grid.shape)
-        self.jet, self.n, self.order = components, components.n, components.order
+    def __init__(self, jet, point=None):
+        if not isinstance(jet, Jet):
+            raise TypeError(f"{type(self).__name__} wraps a Jet")
+        if np.shape(jet.value)[-self._rank :] != (jet.n,) * self._rank:
+            raise ValueError(f"jet must end in {self._rank} axes of length n = {jet.n}")
+        self.jet, self.n, self.order = jet, jet.n, jet.order
         self.point = tuple(float(c) for c in point) if point is not None else None
-        self._components = None
-
-    def _mirror(self, grid: np.ndarray) -> np.ndarray:
-        if not self._symmetric or grid.ndim < 2:
-            return grid
-        lower = np.tri(grid.shape[-1], k=-1, dtype=bool)
-        return np.where(lower, np.swapaxes(grid, -1, -2), grid)
-
-    @property
-    def components(self) -> list:
-        if self._components is None:
-            grid = np.empty((self.n,) * self._rank, dtype=object)
-            for index in np.ndindex(grid.shape):
-                grid[index] = jets.entry(self.jet, index)
-            self._components = self._mirror(grid).tolist()
-        return self._components
 
     def values(self) -> np.ndarray:
         return np.array(self.jet.value, dtype=float)
 
 
 class MetricValue(_TensorValue):
-    """Symmetric matrix of jets g_ij."""
+    """Metric g_ij, symmetric in its last two axes."""
 
     _rank = 2
-    _symmetric = True
     __slots__ = ()
 
 
 class ConnectionValue(_TensorValue):
-    """Symmetric-connection components Gamma^i_jk as jets (symmetric in
-    the two lower slots)."""
+    """Connection Gamma^i_jk, symmetric in its two lower slots."""
 
     _rank = 3
-    _symmetric = True
     __slots__ = ()
 
 
 class OneFormValue(_TensorValue):
-    """Covariant components (psi_i, T_i, ...) as jets."""
+    """Covariant components psi_i, T_i, ..."""
 
     __slots__ = ()
 
 
 class VectorValue(_TensorValue):
-    """Contravariant components (S^i, T^i, ...) as jets."""
+    """Contravariant components S^i, T^i, ..."""
 
     __slots__ = ()
 
@@ -244,9 +213,8 @@ def rescaled_connection(g: MetricValue, phi: Jet) -> ConnectionValue:
     return ConnectionValue(shift(base, dphi), point=g.point)
 
 
-def projective_transform(gamma: ConnectionValue, psi) -> ConnectionValue:
+def projective_transform(gamma: ConnectionValue, psi: OneFormValue) -> ConnectionValue:
     """Representative change Gamma + delta psi + psi delta of the projective class."""
-    psi = psi if isinstance(psi, _TensorValue) else OneFormValue(psi)
     if psi.n != gamma.n:
         raise ValueError("one-form dimension mismatch")
     return ConnectionValue(shift(gamma.jet, psi.jet), point=gamma.point)

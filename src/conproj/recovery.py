@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .compatibility import CHUNK_POINTS, _trace_form
+from .compatibility import CHUNK_POINTS, _error_alone, _skipped, _trace_form
 from .errors import NonConvergence
 from .expressions import Evaluator
 from .geometry import MetricValue, tracefree
@@ -38,9 +38,9 @@ _GL_NODES, _GL_WEIGHTS = leggauss(8)
 MAX_SEGMENTS = 1024
 
 
-def _trace_values(scenario: Scenario, points: np.ndarray, order: int) -> list:
+def _trace_values(scenario: Scenario, points: np.ndarray, order: int):
     """g, g^-1, T^i_jk and T_i (and at order 1 ``d_k T_i`` as ``[s, i, k]``)
-    at a stack of points."""
+    at a stack of points, and the errors of :func:`_batched`."""
 
     def at(ev):
         g, ginv, _, _, T, _, down = _trace_form(scenario, ev, order)
@@ -49,22 +49,28 @@ def _trace_values(scenario: Scenario, points: np.ndarray, order: int) -> list:
     return _batched(points, at)
 
 
-def _batched(points: np.ndarray, at) -> list:
+def _batched(points: np.ndarray, at):
     """The arrays ``at(ev)`` at a stack of points, at most ``CHUNK_POINTS``
-    per evaluator (an empty stack still runs one, for the shapes).  Points
-    are evaluated leniently; each failing one is re-run alone, which raises
-    its error as a one-point call would."""
+    per evaluator (an empty stack still runs one, for the shapes), and the
+    index and error of each failing point in index order.  Points are
+    evaluated leniently; the errors come lazily from re-running each failing
+    point alone, as a one-point call raises them."""
     parts, bad = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
         ev = Evaluator(points[start : start + CHUNK_POINTS])
         with np.errstate(all="ignore"):
             parts.append(at(ev))
-        bad.extend(start + np.flatnonzero(ev.bad))
-    out = [np.concatenate(column) for column in zip(*parts)]
-    for index in bad:
-        for array, value in zip(out, at(Evaluator(points[index]))):
-            array[index] = value
-    return out
+        bad.extend((start + np.flatnonzero(ev.bad)).tolist())
+    rows = ((i, tuple(points[i].tolist())) for i in bad)
+    errors = ((i, _error_alone(lambda: at(Evaluator(p)), p)) for i, p in rows)
+    return [np.concatenate(column) for column in zip(*parts)], errors
+
+
+def _strict(values: list, errors) -> list:
+    """The values of :func:`_batched`, or its first error raised."""
+    for _, error in errors:
+        raise error
+    return values
 
 
 def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
@@ -74,7 +80,7 @@ def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
-    _, _, _, down, *grad = _trace_values(scenario, points.reshape(-1, w.shape[1]), order)
+    _, _, _, down, *grad = _strict(*_trace_values(scenario, points.reshape(-1, w.shape[1]), order))
     down = down.reshape(points.shape)
     f = np.einsum("rsi,ri->rs", down, w)[..., None]
     if order >= 1:
@@ -206,7 +212,7 @@ def _scaled_metrics(scenario: Scenario, points: list, phis: list) -> list:
     evaluated in lenient batches."""
     n = scenario.dimension
     stack = np.reshape(points, (-1, n))
-    (g,) = _batched(stack, lambda ev: [symmetric_jet(scenario.metric, ev, 0, 2).value])
+    (g,) = _strict(*_batched(stack, lambda ev: [symmetric_jet(scenario.metric, ev, 0, 2).value]))
     return [
         MetricValue(Jet(n, 0, v) * math.exp(2.0 * phi), point=p)
         for p, v, phi in zip(points, g, phis)
@@ -235,14 +241,20 @@ def verify_recovery(
     scenario connection's by ``T - tracefree((g^-1 dphi) (x) g)`` with T the
     trace-free difference of _trace_form.  One quadrature gives dphi at
     every sample; the deviation is the largest entry over the samples.
+    Samples where the metric degenerates are skipped by the rule of
+    ``check_compatibility``: fatal at 1% of the samples.
     """
     count = scenario.samples if samples is None else samples
     seed_val = scenario.seed if seed is None else seed
     factor = RecoveredFactor(scenario, base)
     n = scenario.dimension
     points = np.reshape(sample_points(scenario, count, seed_val), (-1, n))
+    (g, ginv, T, _), errors = _trace_values(scenario, points, 0)
+    keep, skipped = np.ones(len(points), dtype=bool), []
+    for i, error in errors:
+        keep[i] = not _skipped(tuple(points[i].tolist()), error, skipped, count)
+    g, ginv, T, points = g[keep], ginv[keep], T[keep], points[keep]
     dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
-    g, ginv, T, _ = _trace_values(scenario, points, 0)
     rescaling = Jet(n, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
     max_deviation = float(np.max(np.abs(T - tracefree(rescaling).value), initial=0.0))
     return RecoveryVerification(

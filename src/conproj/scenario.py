@@ -168,22 +168,17 @@ def _load_symmetric_matrix(rows, coords, n: int, path: str) -> tuple:
                     )
                 continue
             grid[i][j] = _parse_entry(cell, coords, cell_path)
-    final = [[None] * n for _ in range(n)]
+    # Every row holds its diagonal and upper entries, so the lower triangle
+    # only has to agree with the upper one where it is given.
     for i in range(n):
-        if grid[i][i] is None:
-            raise ScenarioError("missing diagonal entry", f"{path}[{i}][{i}]")
-        final[i][i] = grid[i][i]
         for j in range(i + 1, n):
-            upper, lower = grid[i][j], grid[j][i]
-            if upper is None and lower is None:
-                raise ScenarioError("missing entry", f"{path}[{i}][{j}]")
-            if upper is not None and lower is not None and upper != lower:
+            if grid[j][i] is not None and grid[j][i] != grid[i][j]:
                 raise ScenarioError(
                     "matrix is not symmetric (entries differ node-for-node)",
                     f"{path}[{j}][{i}]",
                 )
-            final[i][j] = final[j][i] = upper if upper is not None else lower
-    return tuple(tuple(r) for r in final)
+            grid[j][i] = grid[i][j]
+    return tuple(tuple(r) for r in grid)
 
 
 def _load_vector(entries, coords, n: int, path: str) -> tuple:

@@ -242,3 +242,23 @@ def rescaled_flat_doc(phi="x1", samples=12, seed=2):
         "samples": samples,
         "seed": seed,
     }
+
+
+def one_degenerate_sample_doc():
+    """A flat 2-d metric ``diag(1, (x1 - c)^2)`` with its own connection, whose
+    cut ``x1 = c`` passes through the 38th of its 150 sample points: the
+    metric degenerates there and at no other sample.  Returns the document
+    and that point."""
+    doc = flat_doc(2, samples=150, seed=11)
+    point = sample_points(load_scenario(doc))[37]
+    doc["metric"] = [["1", "0"], [None, f"(x1 - {point[0]!r})^2"]]
+    doc["connection"] = {"kind": "levi_civita", "metric": doc["metric"]}
+    return doc, point
+
+
+def rank_one_doc():
+    """A 2-d metric of rank one everywhere, over 30 samples."""
+    doc = flat_doc(2, samples=30)
+    doc["metric"] = [["1", "x1"], [None, "x1^2"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    return doc

@@ -15,6 +15,7 @@ import pytest
 from conproj import (
     ConnectionValue,
     ExpressionError,
+    Jet,
     NonGenericConfiguration,
     OneFormValue,
     RecoveredFactor,
@@ -22,7 +23,6 @@ from conproj import (
     check_compatibility,
     christoffel,
     conformal_rescale_metric,
-    constant,
     eval_expr,
     integrate_phi,
     integrate_phi_path,
@@ -43,6 +43,7 @@ from conproj import (
 )
 from conproj.cli import main
 from conproj.geometry import MetricValue
+from conproj.jets import stack
 from conproj.sampling import SplitMix64
 from helpers import (
     assert_componentwise_close,
@@ -140,16 +141,13 @@ def test_criterion_4_thomas_laws():
     rng = np.random.default_rng(2024_08_04)
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        comps = [[[None] * n for _ in range(n)] for _ in range(n)]
+        comps = np.zeros((n, n, n))
         for i in range(n):
             for j in range(n):
                 for k in range(j, n):
-                    jet = constant(float(rng.uniform(-2, 2)), n, 1)
-                    comps[i][j][k] = comps[i][k][j] = jet
-        gamma = ConnectionValue(comps)
-        psi = OneFormValue(
-            [constant(float(rng.uniform(-2, 2)), n, 1) for _ in range(n)]
-        )
+                    comps[i, j, k] = comps[i, k, j] = float(rng.uniform(-2, 2))
+        gamma = ConnectionValue(Jet(n, 1, comps))
+        psi = OneFormValue(Jet(n, 1, [float(rng.uniform(-2, 2)) for _ in range(n)]))
         pi = thomas_symbol(gamma).components
         assert np.max(np.abs(np.einsum("ppk->k", pi))) <= 1e-12
         assert np.max(np.abs(np.einsum("pjp->j", pi))) <= 1e-12
@@ -170,11 +168,12 @@ def test_criterion_5_rescaling_cross_validation():
                 pert = polynomial(rng, coords, scale=scales[n], max_terms=3)
                 entries[i][j] = entries[j][i] = f"1 + {pert}" if i == j else pert
         point = tuple(rng.uniform(-1, 1, size=n))
-        rows = [
-            [eval_expr(parse_expression(entries[i][j], coords), point, 2) for j in range(n)]
+        cells = [
+            eval_expr(parse_expression(entries[i][j], coords), point, 2)
             for i in range(n)
+            for j in range(n)
         ]
-        g = MetricValue(rows, point=point)
+        g = MetricValue(stack(cells, (n, n)), point=point)
         phi = eval_expr(
             parse_expression(polynomial(rng, coords, scale=0.3, max_terms=4), coords),
             point,
@@ -195,9 +194,7 @@ def test_criterion_6_cone_round_trip():
             base[0, 0] = -base[0, 0]
         pert = rng.uniform(-0.15, 0.15, size=(n, n))
         g_true = base + 0.5 * (pert + pert.T)
-        g_value = MetricValue(
-            [[constant(g_true[i][j], n, 0) for j in range(n)] for i in range(n)]
-        )
+        g_value = MetricValue(Jet(n, 0, g_true))
         count = 2 * (n * (n + 1) // 2 - 1)
         for _ in range(8):  # the genericity hypothesis can need a redraw in 2-d
             nulls = sample_null_vectors(

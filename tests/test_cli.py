@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conproj.cli import main
-from helpers import drift_doc, flat_doc, round_trip_doc
+from helpers import drift_doc, flat_doc, one_degenerate_sample_doc, round_trip_doc
 
 
 @pytest.fixture()
@@ -120,6 +120,17 @@ def test_recover_round_trip(tmp_path):
     )
     assert code == 0
     assert read_json(out2)["recovery"]["phi"] == 0.0
+
+
+def test_recover_a_scenario_with_a_skipped_sample_point(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(one_degenerate_sample_doc()[0]), encoding="utf-8")
+    out = tmp_path / "recover.json"
+    argv = ["recover", str(path), "--base", "0.5,0.5", "--at", "0.2,0.3"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    report = read_json(out)
+    assert report["verdict"] == "compatible" and len(report["skipped_points"]) == 1
+    assert report["recovery"]["deviation"] == 0.0
 
 
 def test_recover_refuses_incompatible(tmp_path, drift_file, capsys):
@@ -299,20 +310,48 @@ def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
         (["recover", "{scenario}", "--base", "5,5", "--at", "0,0"], ""),
         (["gen-example", "--metric", "{bad_json}", "--s", "0,0"], ""),
         (["check", "{domain}"], "in 'sqrt(x1)' at point ("),
+        (["recover", "{scenario}", "--base", "0,x", "--at", "0,0"], "could not parse point"),
+        (["cone", "{bad_json}"], "invalid JSON"),
+        (["cone", "{array}"], "cone input must be"),
+        (["cone", "{dimension_one}"], "'dimension' must be an integer >= 2"),
+        (["gen-example", "--metric", "{array}", "--s", "0,0"], "must be a JSON object"),
+        (["gen-example", "--metric", "{dimension_one}", "--s", "0"], "integer 'dimension' >= 2"),
+        (["gen-example", "--metric", "{no_metric}", "--s", "0,0"], "needs a 'metric' array"),
+        (["gen-example", "--s", "0,0"], "--s must provide 3 components"),
     ],
-    ids=["zero-samples", "base-outside-box", "invalid-metric-json", "domain-error"],
+    ids=[
+        "zero-samples",
+        "base-outside-box",
+        "invalid-metric-json",
+        "domain-error",
+        "unparsable-base",
+        "invalid-cone-json",
+        "cone-input-not-an-object",
+        "cone-dimension-one",
+        "metric-file-not-an-object",
+        "metric-file-dimension-one",
+        "metric-file-without-metric",
+        "drift-component-count",
+    ],
 )
 def test_user_errors_print_one_line_and_exit_one(
     tmp_path, round_trip_file, capsys, argv, detail
 ):
-    bad_json = tmp_path / "metric.json"
-    bad_json.write_text("{not json", encoding="utf-8")
+    files = {
+        "bad_json": "{not json",
+        "array": "[]",
+        "dimension_one": '{"dimension": 1, "vectors": [], "metric": [["1"]]}',
+        "no_metric": '{"dimension": 2}',
+    }
+    paths = {"scenario": round_trip_file}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
     doc = flat_doc(2, samples=40, seed=3)
     doc["metric"] = [["exp(sqrt(x1))", "0"], [None, "1"]]
     doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
-    domain = tmp_path / "domain.json"
-    domain.write_text(json.dumps(doc), encoding="utf-8")
-    paths = {"scenario": round_trip_file, "bad_json": bad_json, "domain": domain}
+    paths["domain"] = tmp_path / "domain.json"
+    paths["domain"].write_text(json.dumps(doc), encoding="utf-8")
     assert main([arg.format(**paths) for arg in argv] + ["--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conproj import (
+    ConnectionValue,
     ConprojError,
     DegenerateMetric,
     DomainError,
+    Jet,
     MetricValue,
     check_compatibility,
     connection_at,
-    constant,
     christoffel,
     eps_residual,
     integrate_phi,
@@ -28,16 +29,18 @@ from conproj import (
 )
 from conproj.compatibility import CHUNK_POINTS, NullVector
 from conproj.sampling import SplitMix64, draw_point, point_stream
-from helpers import drift_doc, flat_doc, rescaled_flat_doc, round_trip_doc
+from helpers import (
+    drift_doc,
+    flat_doc,
+    one_degenerate_sample_doc,
+    rank_one_doc,
+    rescaled_flat_doc,
+    round_trip_doc,
+)
 
 
 def identity_metric(n, order=2):
-    return MetricValue(
-        [
-            [constant(1.0 if i == j else 0.0, n, order) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return MetricValue(Jet(n, order, np.eye(n)))
 
 
 def flat_phi_obstructions():
@@ -52,21 +55,20 @@ def own_connection_obstructions():
 
 
 def test_compat_tensor_vanishes_for_own_connection():
-    T = own_connection_obstructions().T
-    assert all(abs(T[i][j][k].value) == 0.0 for i in range(2) for j in range(2) for k in range(2))
+    tv = own_connection_obstructions().t_tensor.values()
+    assert tv.shape == (2, 2, 2) and np.all(np.abs(tv) == 0.0)
 
 
 def test_compat_tensor_hand_values():
-    T = flat_phi_obstructions().T
-    tv = np.array([[[T[i][j][k].value for k in range(2)] for j in range(2)] for i in range(2)])
+    tv = flat_phi_obstructions().t_tensor.values()
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0 / 3.0
     expected[0, 1, 1] = 1.0
     expected[1, 0, 1] = expected[1, 1, 0] = -1.0 / 3.0
     assert np.allclose(tv, expected, atol=1e-15)
     # trace inherited from the trace-free projection
-    assert abs(sum(T[p][p][0].value for p in range(2))) <= 1e-12
-    assert abs(sum(T[p][p][1].value for p in range(2))) <= 1e-12
+    assert abs(tv[0, 0, 0] + tv[1, 1, 0]) <= 1e-12
+    assert abs(tv[0, 0, 1] + tv[1, 1, 1]) <= 1e-12
 
 
 def test_trace_vector_hand_values():
@@ -83,10 +85,13 @@ def test_condition_a_hand_values():
     # spot slot (0,0,0): 1/3 - 1 + 1/3 + 1/3 = 0, and every other slot too
     assert np.max(np.abs(flat_phi_obstructions().a)) < 1e-15
     assert not own_connection_obstructions().a.any()
+    assert flat_phi_obstructions().a_residual < 1e-15
+    assert own_connection_obstructions().a_residual == 0.0
 
 
 def test_condition_b_hand_values():
     assert not flat_phi_obstructions().b.any()  # T_i constant here
+    assert flat_phi_obstructions().b_residual == 0.0
 
 
 def test_drift_scenario_obstruction_values():
@@ -102,9 +107,7 @@ def test_drift_scenario_obstruction_values():
     idx = np.arange(3)
     expected[idx, idx, :] -= s_down / 4.0
     expected[idx, :, idx] -= s_down / 4.0
-    tv = np.array(
-        [[[obs.T[i][j][k].value for k in range(3)] for j in range(3)] for i in range(3)]
-    )
+    tv = obs.t_tensor.values()
     assert np.allclose(tv, expected, atol=1e-14)
     # the drift field reappears as the trace vector
     assert np.allclose(obs.t_up.values(), [0.0, 0.0, 0.7], atol=1e-14)
@@ -115,6 +118,7 @@ def test_drift_scenario_obstruction_values():
     assert math.isclose(obs.b[2, 1], -1.0)
     assert np.max(np.abs(obs.b)) == 1.0
     assert obs.scale == 1.0
+    assert obs.a_residual <= 1e-14 and obs.b_residual == 1.0
     # B is exactly antisymmetric
     assert (obs.b == -obs.b.T).all()
 
@@ -140,12 +144,7 @@ def test_sample_null_vectors_definite_is_empty():
 
 
 def test_sample_null_vectors_minkowski_two_d():
-    g = MetricValue(
-        [
-            [constant(-1.0, 2), constant(0.0, 2)],
-            [constant(0.0, 2), constant(1.0, 2)],
-        ]
-    )
+    g = MetricValue(Jet(2, 2, np.diag([-1.0, 1.0])))
     vectors = sample_null_vectors(g, 6, SplitMix64(5))
     assert len(vectors) == 6
     for nv in vectors:
@@ -157,8 +156,7 @@ def test_sample_null_vectors_minkowski_two_d():
 
 
 def constant_metric(values):
-    n = len(values)
-    return MetricValue([[constant(values[i][j], n) for j in range(n)] for i in range(n)])
+    return MetricValue(Jet(len(values), 2, np.array(values, dtype=float)))
 
 
 def test_sample_null_vectors_degenerate():
@@ -195,6 +193,14 @@ def test_sample_null_vectors_rejects_a_negative_count():
     assert rng.state == SplitMix64(1).state
 
 
+@pytest.mark.parametrize("count", [2.0, 2.5, True])
+def test_sample_null_vectors_rejects_a_count_that_is_not_an_int(count):
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="count must be a non-negative integer"):
+        sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), count, rng)
+    assert rng.state == SplitMix64(1).state
+
+
 def test_check_names_the_point_where_null_cone_sampling_fails(monkeypatch):
     import conproj.compatibility as compatibility
 
@@ -220,17 +226,10 @@ def test_eps_residual_cases():
 
     # hand case: flat Minkowski, Gamma with only G^1_22 = 1, u = (1, 1):
     # d = (-1, 0); removing the u-parallel part leaves (-1/2, 1/2)
-    g2 = MetricValue(
-        [
-            [constant(-1.0, 2), constant(0.0, 2)],
-            [constant(0.0, 2), constant(1.0, 2)],
-        ]
-    )
-    comps = [[[constant(0.0, 2, 1)] * 2 for _ in range(2)] for _ in range(2)]
-    comps[0][1][1] = constant(1.0, 2, 1)
-    from conproj import ConnectionValue
-
-    gamma2 = ConnectionValue(comps)
+    g2 = MetricValue(Jet(2, 2, np.diag([-1.0, 1.0])))
+    comps = np.zeros((2, 2, 2))
+    comps[0, 1, 1] = 1.0
+    gamma2 = ConnectionValue(Jet(2, 1, comps))
     u = NullVector(point=None, u=np.array([1.0, 1.0]))
     residual = eps_residual(g2, gamma2, u)
     assert math.isclose(residual, 0.25)
@@ -275,10 +274,7 @@ def test_check_compatible_lorentzian_scenario_satisfies_eps():
 
 
 def test_degenerate_sampling_is_fatal_when_frequent():
-    doc = flat_doc(2, samples=30)
-    doc["metric"] = [["1", "x1"], [None, "x1^2"]]  # rank one everywhere
-    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
-    scn = load_scenario(doc)
+    scn = load_scenario(rank_one_doc())
     with pytest.raises(DegenerateMetric):
         check_compatibility(scn)
 
@@ -329,17 +325,12 @@ def test_check_explicit_connection_fails_a():
 
 
 def test_single_degenerate_point_is_skipped_with_its_det():
-    doc = flat_doc(2, samples=150, seed=11)
-    probe = sample_points(load_scenario(doc))
-    bad_index = 37
     # the metric degenerates exactly at one sample point
-    cut = f"(x1 - {probe[bad_index][0]!r})^2"
-    doc["metric"] = [["1", "0"], [None, cut]]
-    doc["connection"] = {"kind": "levi_civita", "metric": doc["metric"]}
+    doc, bad_point = one_degenerate_sample_doc()
     report = check_compatibility(load_scenario(doc))
-    assert report.skipped == ((probe[bad_index], 0.0),)
+    assert report.skipped == ((bad_point, 0.0),)
     assert len(report.per_point) == 149
-    assert probe[bad_index] not in [s.point for s in report.per_point]
+    assert bad_point not in [s.point for s in report.per_point]
     assert report.verdict == "compatible"
     assert report.max_a == max(s.a for s in report.per_point)
     assert report.max_b == max(s.b for s in report.per_point)
@@ -415,7 +406,7 @@ def test_an_anisotropic_minkowski_metric_is_not_degenerate(n, c):
 
 def test_sample_null_vectors_on_a_huge_metric():
     values = 1e200 * np.array([[-1.0, 0.3], [0.3, 1.0]])
-    g = MetricValue([[constant(values[i][j], 2) for j in range(2)] for i in range(2)])
+    g = MetricValue(Jet(2, 2, values))
     vectors = sample_null_vectors(g, 4, SplitMix64(9))
     assert len(vectors) == 4
     unit = values / 1e200

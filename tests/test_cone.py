@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conproj import (
+    Jet,
     MetricValue,
     NonGenericConfiguration,
     TooFewVectors,
     canonicalize_metric,
-    constant,
     reconstruct_conformal,
     sample_null_vectors,
 )
@@ -15,10 +15,7 @@ from conproj.sampling import SplitMix64
 
 def metric_from_values(values):
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    return MetricValue(
-        [[constant(values[i][j], n, 0) for j in range(n)] for i in range(n)]
-    )
+    return MetricValue(Jet(values.shape[0], 0, values))
 
 
 def test_two_d_cone_lines():

@@ -6,7 +6,9 @@ import pytest
 from conproj import (
     ConnectionValue,
     DegenerateMetric,
+    Jet,
     MetricValue,
+    ObstructionData,
     OneFormValue,
     christoffel,
     conformal_rescale_metric,
@@ -22,20 +24,43 @@ from conproj import (
     rescaled_connection,
     thomas_symbol,
 )
+from conproj.jets import einsum, stack
 from helpers import assert_componentwise_close, flat_doc, polynomial, round_trip_doc
 
 
 def metric_from_exprs(entries, coords, point, order=2):
     n = len(entries)
-    rows = [
-        [eval_expr(parse_expression(entries[i][j], coords), point, order) for j in range(n)]
+    cells = [
+        eval_expr(parse_expression(entries[i][j], coords), point, order)
         for i in range(n)
+        for j in range(n)
     ]
-    return MetricValue(rows, point=point)
+    return MetricValue(stack(cells, (n, n)), point=point)
 
 
 def jet_matrix(values, n, order=2):
-    return [[constant(values[i][j], n, order) for j in range(n)] for i in range(n)]
+    return Jet(n, order, np.array(values, dtype=float))
+
+
+def assert_symmetric_in_the_lower_slots(gamma):
+    for part in (gamma.jet.value, gamma.jet.gradient):
+        assert np.array_equal(part, np.swapaxes(part, 1, 2))
+
+
+def test_value_classes_wrap_one_tensor_jet():
+    nested = [[constant(1.0, 2), constant(0.0, 2)], [constant(0.0, 2), constant(1.0, 2)]]
+    with pytest.raises(TypeError):
+        MetricValue(nested)
+    with pytest.raises(ValueError, match="2 axes of length n = 2"):
+        MetricValue(Jet(2, 2, np.eye(3)))
+    with pytest.raises(ValueError):
+        ConnectionValue(Jet(2, 1, np.zeros((2, 2))))
+    with pytest.raises(ValueError):
+        OneFormValue(Jet(2, 1, 1.0))
+    # leading axes index points
+    g = MetricValue(Jet(2, 1, np.broadcast_to(np.eye(2), (5, 2, 2))))
+    assert g.n == 2 and g.order == 1 and g.values().shape == (5, 2, 2)
+    assert not hasattr(ObstructionData, "T")
 
 
 def test_invert_diagonal_involution():
@@ -60,8 +85,8 @@ def test_invert_two_by_two_closed_form():
     dd = 2.0 * x / d**2  # d/dx (1/(1-x^2))
     expected_00 = dd
     expected_01 = -(d + x * 2.0 * x) / d**2
-    assert math.isclose(inv.components[0][0].gradient[0], expected_00, rel_tol=1e-12)
-    assert math.isclose(inv.components[0][1].gradient[0], expected_01, rel_tol=1e-12)
+    assert math.isclose(inv.jet.gradient[0, 0, 0], expected_00, rel_tol=1e-12)
+    assert math.isclose(inv.jet.gradient[0, 1, 0], expected_01, rel_tol=1e-12)
 
 
 def test_invert_degenerate():
@@ -99,17 +124,10 @@ def test_jet_inverse_is_two_sided_identity():
         point = tuple(rng.uniform(-1, 1, size=3))
         g = metric_from_exprs(entries, coords, point)
         inv = invert_metric(g)
-        n = 3
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for p in range(n):
-                    term = g.components[i][p] * inv.components[p][j]
-                    acc = term if acc is None else acc + term
-                target = 1.0 if i == j else 0.0
-                assert abs(acc.value - target) < 1e-12
-                assert np.max(np.abs(acc.gradient)) < 1e-11
-                assert np.max(np.abs(acc.hessian)) < 1e-10
+        product = einsum("ip,pj->ij", g.jet, inv.jet)
+        assert np.max(np.abs(product.value - np.eye(3))) < 1e-12
+        assert np.max(np.abs(product.gradient)) < 1e-11
+        assert np.max(np.abs(product.hessian)) < 1e-10
 
 
 def test_christoffel_flat():
@@ -134,7 +152,7 @@ def test_christoffel_round_sphere():
     assert abs(vals[1, 0, 1] - 0.64209) < 1e-5
     assert vals[1, 0, 1] == vals[1, 1, 0]
     # exact lower-slot symmetry by construction
-    assert gamma.components[1][0][1] is gamma.components[1][1][0]
+    assert_symmetric_in_the_lower_slots(gamma)
 
 
 def test_christoffel_preserves_metric():
@@ -154,7 +172,7 @@ def test_christoffel_preserves_metric():
         for k in range(2):
             for i in range(2):
                 for j in range(2):
-                    dkg = g.components[i][j].gradient[k]
+                    dkg = g.jet.gradient[i, j, k]
                     correction = sum(
                         cv[p, k, i] * gv[p, j] + cv[p, k, j] * gv[i, p] for p in range(2)
                     )
@@ -169,7 +187,7 @@ def test_conformal_rescale_identity_and_gradient():
     phi = coordinate(0, (0.0, 0.0))
     scaled = conformal_rescale_metric(g, phi)
     assert np.allclose(scaled.values(), np.eye(2))
-    assert scaled.components[0][0].gradient[0] == 2.0  # d/dx exp(2x) at 0
+    assert scaled.jet.gradient[0, 0, 0] == 2.0  # d/dx exp(2x) at 0
 
     back = conformal_rescale_metric(scaled, -phi)
     assert_componentwise_close(back.values(), np.eye(2), 1e-14)
@@ -211,29 +229,25 @@ def test_rescaled_connection_cross_validates_with_rescale_then_christoffel():
 
 
 def test_projective_transform_values_and_symmetry():
-    zero = ConnectionValue(
-        [[[constant(0.0, 2, 1) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    )
-    psi = OneFormValue([constant(1.0, 2, 1), constant(0.0, 2, 1)])
+    zero = ConnectionValue(Jet(2, 1, np.zeros((2, 2, 2))))
+    psi = OneFormValue(Jet(2, 1, [1.0, 0.0]))
     out = projective_transform(zero, psi)
     vals = out.values()
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 2.0
     expected[1, 0, 1] = expected[1, 1, 0] = 1.0
     assert np.allclose(vals, expected)
-    assert out.components[1][0][1] is out.components[1][1][0]
+    assert_symmetric_in_the_lower_slots(out)
 
-    unchanged = projective_transform(zero, OneFormValue([constant(0.0, 2, 1)] * 2))
+    unchanged = projective_transform(zero, OneFormValue(Jet(2, 1, np.zeros(2))))
     assert not unchanged.values().any()
 
 
 def test_thomas_symbol_laws():
-    zero = ConnectionValue(
-        [[[constant(0.0, 2, 1) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    )
+    zero = ConnectionValue(Jet(2, 1, np.zeros((2, 2, 2))))
     assert not thomas_symbol(zero).components.any()
 
-    psi = OneFormValue([constant(1.0, 2, 1), constant(0.0, 2, 1)])
+    psi = OneFormValue(Jet(2, 1, [1.0, 0.0]))
     shifted = projective_transform(zero, psi)
     assert np.max(np.abs(thomas_symbol(shifted).components)) < 1e-15
 
@@ -241,7 +255,7 @@ def test_thomas_symbol_laws():
     for _ in range(30):
         n = int(rng.integers(2, 5))
         gamma = _random_connection(rng, n)
-        psi = OneFormValue([constant(float(rng.uniform(-2, 2)), n, 1) for _ in range(n)])
+        psi = OneFormValue(Jet(n, 1, [float(rng.uniform(-2, 2)) for _ in range(n)]))
         pi = thomas_symbol(gamma).components
         assert np.max(np.abs(np.einsum("ppk->k", pi))) <= 1e-12
         assert np.max(np.abs(np.einsum("pjp->j", pi))) <= 1e-12
@@ -250,13 +264,12 @@ def test_thomas_symbol_laws():
 
 
 def _random_connection(rng, n):
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
+    values = np.zeros((n, n, n))
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                jet = constant(float(rng.uniform(-2, 2)), n, 1)
-                comps[i][j][k] = comps[i][k][j] = jet
-    return ConnectionValue(comps)
+                values[i, j, k] = values[i, k, j] = float(rng.uniform(-2, 2))
+    return ConnectionValue(Jet(n, 1, values))
 
 
 def test_thomas_symbol_compares_projective_classes():
@@ -273,15 +286,10 @@ def test_thomas_symbol_compares_projective_classes():
         pi_shifted = thomas_symbol(connection_at(shifted, point, 0)).components
         assert np.max(np.abs(pi_base - pi_shifted)) < 1e-12
 
-    bent = ConnectionValue(
-        [
-            [[constant(0.0, 2, 0), constant(0.0, 2, 0)], [constant(0.0, 2, 0), constant(1.0, 2, 0)]],
-            [[constant(0.0, 2, 0)] * 2, [constant(0.0, 2, 0)] * 2],
-        ]
-    )
-    flat = ConnectionValue(
-        [[[constant(0.0, 2, 0) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    )
+    bent_values = np.zeros((2, 2, 2))
+    bent_values[0, 1, 1] = 1.0
+    bent = ConnectionValue(Jet(2, 0, bent_values))
+    flat = ConnectionValue(Jet(2, 0, np.zeros((2, 2, 2))))
     deviation = np.max(np.abs(thomas_symbol(flat).components - thomas_symbol(bent).components))
     assert math.isclose(deviation, 1.0)
 

@@ -161,6 +161,34 @@ def test_jet_exponent():
     assert math.isclose(j.gradient[1], 2.0 * math.log(2.0))
 
 
+def test_jet_difference_quotient_and_power_of_a_number():
+    # x - y, 1 - x, x / y and 2^x at (2, 3) against their closed forms
+    x = coordinate(0, (2.0, 3.0))
+    y = coordinate(1, (2.0, 3.0))
+    d = x - y
+    assert d.value == -1.0 and d.gradient.tolist() == [1.0, -1.0] and not d.hessian.any()
+    assert (1.0 - x).gradient.tolist() == [-1.0, 0.0]
+    q = x / y  # gradient (1/y, -x/y^2), Hessian [[0, -1/y^2], [-1/y^2, 2x/y^3]]
+    assert_componentwise_close(q.value, 2.0 / 3.0, 1e-15)
+    assert_componentwise_close(q.gradient, [1.0 / 3.0, -2.0 / 9.0], 1e-15)
+    assert_componentwise_close(q.hessian, [[0.0, -1.0 / 9.0], [-1.0 / 9.0, 4.0 / 27.0]], 1e-15)
+    e = 2.0**x  # d/dx 2^x = 2^x log 2
+    log2 = math.log(2.0)
+    assert_componentwise_close(e.value, 4.0, 1e-15)
+    assert_componentwise_close(e.gradient, [4.0 * log2, 0.0], 1e-15)
+    assert_componentwise_close(e.hessian, [[4.0 * log2**2, 0.0], [0.0, 0.0]], 1e-15)
+
+
+def test_jet_repr_lists_its_components():
+    assert repr(constant(1.5, 2, 0)) == "Jet(n=2, order=0, value=1.5)"
+    assert repr(coordinate(1, (2.0, 3.0), 2)) == (
+        "Jet(n=2, order=2, value=3.0, gradient=[0.0, 1.0], hessian=[[0.0, 0.0], [0.0, 0.0]])"
+    )
+    assert repr(Jet(2, 1, [1.0, 2.0])) == (
+        "Jet(n=2, order=1, value=[1.0, 2.0], gradient=[[0.0, 0.0], [0.0, 0.0]])"
+    )
+
+
 def test_hessian_symmetrized_on_write():
     j = Jet(2, 2, 1.0, [1.0, 2.0], [[0.0, 2.0], [0.0, 0.0]])
     assert j.hessian.tolist() == [[0.0, 1.0], [1.0, 0.0]]

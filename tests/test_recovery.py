@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conproj import (
+    DegenerateMetric,
     DomainError,
     NonConvergence,
     RecoveredFactor,
+    check_compatibility,
     eval_expr,
     integrate_phi,
     integrate_phi_path,
@@ -22,6 +24,8 @@ from helpers import (
     drift_doc,
     fd_gradient,
     flat_doc,
+    one_degenerate_sample_doc,
+    rank_one_doc,
     rescaled_flat_doc,
     round_trip_doc,
 )
@@ -150,6 +154,20 @@ def test_verify_recovery_rejects_a_sample_count_that_is_not_a_positive_int(sampl
     scn = load_scenario(flat_doc(2, samples=6))
     with pytest.raises(ValueError, match="sample count must be positive"):
         verify_recovery(scn, (0.0, 0.0), samples=samples)
+
+
+def test_verify_recovery_skips_a_degenerate_sample_as_check_does():
+    scn = load_scenario(one_degenerate_sample_doc()[0])
+    assert check_compatibility(scn).verdict == "compatible"
+    result = verify_recovery(scn, (0.5, 0.5))
+    assert result.passed and result.max_deviation == 0.0 and result.samples == 150
+
+
+def test_verify_recovery_is_fatal_on_degenerate_samples_as_check_is():
+    scn = load_scenario(rank_one_doc())
+    for call in (lambda: check_compatibility(scn), lambda: verify_recovery(scn, (0.5, 0.5))):
+        with pytest.raises(DegenerateMetric, match="; 1 of 30 sample points degenerate"):
+            call()
 
 
 def test_quadrature_nonconvergence_is_reported():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ def test_explicit_gamma_symmetry_checked():
     scn = load_scenario(doc)
     assert isinstance(scn.connection, ExplicitRecipe)
     gamma = connection_at(scn, (0.3, 0.4), order=1)
-    assert gamma.components[0][0][1] is gamma.components[0][1][0]
+    for part in (gamma.jet.value, gamma.jet.gradient):
+        assert np.array_equal(part, np.swapaxes(part, 1, 2))
     assert gamma.values()[0, 0, 1] == 0.3
 
 
@@ -108,6 +110,69 @@ def test_schema_violations_have_paths():
         load_scenario(doc)
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario("{not json")
+
+
+_IDENTITY = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "key, value, path, message",
+    [
+        ("$", [], "$", "must be a JSON object"),
+        ("dimension", "2", "$.dimension", "must be an integer"),
+        ("coordinates", "x1", "$.coordinates", "must be an array"),
+        ("coordinates", ["x1"], "$.coordinates", "expected 2 coordinate names"),
+        ("coordinates", ["x1", "2x"], "$.coordinates[1]", "must be identifiers"),
+        ("coordinates", ["x1", "x1"], "$.coordinates[1]", "duplicate coordinate name"),
+        ("box", [], "$.box", "must be an object"),
+        ("metric", None, "$", "missing 'metric'"),
+        ("metric", "1", "$.metric", "expected an array of rows"),
+        ("metric", [5, ["0", "1"]], "$.metric[0]", "expected an array of entries"),
+        ("metric", [["1", "0", "0"], ["0", "1"]], "$.metric[0]", "upper-triangle entries"),
+        ("metric", [[None, "0"], ["0", "1"]], "$.metric[0][0]", "below the diagonal"),
+        ("metric", [[1, "0"], ["0", "1"]], "$.metric[0][0]", "expected an expression"),
+        ("metric", [["1 +", "0"], ["0", "1"]], "$.metric[0][0]", "byte offset"),
+        ("connection", None, "$", "missing 'connection'"),
+        ("connection", "levi_civita", "$.connection", "expected a connection object"),
+        ("connection", {"kind": "levi_civita"}, "$.connection", "missing 'metric'"),
+        ("connection", {"kind": "explicit", "gamma": []}, "$.connection", "'gamma' must be"),
+        ("connection", {"kind": "modified_s", "metric": _IDENTITY}, "$.connection", "or 's'"),
+        (
+            "connection",
+            {"kind": "modified_s", "metric": _IDENTITY, "s": "x1"},
+            "$.connection.s",
+            "expected an array of expression strings",
+        ),
+        (
+            "connection",
+            {"kind": "modified_s", "metric": _IDENTITY, "s": ["0"]},
+            "$.connection.s",
+            "expected 2 entries, got 1",
+        ),
+        (
+            "connection",
+            {"kind": "projective_transform", "psi": ["0", "0"]},
+            "$.connection",
+            "missing 'base' or 'psi'",
+        ),
+        ("connection", {"kind": "affine"}, "$.connection", "unknown connection kind"),
+        ("tolerances", [], "$.tolerances", "must be an object"),
+        ("samples", 0, "$.samples", "must be a positive integer"),
+        ("seed", 1.5, "$.seed", "must be an integer"),
+        ("name", 3, "$.name", "must be a string"),
+    ],
+)
+def test_each_schema_violation_names_its_path(key, value, path, message):
+    doc = flat_doc(2)
+    if key == "$":
+        doc = value
+    elif value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ScenarioError, match=re.escape(message)) as excinfo:
+        load_scenario(doc)
+    assert excinfo.value.path == path
 
 
 def test_load_from_text_and_path(tmp_path):
