@@ -34,7 +34,6 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .expressions import (
-    differentiate,
     eval_expr,
     parse_expression,
     print_expression,
@@ -85,7 +84,6 @@ __all__ = [
     "parse_expression",
     "print_expression",
     "eval_expr",
-    "differentiate",
     # scenario
     "Scenario",
     "Tolerances",

@@ -27,14 +27,7 @@ from . import __version__
 from .compatibility import CompatReport, check_compatibility
 from .cone import reconstruct_conformal
 from .errors import ConprojError, NonGenericConfiguration
-from .expressions import (
-    differentiate,
-    fold_add,
-    fold_mul,
-    parse_expression,
-    print_expression,
-    symbolic_inverse,
-)
+from .expressions import parse_expression
 from .recovery import RecoveredFactor, verify_recovery
 from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, Scenario, load_scenario
 
@@ -107,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--s", help="comma-separated drift components S^i")
     group.add_argument(
         "--s-grad",
-        help="potential f; uses S^i = g^{ij} d_j f, which always yields a "
-        "compatible scenario",
+        help="potential f; writes it as the drift's 'potential', so S^i = "
+        "g^{ij} d_j f and the scenario is compatible in any dimension",
     )
     gen.add_argument("--out", type=Path)
     gen.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -295,7 +288,8 @@ def _resolve_metric(spec: str):
 
 def _cmd_gen_example(args) -> int:
     n, coords, metric_rows, box = _resolve_metric(args.metric)
-    probe = load_scenario(
+    # the metric's own errors come before those of the drift
+    load_scenario(
         {
             "dimension": n,
             "coordinates": list(coords),
@@ -310,24 +304,18 @@ def _cmd_gen_example(args) -> int:
             raise ConprojError(f"--s must provide {n} components")
         for entry in s_exprs:
             parse_expression(entry, coords)
+        key, drift = "s", s_exprs
     else:
         # S^i = g^{ij} d_j f makes the lowered drift one-form exact, so the
         # generated scenario is compatible by construction.
-        potential = parse_expression(args.s_grad, coords)
-        inverse = symbolic_inverse(probe.metric)
-        s_exprs = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                term = fold_mul(inverse[i][j], differentiate(potential, j))
-                acc = term if acc is None else fold_add(acc, term)
-            s_exprs.append(print_expression(acc))
+        parse_expression(args.s_grad, coords)
+        key, drift = "potential", args.s_grad
     document = {
         "dimension": n,
         "coordinates": list(coords),
         "box": box,
         "metric": metric_rows,
-        "connection": {"kind": "modified_s", "metric": metric_rows, "s": s_exprs},
+        "connection": {"kind": "modified_s", "metric": metric_rows, key: drift},
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -336,7 +324,7 @@ def _cmd_gen_example(args) -> int:
         document,
         args.out,
         args.quiet,
-        f"wrote a drift-connection scenario (dimension {n}, s = {s_exprs})",
+        f"wrote a drift-connection scenario (dimension {n}, {key} = {drift})",
     )
     return 0
 

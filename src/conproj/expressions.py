@@ -41,8 +41,6 @@ __all__ = [
     "print_expression",
     "eval_expr",
     "Evaluator",
-    "differentiate",
-    "symbolic_inverse",
 ]
 
 
@@ -281,204 +279,13 @@ def print_expression(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# -- symbolic differentiation --------------------------------------------
-# Used to derive drift fields from potentials; folds the obvious constants
-# so generated sources stay readable.
-
-
-def _lit(v: float) -> Literal:
-    return Literal(float(v))
-
-
-def _as_literal(e: Expr) -> Expr:
-    if isinstance(e, Neg) and isinstance(e.operand, Literal):
-        return _lit(-e.operand.value)
-    return e
-
-
-def _is_lit(e, v=None) -> bool:
-    return isinstance(e, Literal) and (v is None or e.value == v)
-
-
-def _fold_neg(e: Expr) -> Expr:
-    e = _as_literal(e)
-    if isinstance(e, Literal):
-        return _lit(-e.value)
-    if isinstance(e, Neg):
-        return e.operand
-    return Neg(e)
-
-
-def _fold_add(a: Expr, b: Expr) -> Expr:
-    a = _as_literal(a)
-    b = _as_literal(b)
-    if _is_lit(a) and _is_lit(b) and math.isfinite(a.value + b.value):
-        return _lit(a.value + b.value)
-    if _is_lit(a, 0.0):
-        return b
-    if _is_lit(b, 0.0):
-        return a
-    return Binary("+", a, b)
-
-
-def _fold_sub(a: Expr, b: Expr) -> Expr:
-    a = _as_literal(a)
-    b = _as_literal(b)
-    if _is_lit(a) and _is_lit(b) and math.isfinite(a.value - b.value):
-        return _lit(a.value - b.value)
-    if _is_lit(b, 0.0):
-        return a
-    if _is_lit(a, 0.0):
-        return _fold_neg(b)
-    return Binary("-", a, b)
-
-
-def _fold_mul(a: Expr, b: Expr) -> Expr:
-    a = _as_literal(a)
-    b = _as_literal(b)
-    if _is_lit(a, 0.0) or _is_lit(b, 0.0):
-        return _lit(0.0)
-    if _is_lit(a) and _is_lit(b) and math.isfinite(a.value * b.value):
-        return _lit(a.value * b.value)
-    if _is_lit(a, 1.0):
-        return b
-    if _is_lit(b, 1.0):
-        return a
-    return Binary("*", a, b)
-
-
-def _fold_div(a: Expr, b: Expr) -> Expr:
-    a = _as_literal(a)
-    b = _as_literal(b)
-    if _is_lit(a, 0.0):
-        return _lit(0.0)
-    if _is_lit(b, 1.0):
-        return a
-    if _is_lit(a) and _is_lit(b) and b.value != 0.0:
-        q = a.value / b.value
-        if math.isfinite(q):
-            return _lit(q)
-    return Binary("/", a, b)
-
-
-def _fold_pow(base: Expr, c: float) -> Expr:
-    base = _as_literal(base)
-    if c == 0.0:
-        return _lit(1.0)
-    if c == 1.0:
-        return base
-    return Binary("^", base, _lit(c))
-
-
 def _literal_value(e: Expr):
+    """The number a literal or a negated literal stands for, else None."""
     if isinstance(e, Literal):
         return e.value
     if isinstance(e, Neg) and isinstance(e.operand, Literal):
         return -e.operand.value
     return None
-
-
-# Constant-folding constructors, public for code generators.
-fold_add = _fold_add
-fold_mul = _fold_mul
-
-
-_DERIVATIVE_RULES = {
-    "exp": lambda u, du: _fold_mul(Call("exp", u), du),
-    "log": lambda u, du: _fold_div(du, u),
-    "sin": lambda u, du: _fold_mul(Call("cos", u), du),
-    "cos": lambda u, du: _fold_neg(_fold_mul(Call("sin", u), du)),
-    "tan": lambda u, du: _fold_div(du, _fold_pow(Call("cos", u), 2.0)),
-    "sinh": lambda u, du: _fold_mul(Call("cosh", u), du),
-    "cosh": lambda u, du: _fold_mul(Call("sinh", u), du),
-    "tanh": lambda u, du: _fold_div(du, _fold_pow(Call("cosh", u), 2.0)),
-    "sqrt": lambda u, du: _fold_div(du, _fold_mul(_lit(2.0), Call("sqrt", u))),
-}
-
-
-def differentiate(e: Expr, index: int) -> Expr:
-    """Symbolic partial derivative with respect to coordinate ``index``."""
-    if isinstance(e, Literal):
-        return _lit(0.0)
-    if isinstance(e, Variable):
-        return _lit(1.0 if e.index == index else 0.0)
-    if isinstance(e, Neg):
-        return _fold_neg(differentiate(e.operand, index))
-    if isinstance(e, Binary):
-        dl = differentiate(e.left, index)
-        dr = differentiate(e.right, index)
-        if e.op == "+":
-            return _fold_add(dl, dr)
-        if e.op == "-":
-            return _fold_sub(dl, dr)
-        if e.op == "*":
-            return _fold_add(_fold_mul(dl, e.right), _fold_mul(e.left, dr))
-        if e.op == "/":
-            return _fold_sub(
-                _fold_div(dl, e.right),
-                _fold_div(_fold_mul(e.left, dr), _fold_pow(e.right, 2.0)),
-            )
-        if e.op == "^":
-            c = _literal_value(e.right)
-            if c is not None:
-                return _fold_mul(
-                    _fold_mul(_lit(c), _fold_pow(e.left, c - 1.0)), dl
-                )
-            # u^v -> u^v * (dv*log(u) + v*du/u)
-            return _fold_mul(
-                e,
-                _fold_add(
-                    _fold_mul(dr, Call("log", e.left)),
-                    _fold_div(_fold_mul(e.right, dl), e.left),
-                ),
-            )
-        raise ValueError(f"unknown operator '{e.op}'")
-    if isinstance(e, Call):
-        rule = _DERIVATIVE_RULES[e.func]
-        return rule(e.arg, differentiate(e.arg, index))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _sym_det(rows) -> Expr:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [
-            [rows[r][c] for c in range(n) if c != j] for r in range(1, n)
-        ]
-        term = _fold_mul(rows[0][j], _sym_det(minor))
-        if j % 2 == 1:
-            term = _fold_neg(term)
-        acc = term if acc is None else _fold_add(acc, term)
-    return acc
-
-
-def symbolic_inverse(matrix) -> list:
-    """Adjugate-over-determinant inverse of a matrix of expression trees.
-
-    Intended for small charts; refuses dimensions above 4 where the
-    cofactor expansion stops being a sensible source-code generator.
-    """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if n > 4:
-        raise ValueError("symbolic inverse supported up to dimension 4")
-    det = _sym_det(rows)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _sym_det(minor) if minor else _lit(1.0)
-            if (i + j) % 2 == 1:
-                cof = _fold_neg(cof)
-            out[i][j] = _fold_div(cof, det)
-    return out
 
 
 # -- evaluation -----------------------------------------------------------

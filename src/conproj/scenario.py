@@ -20,7 +20,9 @@ with shortened rows holding only the columns from the diagonal onward;
 entries present on both sides of the diagonal must parse to identical
 trees.  Connection kinds: ``levi_civita``, ``explicit``, ``modified_s``
 (Levi-Civita of its metric minus S^i g_jk) and ``projective_transform``
-of a base recipe by a one-form.
+of a base recipe by a one-form.  A ``modified_s`` recipe gives exactly one
+of ``"s"``, the components S^i, and ``"potential"``, an expression f whose
+gradient S^i = g^{ij} d_j f makes the recipe compatible in any dimension.
 """
 
 from __future__ import annotations
@@ -97,8 +99,11 @@ class ExplicitRecipe:
 
 @dataclass(frozen=True)
 class ModifiedSRecipe:
+    """Drift components ``s``, or a ``potential`` f with S^i = g^{ij} d_j f."""
+
     metric: tuple
-    s: tuple
+    s: tuple | None = None
+    potential: ex.Expr | None = None
 
 
 @dataclass(frozen=True)
@@ -219,13 +224,16 @@ def _load_recipe(doc, coords, n: int, path: str) -> ConnectionRecipe:
         )
         return ExplicitRecipe(gamma)
     if kind == "modified_s":
-        _check_keys(doc, {"kind", "metric", "s"}, path)
-        if "metric" not in doc or "s" not in doc:
+        _check_keys(doc, {"kind", "metric", "s", "potential"}, path)
+        if "metric" not in doc or ("s" not in doc and "potential" not in doc):
             raise ScenarioError("missing 'metric' or 's'", path)
-        return ModifiedSRecipe(
-            _load_symmetric_matrix(doc["metric"], coords, n, f"{path}.metric"),
-            _load_vector(doc["s"], coords, n, f"{path}.s"),
-        )
+        if "s" in doc and "potential" in doc:
+            raise ScenarioError("give either 's' or 'potential', not both", path)
+        metric = _load_symmetric_matrix(doc["metric"], coords, n, f"{path}.metric")
+        if "potential" in doc:
+            potential = _parse_entry(doc["potential"], coords, f"{path}.potential")
+            return ModifiedSRecipe(metric, potential=potential)
+        return ModifiedSRecipe(metric, _load_vector(doc["s"], coords, n, f"{path}.s"))
     if kind == "projective_transform":
         _check_keys(doc, {"kind", "base", "psi"}, path)
         if "base" not in doc or "psi" not in doc:
@@ -419,8 +427,13 @@ def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
         return symmetric_jet(recipe.gamma, ev, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
         g = symmetric_jet(recipe.metric, ev, order + 1, 2)
-        base = levi_civita(g, inverse_at(ev, jets.truncate(g, order), rank_tol))
-        s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
+        ginv = inverse_at(ev, jets.truncate(g, order), rank_tol)
+        base = levi_civita(g, ginv)
+        if recipe.potential is None:
+            s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
+        else:
+            df = jets.derivative(ev.jet(recipe.potential, order + 1))
+            s = jets.einsum("ij,j->i", ginv, df)
         return jets.sub(base, jets.einsum("i,jk->ijk", s, g), False)
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = _eval_recipe(recipe.base, ev, order, rank_tol)

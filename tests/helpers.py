@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from conproj import load_scenario, metric_at, sample_points
@@ -262,3 +264,13 @@ def rank_one_doc():
     doc["metric"] = [["1", "x1"], [None, "x1^2"]]
     doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
     return doc
+
+
+def split_metric_file(directory):
+    """A ``gen-example`` metric file for a 5-d metric of signature (2, 3)
+    with one non-constant entry.  Returns its path."""
+    diagonal = ["-1", "-1", "1", "1", "1 + 0.1*x1^2"]
+    rows = [[diagonal[i] if i == j else "0" for j in range(5)] for i in range(5)]
+    path = directory / "split5.json"
+    path.write_text(json.dumps({"dimension": 5, "metric": rows}), encoding="utf-8")
+    return path

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conproj.cli import main
-from helpers import drift_doc, flat_doc, one_degenerate_sample_doc, round_trip_doc
+from helpers import (
+    drift_doc,
+    flat_doc,
+    one_degenerate_sample_doc,
+    round_trip_doc,
+    split_metric_file,
+)
 
 
 @pytest.fixture()
@@ -185,20 +191,17 @@ def test_gen_example_drift_family(tmp_path):
 
 def test_gen_example_gradient_drift_is_compatible(tmp_path):
     out = tmp_path / "gen.json"
-    code = main(
-        [
-            "gen-example",
-            "--metric",
-            "euclidean2",
-            "--s-grad",
-            "0.3*x1*x2",
-            "--out",
-            str(out),
-            "--quiet",
-        ]
-    )
-    assert code == 0
-    assert main(["check", str(out), "--samples", "20", "--quiet"]) == 0
+    inputs = [
+        ("euclidean2", "0.3*x1*x2"),
+        (str(split_metric_file(tmp_path)), "0.3*x1*x2 - 0.2*x5^2 + sin(x3)*x4"),
+    ]
+    for metric, potential in inputs:
+        code = main(
+            ["gen-example", "--metric", metric, "--s-grad", potential, "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        assert read_json(out)["connection"]["potential"] == potential
+        assert main(["check", str(out), "--samples", "20", "--quiet"]) == 0
 
 
 def test_gen_example_zero_drift_trivially_compatible(tmp_path):
@@ -232,6 +235,17 @@ def test_gen_example_from_metric_file(tmp_path):
     assert doc["coordinates"] == ["u", "v"]
     assert doc["box"]["max"] == [2, 2]
     assert main(["check", str(out), "--samples", "15", "--quiet"]) in (0, 2)
+
+    # the non-gradient twin of the 5-d gradient drift
+    split = split_metric_file(tmp_path)
+    code = main(
+        ["gen-example", "--metric", str(split), "--s", "0,0,0,0,x2", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    report = tmp_path / "r.json"
+    assert main(["check", str(out), "--samples", "15", "--out", str(report), "--quiet"]) == 2
+    assert read_json(report)["verdict"] == "fails_B"
+    assert read_json(report)["eps"] == "holds"
 
 
 def test_tolerance_flag_changes_verdict(tmp_path, drift_file):

@@ -237,6 +237,11 @@ def test_eps_residual_cases():
 
     with pytest.raises(ValueError):
         eps_residual(g2, gamma2, np.zeros(2))
+    with pytest.raises(ValueError, match="metric jets of order >= 1"):
+        eps_residual(MetricValue(Jet(2, 0, np.diag([-1.0, 1.0]))), gamma2, u)
+    for bad in (np.zeros(2), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="nonzero 1-d array"):
+            NullVector(point=None, u=bad)
 
 
 def test_check_round_trip_scenario_compatible():

@@ -12,7 +12,6 @@ from conproj import (
     UnknownFunctionError,
     UnknownIdentifierError,
     eval_expr,
-    differentiate,
     parse_expression,
     print_expression,
 )
@@ -116,6 +115,8 @@ def test_order_zero_value_equals_order_two_value():
         tree = parse_expression(src, COORDS)
         p = rng.uniform(-1, 1, size=2)
         assert eval_expr(tree, p, 0).value == eval_expr(tree, p, 2).value
+    with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
+        eval_expr(tree, p, 3)
 
 
 def test_print_round_trip_on_sources():
@@ -176,28 +177,3 @@ def test_parser_fuzz_grammar_alphabet(src):
     except DomainError:
         pass
 
-
-def test_symbolic_differentiate_matches_jets():
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        src = random_expression(rng, COORDS)
-        tree = parse_expression(src, COORDS)
-        p = rng.uniform(-1, 1, size=2)
-        try:
-            jet = eval_expr(tree, p, order=1)
-        except DomainError:
-            continue
-        for axis in range(2):
-            derived = differentiate(tree, axis)
-            assert math.isclose(
-                eval_expr(derived, p, 0).value,
-                float(jet.gradient[axis]),
-                rel_tol=1e-10,
-                abs_tol=1e-10,
-            )
-
-
-def test_differentiate_folds_constants():
-    tree = parse_expression("1 + 0*x", COORDS)
-    assert differentiate(tree, 0) == Literal(0.0)
-    assert print_expression(differentiate(parse_expression("x^2", COORDS), 0)) == "2.0*x"

@@ -10,6 +10,7 @@ from conproj import (
     MetricValue,
     ObstructionData,
     OneFormValue,
+    ThomasValue,
     christoffel,
     conformal_rescale_metric,
     connection_at,
@@ -135,6 +136,8 @@ def test_christoffel_flat():
     gamma = christoffel(g)
     assert gamma.order == 1
     assert not gamma.values().any()
+    with pytest.raises(ValueError, match="order >= 1"):
+        christoffel(MetricValue(jet_matrix([[1, 0], [0, 1]], 2, order=0)))
 
 
 def test_christoffel_round_sphere():
@@ -191,6 +194,8 @@ def test_conformal_rescale_identity_and_gradient():
 
     back = conformal_rescale_metric(scaled, -phi)
     assert_componentwise_close(back.values(), np.eye(2), 1e-14)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conformal_rescale_metric(g, constant(0.0, 3))
 
 
 def test_rescaled_connection_flat_example():
@@ -206,6 +211,10 @@ def test_rescaled_connection_flat_example():
 
     const = rescaled_connection(g, constant(3.0, 2))
     assert not const.values().any()
+    with pytest.raises(ValueError, match="order >= 1"):
+        rescaled_connection(g, constant(3.0, 2, order=0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rescaled_connection(g, constant(3.0, 3))
 
 
 def test_rescaled_connection_cross_validates_with_rescale_then_christoffel():
@@ -241,11 +250,17 @@ def test_projective_transform_values_and_symmetry():
 
     unchanged = projective_transform(zero, OneFormValue(Jet(2, 1, np.zeros(2))))
     assert not unchanged.values().any()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        projective_transform(zero, OneFormValue(Jet(3, 1, np.zeros(3))))
 
 
 def test_thomas_symbol_laws():
     zero = ConnectionValue(Jet(2, 1, np.zeros((2, 2, 2))))
     assert not thomas_symbol(zero).components.any()
+    with pytest.raises(ValueError, match=r"n\*n\*n array"):
+        ThomasValue(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="trace-free invariant violated"):
+        ThomasValue(np.ones((2, 2, 2)))
 
     psi = OneFormValue(Jet(2, 1, [1.0, 0.0]))
     shifted = projective_transform(zero, psi)

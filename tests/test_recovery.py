@@ -62,6 +62,8 @@ def test_integrate_phi_rejects_points_outside_box():
         integrate_phi(scn, (0, 0), (2.0, 0.0))
     with pytest.raises(ValueError):
         RecoveredFactor(scn, (1.5, 0.0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RecoveredFactor(scn, (0.0, 0.0, 0.0))
 
 
 def test_gradient_by_finite_differences():
@@ -85,6 +87,8 @@ def test_path_independence_when_closed():
     corner = (target[0], base[1])
     polyline = integrate_phi_path(scn, [base, corner, target])
     assert abs(straight - polyline) <= 1e-9
+    with pytest.raises(ValueError, match="at least two waypoints"):
+        integrate_phi_path(scn, [base])
 
 
 def test_base_change_shifts_by_constant():

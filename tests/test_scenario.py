@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ def test_drift_scenario_loads():
     assert isinstance(scn.connection, ModifiedSRecipe)
     g = metric_at(scn, (0.0, 0.0, 0.0), 0)
     assert g.values().tolist() == [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="point has 2 coordinates, scenario has 3"):
+        metric_at(scn, (0.0, 0.0), 0)
 
 
 def test_dimension_one_rejected():
@@ -160,6 +163,24 @@ _IDENTITY = [["1", "0"], ["0", "1"]]
         ("samples", 0, "$.samples", "must be a positive integer"),
         ("seed", 1.5, "$.seed", "must be an integer"),
         ("name", 3, "$.name", "must be a string"),
+        (
+            "connection",
+            {"kind": "modified_s", "metric": _IDENTITY, "s": ["0", "0"], "potential": "x1"},
+            "$.connection",
+            "not both",
+        ),
+        (
+            "connection",
+            {"kind": "modified_s", "metric": _IDENTITY, "potential": ["x1"]},
+            "$.connection.potential",
+            "expected an expression string",
+        ),
+        (
+            "connection",
+            {"kind": "modified_s", "metric": _IDENTITY, "potential": "x1 *"},
+            "$.connection.potential",
+            "byte offset",
+        ),
     ],
 )
 def test_each_schema_violation_names_its_path(key, value, path, message):
@@ -208,6 +229,10 @@ def test_connection_recipes_compose():
     assert vals[0, 0, 0] == 2.0
     assert vals[1, 0, 1] == 1.0 and vals[1, 1, 0] == 1.0
     assert vals[0, 1, 1] == 0.0
+    with pytest.raises(ValueError, match="order 0 or 1"):
+        connection_at(scn, (0.0, 0.0), order=2)
+    with pytest.raises(TypeError, match="unknown connection recipe"):
+        connection_at(replace(scn, connection=object()), (0.0, 0.0))
 
 
 def test_sigma_field_and_transforms():
@@ -219,6 +244,8 @@ def test_sigma_field_and_transforms():
     shifted = with_projective_shift(scn, ["1", "0"])
     vals = connection_at(shifted, (0.0, 0.0), order=0).values()
     assert vals[0, 0, 0] == 2.0
+    with pytest.raises(ValueError, match="component count must match"):
+        with_projective_shift(scn, ["1"])
 
 
 @pytest.mark.parametrize("key", ["residual", "rank", "quadrature"])

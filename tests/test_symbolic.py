@@ -23,6 +23,7 @@ from conproj.scenario import (  # noqa: E402
     ModifiedSRecipe,
     ProjectiveTransformRecipe,
 )
+from helpers import split_metric_file  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _OPS = {
@@ -85,7 +86,11 @@ def connection(recipe, xs):
     if isinstance(recipe, ModifiedSRecipe):
         g = matrix(recipe.metric, xs)
         base = levi_civita(g, xs)
-        s = [to_sympy(e, xs) for e in recipe.s]
+        if recipe.potential is None:
+            s = [to_sympy(e, xs) for e in recipe.s]
+        else:
+            f = to_sympy(recipe.potential, xs)
+            s = list(inverse(g) * sympy.Matrix([sympy.diff(f, x) for x in xs]))
         return tensor(n, lambda i, j, k: base[i][j][k] - s[i] * g[j, k])
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = connection(recipe.base, xs)
@@ -126,9 +131,9 @@ def flat(nested):
     return [x for row in nested for x in (flat(row) if isinstance(row, list) else [row])]
 
 
-def gradient_drift_scenario(tmp_path):
+def gradient_drift_scenario(tmp_path, metric, potential):
     out = tmp_path / "grad.json"
-    argv = ["gen-example", "--metric", "minkowski3", "--s-grad", "0.3*x1*x2 - 0.2*x3^2"]
+    argv = ["gen-example", "--metric", metric, "--s-grad", potential]
     assert main(argv + ["--samples", "5", "--out", str(out), "--quiet"]) == 0
     return load_scenario(json.loads(out.read_text(encoding="utf-8")))
 
@@ -140,13 +145,19 @@ def vanishes(expr) -> bool:
 
 @pytest.fixture(scope="module")
 def cases(tmp_path_factory):
-    """(scenario, symbols, A, B) for the bundled scenarios and a
-    ``gen-example --s-grad`` output."""
+    """(scenario, symbols, A, B) for the bundled scenarios and two
+    ``gen-example --s-grad`` outputs, at n = 3 and on a 5-d split metric."""
     scenarios = {
         name: load_scenario_path(SCENARIOS / f"{name}.json")
         for name in ("flat_euclidean_2d", "rescaled_shift_2d", "drift_lorentzian_3d")
     }
-    scenarios["gen_example_s_grad"] = gradient_drift_scenario(tmp_path_factory.mktemp("gen"))
+    tmp = tmp_path_factory.mktemp("gen")
+    scenarios["gen_example_s_grad"] = gradient_drift_scenario(
+        tmp, "minkowski3", "0.3*x1*x2 - 0.2*x3^2"
+    )
+    scenarios["gen_example_s_grad_5d"] = gradient_drift_scenario(
+        tmp, str(split_metric_file(tmp)), "0.3*x1*x2 - 0.2*x5^2 + sin(x3)*x4"
+    )
     return {name: (scn, *obstructions(scn)) for name, scn in scenarios.items()}
 
 
@@ -163,7 +174,12 @@ def test_numeric_obstructions_match_exact_ones(cases):
 
 
 def test_exact_obstructions_vanish_exactly_when_compatible(cases):
-    for name in ("flat_euclidean_2d", "rescaled_shift_2d", "gen_example_s_grad"):
+    for name in (
+        "flat_euclidean_2d",
+        "rescaled_shift_2d",
+        "gen_example_s_grad",
+        "gen_example_s_grad_5d",
+    ):
         _, _, A, B = cases[name]
         assert all(vanishes(x) for x in flat(A) + flat(B)), name
 
