@@ -41,8 +41,7 @@ from .scenario import (
     Tolerances,
     _check_point,
     connection_jet,
-    inverse_at,
-    symmetric_jet,
+    metric_geometry,
 )
 
 __all__ = [
@@ -130,10 +129,11 @@ class CompatReport:
 def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
     """Metric (order ``order + 1``), inverse (order ``order``), connection,
     Levi-Civita connection, trace-free difference T and its traces T^i, T_i."""
-    g = symmetric_jet(scenario.metric, ev, order + 1, 2)
+    for i, row in enumerate(scenario.metric):  # the entries' errors come before the recipe's
+        for entry in row[i:]:
+            ev.jet(entry, order + 1)
     gamma = connection_jet(scenario, ev, order)
-    ginv = inverse_at(ev, jets.truncate(g, order), scenario.tolerances.rank)
-    base = levi_civita(g, ginv)
+    g, ginv, base = metric_geometry(scenario.metric, ev, order, scenario.tolerances.rank)
     T = tracefree(jets.sub(base, gamma, False))
     up, down = _traces(g, ginv, T)
     return g, ginv, gamma, base, T, up, down
@@ -285,42 +285,72 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
 
 
-def _point_figures(obs: ObstructionData, points, states, scenario: Scenario, bad=False):
-    """Lists over the ``points`` of an obstruction stack (or one point): A, B, scale,
-    EPS over its 2n null vectors, whether it has them and its null-cone error or None."""
+def _point_figures(scenario: Scenario, ev: Evaluator, states: np.ndarray) -> list:
+    """A, B, scale, EPS over 2n null vectors drawn from ``states`` (NaN without them) and
+    whether there are any, at each of the evaluator's points; flags failed null cones."""
+    obs = _obstructions(scenario, ev)
     n, scale = obs.metric.n, np.reshape(obs.scale, -1)
     values = np.reshape(obs.metric.jet.value, (-1, n, n))
-    values = np.where(np.reshape(bad, (-1, 1, 1)), np.eye(n), values)
+    values = np.where(np.reshape(ev.bad, (-1, 1, 1)), np.eye(n), values)
+    points = list(map(tuple, np.reshape(ev.points, (-1, n)).tolist()))
     u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, points)
+    ev.flag(np.reshape([f is not None for f in fails], ev.shape), lambda: next(filter(None, fails)))
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
     a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
-    return a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist(), fails
+    return [a, b, scale, eps, has]
 
 
-def _error_alone(run, point) -> ConprojError:
-    """The error of a point that failed in a batch, from ``run()`` evaluating it alone."""
-    try:
-        run()
-    except ConprojError as err:
-        return err
-    raise ConprojError(f"point {point} failed in a batch but not alone")
+def _batched(points: np.ndarray, at, *rows):
+    """The arrays ``at(ev, *rows)`` over a stack of points, at most ``CHUNK_POINTS``
+    per evaluator (an empty stack still runs one, for the shapes) with the per-point
+    ``rows`` sliced to match, and the index and error of each failing point in index
+    order.  Points are evaluated leniently; the errors come lazily from re-running
+    each failing point alone, as a one-point call raises them."""
+    parts, bad = [], []
+    for start in range(0, max(len(points), 1), CHUNK_POINTS):
+        chunk = slice(start, start + CHUNK_POINTS)
+        ev = Evaluator(points[chunk])
+        with np.errstate(all="ignore"):
+            parts.append(at(ev, *(row[chunk] for row in rows)))
+        bad.extend((start + np.flatnonzero(ev.bad)).tolist())
+
+    def errors():
+        for i in bad:
+            try:
+                at(Evaluator(points[i]), *(row[i : i + 1] for row in rows))
+            except ConprojError as err:
+                yield i, err
+            else:
+                point = tuple(points[i].tolist())
+                raise ConprojError(f"point {point} failed in a batch but not alone")
+
+    return [np.concatenate(column) for column in zip(*parts)], errors()
 
 
-def _skipped(point, failure, skipped: list, count: int) -> bool:
-    """The one rule for a sample point that failed with ``failure`` (or None):
-    a degenerate metric is skipped, with its point and det put on ``skipped``,
-    as long as the skipped points stay under 1% of the ``count`` samples;
-    beyond that, and on any other failure, it raises."""
-    if failure is None:
-        return False
-    if not isinstance(failure, DegenerateMetric):
-        raise failure
-    skipped.append((point, failure.det))
-    if len(skipped) * 100 >= count:
-        detail = f"{len(skipped)} of {count} sample points degenerate"
-        raise DegenerateMetric(failure.det, point=point, detail=detail) from failure
-    return True
+def _strict(values: list, errors) -> list:
+    """The values of :func:`_batched`, or its first error raised."""
+    for _, error in errors:
+        raise error
+    return values
+
+
+def _skipped(points: np.ndarray, errors):
+    """The one rule for sample ``points`` that failed with the ``errors`` of
+    :func:`_batched`: a degenerate metric is skipped while the skipped points stay
+    under 1% of the samples; beyond that, and on any other failure, it raises.
+    Returns the mask of points kept and the skipped points with their dets."""
+    keep, skipped = np.ones(len(points), dtype=bool), []
+    for i, failure in errors:
+        if not isinstance(failure, DegenerateMetric):
+            raise failure
+        point = tuple(points[i].tolist())
+        skipped.append((point, failure.det))
+        if len(skipped) * 100 >= len(points):
+            detail = f"{len(skipped)} of {len(points)} sample points degenerate"
+            raise DegenerateMetric(failure.det, point=point, detail=detail) from failure
+        keep[i] = False
+    return keep, tuple(skipped)
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
@@ -336,33 +366,23 @@ def check_compatibility(
 ) -> CompatReport:
     """Sample the box and aggregate the obstruction and EPS residuals.
 
-    The obstructions, null vectors and EPS of up to ``CHUNK_POINTS`` points
-    are evaluated at once; each point's own stream goes on into its
-    null-vector draws.  A point whose evaluation fails is re-run alone, so
-    the first failure in sample order raises as at that point alone.
-    Points where the metric degenerates are skipped and reported as long as
-    they stay under 1% of the samples; beyond that the degeneracy is fatal.
-    Per-point residuals are scale-normalized before aggregation.
+    Obstructions, null vectors and EPS go through the chunked loop that
+    recovery shares; each point's own stream goes on into its null-vector
+    draws.  A point whose evaluation fails is re-run alone, so the first
+    failure in sample order raises as at that point alone.  Points where the
+    metric degenerates are skipped and reported while they stay under 1% of
+    the samples; beyond that the degeneracy is fatal.  Per-point residuals
+    are scale-normalized before aggregation.
     """
     count = scenario.samples if samples is None else samples
     seed_val = scenario.seed if seed is None else seed
     tol = scenario.tolerances.residual
     points, states = draw_points(seed_val, count, scenario.box_min, scenario.box_max)
 
-    per_point = []
-    skipped = []
-
-    for start in range(0, count, CHUNK_POINTS):
-        ev = Evaluator(points[start : start + CHUNK_POINTS])
-        chunk = list(map(tuple, ev.points.tolist()))
-        with np.errstate(all="ignore"):
-            batch = _obstructions(scenario, ev)
-            figures = _point_figures(batch, chunk, states[start:], scenario, ev.bad)
-        for point, bad, a, b, scale, eps, has, failure in zip(chunk, ev.bad.tolist(), *figures):
-            if bad:
-                failure = _error_alone(lambda: obstruction_at(scenario, point), point)
-            if not _skipped(point, failure, skipped, count):
-                per_point.append(PointSummary(point, a, b, eps if has else None, scale))
+    figures, errors = _batched(points, lambda ev, st: _point_figures(scenario, ev, st), states)
+    keep, skipped = _skipped(points, errors)
+    kept = zip(*(x[keep].tolist() for x in (points, *figures)))
+    per_point = [PointSummary(tuple(p), a, b, e if h else None, s) for p, a, b, s, e, h in kept]
 
     eps_values = [s.eps for s in per_point if s.eps is not None]
     max_eps = max(eps_values, default=None)
@@ -402,5 +422,5 @@ def check_compatibility(
         null_vectors=total_nulls,
         per_point=tuple(per_point),
         worst=worst,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )

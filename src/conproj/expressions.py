@@ -298,7 +298,8 @@ class Evaluator:
 
     Evaluation is recursive and strictly left-to-right.  Each distinct
     subtree is evaluated once per evaluator, so a tree that recurs across
-    or inside the entries of a scenario costs nothing more.  A one-point
+    or inside the entries of a scenario costs nothing more; the same memo
+    keeps each metric's ``scenario.metric_geometry``.  A one-point
     evaluator is strict: it raises :class:`DomainError` at the first
     failure, tagged with the innermost failing subexpression and the point.
     A stack of points is evaluated leniently: the failing points are marked

@@ -6,7 +6,8 @@ log-conformal factor phi with phi(base) = 0; the shared metric is then
 g * exp(2*phi), unique up to the constant fixed by the normalization.
 Integrals use adaptive composite 8-node Gauss-Legendre quadrature, refined
 breadth-first: each level bisects every unsettled segment of every
-integral of a call and evaluates all their nodes as one batch.
+integral of a call and evaluates all their nodes as one batch.  Batches
+run through the chunked loop of ``check_compatibility``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .compatibility import CHUNK_POINTS, _error_alone, _skipped, _trace_form
+from .compatibility import _batched, _skipped, _strict, _trace_form
 from .errors import NonConvergence
-from .expressions import Evaluator
 from .geometry import MetricValue, tracefree
 from .jets import Jet
 from .scenario import Scenario, _check_point, sample_points, symmetric_jet
@@ -47,30 +47,6 @@ def _trace_values(scenario: Scenario, points: np.ndarray, order: int):
         return [g.value, ginv.value, T.value, down.value, down.gradient][: 4 + order]
 
     return _batched(points, at)
-
-
-def _batched(points: np.ndarray, at):
-    """The arrays ``at(ev)`` at a stack of points, at most ``CHUNK_POINTS``
-    per evaluator (an empty stack still runs one, for the shapes), and the
-    index and error of each failing point in index order.  Points are
-    evaluated leniently; the errors come lazily from re-running each failing
-    point alone, as a one-point call raises them."""
-    parts, bad = [], []
-    for start in range(0, max(len(points), 1), CHUNK_POINTS):
-        ev = Evaluator(points[start : start + CHUNK_POINTS])
-        with np.errstate(all="ignore"):
-            parts.append(at(ev))
-        bad.extend((start + np.flatnonzero(ev.bad)).tolist())
-    rows = ((i, tuple(points[i].tolist())) for i in bad)
-    errors = ((i, _error_alone(lambda: at(Evaluator(p)), p)) for i, p in rows)
-    return [np.concatenate(column) for column in zip(*parts)], errors
-
-
-def _strict(values: list, errors) -> list:
-    """The values of :func:`_batched`, or its first error raised."""
-    for _, error in errors:
-        raise error
-    return values
 
 
 def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
@@ -250,9 +226,7 @@ def verify_recovery(
     n = scenario.dimension
     points = np.reshape(sample_points(scenario, count, seed_val), (-1, n))
     (g, ginv, T, _), errors = _trace_values(scenario, points, 0)
-    keep, skipped = np.ones(len(points), dtype=bool), []
-    for i, error in errors:
-        keep[i] = not _skipped(tuple(points[i].tolist()), error, skipped, count)
+    keep, _ = _skipped(points, errors)
     g, ginv, T, points = g[keep], ginv[keep], T[keep], points[keep]
     dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
     rescaling = Jet(n, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))

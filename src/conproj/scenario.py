@@ -226,7 +226,7 @@ def _load_recipe(doc, coords, n: int, path: str) -> ConnectionRecipe:
     if kind == "modified_s":
         _check_keys(doc, {"kind", "metric", "s", "potential"}, path)
         if "metric" not in doc or ("s" not in doc and "potential" not in doc):
-            raise ScenarioError("missing 'metric' or 's'", path)
+            raise ScenarioError("missing 'metric', or 's' or 'potential'", path)
         if "s" in doc and "potential" in doc:
             raise ScenarioError("give either 's' or 'potential', not both", path)
         metric = _load_symmetric_matrix(doc["metric"], coords, n, f"{path}.metric")
@@ -405,11 +405,17 @@ def symmetric_jet(entries, ev: ex.Evaluator, order: int, rank: int) -> Jet:
     return jets.stack(flat, (ev.n,) * rank)
 
 
-def inverse_at(ev: ex.Evaluator, g: Jet, rank_tol: float) -> Jet:
-    """Inverse of a metric jet; degenerate points are flagged on ``ev``."""
-    ginv, det, degenerate = inverse(g, rank_tol)
-    ev.flag(degenerate, lambda: DegenerateMetric(det, point=ev.point))
-    return ginv
+def metric_geometry(entries, ev: ex.Evaluator, order: int, rank_tol: float):
+    """Metric ``entries`` at order ``order + 1``, its inverse and Levi-Civita connection at
+    ``order``; degenerate points are flagged on ``ev``.  Kept in ``ev``'s memo under the
+    entries and order, so a metric shared by scenario and recipe is built once per batch."""
+    key = (entries, order)
+    if key not in ev._memo:
+        g = symmetric_jet(entries, ev, order + 1, 2)
+        ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
+        ev.flag(degenerate, lambda: DegenerateMetric(det, point=ev.point))
+        ev._memo[key] = g, ginv, levi_civita(g, ginv)
+    return ev._memo[key]
 
 
 def connection_jet(scenario: Scenario, ev: ex.Evaluator, order: int) -> Jet:
@@ -421,14 +427,11 @@ def connection_jet(scenario: Scenario, ev: ex.Evaluator, order: int) -> Jet:
 def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
     n = ev.n
     if isinstance(recipe, LeviCivitaRecipe):
-        g = symmetric_jet(recipe.metric, ev, order + 1, 2)
-        return levi_civita(g, inverse_at(ev, jets.truncate(g, order), rank_tol))
+        return metric_geometry(recipe.metric, ev, order, rank_tol)[2]
     if isinstance(recipe, ExplicitRecipe):
         return symmetric_jet(recipe.gamma, ev, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
-        g = symmetric_jet(recipe.metric, ev, order + 1, 2)
-        ginv = inverse_at(ev, jets.truncate(g, order), rank_tol)
-        base = levi_civita(g, ginv)
+        g, ginv, base = metric_geometry(recipe.metric, ev, order, rank_tol)
         if recipe.potential is None:
             s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
         else:

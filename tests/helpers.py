@@ -246,13 +246,14 @@ def rescaled_flat_doc(phi="x1", samples=12, seed=2):
     }
 
 
-def one_degenerate_sample_doc():
+def one_degenerate_sample_doc(samples=150, index=37):
     """A flat 2-d metric ``diag(1, (x1 - c)^2)`` with its own connection, whose
-    cut ``x1 = c`` passes through the 38th of its 150 sample points: the
-    metric degenerates there and at no other sample.  Returns the document
-    and that point."""
-    doc = flat_doc(2, samples=150, seed=11)
-    point = sample_points(load_scenario(doc))[37]
+    cut ``x1 = c`` passes through sample point ``index`` of ``samples``
+    (seed 11): the metric degenerates there and, at the default counts and
+    at ``CHUNK_POINTS + 37`` of ``CHUNK_POINTS + 100``, at no other sample.
+    Returns the document and that point."""
+    doc = flat_doc(2, samples=samples, seed=11)
+    point = sample_points(load_scenario(doc))[index]
     doc["metric"] = [["1", "0"], [None, f"(x1 - {point[0]!r})^2"]]
     doc["connection"] = {"kind": "levi_civita", "metric": doc["metric"]}
     return doc, point

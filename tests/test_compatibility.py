@@ -23,6 +23,8 @@ from conproj import (
     load_scenario_path,
     metric_at,
     obstruction_at,
+    parse_expression,
+    print_expression,
     sample_null_vectors,
     sample_points,
     verify_recovery,
@@ -341,6 +343,43 @@ def test_single_degenerate_point_is_skipped_with_its_det():
     assert report.max_b == max(s.b for s in report.per_point)
 
 
+def test_a_degenerate_sample_in_a_later_chunk_is_skipped():
+    count = CHUNK_POINTS + 100
+    doc, bad_point = one_degenerate_sample_doc(count, CHUNK_POINTS + 37)
+    scn = load_scenario(doc)
+    report = check_compatibility(scn)
+    assert report.skipped == ((bad_point, 0.0),)
+    assert len(report.per_point) == count - 1
+    assert verify_recovery(scn, (0.5, 0.5)).passed
+
+
+def test_a_point_fails_with_the_first_error_of_metric_connection_and_inverse():
+    # At the degenerate sample the connection divides by zero too.  The
+    # recipe's error precedes the scenario metric's inverse, so the point
+    # raises instead of being skipped.
+    doc, bad_point = one_degenerate_sample_doc()
+    cut = f"(x1 - {bad_point[0]!r})"
+    zero = [["0", "0"], [None, "0"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[[f"2/{cut}", "0"], [None, "0"]], zero]}
+    scn = load_scenario(doc)
+    calls = (
+        lambda: check_compatibility(scn),
+        lambda: obstruction_at(scn, bad_point),
+        lambda: verify_recovery(scn, (0.5, 0.5), samples=150, seed=11),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="division by zero") as excinfo:
+            call()
+        assert excinfo.value.path == print_expression(parse_expression(f"2/{cut}", ["x1", "x2"]))
+        assert excinfo.value.point == bad_point
+    # an entry of the scenario metric that fails there precedes the recipe
+    doc["metric"] = [["1", "0"], [None, f"2 + sin(1/{cut})"]]
+    with pytest.raises(DomainError, match="division by zero") as excinfo:
+        check_compatibility(load_scenario(doc))
+    assert excinfo.value.path == print_expression(parse_expression(f"1/{cut}", ["x1", "x2"]))
+    assert excinfo.value.point == bad_point
+
+
 def test_per_point_summaries_do_not_depend_on_sample_count():
     rng = np.random.default_rng(59)
     doc, _ = round_trip_doc(rng, 3, samples=40, lorentzian=True)
@@ -547,12 +586,14 @@ def test_check_inverts_the_metric_only_to_the_order_it_reads(monkeypatch):
     monkeypatch.setattr(scenario, "inverse", recording_inverse)
     path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
     check_compatibility(load_scenario_path(path))
-    assert orders and max(orders) == 1
+    # one chunk; the recipe's metric is the scenario's, so it is inverted once
+    assert orders == [1]
     doc, _ = round_trip_doc(np.random.default_rng(5), 3, samples=12, lorentzian=True)
     scn = load_scenario(doc)
     orders.clear()
     check_compatibility(scn)
-    assert orders and max(orders) == 1
+    # the recipe's metric is the rescaled one: two inverses
+    assert orders == [1, 1]
     integrate_phi(scn, (0.0, 0.0, 0.0), (0.3, -0.2, 0.4))
     verify_recovery(scn, (0.0, 0.0, 0.0), samples=3)
     assert set(orders) == {0, 1}

@@ -181,6 +181,7 @@ _IDENTITY = [["1", "0"], ["0", "1"]]
             "$.connection.potential",
             "byte offset",
         ),
+        ("connection", {"kind": "modified_s", "metric": _IDENTITY}, "$.connection", "'potential'"),
     ],
 )
 def test_each_schema_violation_names_its_path(key, value, path, message):
