@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import ConprojError, DegenerateMetric, DomainError
-from .expressions import Evaluator
+from .errors import ConprojError, DegenerateMetric
+from .expressions import Evaluator, at_point
 from .geometry import (
     DEFAULT_RANK_TOL,
     ConnectionValue,
@@ -134,7 +134,7 @@ def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
             ev.jet(entry, order + 1)
     gamma = connection_jet(scenario, ev, order)
     g, ginv, base = metric_geometry(scenario.metric, ev, order, scenario.tolerances.rank)
-    T = tracefree(jets.sub(base, gamma, False))
+    T = tracefree(jets.sub(base, gamma, None))
     up, down = _traces(g, ginv, T)
     return g, ginv, gamma, base, T, up, down
 
@@ -142,7 +142,7 @@ def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
 def _traces(g: Jet, ginv: Jet, T: Jet):
     n = g.n
     coefficient = (n + 1) / ((n + 2) * (n - 1))
-    up = jets.mul(jets.einsum("jk,ijk->i", ginv, T), coefficient, False)
+    up = jets.mul(jets.einsum("jk,ijk->i", ginv, T), coefficient, None)
     return up, jets.einsum("ij,j->i", g, up)
 
 
@@ -166,16 +166,17 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
         [np.ones(ev.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
     )
     finite = np.isfinite(scale + _absmax(a, lead) + _absmax(b, lead))
-    ev.flag(~finite, lambda: DomainError(jets._NON_FINITE, point=ev.point))
+    ev.report(~finite, jets._NON_FINITE)
+    point = None if ev.shape else ev.point_at(0)
     return ObstructionData(
-        point=ev.point,
+        point=point,
         t_tensor=ConnectionValue(T),
         t_up=VectorValue(up),
         t_down=OneFormValue(down),
         a=a,
         b=b,
         scale=scale,
-        metric=MetricValue(g, point=ev.point),
+        metric=MetricValue(g, point=point),
         diff_values=base.value - gamma.value,
     )
 
@@ -294,7 +295,7 @@ def _point_figures(scenario: Scenario, ev: Evaluator, states: np.ndarray) -> lis
     values = np.where(np.reshape(ev.bad, (-1, 1, 1)), np.eye(n), values)
     points = list(map(tuple, np.reshape(ev.points, (-1, n)).tolist()))
     u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, points)
-    ev.flag(np.reshape([f is not None for f in fails], ev.shape), lambda: next(filter(None, fails)))
+    ev.flag(np.reshape([f is not None for f in fails], ev.shape), lambda i: fails[i])
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
     a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
@@ -305,27 +306,15 @@ def _batched(points: np.ndarray, at, *rows):
     """The arrays ``at(ev, *rows)`` over a stack of points, at most ``CHUNK_POINTS``
     per evaluator (an empty stack still runs one, for the shapes) with the per-point
     ``rows`` sliced to match, and the index and error of each failing point in index
-    order.  Points are evaluated leniently; the errors come lazily from re-running
-    each failing point alone, as a one-point call raises them."""
-    parts, bad = [], []
+    order: the first error detected at it, which is the error of the point alone."""
+    parts, errors = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
         chunk = slice(start, start + CHUNK_POINTS)
         ev = Evaluator(points[chunk])
         with np.errstate(all="ignore"):
             parts.append(at(ev, *(row[chunk] for row in rows)))
-        bad.extend((start + np.flatnonzero(ev.bad)).tolist())
-
-    def errors():
-        for i in bad:
-            try:
-                at(Evaluator(points[i]), *(row[i : i + 1] for row in rows))
-            except ConprojError as err:
-                yield i, err
-            else:
-                point = tuple(points[i].tolist())
-                raise ConprojError(f"point {point} failed in a batch but not alone")
-
-    return [np.concatenate(column) for column in zip(*parts)], errors()
+        errors.extend((start + i, error) for i, error in sorted(ev.errors.items()))
+    return [np.concatenate(column) for column in zip(*parts)], errors
 
 
 def _strict(values: list, errors) -> list:
@@ -355,7 +344,7 @@ def _skipped(points: np.ndarray, errors):
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
-    return _obstructions(scenario, Evaluator(_check_point(scenario, point)))
+    return at_point(_check_point(scenario, point), lambda ev: _obstructions(scenario, ev))
 
 
 def check_compatibility(
@@ -368,11 +357,11 @@ def check_compatibility(
 
     Obstructions, null vectors and EPS go through the chunked loop that
     recovery shares; each point's own stream goes on into its null-vector
-    draws.  A point whose evaluation fails is re-run alone, so the first
-    failure in sample order raises as at that point alone.  Points where the
-    metric degenerates are skipped and reported while they stay under 1% of
-    the samples; beyond that the degeneracy is fatal.  Per-point residuals
-    are scale-normalized before aggregation.
+    draws.  Each point keeps the first failure detected at it, the one that
+    point alone raises, and the first failing point in sample order decides.
+    Points where the metric degenerates are skipped and reported while they
+    stay under 1% of the samples; beyond that the degeneracy is fatal.
+    Per-point residuals are scale-normalized before aggregation.
     """
     count = scenario.samples if samples is None else samples
     seed_val = scenario.seed if seed is None else seed

@@ -10,10 +10,10 @@ class ConprojError(Exception):
 class DomainError(ConprojError):
     """A real-valued operation left its mathematical domain.
 
-    ``path`` holds the offending subexpression when the failure happened
-    while evaluating a parsed expression, and ``point`` the chart point of
-    the evaluation.  Both are filled in lazily by the evaluator; raw jet
-    arithmetic raises with the message alone.
+    ``path`` holds the innermost failing subexpression when the failure
+    happened while evaluating a parsed expression, and ``point`` the chart
+    point where it failed.  The evaluator sets both as it records each
+    point's first failure; raw jet arithmetic raises with the message alone.
     """
 
     def __init__(self, message: str, *, path: str | None = None, point=None):

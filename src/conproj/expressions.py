@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -296,44 +297,44 @@ _BINARY_OPS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
 class Evaluator:
     """Jets of expression trees at one point (shape (n,)) or S points (S, n).
 
-    Evaluation is recursive and strictly left-to-right.  Each distinct
-    subtree is evaluated once per evaluator, so a tree that recurs across
-    or inside the entries of a scenario costs nothing more; the same memo
-    keeps each metric's ``scenario.metric_geometry``.  A one-point
-    evaluator is strict: it raises :class:`DomainError` at the first
-    failure, tagged with the innermost failing subexpression and the point.
-    A stack of points is evaluated leniently: the failing points are marked
-    in ``bad`` and evaluation goes on.  An error that fails every point at
-    once raises from a stack too, tagged with its first point.
+    Evaluation is recursive and strictly left-to-right, and each distinct
+    subtree is evaluated once per evaluator; the same memo keeps each
+    metric's ``scenario.metric_geometry``.  ``errors`` keeps the first failure
+    detected at each point (by flat index), which ``bad`` marks: every
+    operation acts on each point alone, so it is the error of the point alone.
+    An error that fails every point at once raises, tagged with the first point.
     """
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         self.shape = self.points.shape[:-1]
         self.n = self.points.shape[-1]
-        self.strict = not self.shape
         self.bad = np.zeros(self.shape, dtype=bool)
-        # the evaluation point of a one-point evaluator
-        self.point = None if self.shape else tuple(float(c) for c in self.points)
+        self.errors: dict = {}
         self._memo: dict = {}
 
-    def flag(self, mask, error) -> None:
-        """Mark the points where ``mask`` holds as failed.  A strict
-        evaluator raises ``error()`` instead when any of them does."""
-        if self.strict:
-            if np.any(mask):
-                raise error()
-        else:
-            self.bad |= mask
+    def point_at(self, i: int) -> tuple:
+        """The point at flat index ``i``."""
+        return tuple(self.points.reshape(-1, self.n)[i].tolist())
+
+    def flag(self, mask, error_at) -> None:
+        """Record ``error_at(i)`` at each flat point ``i`` where ``mask`` holds and none is yet."""
+        new = np.broadcast_to(mask, self.shape) & ~self.bad
+        self.errors.update((i, error_at(i)) for i in np.flatnonzero(new).tolist())
+        self.bad |= new
+
+    def report(self, mask, message: str, e: Expr | None = None) -> None:
+        """:meth:`flag` a :class:`DomainError` naming the subexpression ``e``."""
+        path = None if e is None else print_expression(e)
+        self.flag(mask, lambda i: DomainError(message, path=path, point=self.point_at(i)))
 
     def jet(self, e: Expr, order: int) -> jets.Jet:
-        """Jet of ``e`` of the given order at every point."""
+        """Jet of ``e`` of the given order at every point; numpy's warnings are the caller's."""
         try:
-            with np.errstate(all="ignore"):
-                out = self._node(e, order)
+            out = self._node(e, order)
         except DomainError as err:
             if err.point is None and self.points.size:
-                err.point = tuple(self.points.reshape(-1, self.n)[0].tolist())
+                err.point = self.point_at(0)
             raise
         if not isinstance(out, jets.Jet):
             # A non-finite constant has already been flagged.
@@ -343,7 +344,7 @@ class Evaluator:
     def _node(self, e: Expr, order: int):
         if isinstance(e, Literal):
             if not math.isfinite(e.value):
-                self.flag(True, lambda: DomainError("constant must be finite"))
+                self.report(True, "constant must be finite")
             return e.value
         hit = self._memo.get(e)
         if hit is not None and hit[0] >= order:
@@ -354,8 +355,6 @@ class Evaluator:
             out = jets.neg(self._node(e.operand, order))
         else:
             out = self._operation(e, order)
-            if not self.strict:
-                self.bad |= jets.bad_points(out, self.shape)
         self._memo[e] = (order, out)
         return out
 
@@ -373,11 +372,21 @@ class Evaluator:
             if op is jets.power:
                 lit = _literal_value(e.right)
                 args.append(lit if lit is not None else self._node(e.right, order))
-            return op(*args, self.strict)
+            return op(*args, partial(self.report, e=e))  # reports only where a point fails
         except DomainError as err:
             if err.path is None:
                 err.path = print_expression(e)
             raise
+
+
+def at_point(point, build):
+    """``build(ev)`` for a one-point evaluator ``ev``; raises the point's error, if any."""
+    ev = Evaluator(point)
+    with np.errstate(all="ignore"):
+        out = build(ev)
+    for error in ev.errors.values():
+        raise error
+    return out
 
 
 def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
@@ -388,4 +397,4 @@ def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     """
     if order not in (0, 1, 2):
         raise ValueError("jet order must be 0, 1 or 2")
-    return Evaluator([float(c) for c in point]).jet(e, order)
+    return at_point([float(c) for c in point], lambda ev: ev.jet(e, order))

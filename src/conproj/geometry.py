@@ -148,23 +148,23 @@ def levi_civita(g: Jet, ginv: Jet) -> Jet:
     """
     dg = jets.derivative(g)  # dg[p, q, k] = d_k g_pq
     c = jets.sub(
-        jets.add(dg, jets.einsum("pkj->pjk", dg), False),
+        jets.add(dg, jets.einsum("pkj->pjk", dg), None),
         jets.einsum("jkp->pjk", dg),
-        False,
+        None,
     )
-    return jets.mul(jets.einsum("ip,pjk->ijk", ginv, c), 0.5, check=False)
+    return jets.mul(jets.einsum("ip,pjk->ijk", ginv, c), 0.5, None)
 
 
 def shift(gamma: Jet, psi: Jet) -> Jet:
     """Gamma^i_jk + delta^i_j psi_k + delta^i_k psi_j."""
     d = jets.einsum("ij,k->ijk", np.eye(gamma.n), psi)
-    return jets.add(gamma, jets.add(d, jets.einsum("ikj->ijk", d), False), False)
+    return jets.add(gamma, jets.add(d, jets.einsum("ikj->ijk", d), None), None)
 
 
 def tracefree(t: Jet) -> Jet:
     """Trace-free projection of a tensor t^i_jk symmetric in j, k."""
     trace = jets.einsum("ppk->k", t)
-    return shift(t, jets.mul(trace, -1.0 / (t.n + 1), check=False))
+    return shift(t, jets.mul(trace, -1.0 / (t.n + 1), None))
 
 
 def invert_metric(g: MetricValue) -> MetricValue:

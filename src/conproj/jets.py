@@ -7,11 +7,10 @@ points; the gradient appends one axis of length n and the Hessian two.
 Arithmetic, elementary functions and :func:`einsum` propagate derivatives
 exactly through the chain and product rules.  Orders are capped at 2.
 
-Checked operations (every operator, and the functions unless called with
-``check=False``) raise :class:`DomainError` on a non-finite component;
-unchecked ones leave NaN or inf there, so a caller evaluating many points
-at once can mark the failing points and re-run one of them checked.  The
-functions leave numpy's floating-point warnings to their callers.
+The functions report the points where a result is not finite, and why, to
+``check(mask, message)``: by default they raise :class:`DomainError`, as
+every operator does, and None skips the test.  The functions leave numpy's
+floating-point warnings to their callers.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class Jet:
         self.n, self.order = n, order
         self.value = float(value) if not value.shape else value
         self.gradient, self.hessian = parts[1:]
-        _checked(self, True)
+        _checked(self, _raise)
 
     def __repr__(self):
         value = np.asarray(self.value).tolist()
@@ -109,7 +108,8 @@ class Jet:
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, float)):
-            return power(self, float(exponent))
+            with np.errstate(all="ignore"):
+                return power(self, float(exponent))
         return _operator(power, self, exponent)
 
     def __rpow__(self, base):
@@ -139,12 +139,12 @@ def truncate(a: Jet, order: int) -> Jet:
     return a if a.order <= order else _build(a.n, order, lambda k: _part(a, k))
 
 
-def bad_points(a, shape) -> np.ndarray:
+def bad_points(a) -> np.ndarray:
     """Mask of the points (leading positions) with a non-finite component."""
     if not isinstance(a, Jet):
-        return np.full(shape, not math.isfinite(a))
+        return np.bool_(not math.isfinite(a))
     # Any NaN/Inf poisons the sum, so one reduction per array suffices.
-    total = np.asarray(a.value, dtype=float)
+    total = a.value
     if a.gradient is not None:
         total = total + a.gradient.sum(axis=-1)
     if a.hessian is not None:
@@ -152,14 +152,25 @@ def bad_points(a, shape) -> np.ndarray:
     return ~np.isfinite(total)
 
 
-def _checked(a, check: bool, message=_NON_FINITE):
-    if check:
-        # One NaN/Inf poisons the sum of all components.
-        parts = (a.value, a.gradient, a.hessian) if isinstance(a, Jet) else (a,)
-        total = sum(p if isinstance(p, float) else float(p.sum()) for p in parts if p is not None)
-        if not math.isfinite(total):
-            raise DomainError(message() if callable(message) else message)
-    return a
+def _raise(mask, message) -> None:
+    """The default reporter: raise at the first failure."""
+    if np.any(mask):
+        raise DomainError(message)
+
+
+def _checked(out, check, reasons=list):
+    """``out``, each failing point reported to ``check`` under the first of the
+    ``(mask, message)`` pairs of ``reasons()`` that holds there, else as non-finite."""
+    if check is None:
+        return out
+    parts = (out.value, out.gradient, out.hessian) if isinstance(out, Jet) else (out,)
+    # One NaN/Inf poisons the sum, so a healthy result costs one reduction per part.
+    total = sum(p if isinstance(p, float) else float(p.sum()) for p in parts if p is not None)
+    if not math.isfinite(total):
+        bad = bad_points(out)
+        for mask, message in reasons() + [(True, _NON_FINITE)]:
+            check(bad & mask, message)
+    return out
 
 
 def _coerce(other, like: Jet):
@@ -197,7 +208,7 @@ def _col(v, axes: int):  # ``v`` broadcast over ``axes`` derivative axes
 # Operands are jets or floats (constants); two floats give a float.
 
 
-def add(a, b, check: bool = True):
+def add(a, b, check=_raise):
     if not isinstance(a, Jet):
         a, b = b, a
     if not isinstance(a, Jet):
@@ -213,11 +224,11 @@ def neg(a):
     return -a if not isinstance(a, Jet) else _scale(a, -1.0)
 
 
-def sub(a, b, check: bool = True):
+def sub(a, b, check=_raise):
     return add(a, neg(b), check)
 
 
-def mul(a, b, check: bool = True):
+def mul(a, b, check=_raise):
     if not isinstance(a, Jet):
         a, b = b, a
     if not isinstance(a, Jet):
@@ -242,8 +253,9 @@ def _scale(a: Jet, c: float) -> Jet:
     return _build(a.n, a.order, lambda k: _part(a, k) * c)
 
 
-def div(a, b, check: bool = True):
-    return mul(a, reciprocal(b, check), check)
+def div(a, b, check=_raise):
+    out = mul(a, _reciprocal(b), None)
+    return _checked(out, check, lambda: [(_value(b) == 0.0, "division by zero")])
 
 
 def _chain(a, f0, f1, f2):
@@ -258,24 +270,25 @@ def _chain(a, f0, f1, f2):
     return _make(a.n, a.order, f0, g, h)
 
 
-def reciprocal(a, check: bool = True):
-    if check and np.any(_value(a) == 0.0):
-        raise DomainError("division by zero")
+def _reciprocal(a):
     f0 = 1.0 / np.asarray(_value(a), dtype=float)
     f1 = -f0 * f0
-    return _checked(_chain(a, f0, f1, -2.0 * f1 * f0), check)
+    return _chain(a, f0, f1, -2.0 * f1 * f0)
 
 
-def power(base, exponent, check: bool = True):
+def power(base, exponent, check=_raise):
     """``base ** exponent``: an integral float exponent multiplies out by
     repeated squaring, any other exponent goes through exp(exponent * log(base))."""
     if isinstance(exponent, Jet) or not float(exponent).is_integer():
         if not isinstance(exponent, Jet) and not math.isfinite(exponent):
             raise DomainError("non-finite exponent")
-        if check and np.any(_value(base) <= 0.0):
-            raise DomainError("power with non-positive base requires an integer exponent")
-        log_base = apply_function(base, "log", check)
-        return apply_function(mul(exponent, log_base, check), "exp", check)
+        product = mul(exponent, apply_function(base, "log", None), None)
+        out = apply_function(product, "exp", None)
+        return _checked(out, check, lambda: [
+            (_value(base) <= 0.0, "power with non-positive base requires an integer exponent"),
+            (bad_points(product), _NON_FINITE),
+            (~np.isfinite(_value(out)), "exp overflow"),
+        ])
     k = int(exponent)
     if abs(k) > _MAX_INT_POWER:
         raise DomainError(f"integer exponent magnitude exceeds {_MAX_INT_POWER}")
@@ -283,13 +296,11 @@ def power(base, exponent, check: bool = True):
         if not isinstance(base, Jet):
             return 1.0
         return constant(1.0, base.n, base.order, np.shape(base.value))
-    if k < 0:
-        return reciprocal(power(base, -k, check), check)
-    out = base  # square-and-multiply over the bits of k after the leading one
-    for bit in bin(k)[3:]:
-        out = mul(out, out, check)
-        out = mul(out, base, check) if bit == "1" else out
-    return out
+    out = base  # square-and-multiply over the bits of |k| after the leading one
+    for bit in bin(abs(k))[3:]:
+        out = mul(out, out, None)
+        out = mul(out, base, None) if bit == "1" else out
+    return _checked(out, check) if k > 0 else div(1.0, out, check)
 
 
 # -- elementary functions ----------------------------------------------
@@ -343,7 +354,7 @@ _DOMAIN_MESSAGES = {
 FUNCTION_NAMES = frozenset(_FUNCTION_TABLE)
 
 
-def apply_function(a, name: str, check: bool = True):
+def apply_function(a, name: str, check=_raise):
     """Apply an elementary function to a jet through the chain rule."""
     rule = _FUNCTION_TABLE.get(name)
     if rule is None:
@@ -352,14 +363,11 @@ def apply_function(a, name: str, check: bool = True):
         f0, f1, f2 = rule(np.asarray(_value(a), dtype=float))
         out = _chain(a, f0, f1, f2)
 
-    def message():
-        if name in _DOMAIN_MESSAGES and np.any(np.isnan(f0)):
-            return _DOMAIN_MESSAGES[name]
-        if not np.all(np.isfinite(f0)):
-            return f"{name} overflow"
-        return _NON_FINITE
+    def reasons():  # a domain NaN, then an overflow, as far as the function has them
+        domain = [(np.isnan(f0), _DOMAIN_MESSAGES[name])] if name in _DOMAIN_MESSAGES else []
+        return domain + [(~np.isfinite(f0), f"{name} overflow")]
 
-    return _checked(out, check, message)
+    return _checked(out, check, reasons)
 
 
 # -- tensors of jets ----------------------------------------------------
@@ -385,6 +393,8 @@ def coordinate(axis: int, point, order: int = 2) -> Jet:
     p = np.asarray(point, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("point must have at least one coordinate")
+    if order not in (0, 1, 2):
+        raise ValueError("jet order must be 0, 1 or 2")
     n = p.shape[-1]
     if not 0 <= axis < n:
         raise IndexError(f"coordinate axis {axis} out of range for dimension {n}")
@@ -394,7 +404,7 @@ def coordinate(axis: int, point, order: int = 2) -> Jet:
         grad = np.zeros(lead + (n,))
         grad[..., axis] = 1.0
     hess = np.broadcast_to(0.0, lead + (n, n)) if order == 2 else None
-    return _checked(_make(n, order, p[..., axis], grad, hess), True)
+    return _checked(_make(n, order, p[..., axis], grad, hess), _raise)
 
 
 def partial_derivative(a: Jet, axis: int) -> Jet:

@@ -184,8 +184,7 @@ def recover_metric(scenario: Scenario, base, points) -> list:
 
 
 def _scaled_metrics(scenario: Scenario, points: list, phis: list) -> list:
-    """The scenario metric at each point (tuples) rescaled by exp(2*phi),
-    evaluated in lenient batches."""
+    """The scenario metric at each point (tuples) rescaled by exp(2*phi), in batches."""
     n = scenario.dimension
     stack = np.reshape(points, (-1, n))
     (g,) = _strict(*_batched(stack, lambda ev: [symmetric_jet(scenario.metric, ev, 0, 2).value]))

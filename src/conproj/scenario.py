@@ -31,6 +31,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import getitem
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -388,21 +390,11 @@ def _check_point(scenario: Scenario, point) -> tuple:
 
 
 def symmetric_jet(entries, ev: ex.Evaluator, order: int, rank: int) -> Jet:
-    """Tensor jet of expression entries symmetric in the last two slots.
-
-    Only the entries whose last two indices ascend are evaluated, in
-    row-major order; each mirrored entry shares the same jet.
-    """
-    cells, flat = {}, []
-    for index in np.ndindex((ev.n,) * rank):
-        key = index[:-2] + tuple(sorted(index[-2:]))
-        if key not in cells:
-            entry = entries
-            for i in key:
-                entry = entry[i]
-            cells[key] = ev.jet(entry, order)
-        flat.append(cells[key])
-    return jets.stack(flat, (ev.n,) * rank)
+    """Tensor jet of expression entries symmetric in the last two slots, evaluated
+    in row-major order; a mirrored entry is the same tree, evaluated once by the memo."""
+    shape = (ev.n,) * rank
+    flat = [ev.jet(reduce(getitem, index, entries), order) for index in np.ndindex(shape)]
+    return jets.stack(flat, shape)
 
 
 def metric_geometry(entries, ev: ex.Evaluator, order: int, rank_tol: float):
@@ -413,7 +405,7 @@ def metric_geometry(entries, ev: ex.Evaluator, order: int, rank_tol: float):
     if key not in ev._memo:
         g = symmetric_jet(entries, ev, order + 1, 2)
         ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
-        ev.flag(degenerate, lambda: DegenerateMetric(det, point=ev.point))
+        ev.flag(degenerate, lambda i: DegenerateMetric(det.flat[i], point=ev.point_at(i)))
         ev._memo[key] = g, ginv, levi_civita(g, ginv)
     return ev._memo[key]
 
@@ -437,7 +429,7 @@ def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
         else:
             df = jets.derivative(ev.jet(recipe.potential, order + 1))
             s = jets.einsum("ij,j->i", ginv, df)
-        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), False)
+        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), None)
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = _eval_recipe(recipe.base, ev, order, rank_tol)
         psi = jets.stack([ev.jet(entry, order) for entry in recipe.psi], (n,))
@@ -447,8 +439,8 @@ def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
 
 def metric_at(scenario: Scenario, point, order: int = 2) -> MetricValue:
     """Scenario metric as jets of the requested order."""
-    ev = ex.Evaluator(_check_point(scenario, point))
-    return MetricValue(symmetric_jet(scenario.metric, ev, order, 2), point=ev.point)
+    p = _check_point(scenario, point)
+    return MetricValue(ex.at_point(p, lambda ev: symmetric_jet(scenario.metric, ev, order, 2)), p)
 
 
 def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
@@ -456,8 +448,8 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     support orders 0 and 1."""
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
-    ev = ex.Evaluator(_check_point(scenario, point))
-    return ConnectionValue(connection_jet(scenario, ev, order), point=ev.point)
+    p = _check_point(scenario, point)
+    return ConnectionValue(ex.at_point(p, lambda ev: connection_jet(scenario, ev, order)), p)
 
 
 def sample_points(scenario: Scenario, count=None, seed=None) -> list:

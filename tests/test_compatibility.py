@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from conproj import (
     connection_at,
     christoffel,
     eps_residual,
+    eval_expr,
     integrate_phi,
     invert_metric,
     load_scenario,
@@ -378,6 +380,80 @@ def test_a_point_fails_with_the_first_error_of_metric_connection_and_inverse():
         check_compatibility(load_scenario(doc))
     assert excinfo.value.path == print_expression(parse_expression(f"1/{cut}", ["x1", "x2"]))
     assert excinfo.value.point == bad_point
+
+
+_NON_POSITIVE_BASE = "power with non-positive base requires an integer exponent"
+
+
+@pytest.mark.parametrize(
+    "entry, path, message, both_slots",
+    [
+        ("2 + log(x1)", "log(x1)", "log of a non-positive value", False),
+        ("1 + exp(800*x1)", "exp(800.0*x1)", "exp overflow", True),
+        ("1 + x1^0.5", "x1^0.5", _NON_POSITIVE_BASE, False),
+        ("1 + x1^(-400)", "x1^-400.0", "division by zero", True),
+        ("1 + exp(400*x1)*exp(400*x1)", "exp(400.0*x1)*exp(400.0*x1)",
+         "non-finite component in jet arithmetic", True),
+        ("2 + x2^x1", "x2^x1", _NON_POSITIVE_BASE, False),
+        ("1 + 1/(x1 - x1)", "1.0/(x1 - x1)", "division by zero", False),
+    ],
+)
+def test_a_check_raises_the_error_of_its_first_failing_sample_alone(
+    entry, path, message, both_slots
+):
+    doc = flat_doc(2, samples=40, seed=3)
+    doc["metric"] = [[entry, "0"], [None, entry if both_slots else "1"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    scn = load_scenario(doc)
+    with pytest.raises(DomainError) as excinfo:
+        check_compatibility(scn)
+    tree = parse_expression(entry, ["x1", "x2"])
+    alone = []
+    for p in sample_points(scn):
+        try:
+            eval_expr(tree, p)
+        except DomainError as err:
+            alone.append(err)
+    assert alone, "the entry fails at no sample"
+    assert (excinfo.value.path, excinfo.value.message) == (path, message)
+    assert excinfo.value.point == alone[0].point
+    assert str(excinfo.value) == str(alone[0])
+
+
+def test_an_error_at_every_point_precedes_an_earlier_error_at_one_point():
+    # sqrt(x1) fails at the point first, but x1^100000 fails at every point.
+    doc = flat_doc(2, samples=40, seed=3)
+    doc["metric"] = [["2 + sqrt(x1)", "0"], [None, "1"]]
+    zero = [["0", "0"], [None, "0"]]
+    doc["connection"] = {"kind": "explicit", "gamma": [[["x1^100000", "0"], [None, "0"]], zero]}
+    scn = load_scenario(doc)
+    message = "integer exponent magnitude exceeds 9999 in 'x1^100000.0'"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_compatibility(scn)
+    point = (-0.5, 0.1)
+    for call in (obstruction_at, connection_at):
+        with pytest.raises(DomainError) as excinfo:
+            call(scn, point)
+        assert str(excinfo.value) == f"{message} at point {point}"
+
+
+def test_check_and_recovery_evaluate_each_sample_once(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    shapes = []
+
+    class Counting(compatibility.Evaluator):
+        def __init__(self, points):
+            super().__init__(points)
+            shapes.append(self.shape)
+
+    monkeypatch.setattr(compatibility, "Evaluator", Counting)
+    doc, bad_point = one_degenerate_sample_doc()
+    scn = load_scenario(doc)
+    assert check_compatibility(scn).skipped == ((bad_point, 0.0),)
+    assert shapes == [(150,)]
+    assert verify_recovery(scn, (0.5, 0.5)).passed
+    assert shapes[1] == (150,) and () not in shapes
 
 
 def test_per_point_summaries_do_not_depend_on_sample_count():

@@ -45,6 +45,9 @@ def test_coordinate_seed():
     assert k.value == 3.0 and k.gradient.tolist() == [0.0, 1.0]
     with pytest.raises(IndexError):
         coordinate(2, (0.0, 0.0), 2)
+    for order in (3, -1):
+        with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
+            coordinate(0, (1.0,), order)
 
 
 def test_product_rule_hand_expansion():

@@ -47,6 +47,8 @@ def test_drift_scenario_loads():
     assert g.values().tolist() == [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError, match="point has 2 coordinates, scenario has 3"):
         metric_at(scn, (0.0, 0.0), 0)
+    with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
+        metric_at(with_conformal_factor(scn, "0.1*x1"), (0.0, 0.0, 0.0), 3)
 
 
 def test_dimension_one_rejected():
