@@ -35,11 +35,12 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .sampling import SplitMix64, draw_points, uniform_draws
+from .sampling import SplitMix64, uniform_draws
 from .scenario import (
     Scenario,
     Tolerances,
     _check_point,
+    _draw_samples,
     connection_jet,
     metric_geometry,
 )
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-10
+# The verdict, indexed by (A fails) + 2 * (B fails).
+_VERDICTS = ("compatible", "fails_A", "fails_B", "fails_A_and_B")
 # Sample points evaluated together; bounds the memory of a large check.
 CHUNK_POINTS = 1024
 
@@ -165,7 +168,7 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
     scale = np.maximum.reduce(
         [np.ones(ev.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
     )
-    finite = np.isfinite(scale + _absmax(a, lead) + _absmax(b, lead))
+    finite = np.isfinite(scale) & np.isfinite(_absmax(a, lead)) & np.isfinite(_absmax(b, lead))
     ev.report(~finite, jets._NON_FINITE)
     point = None if ev.shape else ev.point_at(0)
     return ObstructionData(
@@ -199,30 +202,31 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ValueError("null vector count must be a non-negative integer")
-    states = np.array([rng.state])
-    u, has, used, fails = _null_cone(g.values()[None], count, states, DEFAULT_RANK_TOL, [g.point])
+    u, has, used, fails = _null_cone(
+        g.values()[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
+    )
     if fails[0] is not None:
         raise fails[0]
     rng.skip(int(used[0]))
     return [NullVector(point=g.point, u=v) for v in u[0]] if has[0] else []
 
 
-def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, points):
+def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
     """``count`` null vectors at each indefinite point of a metric stack
     ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
     point at a time would; a point with m negative eigenvalues (eigenvectors
     ``[:, :m]``) draws legs plus, minus, plus, ..., and a rejected leg is
     drawn again from the next positions, shifting every later leg.  Returns the
-    vectors, whether each point has them, its draws and its error, naming its
-    entry of ``points`` (a tuple or None), or None."""
+    vectors, whether each point has them, its draws and its error, or None; an
+    error names ``point_at(i)`` (a tuple or None), asked only for a failing point."""
     S, n = values.shape[:2]
     lam, vec = np.linalg.eigh(values)
     scale = np.max(np.abs(lam), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         degenerate = ill_conditioned(scale / np.min(np.abs(lam), axis=1), rank_tol)
-    fails = [
-        DegenerateMetric(np.prod(w), p) if d else None for w, d, p in zip(lam, degenerate, points)
-    ]
+    fails = [None] * S
+    for i in np.flatnonzero(degenerate).tolist():
+        fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
     negative = np.sum(lam < 0.0, axis=1)
     has = (negative > 0) & (negative < n) & ~degenerate & (count > 0)
     u, used = np.zeros((S, count, n)), np.zeros(S, dtype=np.int64)
@@ -255,7 +259,7 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         u[group], used[group] = w, np.sum(k * (extra + 1), axis=1)
         reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
         for i in np.flatnonzero(lost.any(axis=1) | capped):
-            p = points[group[i]]
+            p = point_at(int(group[i]))
             where = f" at point {p}" if p is not None else ""
             fails[group[i]] = ConprojError(reasons[int(capped[i])] + where)
     return u, has, used, fails
@@ -293,8 +297,7 @@ def _point_figures(scenario: Scenario, ev: Evaluator, states: np.ndarray) -> lis
     n, scale = obs.metric.n, np.reshape(obs.scale, -1)
     values = np.reshape(obs.metric.jet.value, (-1, n, n))
     values = np.where(np.reshape(ev.bad, (-1, 1, 1)), np.eye(n), values)
-    points = list(map(tuple, np.reshape(ev.points, (-1, n)).tolist()))
-    u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, points)
+    u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, ev.point_at)
     ev.flag(np.reshape([f is not None for f in fails], ev.shape), lambda i: fails[i])
     eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
     eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
@@ -306,7 +309,9 @@ def _batched(points: np.ndarray, at, *rows):
     """The arrays ``at(ev, *rows)`` over a stack of points, at most ``CHUNK_POINTS``
     per evaluator (an empty stack still runs one, for the shapes) with the per-point
     ``rows`` sliced to match, and the index and error of each failing point in index
-    order: the first error detected at it, which is the error of the point alone."""
+    order: the first error detected at it, which is the error of the point alone.
+    The one chunked loop: :func:`_sweep` runs the sampled calls through it and
+    recovery its quadrature nodes and query points."""
     parts, errors = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
         chunk = slice(start, start + CHUNK_POINTS)
@@ -326,8 +331,9 @@ def _strict(values: list, errors) -> list:
 
 def _skipped(points: np.ndarray, errors):
     """The one rule for sample ``points`` that failed with the ``errors`` of
-    :func:`_batched`: a degenerate metric is skipped while the skipped points stay
-    under 1% of the samples; beyond that, and on any other failure, it raises.
+    :func:`_batched`, applied by :func:`_sweep` alone: a degenerate metric is skipped
+    while the skipped points stay under 1% of the samples; beyond that, and on any
+    other failure, the first failing point in sample order raises.
     Returns the mask of points kept and the skipped points with their dets."""
     keep, skipped = np.ones(len(points), dtype=bool), []
     for i, failure in errors:
@@ -340,6 +346,17 @@ def _skipped(points: np.ndarray, errors):
             raise DegenerateMetric(failure.det, point=point, detail=detail) from failure
         keep[i] = False
     return keep, tuple(skipped)
+
+
+def _sweep(scenario: Scenario, samples, seed, at):
+    """The one pass of every sampled call: the count and seed (the scenario's where
+    None), the points and their streams, the arrays ``at(ev, states)`` over them by
+    :func:`_batched` and the rule of :func:`_skipped`.  Returns the count, the seed,
+    the kept points, the kept rows of each array and the skipped points."""
+    count, seed, points, states = _draw_samples(scenario, samples, seed)
+    columns, errors = _batched(points, at, states)
+    keep, skipped = _skipped(points, errors)
+    return count, seed, points[keep], [column[keep] for column in columns], skipped
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
@@ -355,61 +372,38 @@ def check_compatibility(
 ) -> CompatReport:
     """Sample the box and aggregate the obstruction and EPS residuals.
 
-    Obstructions, null vectors and EPS go through the chunked loop that
-    recovery shares; each point's own stream goes on into its null-vector
-    draws.  Each point keeps the first failure detected at it, the one that
-    point alone raises, and the first failing point in sample order decides.
-    Points where the metric degenerates are skipped and reported while they
-    stay under 1% of the samples; beyond that the degeneracy is fatal.
-    Per-point residuals are scale-normalized before aggregation.
+    One sweep (:func:`_sweep`, shared with ``verify_recovery``) draws the
+    points, evaluates obstructions, null vectors and EPS in chunks and applies
+    the skip rule; each point's own stream goes on into its null-vector draws.
+    Each point keeps the first failure detected at it, the one that point
+    alone raises, and the first failing point in sample order decides.  Points
+    where the metric degenerates are skipped and reported while they stay
+    under 1% of the samples; beyond that the degeneracy is fatal.  Per-point
+    residuals are scale-normalized before aggregation, and ``worst`` lists
+    the three largest max(A, B), ties in sample order.
     """
-    count = scenario.samples if samples is None else samples
-    seed_val = scenario.seed if seed is None else seed
-    tol = scenario.tolerances.residual
-    points, states = draw_points(seed_val, count, scenario.box_min, scenario.box_max)
-
-    figures, errors = _batched(points, lambda ev, st: _point_figures(scenario, ev, st), states)
-    keep, skipped = _skipped(points, errors)
-    kept = zip(*(x[keep].tolist() for x in (points, *figures)))
-    per_point = [PointSummary(tuple(p), a, b, e if h else None, s) for p, a, b, s, e, h in kept]
-
-    eps_values = [s.eps for s in per_point if s.eps is not None]
-    max_eps = max(eps_values, default=None)
-    total_nulls = 2 * scenario.dimension * len(eps_values)
-    max_a = max((s.a for s in per_point), default=0.0)
-    max_b = max((s.b for s in per_point), default=0.0)
-    a_ok = max_a <= tol
-    b_ok = max_b <= tol
-    if a_ok and b_ok:
-        verdict = "compatible"
-    elif b_ok:
-        verdict = "fails_A"
-    elif a_ok:
-        verdict = "fails_B"
-    else:
-        verdict = "fails_A_and_B"
-
-    if max_eps is None:
-        eps_verdict = "vacuous"
-    elif max_eps <= tol:
-        eps_verdict = "holds"
-    else:
-        eps_verdict = "fails"
-
-    worst = tuple(
-        sorted(per_point, key=lambda s: max(s.a, s.b), reverse=True)[:3]
+    count, seed, points, (a, b, scale, eps, has), skipped = _sweep(
+        scenario, samples, seed, lambda ev, states: _point_figures(scenario, ev, states)
     )
+    kept = zip(points.tolist(), a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist())
+    per_point = tuple(
+        PointSummary(tuple(p), x, y, e if h else None, s) for p, x, y, s, e, h in kept
+    )
+    tol = scenario.tolerances.residual
+    max_a, max_b = (float(np.max(x, initial=0.0)) for x in (a, b))
+    max_eps = float(np.max(eps[has])) if has.any() else None
+    worst = np.argsort(-np.maximum(a, b), kind="stable")[:3].tolist()
     return CompatReport(
-        verdict=verdict,
-        eps_verdict=eps_verdict,
+        verdict=_VERDICTS[(max_a > tol) + 2 * (max_b > tol)],
+        eps_verdict="vacuous" if max_eps is None else ("holds", "fails")[max_eps > tol],
         max_a=max_a,
         max_b=max_b,
         max_eps=max_eps,
         samples=count,
-        seed=seed_val,
+        seed=seed,
         tolerances=scenario.tolerances,
-        null_vectors=total_nulls,
-        per_point=tuple(per_point),
-        worst=worst,
+        null_vectors=2 * scenario.dimension * int(np.count_nonzero(has)),
+        per_point=per_point,
+        worst=tuple(per_point[i] for i in worst),
         skipped=skipped,
     )

@@ -68,7 +68,8 @@ class Jet:
         self.n, self.order = n, order
         self.value = float(value) if not value.shape else value
         self.gradient, self.hessian = parts[1:]
-        _checked(self, _raise)
+        with np.errstate(all="ignore"):
+            _checked(self, _raise)
 
     def __repr__(self):
         value = np.asarray(self.value).tolist()
@@ -143,13 +144,11 @@ def bad_points(a) -> np.ndarray:
     """Mask of the points (leading positions) with a non-finite component."""
     if not isinstance(a, Jet):
         return np.bool_(not math.isfinite(a))
-    # Any NaN/Inf poisons the sum, so one reduction per array suffices.
-    total = a.value
-    if a.gradient is not None:
-        total = total + a.gradient.sum(axis=-1)
-    if a.hessian is not None:
-        total = total + a.hessian.sum(axis=(-2, -1))
-    return ~np.isfinite(total)
+    bad = ~np.isfinite(a.value)
+    for k, part in ((1, a.gradient), (2, a.hessian)):
+        if part is not None:
+            bad = bad | ~np.all(np.isfinite(part), axis=tuple(range(-k, 0)))
+    return bad
 
 
 def _raise(mask, message) -> None:
@@ -164,7 +163,8 @@ def _checked(out, check, reasons=list):
     if check is None:
         return out
     parts = (out.value, out.gradient, out.hessian) if isinstance(out, Jet) else (out,)
-    # One NaN/Inf poisons the sum, so a healthy result costs one reduction per part.
+    # One NaN/Inf poisons the sum, so a healthy result costs one reduction per part;
+    # a sum that overflows from finite parts is a false alarm, and bad_points says so.
     total = sum(p if isinstance(p, float) else float(p.sum()) for p in parts if p is not None)
     if not math.isfinite(total):
         bad = bad_points(out)
@@ -359,15 +359,14 @@ def apply_function(a, name: str, check=_raise):
     rule = _FUNCTION_TABLE.get(name)
     if rule is None:
         raise ValueError(f"unknown function '{name}'")
-    with np.errstate(all="ignore"):
-        f0, f1, f2 = rule(np.asarray(_value(a), dtype=float))
-        out = _chain(a, f0, f1, f2)
 
     def reasons():  # a domain NaN, then an overflow, as far as the function has them
         domain = [(np.isnan(f0), _DOMAIN_MESSAGES[name])] if name in _DOMAIN_MESSAGES else []
         return domain + [(~np.isfinite(f0), f"{name} overflow")]
 
-    return _checked(out, check, reasons)
+    with np.errstate(all="ignore"):
+        f0, f1, f2 = rule(np.asarray(_value(a), dtype=float))
+        return _checked(_chain(a, f0, f1, f2), check, reasons)
 
 
 # -- tensors of jets ----------------------------------------------------

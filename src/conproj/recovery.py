@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .compatibility import _batched, _skipped, _strict, _trace_form
+from .compatibility import _batched, _strict, _sweep, _trace_form
 from .errors import NonConvergence
 from .geometry import MetricValue, tracefree
 from .jets import Jet
-from .scenario import Scenario, _check_point, sample_points, symmetric_jet
+from .scenario import Scenario, _check_point, symmetric_jet
 
 __all__ = [
     "RecoveredFactor",
@@ -38,25 +38,20 @@ _GL_NODES, _GL_WEIGHTS = leggauss(8)
 MAX_SEGMENTS = 1024
 
 
-def _trace_values(scenario: Scenario, points: np.ndarray, order: int):
-    """g, g^-1, T^i_jk and T_i (and at order 1 ``d_k T_i`` as ``[s, i, k]``)
-    at a stack of points, and the errors of :func:`_batched`."""
-
-    def at(ev):
-        g, ginv, _, _, T, _, down = _trace_form(scenario, ev, order)
-        return [g.value, ginv.value, T.value, down.value, down.gradient][: 4 + order]
-
-    return _batched(points, at)
-
-
 def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
     """8-node estimate over ``t`` in [lo, hi] of the integral ``owner``
-    (see :func:`_integrate`), one row per rule."""
+    (see :func:`_integrate`), one row per rule; reads T_i and, at order 1,
+    ``d_k T_i`` as ``[s, i, k]``."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
-    _, _, _, down, *grad = _strict(*_trace_values(scenario, points.reshape(-1, w.shape[1]), order))
+
+    def at(ev):
+        down = _trace_form(scenario, ev, order)[-1]
+        return [down.value, down.gradient][: 1 + order]
+
+    down, *grad = _strict(*_batched(points.reshape(-1, w.shape[1]), at))
     down = down.reshape(points.shape)
     f = np.einsum("rsi,ri->rs", down, w)[..., None]
     if order >= 1:
@@ -214,21 +209,21 @@ def verify_recovery(
     ``delta^i_j phi_k + delta^i_k phi_j - g^ip phi_p g_jk``, whose first two
     terms are a projective change, so its Thomas symbol differs from the
     scenario connection's by ``T - tracefree((g^-1 dphi) (x) g)`` with T the
-    trace-free difference of _trace_form.  One quadrature gives dphi at
-    every sample; the deviation is the largest entry over the samples.
-    Samples where the metric degenerates are skipped by the rule of
-    ``check_compatibility``: fatal at 1% of the samples.
+    trace-free difference of _trace_form.  The sweep of
+    ``check_compatibility`` draws the same points, evaluates g, g^-1 and T
+    at order 0 and skips points by its rule (a degenerate metric, fatal at
+    1% of the samples); one quadrature then gives dphi at every kept sample,
+    and the deviation is the largest entry over them.
     """
-    count = scenario.samples if samples is None else samples
-    seed_val = scenario.seed if seed is None else seed
     factor = RecoveredFactor(scenario, base)
-    n = scenario.dimension
-    points = np.reshape(sample_points(scenario, count, seed_val), (-1, n))
-    (g, ginv, T, _), errors = _trace_values(scenario, points, 0)
-    keep, _ = _skipped(points, errors)
-    g, ginv, T, points = g[keep], ginv[keep], T[keep], points[keep]
+
+    def at(ev, _states):
+        g, ginv, _, _, T, _, _ = _trace_form(scenario, ev, 0)
+        return [g.value, ginv.value, T.value]
+
+    count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, at)
     dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
-    rescaling = Jet(n, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
+    rescaling = Jet(scenario.dimension, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
     max_deviation = float(np.max(np.abs(T - tracefree(rescaling).value), initial=0.0))
     return RecoveryVerification(
         max_deviation=max_deviation,

@@ -452,12 +452,17 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     return ConnectionValue(ex.at_point(p, lambda ev: connection_jet(scenario, ev, order)), p)
 
 
+def _draw_samples(scenario: Scenario, count=None, seed=None):
+    """The sample count and seed of a call (the scenario's where None), its points
+    as a ``(count, n)`` array and each point's stream state after its coordinates."""
+    count = scenario.samples if count is None else count
+    seed = scenario.seed if seed is None else seed
+    return (count, seed, *draw_points(seed, count, scenario.box_min, scenario.box_max))
+
+
 def sample_points(scenario: Scenario, count=None, seed=None) -> list:
     """The deterministic sample points a check over this scenario visits."""
-    total = scenario.samples if count is None else count
-    seed_val = scenario.seed if seed is None else seed
-    points, _ = draw_points(seed_val, total, scenario.box_min, scenario.box_max)
-    return [tuple(p) for p in points.tolist()]
+    return [tuple(p) for p in _draw_samples(scenario, count, seed)[2].tolist()]
 
 
 # -- representative changes ----------------------------------------------------

@@ -331,6 +331,13 @@ def test_check_explicit_connection_fails_a():
     report = check_compatibility(load_scenario(doc))
     assert report.verdict == "fails_A"
     assert math.isclose(report.max_a, 0.5, rel_tol=1e-12) and report.max_b == 0.0
+    # G^0_00 near the largest double: A, B and the scale are finite, though their sum is not
+    for big in ("1e307", "1.5e308"):
+        gamma = [[[big, "0"], [None, "0"]], [["0", "0"], [None, "0"]]]
+        doc["connection"] = {"kind": "explicit", "gamma": gamma}
+        report = check_compatibility(load_scenario(doc))
+        assert report.verdict == "fails_A"
+        assert math.isclose(report.max_a, 0.25, rel_tol=1e-12) and report.max_b == 0.0
 
 
 def test_single_degenerate_point_is_skipped_with_its_det():
@@ -593,6 +600,31 @@ def test_batched_null_cone_matches_one_point_calls_in_a_mixed_signature_box():
     lorentzian = [s for s in report.per_point if s.eps is not None]
     assert 0 < len(lorentzian) < len(report.per_point)
     assert all(s.point[0] < 0.0 for s in lorentzian)
+
+
+def test_report_summary_is_taken_over_the_kept_points():
+    zero = flat_doc(2, samples=10)
+    zero["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
+    mixed = _two_d_doc([["x1", "0"], [None, "1"]], 300, 3)
+    degenerate, bad_point = one_degenerate_sample_doc()
+    reports = [check_compatibility(load_scenario(doc)) for doc in (zero, mixed, degenerate)]
+    for report in reports:
+        per_point = report.per_point
+        eps = [s.eps for s in per_point if s.eps is not None]
+        assert report.max_a == max(s.a for s in per_point)
+        assert report.max_b == max(s.b for s in per_point)
+        assert report.max_eps == max(eps, default=None)
+        assert report.null_vectors == 2 * 2 * len(eps)
+        # ties keep sample order
+        assert report.worst == tuple(
+            sorted(per_point, key=lambda s: max(s.a, s.b), reverse=True)[:3]
+        )
+    flat, cone, skipping = reports
+    assert flat.max_a == flat.max_b == 0.0 and flat.worst == flat.per_point[:3]
+    assert flat.max_eps is None and flat.null_vectors == 0
+    assert cone.max_eps is not None and 0 < cone.null_vectors < 4 * len(cone.per_point)
+    assert skipping.skipped == ((bad_point, 0.0),)
+    assert bad_point not in [s.point for s in skipping.per_point + skipping.worst]
 
 
 def test_check_batches_its_null_cone_work(monkeypatch):

@@ -203,6 +203,14 @@ def test_overflow_is_domain_error():
         big * big
     with pytest.raises(DomainError):
         apply_function(constant(1000.0, 1), "exp")
+    with pytest.raises(DomainError, match="exp overflow"):
+        apply_function(Jet(1, 1, 710.0, [1.0]), "exp")
+    # Finite parts whose sum overflows are no overflow, and leak no warning.
+    jet = eval_expr(parse_expression("1e308*x1 - 1e308*x2", ["x1", "x2"]), (1.0, 1.0), 1)
+    assert jet.value == 0.0 and jet.gradient.tolist() == [1e308, -1e308]
+    assert Jet(1, 1, 1e308, [1e308]).gradient.tolist() == [1e308]
+    jet = apply_function(Jet(1, 1, 709.7, [1.0]), "exp")
+    assert jet.value == np.exp(709.7) and jet.gradient.tolist() == [jet.value]
 
 
 @settings(max_examples=80, deadline=None)
