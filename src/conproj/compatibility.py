@@ -214,11 +214,12 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
 def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
     """``count`` null vectors at each indefinite point of a metric stack
     ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
-    point at a time would; a point with m negative eigenvalues (eigenvectors
-    ``[:, :m]``) draws legs plus, minus, plus, ..., and a rejected leg is
-    drawn again from the next positions, shifting every later leg.  Returns the
-    vectors, whether each point has them, its draws and its error, or None; an
-    error names ``point_at(i)`` (a tuple or None), asked only for a failing point."""
+    point at a time would, in one ``(S, 2 * count, n)`` layout of legs plus,
+    minus, plus, ...: a point with m negative eigenvalues (eigenvectors
+    ``[:, :m]``) draws n - m and m per leg, one without a cone draws none, and a
+    rejected leg is drawn again from the next positions, shifting every later leg.
+    Returns the vectors, whether each point has them, its draws and its error, or
+    None; an error names ``point_at(i)`` (a tuple or None), asked only for a failing point."""
     S, n = values.shape[:2]
     lam, vec = np.linalg.eigh(values)
     scale = np.max(np.abs(lam), axis=1)
@@ -227,42 +228,39 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
     fails = [None] * S
     for i in np.flatnonzero(degenerate).tolist():
         fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
-    negative = np.sum(lam < 0.0, axis=1)
-    has = (negative > 0) & (negative < n) & ~degenerate & (count > 0)
-    u, used = np.zeros((S, count, n)), np.zeros(S, dtype=np.int64)
-    for m in set(negative[has].tolist()):
-        group, legs = np.flatnonzero(has & (negative == m)), 2 * count
-        V, G, st = vec[group], values[group], states[group, None, None]
-        k = np.array([n - m, m] * count)  # draws per leg
-        slot = np.arange(n) - np.array([m, 0] * count)[:, None]  # stream offset, if taken
-        take = (slot >= 0) & (slot < k[:, None])  # the coefficients a leg uses
-        extra = np.zeros((group.size, legs), dtype=np.int64)  # rejected tries
-        leg, q = np.empty((group.size, legs, n)), np.empty((group.size, legs))
-        live = np.arange(group.size)
-        while live.size:
-            begin = np.cumsum(k * (extra[live] + 1), axis=1) - k
-            c = np.where(take, uniform_draws(st[live], begin[..., None] + slot, -1.0, 1.0), 0.0)
-            leg[live] = np.einsum("gij,glj->gli", V[live], c)
-            q[live] = np.einsum("gli,gij,glj->gl", leg[live], G[live], leg[live])
-            rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
-            again = rejected.any(axis=1)
-            live, first = live[again], rejected[again].argmax(axis=1)
-            extra[live, first] += 1
-            live = live[extra[live, first] < 1000]
-        capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
-        with np.errstate(all="ignore"):  # legs past a cap
-            w = leg / np.sqrt(np.abs(q))[..., None]
-            w = w[:, 0::2] + w[:, 1::2]
-            w /= np.max(np.abs(w), axis=-1, keepdims=True)
-            residual = np.abs(np.einsum("gci,gij,gcj->gc", w, G, w))
-        lost = residual > NULL_TOL * scale[group, None] * np.einsum("gci,gci->gc", w, w)
-        u[group], used[group] = w, np.sum(k * (extra + 1), axis=1)
-        reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
-        for i in np.flatnonzero(lost.any(axis=1) | capped):
-            p = point_at(int(group[i]))
-            where = f" at point {p}" if p is not None else ""
-            fails[group[i]] = ConprojError(reasons[int(capped[i])] + where)
-    return u, has, used, fails
+    m = np.sum(lam < 0.0, axis=1, keepdims=True)
+    has = (m[:, 0] > 0) & (m[:, 0] < n) & ~degenerate & (count > 0)
+    plus = np.arange(2 * count) % 2 == 0
+    k = np.where(plus, n - m, m) * has[:, None]  # draws per leg
+    slot = np.arange(n) - np.where(plus, m, 0)[..., None]  # stream offset, if taken
+    take = (slot >= 0) & (slot < k[..., None])  # the coefficients a leg uses
+    extra = np.zeros(k.shape, dtype=np.int64)  # rejected tries
+    leg, q = np.zeros(k.shape + (n,)), np.ones(k.shape)  # a point without draws: w = 0
+    live, st = np.flatnonzero(has), states[:, None, None]
+    while live.size:
+        begin = np.cumsum(k[live] * (extra[live] + 1), axis=1) - k[live]
+        draws = uniform_draws(st[live], begin[..., None] + slot[live], -1.0, 1.0)
+        c = np.where(take[live], draws, 0.0)
+        leg[live] = np.einsum("gij,glj->gli", vec[live], c)
+        q[live] = np.einsum("gli,gij,glj->gl", leg[live], values[live], leg[live])
+        rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
+        again = rejected.any(axis=1)
+        live, first = live[again], rejected[again].argmax(axis=1)
+        extra[live, first] += 1
+        live = live[extra[live, first] < 1000]
+    capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
+    with np.errstate(all="ignore"):  # legs past a cap, and points without a cone
+        w = leg / np.sqrt(np.abs(q))[..., None]
+        w = w[:, 0::2] + w[:, 1::2]
+        w /= np.max(np.abs(w), axis=-1, keepdims=True)
+        residual = np.abs(np.einsum("sci,sij,scj->sc", w, values, w))
+        lost = residual > NULL_TOL * scale[:, None] * np.einsum("sci,sci->sc", w, w)
+    reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
+    for i in np.flatnonzero(lost.any(axis=1) | capped).tolist():
+        p = point_at(i)
+        where = f" at point {p}" if p is not None else ""
+        fails[i] = ConprojError(reasons[int(capped[i])] + where)
+    return w, has, np.sum(k * (extra + 1), axis=1), fails
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:

@@ -280,29 +280,22 @@ def print_expression(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _literal_value(e: Expr):
-    """The number a literal or a negated literal stands for, else None."""
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.operand, Literal):
-        return -e.operand.value
-    return None
-
-
 # -- evaluation -----------------------------------------------------------
 
-_BINARY_OPS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
+_BINARY_OPS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div, "^": jets.power}
 
 
 class Evaluator:
     """Jets of expression trees at one point (shape (n,)) or S points (S, n).
 
-    Evaluation is recursive and strictly left-to-right, and each distinct
-    subtree is evaluated once per evaluator; the same memo keeps each
-    metric's ``scenario.metric_geometry``.  ``errors`` keeps the first failure
-    detected at each point (by flat index), which ``bad`` marks: every
-    operation acts on each point alone, so it is the error of the point alone.
-    An error that fails every point at once raises, tagged with the first point.
+    Evaluation is recursive and strictly left-to-right: a node evaluates its
+    operands in order, then its operator (``^`` too, whose constant exponent
+    arrives as a number).  Each distinct subtree is evaluated once per
+    evaluator; the same memo keeps each metric's ``scenario.metric_geometry``.
+    ``errors`` keeps the first failure detected at each point (by flat index),
+    which ``bad`` marks: every operation acts on each point alone, so it is the
+    error of the point alone.  An error that fails every point at once raises,
+    naming its subexpression and the first point.
     """
 
     def __init__(self, points):
@@ -353,29 +346,23 @@ class Evaluator:
             out = jets.coordinate(e.index, self.points, order)
         elif isinstance(e, Neg):
             out = jets.neg(self._node(e.operand, order))
+        elif isinstance(e, Call):
+            out = self._apply(e, jets.apply_function, self._node(e.arg, order), e.func)
+        elif isinstance(e, Binary) and e.op in _BINARY_OPS:
+            left, right = self._node(e.left, order), self._node(e.right, order)
+            out = self._apply(e, _BINARY_OPS[e.op], left, right)
         else:
-            out = self._operation(e, order)
+            raise TypeError(f"not an expression node: {e!r}")
         self._memo[e] = (order, out)
         return out
 
-    def _operation(self, e: Expr, order: int):
-        if isinstance(e, Call):
-            op, args = jets.apply_function, [self._node(e.arg, order), e.func]
-        elif isinstance(e, Binary) and e.op in _BINARY_OPS:
-            op = _BINARY_OPS[e.op]
-            args = [self._node(e.left, order), self._node(e.right, order)]
-        elif isinstance(e, Binary) and e.op == "^":
-            op, args = jets.power, [self._node(e.left, order)]
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
+    def _apply(self, e: Expr, op, *args):
+        """``op(*args)`` reporting each failing point under ``e``; an error that
+        fails every point at once raises, naming ``e``."""
         try:
-            if op is jets.power:
-                lit = _literal_value(e.right)
-                args.append(lit if lit is not None else self._node(e.right, order))
-            return op(*args, partial(self.report, e=e))  # reports only where a point fails
+            return op(*args, partial(self.report, e=e))
         except DomainError as err:
-            if err.path is None:
-                err.path = print_expression(e)
+            err.path = print_expression(e)
             raise
 
 

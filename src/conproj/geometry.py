@@ -121,23 +121,21 @@ def inverse(g: Jet, rank_tol: float):
         vi = np.linalg.inv(np.where(skip[..., None, None], np.eye(n), v))
         condition = np.max(np.abs(v), axis=(-2, -1)) * np.max(np.abs(vi), axis=(-2, -1))
         det = sign * np.exp(logdet)
-    degenerate = skip | ill_conditioned(condition, rank_tol)
-    vi[degenerate] = np.eye(n)
-    # The exact inverse of a symmetric matrix is symmetric; averaging the
-    # halves removes roundoff so downstream symmetry is exact.
-    vi = 0.5 * (vi + np.swapaxes(vi, -1, -2))
-    grad = hess = None
-    if g.order >= 1:
-        # d_k(g^-1) = -g^-1 (d_k g) g^-1, with D_k = g^-1 d_k g
-        d = np.einsum("...ia,...ajk->...ijk", vi, g.gradient)
-        grad = -np.einsum("...iak,...aj->...ijk", d, vi)
-        grad = 0.5 * (grad + np.swapaxes(grad, -3, -2))
-        if g.order == 2:
-            # d_kl(g^-1) = -g^-1 (d_kl g) g^-1 + D_k D_l g^-1 + D_l D_k g^-1
-            inner = np.einsum("...ia,...abkl,...bj->...ijkl", vi, g.hessian, vi)
-            twice = -np.einsum("...iak,...ajl->...ijkl", d, grad)
-            hess = twice + np.swapaxes(twice, -1, -2) - inner
-            hess = 0.5 * (hess + np.swapaxes(hess, -4, -3))
+        degenerate = skip | ill_conditioned(condition, rank_tol)
+        vi[degenerate] = np.eye(n)
+        # The exact inverse of a symmetric matrix is symmetric; averaging the
+        # halves removes roundoff so downstream symmetry is exact.
+        vi = jets.symmetric(vi, -1, -2)
+        grad = hess = None
+        if g.order >= 1:
+            # d_k(g^-1) = -g^-1 (d_k g) g^-1, with D_k = g^-1 d_k g
+            d = np.einsum("...ia,...ajk->...ijk", vi, g.gradient)
+            grad = jets.symmetric(-np.einsum("...iak,...aj->...ijk", d, vi), -3, -2)
+            if g.order == 2:
+                # d_kl(g^-1) = -g^-1 (d_kl g) g^-1 + D_k D_l g^-1 + D_l D_k g^-1
+                inner = np.einsum("...ia,...abkl,...bj->...ijkl", vi, g.hessian, vi)
+                twice = -np.einsum("...iak,...ajl->...ijkl", d, grad)
+                hess = jets.symmetric(twice + np.swapaxes(twice, -1, -2) - inner, -4, -3)
     return jets._make(n, g.order, vi, grad, hess), det, degenerate
 
 

@@ -63,12 +63,12 @@ class Jet:
             if part.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             parts.append(part if k <= order else None)
-        if order == 2:
-            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], -1, -2))
         self.n, self.order = n, order
         self.value = float(value) if not value.shape else value
-        self.gradient, self.hessian = parts[1:]
         with np.errstate(all="ignore"):
+            if order == 2:
+                parts[2] = symmetric(parts[2], -1, -2)
+            self.gradient, self.hessian = parts[1:]
             _checked(self, _raise)
 
     def __repr__(self):
@@ -115,6 +115,11 @@ class Jet:
 
     def __rpow__(self, base):
         return _operator(power, base, self)
+
+
+def symmetric(x: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The part of ``x`` symmetric in axes ``i`` and ``j``; halving first cannot overflow."""
+    return 0.5 * x + 0.5 * np.swapaxes(x, i, j)
 
 
 def _make(n, order, value, gradient, hessian) -> Jet:

@@ -69,15 +69,16 @@ def _integrate(scenario: Scenario, starts, ends, order: int) -> np.ndarray:
     estimate by less than the scenario's quadrature tolerance, which halves
     with each level.  Each level evaluates the halves of every unsettled
     segment at once, so an integral's tree, result and failure do not
-    depend on its batch.
+    depend on its batch.  At order 0 a zero-length segment integrates to 0
+    and evaluates nothing; at order 1 its gradient is T at the start.
     """
     ends = np.asarray(ends, dtype=float).reshape(-1, scenario.dimension)
     starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
-    w = ends - starts
-    m = len(ends)
-    owner, lo, hi = np.arange(m), np.zeros(m), np.ones(m)
-    whole = _gauss_legendre(scenario, starts, w, owner, lo, hi, order)
-    total = np.zeros_like(whole)
+    w, m = ends - starts, len(ends)
+    owner = np.flatnonzero(np.any(w != 0.0, axis=1) | (order > 0))
+    lo, hi = np.zeros(owner.size), np.ones(owner.size)
+    whole = _gauss_legendre(scenario, starts, w, owner, lo, hi, order) if owner.size else None
+    total = np.zeros((m, 1 + order * w.shape[1]))
     used = np.ones(m, dtype=int)
     tol = scenario.tolerances.quadrature
     while owner.size:
@@ -126,10 +127,7 @@ class RecoveredFactor:
         return p
 
     def phi(self, target) -> float:
-        target = self._inside(target)
-        if target == self.base:
-            return 0.0
-        return float(self._segment_integral(self.base, target)[0])
+        return float(self._segment_integral(self.base, self._inside(target))[0])
 
     def phi_and_gradient(self, target):
         """Line-integral value and its true target-point gradient.
@@ -164,8 +162,7 @@ def integrate_phi_path(scenario: Scenario, waypoints) -> float:
         raise ValueError("a path needs at least two waypoints")
     factor = RecoveredFactor(scenario, points[0])
     points = np.array([factor._inside(point) for point in points])
-    moved = np.any(points[1:] != points[:-1], axis=1)
-    legs = _integrate(scenario, points[:-1][moved], points[1:][moved], 0)
+    legs = _integrate(scenario, points[:-1], points[1:], 0)
     return float(np.sum(legs))
 
 
@@ -173,9 +170,8 @@ def recover_metric(scenario: Scenario, base, points) -> list:
     """Recovered metric g * exp(2*phi) at each query point (value level)."""
     factor = RecoveredFactor(scenario, base)
     points = [factor._inside(point) for point in points]
-    away = [point for point in points if point != factor.base]
-    phi = dict(zip(away, _integrate(scenario, factor.base, away, 0)[:, 0]))
-    return _scaled_metrics(scenario, points, [float(phi.get(p, 0.0)) for p in points])
+    phi = _integrate(scenario, factor.base, points, 0)[:, 0]
+    return _scaled_metrics(scenario, points, phi.tolist())
 
 
 def _scaled_metrics(scenario: Scenario, points: list, phis: list) -> list:

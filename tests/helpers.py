@@ -111,13 +111,15 @@ def drift_doc(s=("0", "0", "x2"), samples=60, seed=7):
     }
 
 
-_PERT_SCALE = {2: 0.08, 3: 0.05, 4: 0.03}
+_PERT_SCALE = {2: 0.08, 3: 0.05, 4: 0.03, 5: 0.02}
 
 
-def round_trip_doc(rng, n, *, samples=20, lorentzian=False, max_tries=60):
+def round_trip_doc(rng, n, *, samples=20, lorentzian=False, negative=0, max_tries=60):
     """Compatible-by-construction scenario: the connection is a projective
     shift of the Levi-Civita connection of a conformal rescaling of the
-    metric.  Returns (document, phi_source)."""
+    metric, whose first ``negative`` diagonal bases are -1 and the rest +1
+    (``lorentzian`` means one).  Returns (document, phi_source)."""
+    negative = 1 if lorentzian else negative
     coords = [f"x{i + 1}" for i in range(n)]
     scale = _PERT_SCALE[n]
     for _ in range(max_tries):
@@ -130,7 +132,7 @@ def round_trip_doc(rng, n, *, samples=20, lorentzian=False, max_tries=60):
                     continue
                 pert = polynomial(rng, coords, scale=scale, max_terms=3)
                 if i == j:
-                    base = "-1" if (lorentzian and i == 0) else "1"
+                    base = "-1" if i < negative else "1"
                     row.append(f"{base} + {pert}")
                 else:
                     row.append(pert)

@@ -282,6 +282,46 @@ def test_check_compatible_lorentzian_scenario_satisfies_eps():
     assert report.null_vectors > 0
 
 
+SIGNATURES = [(n, q) for n in range(2, 6) for q in range(n + 1)]
+
+
+@pytest.mark.parametrize("n, q", SIGNATURES)
+def test_round_trips_are_compatible_in_every_signature(n, q):
+    # q negative diagonal bases; EPS has null directions exactly when g is indefinite
+    doc, _ = round_trip_doc(np.random.default_rng(100 * n + q), n, samples=12, negative=q)
+    scn = load_scenario(doc)
+    report = check_compatibility(scn)
+    assert report.verdict == "compatible", (n, q)
+    assert report.eps_verdict == ("vacuous" if q in (0, n) else "holds"), (n, q)
+    assert verify_recovery(scn, (0.0,) * n, samples=2).passed, (n, q)
+
+
+def _signed_drift_doc(n, q, connection):
+    """diag(-1 (q times), 1, ..., 1) with a ``modified_s`` connection over it."""
+    diag = ["-1"] * q + ["1"] * (n - q)
+    metric = [[diag[i] if i == j else "0" for j in range(n)] for i in range(n)]
+    return {
+        "dimension": n,
+        "coordinates": [f"x{i + 1}" for i in range(n)],
+        "box": {"min": [-1.0] * n, "max": [1.0] * n},
+        "metric": metric,
+        "connection": {"kind": "modified_s", "metric": metric, **connection},
+        "samples": 10,
+        "seed": 3,
+    }
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n, q in SIGNATURES if n >= 3 and 0 < q < n])
+def test_drifts_fail_b_in_every_indefinite_signature_and_their_gradient_twins_pass(n, q):
+    s = ["0"] * (n - 1) + ["x2"]
+    report = check_compatibility(load_scenario(_signed_drift_doc(n, q, {"s": s})))
+    assert (report.verdict, report.eps_verdict) == ("fails_B", "holds"), (n, q)
+    assert abs(report.max_b - 1.0) <= 1e-12, (n, q)
+    twin = _signed_drift_doc(n, q, {"potential": f"x2*x{n}"})
+    report = check_compatibility(load_scenario(twin))
+    assert (report.verdict, report.eps_verdict) == ("compatible", "holds"), (n, q)
+
+
 def test_degenerate_sampling_is_fatal_when_frequent():
     scn = load_scenario(rank_one_doc())
     with pytest.raises(DegenerateMetric):
@@ -512,7 +552,7 @@ def test_constant_rescaling_of_the_metric_keeps_the_verdict():
         unit = check_compatibility(load_scenario(_scaled_minkowski_doc(1.0, n)))
         assert unit.verdict == "compatible" and unit.eps_verdict == "holds"
         assert unit.null_vectors > 0
-        for scale in (1e-200, 1e-100, 1e7, 1e200):
+        for scale in (8e-309, 1e-200, 1e-100, 1e7, 1e200):
             scaled = check_compatibility(load_scenario(_scaled_minkowski_doc(scale, n)))
             assert scaled.verdict == "compatible" and scaled.eps_verdict == "holds", scale
             assert scaled.null_vectors == unit.null_vectors and not scaled.skipped

@@ -15,6 +15,7 @@ from conproj import (
     parse_expression,
     print_expression,
 )
+from conproj import jets
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
 from helpers import random_expression
 
@@ -177,3 +178,39 @@ def test_parser_fuzz_grammar_alphabet(src):
     except DomainError:
         pass
 
+
+@pytest.mark.parametrize(
+    "src, base, exponent",
+    [
+        ("x1^2", "x1", 2.0),
+        ("x1^(-3)", "x1", -3.0),
+        ("x1^-2", "x1", -2.0),
+        ("x1^(2*3)", "x1", 6.0),
+        ("x1^0", "x1", 0.0),
+        ("x1^0.5", "x1", 0.5),
+        ("(1 + x1)^x2", "1 + x1", "x2"),
+    ],
+)
+def test_power_evaluates_its_operands_as_any_operator_does(src, base, exponent):
+    # a constant exponent reaches jets.power as a number, any other as a jet
+    coords, point = ["x1", "x2"], (0.3, -0.2)
+    operand = lambda s: eval_expr(parse_expression(s, coords), point, 2)
+    exponent = operand(exponent) if isinstance(exponent, str) else exponent
+    expected = jets.power(operand(base), exponent)
+    actual = eval_expr(parse_expression(src, coords), point, 2)
+    assert actual.value == expected.value
+    assert np.array_equal(actual.gradient, expected.gradient)
+    assert np.array_equal(actual.hessian, expected.hessian)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x1^(1e400)", "non-finite exponent in 'x1^inf'"),
+        ("x1^100000", "integer exponent magnitude exceeds 9999 in 'x1^100000.0'"),
+    ],
+)
+def test_an_exponent_that_fails_every_point_raises_at_once(src, message):
+    with pytest.raises(DomainError) as excinfo:
+        eval_expr(parse_expression(src, ["x1", "x2"]), (0.3, -0.2), 2)
+    assert str(excinfo.value) == f"{message} at point (0.3, -0.2)"

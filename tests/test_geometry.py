@@ -103,9 +103,17 @@ def test_invert_reads_degeneracy_off_the_condition_number():
     for diag in ([-1e4, 1, 1, 1], [-1e6, 1, 1]):
         inv = invert_metric(MetricValue(jet_matrix(np.diag(diag), len(diag))))
         assert np.array_equal(inv.values(), np.diag(1.0 / np.array(diag)))
-    for scale in (1e-200, 1e200):
+    for scale in (8e-309, 1e-200, 1e200):
         inv = invert_metric(MetricValue(jet_matrix(scale * np.diag([-1.0, 1, 1, 1]), 4)))
         assert np.allclose(inv.values() * scale, np.diag([-1.0, 1, 1, 1]), rtol=1e-15)
+    # a representable inverse and derivative, though the sum of a part and its
+    # transpose overflows
+    inv = invert_metric(MetricValue(Jet(2, 0, np.diag([8e-309, 8e-309]))))
+    assert inv.values().tolist() == [[1 / 8e-309, 0.0], [0.0, 1 / 8e-309]]
+    gradient = np.zeros((2, 2, 2))
+    gradient[0, 0, 0] = 1.5e308
+    inv = invert_metric(MetricValue(Jet(2, 1, np.eye(2), gradient)))
+    assert inv.jet.gradient.tolist() == (-gradient).tolist()
 
 
 def test_jet_inverse_is_two_sided_identity():

@@ -209,6 +209,7 @@ def test_overflow_is_domain_error():
     jet = eval_expr(parse_expression("1e308*x1 - 1e308*x2", ["x1", "x2"]), (1.0, 1.0), 1)
     assert jet.value == 0.0 and jet.gradient.tolist() == [1e308, -1e308]
     assert Jet(1, 1, 1e308, [1e308]).gradient.tolist() == [1e308]
+    assert Jet(1, 2, 1.0, [0.0], [[1.5e308]]).hessian.tolist() == [[1.5e308]]
     jet = apply_function(Jet(1, 1, 709.7, [1.0]), "exp")
     assert jet.value == np.exp(709.7) and jet.gradient.tolist() == [jet.value]
 

@@ -268,3 +268,21 @@ def test_an_error_at_every_node_names_a_point_on_the_segment(entry):
     with pytest.raises(DomainError) as excinfo:
         integrate_phi(load_scenario(doc), base, end)
     assert _on_segment(excinfo.value.point, base, end)
+
+
+def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
+    # sqrt(x1) fails at every node of a segment in x1 < 0, but a segment of
+    # length 0 reads no node
+    doc = flat_doc(2)
+    doc["connection"] = {
+        "kind": "explicit",
+        "gamma": [[["sqrt(x1)", "0"], [None, "0"]], [["0", "0"], [None, "0"]]],
+    }
+    scn, base = load_scenario(doc), (-0.5, 0.25)
+    assert integrate_phi(scn, base, base) == 0.0
+    assert integrate_phi_path(scn, [base, base, base]) == 0.0
+    (metric,) = recover_metric(scn, base, [base])
+    assert metric.values().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DomainError) as excinfo:
+        integrate_phi(scn, base, (-0.4, 0.25))
+    assert excinfo.value.path == "sqrt(x1)"
