@@ -192,51 +192,51 @@ def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
 def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """Random vectors on the metric's null cone.
 
-    The value matrix is diagonalized by ``np.linalg.eigh``; a draw combines
-    a random direction from the positive eigenspace with one from the
-    negative eigenspace, scaled so the quadratic form cancels.  For a
-    definite metric the cone is trivial and the list is empty.  Degeneracy
-    (``ill_conditioned`` of max|lambda| / min|lambda|) and the null residual
-    are relative to the largest eigenvalue, so neither depends on the scale
-    of the metric.  ``rng`` skips the draws used; a raising call uses none.
+    The value matrix is diagonalized by ``np.linalg.eigh``; a draw combines a random
+    direction from the positive eigenspace with one from the negative eigenspace, scaled
+    so the quadratic form cancels.  It is the one-row case of the kernel that
+    ``check_compatibility`` batches, so a definite metric draws nothing and gets an empty
+    list.  Degeneracy (``ill_conditioned`` of max|lambda| / min|lambda|) and the null
+    residual are relative to the largest eigenvalue, so neither depends on the scale of
+    the metric.  ``rng`` skips the draws used; a raising call uses none.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ValueError("null vector count must be a non-negative integer")
-    u, has, used, fails = _null_cone(
+    _, u, used, fails = _null_cone(
         g.values()[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
     )
-    if fails[0] is not None:
-        raise fails[0]
-    rng.skip(int(used[0]))
-    return [NullVector(point=g.point, u=v) for v in u[0]] if has[0] else []
+    for error in fails.values():
+        raise error
+    rng.skip(int(np.sum(used)))
+    return [NullVector(point=g.point, u=v) for row in u for v in row]
 
 
 def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
-    """``count`` null vectors at each indefinite point of a metric stack
-    ``(S, n, n)``, drawn from the SplitMix64 streams in ``states`` as one
-    point at a time would, in one ``(S, 2 * count, n)`` layout of legs plus,
-    minus, plus, ...: a point with m negative eigenvalues (eigenvectors
-    ``[:, :m]``) draws n - m and m per leg, one without a cone draws none, and a
-    rejected leg is drawn again from the next positions, shifting every later leg.
-    Returns the vectors, whether each point has them, its draws and its error, or
-    None; an error names ``point_at(i)`` (a tuple or None), asked only for a failing point."""
-    S, n = values.shape[:2]
+    """``count`` null vectors at each point of a metric stack ``(S, n, n)`` that has a cone,
+    from the SplitMix64 streams in ``states`` as one point at a time would draw them.  After
+    one ``eigh`` only the H rows with 0 < m < n negative eigenvalues that are not degenerate
+    enter one ``(H, 2 * count, n)`` layout of legs plus, minus, plus, ..., drawing n - m and m
+    per leg (eigenvectors ``[:, :m]``); a rejected leg is drawn again from the next positions,
+    shifting every later leg.  Returns the H rows' indices, vectors and draws, and ``{index:
+    error}``; an error names ``point_at(i)`` (a tuple or None), asked only at a failing point."""
+    n = values.shape[-1]
     lam, vec = np.linalg.eigh(values)
     scale = np.max(np.abs(lam), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         degenerate = ill_conditioned(scale / np.min(np.abs(lam), axis=1), rank_tol)
-    fails = [None] * S
+    fails = {}
     for i in np.flatnonzero(degenerate).tolist():
         fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
-    m = np.sum(lam < 0.0, axis=1, keepdims=True)
-    has = (m[:, 0] > 0) & (m[:, 0] < n) & ~degenerate & (count > 0)
+    m = np.sum(lam < 0.0, axis=1)
+    cone = np.flatnonzero((m > 0) & (m < n) & ~degenerate & (count > 0))
+    values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone, None]
     plus = np.arange(2 * count) % 2 == 0
-    k = np.where(plus, n - m, m) * has[:, None]  # draws per leg
+    k = np.where(plus, n - m, m)  # draws per leg
     slot = np.arange(n) - np.where(plus, m, 0)[..., None]  # stream offset, if taken
     take = (slot >= 0) & (slot < k[..., None])  # the coefficients a leg uses
     extra = np.zeros(k.shape, dtype=np.int64)  # rejected tries
-    leg, q = np.zeros(k.shape + (n,)), np.ones(k.shape)  # a point without draws: w = 0
-    live, st = np.flatnonzero(has), states[:, None, None]
+    leg, q = np.zeros(k.shape + (n,)), np.zeros(k.shape)
+    live, st = np.arange(len(cone)), states[cone, None, None]
     while live.size:
         begin = np.cumsum(k[live] * (extra[live] + 1), axis=1) - k[live]
         draws = uniform_draws(st[live], begin[..., None] + slot[live], -1.0, 1.0)
@@ -249,18 +249,18 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         extra[live, first] += 1
         live = live[extra[live, first] < 1000]
     capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
-    with np.errstate(all="ignore"):  # legs past a cap, and points without a cone
+    with np.errstate(all="ignore"):  # legs past a cap
         w = leg / np.sqrt(np.abs(q))[..., None]
         w = w[:, 0::2] + w[:, 1::2]
         w /= np.max(np.abs(w), axis=-1, keepdims=True)
         residual = np.abs(np.einsum("sci,sij,scj->sc", w, values, w))
         lost = residual > NULL_TOL * scale[:, None] * np.einsum("sci,sci->sc", w, w)
     reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
-    for i in np.flatnonzero(lost.any(axis=1) | capped).tolist():
-        p = point_at(i)
+    for j in np.flatnonzero(lost.any(axis=1) | capped).tolist():
+        p = point_at(int(cone[j]))
         where = f" at point {p}" if p is not None else ""
-        fails[i] = ConprojError(reasons[int(capped[i])] + where)
-    return w, has, np.sum(k * (extra + 1), axis=1), fails
+        fails[int(cone[j])] = ConprojError(reasons[int(capped[j])] + where)
+    return cone, w, np.sum(k * (extra + 1), axis=1), fails
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
@@ -289,18 +289,16 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _point_figures(scenario: Scenario, ev: Evaluator, states: np.ndarray) -> list:
-    """A, B, scale, EPS over 2n null vectors drawn from ``states`` (NaN without them) and
-    whether there are any, at each of the evaluator's points; flags failed null cones."""
+    """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
+    without a cone) at each point of the evaluator's stack; flags failed null cones."""
     obs = _obstructions(scenario, ev)
-    n, scale = obs.metric.n, np.reshape(obs.scale, -1)
-    values = np.reshape(obs.metric.jet.value, (-1, n, n))
-    values = np.where(np.reshape(ev.bad, (-1, 1, 1)), np.eye(n), values)
-    u, has, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, ev.point_at)
-    ev.flag(np.reshape([f is not None for f in fails], ev.shape), lambda i: fails[i])
-    eps, diff = np.full(len(scale), np.nan), np.reshape(obs.diff_values, (-1, n, n, n))
-    eps[has] = np.max(_eps_from_diff(diff[has], u[has]), axis=-1)
-    a, b = (_absmax(np.reshape(x, (len(scale), -1)), 1) / scale for x in (obs.a, obs.b))
-    return [a, b, scale, eps, has]
+    n, eps = obs.metric.n, np.full(ev.shape, np.nan)
+    values = np.where(ev.bad[:, None, None], np.eye(n), obs.metric.jet.value)
+    cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, ev.point_at)
+    ev.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
+    eps[cone] = np.max(_eps_from_diff(obs.diff_values[cone], u), axis=-1)
+    a, b = (_absmax(x, 1) / obs.scale for x in (obs.a, obs.b))
+    return [a, b, obs.scale, eps]
 
 
 def _batched(points: np.ndarray, at, *rows):
@@ -380,9 +378,10 @@ def check_compatibility(
     residuals are scale-normalized before aggregation, and ``worst`` lists
     the three largest max(A, B), ties in sample order.
     """
-    count, seed, points, (a, b, scale, eps, has), skipped = _sweep(
+    count, seed, points, (a, b, scale, eps), skipped = _sweep(
         scenario, samples, seed, lambda ev, states: _point_figures(scenario, ev, states)
     )
+    has = ~np.isnan(eps)  # a kept point has EPS exactly when it has a cone
     kept = zip(points.tolist(), a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist())
     per_point = tuple(
         PointSummary(tuple(p), x, y, e if h else None, s) for p, x, y, s, e, h in kept

@@ -154,22 +154,18 @@ class _Parser:
         return node
 
     def _expr(self) -> Expr:
-        node = self._term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._advance()
-                node = Binary(text, node, self._term())
-            else:
-                return node
+        return self._chain("+-", self._term)
 
     def _term(self) -> Expr:
-        node = self._factor()
+        return self._chain("*/", self._factor)
+
+    def _chain(self, ops: str, operand) -> Expr:
+        node = operand()
         while True:
             kind, text, _ = self._peek()
-            if kind == "op" and text in "*/":
+            if kind == "op" and text in ops:
                 self._advance()
-                node = Binary(text, node, self._factor())
+                node = Binary(text, node, operand())
             else:
                 return node
 

@@ -156,14 +156,15 @@ def integrate_phi(scenario: Scenario, base, target) -> float:
 
 
 def integrate_phi_path(scenario: Scenario, waypoints) -> float:
-    """Integral along a polyline of straight legs through ``waypoints``."""
+    """Integral along a polyline of straight legs through ``waypoints``: the correctly
+    rounded sum of the legs, so a repeated waypoint (a zero leg) changes no bit."""
     points = list(waypoints)
     if len(points) < 2:
         raise ValueError("a path needs at least two waypoints")
     factor = RecoveredFactor(scenario, points[0])
     points = np.array([factor._inside(point) for point in points])
     legs = _integrate(scenario, points[:-1], points[1:], 0)
-    return float(np.sum(legs))
+    return math.fsum(legs[:, 0].tolist())
 
 
 def recover_metric(scenario: Scenario, base, points) -> list:

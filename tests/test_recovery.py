@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conproj import (
     integrate_phi,
     integrate_phi_path,
     load_scenario,
+    load_scenario_path,
     metric_at,
     parse_expression,
     recover_metric,
@@ -131,6 +133,27 @@ def test_recovered_factor_ratio_is_constant_between_bases():
     rec_b = recover_metric(scn, (0.4, 0.4), points)
     ratios = [a.values()[0, 0] / b.values()[0, 0] for a, b in zip(rec_a, rec_b)]
     assert max(ratios) - min(ratios) <= 1e-8 * max(ratios)
+
+
+_PROBES = [(0.2, -0.3, 0.4, -0.5, 0.6), (-0.6, 0.5, -0.1, 0.3, -0.2), (0.7, 0.1, -0.7, 0.2, 0.45)]
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(2, 6) for q in range(n + 1)])
+def test_the_recovered_metric_is_unique_up_to_one_constant_factor(n, q):
+    # On a round trip built as exp(2 phi) g, recovery from base b gives
+    # exp(2 (phi(x) - phi(b))) g(x); two bases differ by exp(2 phi_b1(b2)).
+    doc, phi_src = round_trip_doc(np.random.default_rng(600 + 10 * n + q), n, samples=2, negative=q)
+    scn = load_scenario(doc)
+    b1, b2 = (0.0,) * n, (0.5, -0.25, 0.35, -0.45, 0.15)[:n]
+    probes = [p[:n] for p in _PROBES]
+    from_b1, from_b2 = recover_metric(scn, b1, probes), recover_metric(scn, b2, probes)
+    between = math.exp(2.0 * integrate_phi(scn, b1, b2))
+    phi_b1 = phi_value(phi_src, doc["coordinates"], b1)
+    for x, g1, g2 in zip(probes, from_b1, from_b2):
+        rescaled = math.exp(2.0 * (phi_value(phi_src, doc["coordinates"], x) - phi_b1))
+        for expected in (between * g2.values(), rescaled * metric_at(scn, x, 0).values()):
+            deviation = np.abs(g1.values() - expected)
+            assert np.all(deviation <= 1e-12 * np.abs(expected)), ((n, q), x, deviation)
 
 
 def test_verify_recovery_passes_on_compatible():
@@ -286,3 +309,16 @@ def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
     with pytest.raises(DomainError) as excinfo:
         integrate_phi(scn, base, (-0.4, 0.25))
     assert excinfo.value.path == "sqrt(x1)"
+
+
+def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
+    # a pairwise sum of the legs read -0.12390959999999998 here, and
+    # -0.1239096 with the fifth waypoint repeated
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
+    scn = load_scenario_path(path)
+    waypoints = [
+        (-0.354, -0.314), (0.296, -0.046), (-0.398, 0.218), (-0.175, -0.044), (0.354, 0.229),
+        (0.875, -0.313), (0.183, 0.577), (-0.316, -0.261), (0.034, 0.781), (-0.795, 0.238),
+    ]
+    repeated = waypoints[:5] + waypoints[4:]
+    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == -0.1239096
