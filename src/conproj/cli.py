@@ -129,11 +129,8 @@ def _load_scenario_file(path: Path):
 
 
 def _override_tolerances(scenario: Scenario, args) -> Scenario:
-    tol = scenario.tolerances
-    if args.tol_residual is not None:
-        tol = replace(tol, residual=args.tol_residual)
-    if args.tol_quadrature is not None:
-        tol = replace(tol, quadrature=args.tol_quadrature)
+    given = {"residual": args.tol_residual, "quadrature": args.tol_quadrature}
+    tol = replace(scenario.tolerances, **{k: v for k, v in given.items() if v is not None})
     return replace(scenario, tolerances=tol)
 
 

@@ -229,6 +229,8 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
     m = np.sum(lam < 0.0, axis=1)
     cone = np.flatnonzero((m > 0) & (m < n) & ~degenerate & (count > 0))
+    if not cone.size:  # no leg layout, redraw test or tail
+        return cone, np.zeros((0, count, n)), np.zeros(0, dtype=np.int64), fails
     values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone, None]
     plus = np.arange(2 * count) % 2 == 0
     k = np.where(plus, n - m, m)  # draws per leg

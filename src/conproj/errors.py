@@ -77,8 +77,8 @@ class DegenerateMetric(ConprojError):
 
 
 class NonConvergence(ConprojError):
-    """Adaptive quadrature exhausted its segment budget; the message names
-    the integral's end points, its error estimate and the segments used."""
+    """Adaptive Gauss-Kronrod 7-15, with an error estimate |K15 - G7| per segment, ran out of
+    segments; the message names the integral's end points, summed estimate and segments used."""
 
 
 class TooFewVectors(ConprojError):

@@ -4,10 +4,10 @@ On a compatible pair the one-form T_i is closed over the (convex) sampling
 box, so its integral along straight segments from a base point defines the
 log-conformal factor phi with phi(base) = 0; the shared metric is then
 g * exp(2*phi), unique up to the constant fixed by the normalization.
-Integrals use adaptive composite 8-node Gauss-Legendre quadrature, refined
-breadth-first: each level bisects every unsettled segment of every
-integral of a call and evaluates all their nodes as one batch.  Batches
-run through the chunked loop of ``check_compatibility``.
+Integrals use adaptive Gauss-Kronrod 7-15 quadrature with an error estimate
+|K15 - G7| per segment, refined breadth-first: each level bisects every
+unsettled segment of every integral of a call and evaluates all their nodes
+as one batch.  Batches run through the chunked loop of ``check_compatibility``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .compatibility import _batched, _strict, _sweep, _trace_form
 from .errors import NonConvergence
@@ -33,17 +32,26 @@ __all__ = [
     "verify_recovery",
 ]
 
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
-# Gauss-Legendre rules one integral may evaluate before NonConvergence.
+# QUADPACK qk15 (Piessens et al. 1983): the Kronrod nodes in [0, 1), descending, their K15
+# weights and the weights of the embedded 7-point Gauss rule G7 on every second node.
+_X = [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+      0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0]
+_WK = [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782]
+_WG = [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0,
+       0.4179591836734694]
+_NODES = np.concatenate([np.negative(_X), _X[-2::-1]])  # ascending on [-1, 1]
+_WEIGHTS = np.array([w + w[-2::-1] for w in (_WK, _WG)])  # rows K15 and G7
+# Segments one integral may evaluate before NonConvergence: adaptive Gauss-Kronrod 7-15
+# applies one K15 rule to each, with an error estimate |K15 - G7| per segment.
 MAX_SEGMENTS = 1024
 
 
-def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
-    """8-node estimate over ``t`` in [lo, hi] of the integral ``owner``
-    (see :func:`_integrate`), one row per rule; reads T_i and, at order 1,
-    ``d_k T_i`` as ``[s, i, k]``."""
-    half = 0.5 * (hi - lo)
-    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+def _kronrod(scenario, starts, w, owner, mid, half, order):
+    """K15 estimate over ``t`` in [mid - half, mid + half] of the integral ``owner`` (see
+    :func:`_integrate`), one row per rule, and its error |K15 - G7| (max over the
+    columns); reads T_i and, at order 1, ``d_k T_i`` as ``[s, i, k]``."""
+    t = mid[:, None] + half[:, None] * _NODES
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
 
@@ -57,7 +65,8 @@ def _gauss_legendre(scenario, starts, w, owner, lo, hi, order) -> np.ndarray:
     if order >= 1:
         dt = np.einsum("rsik,ri->rsk", grad[0].reshape(points.shape + w.shape[1:]), w)
         f = np.concatenate([f, t[..., None] * dt + down], axis=-1)
-    return sum(f[:, k] * weight for k, weight in enumerate(_GL_WEIGHTS)) * half[:, None]
+    k15, g7 = (sum(f[:, k] * x for k, x in enumerate(row)) * half[:, None] for row in _WEIGHTS)
+    return k15, np.max(np.abs(k15 - g7), axis=1)
 
 
 def _integrate(scenario: Scenario, starts, ends, order: int) -> np.ndarray:
@@ -65,33 +74,27 @@ def _integrate(scenario: Scenario, starts, ends, order: int) -> np.ndarray:
     ``w = end - start``, one row each: shape (m, 1), or at order 1 (m, 1 + n)
     with the end-point gradient after the value (see ``phi_and_gradient``).
 
-    A segment settles when the sum of its halves differs from its own
-    estimate by less than the scenario's quadrature tolerance, which halves
-    with each level.  Each level evaluates the halves of every unsettled
-    segment at once, so an integral's tree, result and failure do not
-    depend on its batch.  At order 0 a zero-length segment integrates to 0
-    and evaluates nothing; at order 1 its gradient is T at the start.
+    Adaptive Gauss-Kronrod 7-15: one K15 rule per segment and an error estimate
+    |K15 - G7| per segment from its 15 nodes; a segment settles when that is below
+    the quadrature tolerance, which halves with each level.  Each level bisects every
+    unsettled segment and evaluates all halves at once, so an integral's tree, result
+    and failure do not depend on its batch.  At order 0 a zero-length segment
+    integrates to 0 and evaluates nothing; at order 1 its gradient is T at the start.
     """
     ends = np.asarray(ends, dtype=float).reshape(-1, scenario.dimension)
     starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
     w, m = ends - starts, len(ends)
     owner = np.flatnonzero(np.any(w != 0.0, axis=1) | (order > 0))
-    lo, hi = np.zeros(owner.size), np.ones(owner.size)
-    whole = _gauss_legendre(scenario, starts, w, owner, lo, hi, order) if owner.size else None
-    total = np.zeros((m, 1 + order * w.shape[1]))
-    used = np.ones(m, dtype=int)
+    mid, half = np.full(owner.size, 0.5), np.full(owner.size, 0.5)
+    total, used = np.zeros((m, 1 + order * w.shape[1])), np.zeros(m, dtype=int)
     tol = scenario.tolerances.quadrature
     while owner.size:
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-        halves = _gauss_legendre(scenario, starts, w, np.repeat(owner, 2), lo, hi, order)
-        both = halves[0::2] + halves[1::2]
-        error = np.max(np.abs(both - whole), axis=1)
+        estimate, error = _kronrod(scenario, starts, w, owner, mid, half, order)
         settled = error < tol
-        np.add.at(total, owner[settled], both[settled])
-        used += 2 * np.bincount(owner, minlength=m)
-        owner, error = owner[~settled], error[~settled]
-        over = np.flatnonzero(used + 4 * np.bincount(owner, minlength=m) > MAX_SEGMENTS)
+        np.add.at(total, owner[settled], estimate[settled])
+        used += np.bincount(owner, minlength=m)
+        owner, error, mid, half = (x[~settled] for x in (owner, error, mid, half))
+        over = np.flatnonzero(used + 2 * np.bincount(owner, minlength=m) > MAX_SEGMENTS)
         if over.size:
             j = over[0]
             raise NonConvergence(
@@ -99,9 +102,8 @@ def _integrate(scenario: Scenario, starts, ends, order: int) -> np.ndarray:
                 f"not settle in {used[j]} of at most {MAX_SEGMENTS} segments (error estimate "
                 f"{np.sum(error[owner == j]):.3e})"
             )
-        keep = np.repeat(~settled, 2)
-        owner, lo, hi, whole = np.repeat(owner, 2), lo[keep], hi[keep], halves[keep]
-        tol = 0.5 * tol
+        mid = (mid[:, None] + np.outer(half, [-0.5, 0.5])).ravel()
+        owner, half, tol = np.repeat(owner, 2), np.repeat(0.5 * half, 2), 0.5 * tol
     return total
 
 
@@ -138,8 +140,7 @@ class RecoveredFactor:
         this reduces to T_j at the target; when it fails, the honest
         gradient is what makes downstream verification fail too.
         """
-        target = self._inside(target)
-        result = _integrate(self.scenario, self.base, target, 1)[0]
+        result = _integrate(self.scenario, self.base, self._inside(target), 1)[0]
         return float(result[0]), result[1:]
 
     def scaled_metric(self, point, phi: float) -> MetricValue:
@@ -163,8 +164,7 @@ def integrate_phi_path(scenario: Scenario, waypoints) -> float:
         raise ValueError("a path needs at least two waypoints")
     factor = RecoveredFactor(scenario, points[0])
     points = np.array([factor._inside(point) for point in points])
-    legs = _integrate(scenario, points[:-1], points[1:], 0)
-    return math.fsum(legs[:, 0].tolist())
+    return math.fsum(_integrate(scenario, points[:-1], points[1:], 0)[:, 0].tolist())
 
 
 def recover_metric(scenario: Scenario, base, points) -> list:

@@ -70,9 +70,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 @dataclass(frozen=True)
 class Tolerances:
-    """``residual`` bounds the A, B and EPS residuals, ``quadrature`` a segment's
-    error in recovery; a metric is degenerate where its condition number exceeds
-    ``1 / rank`` (``geometry.ill_conditioned``), in the inverse and null cone alike."""
+    """``residual`` bounds the A, B and EPS residuals and ``quadrature`` the error estimate
+    |K15 - G7| per segment of recovery's adaptive Gauss-Kronrod 7-15; a metric is degenerate
+    where its condition number exceeds ``1 / rank`` (``geometry.ill_conditioned``), in the
+    inverse and null cone alike."""
 
     residual: float = 1e-8
     rank: float = DEFAULT_RANK_TOL

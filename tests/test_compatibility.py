@@ -667,6 +667,31 @@ def test_report_summary_is_taken_over_the_kept_points():
     assert bad_point not in [s.point for s in skipping.per_point + skipping.worst]
 
 
+def test_a_mixed_null_cone_batch_gives_the_outputs_of_its_parts():
+    # a batch without a cone returns before the leg layout, with the shapes and
+    # dtypes that the full path gives the rows of a mixed batch
+    from conproj.compatibility import _null_cone
+
+    riemann = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    lorentz = riemann - np.diag([4.0, 0.0, 0.0])
+    values = np.stack([riemann, lorentz, np.diag([1.0, 1e-20, -1.0]), -riemann, -lorentz])
+    states = np.array([point_stream(9, i).state for i in range(5)], dtype=np.uint64)
+
+    def null_cone(rows):
+        return _null_cone(values[rows], 4, states[rows], 1e-12, lambda i: None)
+
+    cone, w, used, fails = null_cone([0, 1, 2, 3, 4])
+    assert cone.tolist() == [1, 4] and w.shape == (2, 4, 3) and list(fails) == [2]
+    for j, row in enumerate(cone.tolist()):
+        alone = null_cone([row])
+        assert np.array_equal(alone[1][0], w[j]) and alone[2].tolist() == [used[j]]
+    none, w0, used0, fails0 = null_cone([0, 2, 3])
+    assert none.size == 0 and none.dtype == cone.dtype
+    assert w0.shape == (0, 4, 3) and w0.dtype == w.dtype
+    assert used0.shape == (0,) and used0.dtype == used.dtype
+    assert list(fails0) == [1] and str(fails0[1]) == str(fails[2])
+
+
 def test_check_batches_its_null_cone_work(monkeypatch):
     eigh, next_u64 = np.linalg.eigh, SplitMix64.next_u64
     eighs, draws = [], []

@@ -312,8 +312,8 @@ def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
 
 
 def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
-    # a pairwise sum of the legs read -0.12390959999999998 here, and
-    # -0.1239096 with the fifth waypoint repeated
+    # a pairwise sum of the legs once read -0.12390959999999998 here, and
+    # -0.1239096 with the fifth waypoint repeated; the exact sum is -0.1239096
     path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
     scn = load_scenario_path(path)
     waypoints = [
@@ -321,4 +321,65 @@ def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
         (0.875, -0.313), (0.183, 0.577), (-0.316, -0.261), (0.034, 0.781), (-0.795, 0.238),
     ]
     repeated = waypoints[:5] + waypoints[4:]
-    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == -0.1239096
+    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == (
+        -0.12390960000000008
+    )
+
+
+def test_the_g7_rule_is_every_second_node_of_the_k15_table():
+    from conproj.recovery import _NODES, _WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(_NODES[1::2] - nodes)) <= 1e-15
+    assert np.max(np.abs(_WEIGHTS[1, 1::2] - weights)) <= 1e-15
+    assert not _WEIGHTS[1, 0::2].any()
+
+
+def test_k15_integrates_polynomials_of_degree_22_exactly():
+    from conproj.recovery import _NODES, _WEIGHTS
+
+    def error(d):
+        return abs(_WEIGHTS[0] @ _NODES**d - (1 + (-1) ** d) / (d + 1))
+
+    assert max(error(d) for d in range(23)) <= 1e-15
+    assert error(24) > 1e-10  # the degree is 3 * 7 + 1, no more
+
+
+def _counting_batches(monkeypatch) -> list:
+    import conproj.recovery as recovery
+
+    batched, nodes = recovery._batched, []
+
+    def counting(points, *args):
+        nodes.append(len(points))
+        return batched(points, *args)
+
+    monkeypatch.setattr(recovery, "_batched", counting)
+    return nodes
+
+
+def test_a_smooth_integral_settles_in_one_batch_of_15_nodes(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
+    scn = load_scenario_path(path)
+    nodes = _counting_batches(monkeypatch)
+    assert abs(integrate_phi(scn, (0.0, 0.0), (0.5, -0.3)) - (0.15 - 0.018)) <= 1e-12
+    assert nodes == [15]
+    value, gradient = RecoveredFactor(scn, (0.0, 0.0)).phi_and_gradient((0.5, -0.3))
+    assert abs(value - 0.132) <= 1e-12 and np.allclose(gradient, [0.3, 0.12], atol=1e-12)
+    assert nodes == [15, 15]
+
+
+def test_a_nonconvergent_integral_evaluates_at_most_max_segments_rules(monkeypatch):
+    from conproj.recovery import MAX_SEGMENTS
+
+    doc = rescaled_flat_doc()
+    doc["connection"] = {
+        "kind": "levi_civita",
+        "metric": [["exp(2*sin(500*x1))", "0"], [None, "1"]],
+    }
+    doc["tolerances"] = {"quadrature": 1e-300}
+    scn = load_scenario(doc)
+    nodes = _counting_batches(monkeypatch)
+    with pytest.raises(NonConvergence, match="did not settle in 1023 of at most 1024 segments"):
+        integrate_phi(scn, (-1.0, 0.0), (1.0, 0.5))
+    assert sum(nodes) == 15 * 1023 <= 15 * MAX_SEGMENTS
