@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NonGenericConfiguration, TooFewVectors
 from .geometry import DEFAULT_RANK_TOL
+from .jets import symmetric
 
 __all__ = ["reconstruct_conformal", "canonicalize_metric"]
 
@@ -71,7 +72,7 @@ def canonicalize_metric(matrix) -> np.ndarray:
     g = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
-    g = 0.5 * g + 0.5 * g.T  # halving first cannot overflow
+    g = symmetric(g, 0, 1)
     scale = float(np.max(np.abs(g)))
     if scale == 0.0:
         raise ValueError("cannot canonicalize the zero matrix")

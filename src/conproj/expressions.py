@@ -7,10 +7,13 @@ Grammar (EBNF)::
     factor := base ("^" factor)? ;
     base   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")" | "-" base ;
 
-``^`` is right-associative and a leading minus binds tighter than the
-``^`` base (so ``-x^2`` means ``(-x)^2``).  Known functions: exp log sin
-cos tan sinh cosh tanh sqrt.  NUMBER is a decimal with optional exponent.
-Trees are immutable after parse.
+One table, ``_OPERATORS``, holds each binary operator's precedence,
+associativity and jet function; the tokenizer, the parser, the printer and
+the :class:`Evaluator` all read it.  ``^`` is right-associative and a
+leading minus binds tighter than the ``^`` base (so ``-x^2`` means
+``(-x)^2``).  Known functions: ``jets.FUNCTION_NAMES`` (exp log sin cos tan
+sinh cosh tanh sqrt).  NUMBER is a decimal with optional exponent; IDENT
+matches :data:`IDENTIFIER`.  Trees are immutable after parse.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "print_expression",
     "eval_expr",
     "Evaluator",
+    "IDENTIFIER",
 ]
 
 
@@ -87,11 +91,24 @@ def _cached_hash(node) -> int:
 Neg.__hash__ = Binary.__hash__ = Call.__hash__ = _cached_hash
 
 
-# -- tokenizer / parser -------------------------------------------------
+# -- operators, tokenizer, parser ------------------------------------------
 
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_WS = " \t\r\n"
+# Binary operators: precedence, right-associativity, jet function.
+_OPERATORS = {
+    "+": (1, False, jets.add),
+    "-": (1, False, jets.sub),
+    "*": (2, False, jets.mul),
+    "/": (2, False, jets.div),
+    "^": (4, True, jets.power),
+}
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Whitespace, then one token; a character that starts no token is "bad".
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{IDENTIFIER.pattern})|(?P<op>[{re.escape(''.join(_OPERATORS))}()])"
+    r"|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
 def _byte_offset(src: str, i: int) -> int:
@@ -99,32 +116,16 @@ def _byte_offset(src: str, i: int) -> int:
 
 
 def _tokenize(src: str):
-    tokens = []
-    i = 0
-    length = len(src)
-    while i < length:
-        ch = src[i]
-        if ch in _WS:
-            i += 1
-            continue
-        m = _NUM_RE.match(src, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(
-            f"unexpected character {ch!r}", _byte_offset(src, i)
-        )
-    tokens.append(("end", "", length))
+    """``(kind, text, index)`` triples, the last of kind ``"end"``."""
+    tokens, i = [], 0
+    while not tokens or tokens[-1][0] != "end":
+        m = _TOKEN.match(src, i)
+        kind, i = m.lastgroup, m.end()
+        if kind == "bad":
+            raise ExpressionSyntaxError(
+                f"unexpected character {m[kind]!r}", _byte_offset(src, m.start(kind))
+            )
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -153,29 +154,24 @@ class _Parser:
             self._fail("unexpected trailing input", tok)
         return node
 
-    def _expr(self) -> Expr:
-        return self._chain("+-", self._term)
-
-    def _term(self) -> Expr:
-        return self._chain("*/", self._factor)
-
-    def _chain(self, ops: str, operand) -> Expr:
-        node = operand()
+    def _expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: operands joined by operators of at least ``min_prec``."""
+        node = self._base()
         while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in ops:
-                self._advance()
-                node = Binary(text, node, operand())
-            else:
+            text = self._peek()[1]
+            prec, right, _ = _OPERATORS.get(text, (0, False, None))
+            if prec < min_prec:
                 return node
-
-    def _factor(self) -> Expr:
-        base = self._base()
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "^":
             self._advance()
-            return Binary("^", base, self._factor())
-        return base
+            node = Binary(text, node, self._expr(prec if right else prec + 1))
+
+    def _closed(self) -> Expr:
+        """An expression and the ``)`` after it."""
+        node = self._expr()
+        closing = self._advance()
+        if closing[1] != ")":
+            self._fail("expected ')'", closing)
+        return node
 
     def _base(self) -> Expr:
         tok = self._advance()
@@ -183,27 +179,18 @@ class _Parser:
         if kind == "num":
             return Literal(float(text))
         if kind == "ident":
-            nxt = self._peek()
-            if nxt[0] == "op" and nxt[1] == "(":
+            if self._peek()[1] == "(":
                 if text not in jets.FUNCTION_NAMES:
                     raise UnknownFunctionError(text, _byte_offset(self.src, pos))
                 self._advance()
-                arg = self._expr()
-                closing = self._advance()
-                if closing[0] != "op" or closing[1] != ")":
-                    self._fail("expected ')'", closing)
-                return Call(text, arg)
+                return Call(text, self._closed())
             index = self.coords.get(text)
             if index is None:
                 raise UnknownIdentifierError(text, _byte_offset(self.src, pos))
             return Variable(index, text)
-        if kind == "op" and text == "(":
-            node = self._expr()
-            closing = self._advance()
-            if closing[0] != "op" or closing[1] != ")":
-                self._fail("expected ')'", closing)
-            return node
-        if kind == "op" and text == "-":
+        if text == "(":
+            return self._closed()
+        if text == "-":
             return Neg(self._base())
         self._fail("expected a number, identifier, or '('", tok)
 
@@ -218,23 +205,16 @@ def parse_expression(src: str, coords) -> Expr:
 
 # -- printer -------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PREC = 3
 _ATOM_PREC = 5
 
 
 def _node_prec(e: Expr) -> int:
     if isinstance(e, Binary):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _NEG_PREC
-    if isinstance(e, Literal) and e.value < 0:
+        return _OPERATORS[e.op][0]
+    if isinstance(e, Neg) or isinstance(e, Literal) and e.value < 0:
         return _NEG_PREC
     return _ATOM_PREC
-
-
-def _format_number(v: float) -> str:
-    return repr(float(v))
 
 
 def print_expression(e: Expr) -> str:
@@ -246,7 +226,7 @@ def print_expression(e: Expr) -> str:
     with the same meaning.
     """
     if isinstance(e, Literal):
-        return _format_number(e.value)
+        return repr(float(e.value))
     if isinstance(e, Variable):
         return e.name
     if isinstance(e, Call):
@@ -257,7 +237,7 @@ def print_expression(e: Expr) -> str:
             body = f"({body})"
         return "-" + body
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = _OPERATORS[e.op][0]
         left = print_expression(e.left)
         right = print_expression(e.right)
         if e.op == "^":
@@ -278,15 +258,14 @@ def print_expression(e: Expr) -> str:
 
 # -- evaluation -----------------------------------------------------------
 
-_BINARY_OPS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div, "^": jets.power}
-
 
 class Evaluator:
     """Jets of expression trees at one point (shape (n,)) or S points (S, n).
 
     Evaluation is recursive and strictly left-to-right: a node evaluates its
-    operands in order, then its operator (``^`` too, whose constant exponent
-    arrives as a number).  Each distinct subtree is evaluated once per
+    operands in order, then its operator, whose jet function comes from the
+    operator table ``_OPERATORS`` (``^`` too, whose constant exponent arrives
+    as a number).  Each distinct subtree is evaluated once per
     evaluator; the same memo keeps each metric's ``scenario.metric_geometry``.
     ``errors`` keeps the first failure detected at each point (by flat index),
     which ``bad`` marks: every operation acts on each point alone, so it is the
@@ -344,9 +323,9 @@ class Evaluator:
             out = jets.neg(self._node(e.operand, order))
         elif isinstance(e, Call):
             out = self._apply(e, jets.apply_function, self._node(e.arg, order), e.func)
-        elif isinstance(e, Binary) and e.op in _BINARY_OPS:
+        elif isinstance(e, Binary) and e.op in _OPERATORS:
             left, right = self._node(e.left, order), self._node(e.right, order)
-            out = self._apply(e, _BINARY_OPS[e.op], left, right)
+            out = self._apply(e, _OPERATORS[e.op][2], left, right)
         else:
             raise TypeError(f"not an expression node: {e!r}")
         self._memo[e] = (order, out)

@@ -337,37 +337,31 @@ def _tanh_rule(v):
     return t, d, -2.0 * t * d
 
 
-_FUNCTION_TABLE = {
-    "exp": lambda v: (np.exp(v),) * 3,
-    "log": _log_rule,
-    "sin": lambda v: (np.sin(v), np.cos(v), -np.sin(v)),
-    "cos": lambda v: (np.cos(v), -np.sin(v), -np.cos(v)),
-    "tan": _tan_rule,
-    "sinh": lambda v: (np.sinh(v), np.cosh(v), np.sinh(v)),
-    "cosh": lambda v: (np.cosh(v), np.sinh(v), np.cosh(v)),
-    "tanh": _tanh_rule,
-    "sqrt": _sqrt_rule,
+# Each function's rule and, where its rule can give NaN, the message for that.
+_FUNCTIONS = {
+    "exp": (lambda v: (np.exp(v),) * 3, None),
+    "log": (_log_rule, "log of a non-positive value"),
+    "sin": (lambda v: (np.sin(v), np.cos(v), -np.sin(v)), None),
+    "cos": (lambda v: (np.cos(v), -np.sin(v), -np.cos(v)), None),
+    "tan": (_tan_rule, "tan at a pole"),
+    "sinh": (lambda v: (np.sinh(v), np.cosh(v), np.sinh(v)), None),
+    "cosh": (lambda v: (np.cosh(v), np.sinh(v), np.cosh(v)), None),
+    "tanh": (_tanh_rule, None),
+    "sqrt": (_sqrt_rule, "sqrt of a non-positive value (derivative unbounded at 0)"),
 }
 
-# Messages for inputs outside a function's domain, where its rule gives NaN.
-_DOMAIN_MESSAGES = {
-    "log": "log of a non-positive value",
-    "sqrt": "sqrt of a non-positive value (derivative unbounded at 0)",
-    "tan": "tan at a pole",
-}
-
-FUNCTION_NAMES = frozenset(_FUNCTION_TABLE)
+FUNCTION_NAMES = frozenset(_FUNCTIONS)
 
 
 def apply_function(a, name: str, check=_raise):
     """Apply an elementary function to a jet through the chain rule."""
-    rule = _FUNCTION_TABLE.get(name)
-    if rule is None:
+    if name not in _FUNCTIONS:
         raise ValueError(f"unknown function '{name}'")
+    rule, domain = _FUNCTIONS[name]
 
     def reasons():  # a domain NaN, then an overflow, as far as the function has them
-        domain = [(np.isnan(f0), _DOMAIN_MESSAGES[name])] if name in _DOMAIN_MESSAGES else []
-        return domain + [(~np.isfinite(f0), f"{name} overflow")]
+        overflow = [(~np.isfinite(f0), f"{name} overflow")]
+        return [(np.isnan(f0), domain)] + overflow if domain else overflow
 
     with np.errstate(all="ignore"):
         f0, f1, f2 = rule(np.asarray(_value(a), dtype=float))

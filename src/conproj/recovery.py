@@ -129,7 +129,7 @@ class RecoveredFactor:
         return p
 
     def phi(self, target) -> float:
-        return float(self._segment_integral(self.base, self._inside(target))[0])
+        return float(_integrate(self.scenario, self.base, self._inside(target), 0)[0, 0])
 
     def phi_and_gradient(self, target):
         """Line-integral value and its true target-point gradient.
@@ -146,9 +146,6 @@ class RecoveredFactor:
     def scaled_metric(self, point, phi: float) -> MetricValue:
         """The scenario metric at ``point`` rescaled by exp(2*phi)."""
         return _scaled_metrics(self.scenario, [_check_point(self.scenario, point)], [phi])[0]
-
-    def _segment_integral(self, start, end) -> np.ndarray:
-        return _integrate(self.scenario, start, end, 0)[0]
 
 
 def integrate_phi(scenario: Scenario, base, target) -> float:

@@ -28,7 +28,6 @@ gradient S^i = g^{ij} d_j f makes the recipe compatible in any dimension.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import reduce
@@ -64,8 +63,6 @@ __all__ = [
 
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 0
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
 @dataclass(frozen=True)
@@ -300,7 +297,7 @@ def load_scenario(document) -> Scenario:
     coords = []
     for i, name in enumerate(coords_doc):
         path = f"$.coordinates[{i}]"
-        if not isinstance(name, str) or not _IDENT_RE.match(name):
+        if not isinstance(name, str) or not ex.IDENTIFIER.fullmatch(name):
             raise ScenarioError("coordinate names must be identifiers", path)
         if name in jets.FUNCTION_NAMES:
             raise ScenarioError(

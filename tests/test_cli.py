@@ -273,24 +273,25 @@ def test_usage_errors_exit_one():
 
 
 def test_recover_integrates_the_query_point_once(tmp_path, monkeypatch):
-    from conproj.recovery import RecoveredFactor
+    from conproj import recovery
 
     rng = np.random.default_rng(107)
     doc, _ = round_trip_doc(rng, 2, samples=6)
     scenario = tmp_path / "scn.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     calls = []
-    original = RecoveredFactor._segment_integral
+    original = recovery._integrate
 
-    def counting(self, start, end):
-        calls.append((tuple(start), tuple(end)))
-        return original(self, start, end)
+    def counting(scenario, starts, ends, order):
+        calls.append((np.asarray(ends, dtype=float).reshape(-1, 2).tolist(), order))
+        return original(scenario, starts, ends, order)
 
-    monkeypatch.setattr(RecoveredFactor, "_segment_integral", counting)
+    monkeypatch.setattr(recovery, "_integrate", counting)
     out = tmp_path / "recover.json"
     argv = ["recover", str(scenario), "--base", "0,0", "--at", "0.4,-0.3"]
     assert main(argv + ["--out", str(out), "--quiet"]) == 0
-    assert len(calls) == 1
+    assert calls.count(([[0.4, -0.3]], 0)) == 1
+    assert all(order == 1 or ends == [[0.4, -0.3]] for ends, order in calls)
     monkeypatch.undo()
     recovery = read_json(out)["recovery"]
     from conproj import integrate_phi, load_scenario, recover_metric

@@ -800,3 +800,36 @@ def test_a_narrow_bump_in_the_drift_fails_B_at_5000_samples():
     scn = load_scenario(drift_doc(s=("0", "0", bump)))
     for seed in range(3):
         assert check_compatibility(scn, samples=5000, seed=seed).verdict == "fails_B"
+
+
+# ``check`` on the bundled scenarios at their own sample count: these fields are exact.
+# Residuals are roundoff (or, for the drift's B, one) and hold to _RESIDUAL_BOUND.
+_RESIDUAL_BOUND = 1e-14
+_BUNDLED = {
+    # name: (verdict, EPS verdict, samples, seed, null vectors, max A, max B, max EPS)
+    "flat_euclidean_2d": ("compatible", "vacuous", 100, 0, 0, 0.0, 0.0, None),
+    "rescaled_shift_2d": ("compatible", "vacuous", 100, 7, 0, 0.0, 0.0, None),
+    "drift_lorentzian_3d": ("fails_B", "holds", 200, 42, 1200, 0.0, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED))
+def test_bundled_scenarios_pinned(name):
+    verdict, eps_verdict, samples, seed, null_vectors, *residuals = _BUNDLED[name]
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    report = check_compatibility(load_scenario_path(scenarios / f"{name}.json"))
+    assert (report.verdict, report.eps_verdict) == (verdict, eps_verdict)
+    assert (report.samples, report.seed) == (samples, seed)
+    assert report.skipped == ()
+    assert report.null_vectors == null_vectors
+    for actual, expected in zip((report.max_a, report.max_b, report.max_eps), residuals):
+        if expected is None:
+            assert actual is None
+        else:
+            assert abs(actual - expected) <= _RESIDUAL_BOUND
+    if name == "drift_lorentzian_3d":
+        assert [(w.point, w.a, w.b) for w in report.worst] == [
+            ((0.1967264843346619, 0.24312266373340297, 0.6352728864981023), 0.0, 1.0),
+            ((0.06149783346008042, 0.2669854861288554, -0.8410367598819053), 0.0, 1.0),
+            ((0.5249952380666669, -0.7260229331468464, 0.5764048929678689), 0.0, 1.0),
+        ]

@@ -40,6 +40,10 @@ def test_syntax_error_offset():
     with pytest.raises(ExpressionSyntaxError) as excinfo:
         parse_expression("x + * y", COORDS)
     assert excinfo.value.offset == 4
+    # an unclosed call fails at the end of its source
+    with pytest.raises(ExpressionSyntaxError) as excinfo:
+        parse_expression("exp(x", COORDS)
+    assert str(excinfo.value) == "expected ')' (byte offset 5)"
 
 
 def test_unknown_names():
@@ -70,6 +74,21 @@ def test_precedence_and_associativity():
     assert eval_expr(parse_expression("-x^2", COORDS), (3.0, 0.0), 0).value == 9.0
     # subtraction chains left-associatively
     assert eval_expr(parse_expression("8 - 4 - 2", COORDS), (0, 0), 0).value == 2.0
+    # so does division
+    assert parse_expression("8/4/2", COORDS) == Binary(
+        "/", Binary("/", Literal(8.0), Literal(4.0)), Literal(2.0)
+    )
+    # '^' binds tighter than '*' on either side
+    assert parse_expression("2*x^3", COORDS) == Binary(
+        "*", Literal(2.0), Binary("^", Variable(0, "x"), Literal(3.0))
+    )
+    assert parse_expression("2^3*x", COORDS) == Binary(
+        "*", Binary("^", Literal(2.0), Literal(3.0)), Variable(0, "x")
+    )
+    # a leading minus is an exponent's base
+    assert parse_expression("x^-2", COORDS) == Binary(
+        "^", Variable(0, "x"), Neg(Literal(2.0))
+    )
 
 
 def test_eval_matches_jet_examples():
@@ -126,6 +145,11 @@ def test_print_round_trip_on_sources():
         src = random_expression(rng, COORDS)
         tree = parse_expression(src, COORDS)
         assert parse_expression(print_expression(tree), COORDS) == tree
+    # a negative literal, which no source parses to, reparses as a negation of one meaning
+    printed = print_expression(Binary("^", Literal(-2.0), Literal(2.0)))
+    assert printed == "-2.0^2.0"
+    assert parse_expression(printed, COORDS) == Binary("^", Neg(Literal(2.0)), Literal(2.0))
+    assert eval_expr(parse_expression(printed, COORDS), (0.0, 0.0), 0).value == 4.0
 
 
 _leaf = st.one_of(
@@ -187,6 +211,7 @@ def test_parser_fuzz_grammar_alphabet(src):
         ("x1^-2", "x1", -2.0),
         ("x1^(2*3)", "x1", 6.0),
         ("x1^0", "x1", 0.0),
+        ("2^0", "2", 0.0),
         ("x1^0.5", "x1", 0.5),
         ("(1 + x1)^x2", "1 + x1", "x2"),
     ],
