@@ -19,7 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,20 +31,16 @@ from .expressions import parse_expression
 from .recovery import RecoveredFactor, verify_recovery
 from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, Scenario, load_scenario
 
+
+def _flat_metric(first: str, n: int) -> list:
+    """Rows of diag(first, 1, ..., 1) as expression strings."""
+    diagonal = [first] + ["1"] * (n - 1)
+    return [[diagonal[i] if i == j else "0" for j in range(n)] for i in range(n)]
+
+
 _BUILTIN_METRICS = {
-    "euclidean2": (2, [["1", "0"], ["0", "1"]]),
-    "euclidean3": (3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
-    "minkowski2": (2, [["-1", "0"], ["0", "1"]]),
-    "minkowski3": (3, [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
-    "minkowski4": (
-        4,
-        [
-            ["-1", "0", "0", "0"],
-            ["0", "1", "0", "0"],
-            ["0", "0", "1", "0"],
-            ["0", "0", "0", "1"],
-        ],
-    ),
+    **{f"euclidean{n}": _flat_metric("1", n) for n in (2, 3)},
+    **{f"minkowski{n}": _flat_metric("-1", n) for n in (2, 3, 4)},
 }
 
 
@@ -160,11 +156,7 @@ def _check_document(report: CompatReport, digest: str) -> dict:
         "residuals": {"A": report.max_a, "B": report.max_b, "eps": eps_value},
         "samples": report.samples,
         "seed": report.seed,
-        "tolerances": {
-            "residual": report.tolerances.residual,
-            "rank": report.tolerances.rank,
-            "quadrature": report.tolerances.quadrature,
-        },
+        "tolerances": asdict(report.tolerances),
         "skipped_points": [list(point) for point, _ in report.skipped],
         "worst": [
             {"point": list(summary.point), "A": summary.a, "B": summary.b}
@@ -263,13 +255,11 @@ def _cmd_cone(args) -> int:
 
 
 def _resolve_metric(spec: str):
-    builtin = _BUILTIN_METRICS.get(spec)
-    if builtin is not None:
-        n, rows = builtin
-        coords = [f"x{i + 1}" for i in range(n)]
-        box = {"min": [-1.0] * n, "max": [1.0] * n}
-        return n, coords, rows, box
-    payload = json.loads(Path(spec).read_text(encoding="utf-8"))
+    rows = _BUILTIN_METRICS.get(spec)
+    if rows is not None:
+        payload = {"dimension": len(rows), "metric": rows}
+    else:
+        payload = json.loads(Path(spec).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ConprojError("metric file must be a JSON object")
     n = payload.get("dimension")

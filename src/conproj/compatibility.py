@@ -131,15 +131,16 @@ class CompatReport:
 
 def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
     """Metric (order ``order + 1``), inverse (order ``order``), connection,
-    Levi-Civita connection, trace-free difference T and its traces T^i, T_i."""
+    difference Gamma_LC - Gamma, its trace-free part T and the traces T^i, T_i."""
     for i, row in enumerate(scenario.metric):  # the entries' errors come before the recipe's
         for entry in row[i:]:
             ev.jet(entry, order + 1)
     gamma = connection_jet(scenario, ev, order)
     g, ginv, base = metric_geometry(scenario.metric, ev, order, scenario.tolerances.rank)
-    T = tracefree(jets.sub(base, gamma, None))
+    diff = jets.sub(base, gamma, None)
+    T = tracefree(diff)
     up, down = _traces(g, ginv, T)
-    return g, ginv, gamma, base, T, up, down
+    return g, ginv, gamma, diff, T, up, down
 
 
 def _traces(g: Jet, ginv: Jet, T: Jet):
@@ -161,7 +162,7 @@ def _condition_b(down: Jet) -> np.ndarray:
 
 
 def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
-    g, ginv, gamma, base, T, up, down = _trace_form(scenario, ev, 1)
+    g, ginv, gamma, diff, T, up, down = _trace_form(scenario, ev, 1)
     a = _condition_a(T.value, up.value, down.value, g.value)
     b = _condition_b(down)
     lead = len(ev.shape)
@@ -180,7 +181,7 @@ def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
         b=b,
         scale=scale,
         metric=MetricValue(g, point=point),
-        diff_values=base.value - gamma.value,
+        diff_values=diff.value,
     )
 
 

@@ -8,12 +8,13 @@ Grammar (EBNF)::
     base   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")" | "-" base ;
 
 One table, ``_OPERATORS``, holds each binary operator's precedence,
-associativity and jet function; the tokenizer, the parser, the printer and
-the :class:`Evaluator` all read it.  ``^`` is right-associative and a
-leading minus binds tighter than the ``^`` base (so ``-x^2`` means
-``(-x)^2``).  Known functions: ``jets.FUNCTION_NAMES`` (exp log sin cos tan
-sinh cosh tanh sqrt).  NUMBER is a decimal with optional exponent; IDENT
-matches :data:`IDENTIFIER`.  Trees are immutable after parse.
+associativity and jet function; the tokenizer, the parser, the printer
+(associativity too) and the :class:`Evaluator` all read it.  ``^`` is
+right-associative and a leading minus binds tighter than the ``^`` base (so
+``-x^2`` means ``(-x)^2``).  Operations, negations, calls and brackets nest
+at most 256 levels deep.  Known functions: ``jets.FUNCTION_NAMES`` (exp log
+sin cos tan sinh cosh tanh sqrt).  NUMBER is a decimal with optional
+exponent; IDENT matches :data:`IDENTIFIER`.  Trees are immutable after parse.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ _OPERATORS = {
     "/": (2, False, jets.div),
     "^": (4, True, jets.power),
 }
+_MAX_DEPTH = 256  # nesting levels; hashing, ==, printing and evaluation recurse per level
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # Whitespace, then one token; a character that starts no token is "bad".
 _TOKEN = re.compile(
@@ -147,51 +149,63 @@ class _Parser:
     def _fail(self, message: str, tok):
         raise ExpressionSyntaxError(message, _byte_offset(self.src, tok[2]))
 
+    def _nest(self, level: int, tok) -> None:
+        """Fail at ``tok`` if the level it opens below ``level`` others passes the bound.  Parse
+        functions take the enclosing ``depth`` and return a node and the levels it nests."""
+        if level >= _MAX_DEPTH:
+            self._fail(f"expression nests deeper than {_MAX_DEPTH} levels", tok)
+
     def parse(self) -> Expr:
-        node = self._expr()
+        node, _ = self._expr(1, 0)
         tok = self._peek()
         if tok[0] != "end":
             self._fail("unexpected trailing input", tok)
         return node
 
-    def _expr(self, min_prec: int = 1) -> Expr:
+    def _expr(self, min_prec: int, depth: int):
         """Precedence climbing: operands joined by operators of at least ``min_prec``."""
-        node = self._base()
+        node, height = self._base(depth)
         while True:
-            text = self._peek()[1]
-            prec, right, _ = _OPERATORS.get(text, (0, False, None))
+            tok = self._peek()
+            prec, right, _ = _OPERATORS.get(tok[1], (0, False, None))
             if prec < min_prec:
-                return node
+                return node, height
+            self._nest(depth + height, tok)
             self._advance()
-            node = Binary(text, node, self._expr(prec if right else prec + 1))
+            operand, below = self._expr(prec if right else prec + 1, depth + 1)
+            node, height = Binary(tok[1], node, operand), 1 + max(height, below)
 
-    def _closed(self) -> Expr:
-        """An expression and the ``)`` after it."""
-        node = self._expr()
+    def _closed(self, tok, depth: int):
+        """The expression that ``tok`` opens one level below ``depth``, and the ``)`` after it."""
+        self._nest(depth, tok)
+        node, height = self._expr(1, depth + 1)
         closing = self._advance()
         if closing[1] != ")":
             self._fail("expected ')'", closing)
-        return node
+        return node, height + 1
 
-    def _base(self) -> Expr:
+    def _base(self, depth: int):
         tok = self._advance()
         kind, text, pos = tok
         if kind == "num":
-            return Literal(float(text))
+            return Literal(float(text)), 0
         if kind == "ident":
             if self._peek()[1] == "(":
                 if text not in jets.FUNCTION_NAMES:
                     raise UnknownFunctionError(text, _byte_offset(self.src, pos))
                 self._advance()
-                return Call(text, self._closed())
+                arg, height = self._closed(tok, depth)
+                return Call(text, arg), height
             index = self.coords.get(text)
             if index is None:
                 raise UnknownIdentifierError(text, _byte_offset(self.src, pos))
-            return Variable(index, text)
+            return Variable(index, text), 0
         if text == "(":
-            return self._closed()
+            return self._closed(tok, depth)
         if text == "-":
-            return Neg(self._base())
+            self._nest(depth, tok)
+            operand, height = self._base(depth + 1)
+            return Neg(operand), height + 1
         self._fail("expected a number, identifier, or '('", tok)
 
 
@@ -205,25 +219,22 @@ def parse_expression(src: str, coords) -> Expr:
 
 # -- printer -------------------------------------------------------------
 
-_NEG_PREC = 3
-_ATOM_PREC = 5
-
-
-def _node_prec(e: Expr) -> int:
-    if isinstance(e, Binary):
-        return _OPERATORS[e.op][0]
-    if isinstance(e, Neg) or isinstance(e, Literal) and e.value < 0:
-        return _NEG_PREC
-    return _ATOM_PREC
+def _bracketed(operand: Expr, text: str, min_prec: int) -> str:
+    """``text`` in brackets if ``operand`` is an operation of precedence below ``min_prec``."""
+    if isinstance(operand, Binary) and _OPERATORS[operand.op][0] < min_prec:
+        return f"({text})"
+    return text
 
 
 def print_expression(e: Expr) -> str:
     """Render a tree back to grammar-conformant source.
 
-    Parenthesization preserves the tree structure exactly, so
-    ``parse(print(parse(s)))`` equals ``parse(s)``.  Negative literals
-    (which the grammar itself never produces) reparse as a negation node
-    with the same meaning.
+    An operand is bracketed when it binds looser than its operator, or as
+    tightly but on the side that the operator's associativity in
+    ``_OPERATORS`` does not group; a negation brackets every operation.
+    So ``parse(print(parse(s)))`` equals ``parse(s)``.  Negative literals
+    (which the grammar itself never produces) print as atoms and reparse
+    as a negation node with the same meaning.
     """
     if isinstance(e, Literal):
         return repr(float(e.value))
@@ -232,24 +243,11 @@ def print_expression(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.func}({print_expression(e.arg)})"
     if isinstance(e, Neg):
-        body = print_expression(e.operand)
-        if isinstance(e.operand, Binary):
-            body = f"({body})"
-        return "-" + body
+        return "-" + _bracketed(e.operand, print_expression(e.operand), math.inf)
     if isinstance(e, Binary):
-        prec = _OPERATORS[e.op][0]
-        left = print_expression(e.left)
-        right = print_expression(e.right)
-        if e.op == "^":
-            if isinstance(e.left, Binary) or _node_prec(e.left) < _NEG_PREC:
-                left = f"({left})"
-            if isinstance(e.right, Binary) and e.right.op != "^":
-                right = f"({right})"
-        else:
-            if _node_prec(e.left) < prec:
-                left = f"({left})"
-            if _node_prec(e.right) <= prec:
-                right = f"({right})"
+        prec, right_assoc, _ = _OPERATORS[e.op]
+        left = _bracketed(e.left, print_expression(e.left), prec + 1 if right_assoc else prec)
+        right = _bracketed(e.right, print_expression(e.right), prec if right_assoc else prec + 1)
         if e.op in "+-":
             return f"{left} {e.op} {right}"
         return f"{left}{e.op}{right}"

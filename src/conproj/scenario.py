@@ -338,7 +338,7 @@ def load_scenario(document) -> Scenario:
     tol_doc = document.get("tolerances", {})
     if not isinstance(tol_doc, Mapping):
         raise ScenarioError("'tolerances' must be an object", "$.tolerances")
-    _check_keys(tol_doc, {"residual", "rank", "quadrature"}, "$.tolerances")
+    _check_keys(tol_doc, {field.name for field in fields(Tolerances)}, "$.tolerances")
     for key, value in tol_doc.items():
         if not _is_number(value):
             raise ScenarioError(f"'{key}' must be a finite number", "$.tolerances")
@@ -474,13 +474,8 @@ def with_conformal_factor(scenario: Scenario, sigma) -> Scenario:
     """Scenario whose metric representative is rescaled by exp(2*sigma)."""
     sig = _as_expr(sigma, scenario.coordinates)
     factor = ex.Call("exp", ex.Binary("*", ex.Literal(2.0), sig))
-    n = scenario.dimension
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            scaled = ex.Binary("*", scenario.metric[i][j], factor)
-            rows[i][j] = rows[j][i] = scaled
-    return replace(scenario, metric=tuple(tuple(r) for r in rows))
+    metric = tuple(tuple(ex.Binary("*", entry, factor) for entry in row) for row in scenario.metric)
+    return replace(scenario, metric=metric)
 
 
 def with_projective_shift(scenario: Scenario, psi) -> Scenario:

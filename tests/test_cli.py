@@ -213,6 +213,36 @@ def test_gen_example_zero_drift_trivially_compatible(tmp_path):
     assert main(["check", str(out), "--samples", "10", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("euclidean2", [["1", "0"], ["0", "1"]]),
+        ("euclidean3", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        ("minkowski2", [["-1", "0"], ["0", "1"]]),
+        ("minkowski3", [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        (
+            "minkowski4",
+            [
+                ["-1", "0", "0", "0"],
+                ["0", "1", "0", "0"],
+                ["0", "0", "1", "0"],
+                ["0", "0", "0", "1"],
+            ],
+        ),
+    ],
+)
+def test_gen_example_builtin_metrics(tmp_path, name, rows):
+    n = len(rows)
+    out = tmp_path / "gen.json"
+    drift = ",".join(["0"] * n)
+    assert main(["gen-example", "--metric", name, "--s", drift, "--out", str(out), "--quiet"]) == 0
+    doc = read_json(out)
+    assert doc["dimension"] == n
+    assert doc["coordinates"] == [f"x{i + 1}" for i in range(n)]
+    assert doc["box"] == {"min": [-1.0] * n, "max": [1.0] * n}
+    assert doc["metric"] == doc["connection"]["metric"] == rows
+
+
 def test_gen_example_from_metric_file(tmp_path):
     metric_file = tmp_path / "metric.json"
     metric_file.write_text(
@@ -391,3 +421,21 @@ def test_non_float_scenario_numbers_exit_one(tmp_path, capsys, section, values):
     assert main(["check", str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: $.{section}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, offset",
+    [("(" * 1000 + "x1" + ")" * 1000, 256), ("2" + "+0*x1" * 999, 1276)],
+    ids=["1000-brackets", "1000-operand-sum"],
+)
+def test_deep_expression_exit_one_without_traceback(tmp_path, capsys, entry, offset):
+    doc = flat_doc(2, samples=5)
+    doc["metric"] = [[entry, "0"], [None, "1"]]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: $.metric[0][0]: expression nests deeper than 256 levels "
+        f"(byte offset {offset})\n"
+    )

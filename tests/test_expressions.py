@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -177,6 +178,26 @@ def test_print_round_trip_on_arbitrary_trees(tree):
     assert parse_expression(print_expression(tree), COORDS) == tree
 
 
+_signed_leaf = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(Literal),
+    st.sampled_from([Variable(0, "x"), Variable(1, "y")]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=st.recursive(_signed_leaf, _trees, max_leaves=6))
+def test_printing_is_a_fixed_point_of_reparsing_under_every_operator_pair(tree):
+    # every operator inside every other, on either side, around trees of every node kind
+    for outer, inner in itertools.product("+-*/^", repeat=2):
+        nested = Binary(inner, tree, tree)
+        for t in (Binary(outer, nested, tree), Binary(outer, tree, nested)):
+            text = print_expression(t)
+            reparsed = parse_expression(text, COORDS)
+            assert print_expression(reparsed) == text
+            if "value=-" not in repr(t):  # a negative literal reparses as a negation
+                assert reparsed == t
+
+
 @settings(max_examples=300, deadline=None)
 @given(src=st.text(max_size=40))
 def test_parser_fuzz_only_structured_errors(src):
@@ -239,3 +260,32 @@ def test_an_exponent_that_fails_every_point_raises_at_once(src, message):
     with pytest.raises(DomainError) as excinfo:
         eval_expr(parse_expression(src, ["x1", "x2"]), (0.3, -0.2), 2)
     assert str(excinfo.value) == f"{message} at point (0.3, -0.2)"
+
+
+# Each form nests one level per repeat: brackets, leading minus signs, chained '^' and a
+# left-associative sum of k operands.  One past the bound fails at the offset given.
+_DEEP_FORMS = {
+    "brackets": (lambda k: "(" * k + "x" + ")" * k, lambda k: k - 1),
+    "minus": (lambda k: "-" * k + "x", lambda k: k - 1),
+    "power": (lambda k: "x" + "^y" * k, lambda k: 2 * k - 1),
+    "sum": (lambda k: "2" + "+0*x" * (k - 1), lambda k: 4 * k - 7),
+}
+
+
+@pytest.mark.parametrize("form", _DEEP_FORMS)
+def test_nesting_past_the_bound_is_a_syntax_error(form):
+    source, offset = _DEEP_FORMS[form]
+    for k in (257, 1000):
+        with pytest.raises(ExpressionSyntaxError) as excinfo:
+            parse_expression(source(k), COORDS)
+        assert str(excinfo.value) == (
+            f"expression nests deeper than 256 levels (byte offset {offset(257)})"
+        )
+
+
+@pytest.mark.parametrize("form", _DEEP_FORMS)
+def test_nesting_at_the_bound_parses_prints_hashes_and_evaluates(form):
+    tree = parse_expression(_DEEP_FORMS[form][0](256), COORDS)
+    reparsed = parse_expression(print_expression(tree), COORDS)
+    assert reparsed == tree and hash(reparsed) == hash(tree)
+    assert math.isfinite(eval_expr(tree, (0.5, 0.5)).value)
