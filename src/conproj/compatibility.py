@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConprojError, DegenerateMetric
-from .expressions import Evaluator, at_point
+from .expressions import Batch, at_point
 from .geometry import (
     DEFAULT_RANK_TOL,
     ConnectionValue,
@@ -40,8 +40,9 @@ from .scenario import (
     Scenario,
     Tolerances,
     _check_point,
+    _connection,
     _draw_samples,
-    connection_jet,
+    _plan,
     metric_geometry,
 )
 
@@ -129,25 +130,30 @@ class CompatReport:
     skipped: tuple
 
 
-def _trace_form(scenario: Scenario, ev: Evaluator, order: int):
-    """Metric (order ``order + 1``), inverse (order ``order``), connection,
-    difference Gamma_LC - Gamma, its trace-free part T and the traces T^i, T_i."""
-    for i, row in enumerate(scenario.metric):  # the entries' errors come before the recipe's
-        for entry in row[i:]:
-            ev.jet(entry, order + 1)
-    gamma = connection_jet(scenario, ev, order)
-    g, ginv, base = metric_geometry(scenario.metric, ev, order, scenario.tolerances.rank)
+def _trace_plan(scenario: Scenario, order: int):
+    """The plan whose outputs are the metric (order ``order + 1``), its inverse (order
+    ``order``), the connection and :func:`_trace_form`."""
+
+    def build(plan):
+        rank_tol = scenario.tolerances.rank
+        for i, row in enumerate(scenario.metric):  # the entries' errors come before the recipe's
+            for entry in row[i:]:
+                plan.expr(entry)
+        gamma = _connection(plan, scenario.connection, order, rank_tol)
+        g, ginv, base = metric_geometry(plan, scenario.metric, order, rank_tol)
+        return g, ginv, gamma, plan.step(_trace_form, g, ginv, base, gamma)
+
+    return _plan(scenario, ("trace", order), build)
+
+
+def _trace_form(g: Jet, ginv: Jet, base: Jet, gamma: Jet):
+    """Difference Gamma_LC - Gamma of the Levi-Civita connection ``base`` of ``g`` and a
+    connection, its trace-free part T and the traces T^i, T_i."""
     diff = jets.sub(base, gamma, None)
     T = tracefree(diff)
-    up, down = _traces(g, ginv, T)
-    return g, ginv, gamma, diff, T, up, down
-
-
-def _traces(g: Jet, ginv: Jet, T: Jet):
-    n = g.n
-    coefficient = (n + 1) / ((n + 2) * (n - 1))
+    coefficient = (g.n + 1) / ((g.n + 2) * (g.n - 1))
     up = jets.mul(jets.einsum("jk,ijk->i", ginv, T), coefficient, None)
-    return up, jets.einsum("ij,j->i", g, up)
+    return diff, T, up, jets.einsum("ij,j->i", g, up)
 
 
 def _condition_a(t, up, down, g) -> np.ndarray:
@@ -161,17 +167,18 @@ def _condition_b(down: Jet) -> np.ndarray:
     return np.swapaxes(down.gradient, -1, -2) - down.gradient
 
 
-def _obstructions(scenario: Scenario, ev: Evaluator) -> ObstructionData:
-    g, ginv, gamma, diff, T, up, down = _trace_form(scenario, ev, 1)
+def _obstructions(batch: Batch) -> ObstructionData:
+    """The obstructions from the outputs of the order-1 :func:`_trace_plan`."""
+    g, ginv, gamma, (diff, T, up, down) = batch.out
     a = _condition_a(T.value, up.value, down.value, g.value)
     b = _condition_b(down)
-    lead = len(ev.shape)
+    lead = len(batch.shape)
     scale = np.maximum.reduce(
-        [np.ones(ev.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
+        [np.ones(batch.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
     )
     finite = np.isfinite(scale) & np.isfinite(_absmax(a, lead)) & np.isfinite(_absmax(b, lead))
-    ev.report(~finite, jets._NON_FINITE)
-    point = None if ev.shape else ev.point_at(0)
+    batch.report(~finite, jets._NON_FINITE)
+    point = None if batch.shape else batch.point_at(0)
     return ObstructionData(
         point=point,
         t_tensor=ConnectionValue(T),
@@ -278,8 +285,9 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
         raise ValueError("direction vector must be nonzero")
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
-    base = levi_civita(g.jet, invert_metric(g).jet)
-    return float(_eps_from_diff(base.value - gamma.jet.value, vec[None])[0])
+    ginv = invert_metric(g).jet
+    diff = _trace_form(g.jet, ginv, levi_civita(g.jet, ginv), gamma.jet)[0]
+    return float(_eps_from_diff(diff.value, vec[None])[0])
 
 
 def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -291,33 +299,33 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
 
 
-def _point_figures(scenario: Scenario, ev: Evaluator, states: np.ndarray) -> list:
+def _point_figures(scenario: Scenario, batch: Batch, states: np.ndarray) -> list:
     """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
-    without a cone) at each point of the evaluator's stack; flags failed null cones."""
-    obs = _obstructions(scenario, ev)
-    n, eps = obs.metric.n, np.full(ev.shape, np.nan)
-    values = np.where(ev.bad[:, None, None], np.eye(n), obs.metric.jet.value)
-    cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, ev.point_at)
-    ev.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
+    without a cone) at each point of the batch; flags failed null cones."""
+    obs = _obstructions(batch)
+    n, eps = obs.metric.n, np.full(batch.shape, np.nan)
+    values = np.where(batch.bad[:, None, None], np.eye(n), obs.metric.jet.value)
+    cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
+    batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
     eps[cone] = np.max(_eps_from_diff(obs.diff_values[cone], u), axis=-1)
     a, b = (_absmax(x, 1) / obs.scale for x in (obs.a, obs.b))
     return [a, b, obs.scale, eps]
 
 
-def _batched(points: np.ndarray, at, *rows):
-    """The arrays ``at(ev, *rows)`` over a stack of points, at most ``CHUNK_POINTS``
-    per evaluator (an empty stack still runs one, for the shapes) with the per-point
-    ``rows`` sliced to match, and the index and error of each failing point in index
-    order: the first error detected at it, which is the error of the point alone.
+def _batched(points: np.ndarray, plan, at, *rows):
+    """The arrays ``at(batch, *rows)`` over a stack of points, ``plan`` run on at most
+    ``CHUNK_POINTS`` per batch (an empty stack still runs one, for the shapes) with the
+    per-point ``rows`` sliced to match, and the index and error of each failing point in
+    index order: the first error detected at it, which is the error of the point alone.
     The one chunked loop: :func:`_sweep` runs the sampled calls through it and
     recovery its quadrature nodes and query points."""
     parts, errors = [], []
     for start in range(0, max(len(points), 1), CHUNK_POINTS):
         chunk = slice(start, start + CHUNK_POINTS)
-        ev = Evaluator(points[chunk])
         with np.errstate(all="ignore"):
-            parts.append(at(ev, *(row[chunk] for row in rows)))
-        errors.extend((start + i, error) for i, error in sorted(ev.errors.items()))
+            batch = plan.run(points[chunk])
+            parts.append(at(batch, *(row[chunk] for row in rows)))
+        errors.extend((start + i, error) for i, error in sorted(batch.errors.items()))
     return [np.concatenate(column) for column in zip(*parts)], errors
 
 
@@ -347,20 +355,21 @@ def _skipped(points: np.ndarray, errors):
     return keep, tuple(skipped)
 
 
-def _sweep(scenario: Scenario, samples, seed, at):
+def _sweep(scenario: Scenario, samples, seed, order: int, at):
     """The one pass of every sampled call: the count and seed (the scenario's where
-    None), the points and their streams, the arrays ``at(ev, states)`` over them by
-    :func:`_batched` and the rule of :func:`_skipped`.  Returns the count, the seed,
-    the kept points, the kept rows of each array and the skipped points."""
+    None), the points and their streams, the arrays ``at(batch, states)`` of the
+    order-``order`` :func:`_trace_plan` over them by :func:`_batched` and the rule of
+    :func:`_skipped`.  Returns the count, the seed, the kept points, the kept rows of
+    each array and the skipped points."""
     count, seed, points, states = _draw_samples(scenario, samples, seed)
-    columns, errors = _batched(points, at, states)
+    columns, errors = _batched(points, _trace_plan(scenario, order), at, states)
     keep, skipped = _skipped(points, errors)
     return count, seed, points[keep], [column[keep] for column in columns], skipped
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
-    return at_point(_check_point(scenario, point), lambda ev: _obstructions(scenario, ev))
+    return at_point(_trace_plan(scenario, 1), _check_point(scenario, point), _obstructions)
 
 
 def check_compatibility(
@@ -382,7 +391,7 @@ def check_compatibility(
     the three largest max(A, B), ties in sample order.
     """
     count, seed, points, (a, b, scale, eps), skipped = _sweep(
-        scenario, samples, seed, lambda ev, states: _point_figures(scenario, ev, states)
+        scenario, samples, seed, 1, lambda batch, states: _point_figures(scenario, batch, states)
     )
     has = ~np.isnan(eps)  # a kept point has EPS exactly when it has a cone
     kept = zip(points.tolist(), a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist())

@@ -12,7 +12,7 @@ class DomainError(ConprojError):
 
     ``path`` holds the innermost failing subexpression when the failure
     happened while evaluating a parsed expression, and ``point`` the chart
-    point where it failed.  The evaluator sets both as it records each
+    point where it failed.  An evaluation plan sets both as it records each
     point's first failure; raw jet arithmetic raises with the message alone.
     """
 

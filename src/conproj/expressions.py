@@ -9,12 +9,18 @@ Grammar (EBNF)::
 
 One table, ``_OPERATORS``, holds each binary operator's precedence,
 associativity and jet function; the tokenizer, the parser, the printer
-(associativity too) and the :class:`Evaluator` all read it.  ``^`` is
+(associativity too) and the :class:`Plan` all read it.  ``^`` is
 right-associative and a leading minus binds tighter than the ``^`` base (so
 ``-x^2`` means ``(-x)^2``).  Operations, negations, calls and brackets nest
 at most 256 levels deep.  Known functions: ``jets.FUNCTION_NAMES`` (exp log
 sin cos tan sinh cosh tanh sqrt).  NUMBER is a decimal with optional
 exponent; IDENT matches :data:`IDENTIFIER`.  Trees are immutable after parse.
+
+Trees are evaluated through a :class:`Plan`, a flat tape compiled once: the
+trees are walked in post-order without recursion, nodes are interned (equal
+subtrees become one node), each node is computed at the highest jet order
+any consumer asks of it, literal subtrees fold to floats, and each slot is
+freed after its last use.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ __all__ = [
     "parse_expression",
     "print_expression",
     "eval_expr",
-    "Evaluator",
+    "Plan",
+    "Batch",
     "IDENTIFIER",
 ]
 
@@ -82,16 +89,6 @@ class Call:
 Expr = Union[Literal, Variable, Neg, Binary, Call]
 
 
-def _cached_hash(node) -> int:
-    """The dataclass hash, computed once: an evaluator's memo looks up every subtree."""
-    if "_hash" not in node.__dict__:
-        node.__dict__["_hash"] = hash(tuple(getattr(node, f) for f in node.__dataclass_fields__))
-    return node.__dict__["_hash"]
-
-
-Neg.__hash__ = Binary.__hash__ = Call.__hash__ = _cached_hash
-
-
 # -- operators, tokenizer, parser ------------------------------------------
 
 # Binary operators: precedence, right-associativity, jet function.
@@ -102,7 +99,7 @@ _OPERATORS = {
     "/": (2, False, jets.div),
     "^": (4, True, jets.power),
 }
-_MAX_DEPTH = 256  # nesting levels; hashing, ==, printing and evaluation recurse per level
+_MAX_DEPTH = 256  # nesting levels; hashing, == and printing recurse per level
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # Whitespace, then one token; a character that starts no token is "bad".
 _TOKEN = re.compile(
@@ -257,19 +254,10 @@ def print_expression(e: Expr) -> str:
 # -- evaluation -----------------------------------------------------------
 
 
-class Evaluator:
-    """Jets of expression trees at one point (shape (n,)) or S points (S, n).
-
-    Evaluation is recursive and strictly left-to-right: a node evaluates its
-    operands in order, then its operator, whose jet function comes from the
-    operator table ``_OPERATORS`` (``^`` too, whose constant exponent arrives
-    as a number).  Each distinct subtree is evaluated once per
-    evaluator; the same memo keeps each metric's ``scenario.metric_geometry``.
-    ``errors`` keeps the first failure detected at each point (by flat index),
-    which ``bad`` marks: every operation acts on each point alone, so it is the
-    error of the point alone.  An error that fails every point at once raises,
-    naming its subexpression and the first point.
-    """
+class Batch:
+    """The points of one :meth:`Plan.run`, shape (n,) or (S, n), the plan's outputs there
+    (``out``) and the first error detected at each point (``errors`` by flat index, marked
+    in ``bad``): every operation acts on each point alone, so it is the point's own error."""
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
@@ -277,7 +265,7 @@ class Evaluator:
         self.n = self.points.shape[-1]
         self.bad = np.zeros(self.shape, dtype=bool)
         self.errors: dict = {}
-        self._memo: dict = {}
+        self.out: list = []
 
     def point_at(self, i: int) -> tuple:
         """The point at flat index ``i``."""
@@ -294,57 +282,187 @@ class Evaluator:
         path = None if e is None else print_expression(e)
         self.flag(mask, lambda i: DomainError(message, path=path, point=self.point_at(i)))
 
-    def jet(self, e: Expr, order: int) -> jets.Jet:
-        """Jet of ``e`` of the given order at every point; numpy's warnings are the caller's."""
-        try:
-            out = self._node(e, order)
-        except DomainError as err:
-            if err.point is None and self.points.size:
-                err.point = self.point_at(0)
-            raise
-        if not isinstance(out, jets.Jet):
-            # A non-finite constant has already been flagged.
-            out = jets.constant(out if math.isfinite(out) else 0.0, self.n, order, self.shape)
-        return out
 
-    def _node(self, e: Expr, order: int):
+def _literal(value: float, batch):
+    if not math.isfinite(value):
+        batch.report(True, "constant must be finite")
+    return value
+
+
+def _apply(op, e: Expr, batch, *args):
+    """``op(*args)``, reporting each failing point under ``e``; an error that fails every
+    point at once raises, naming ``e``."""
+    try:
+        return op(*args, check=partial(batch.report, e=e))
+    except DomainError as err:
+        err.path = print_expression(e)
+        raise
+
+
+def _operands(e) -> tuple:
+    if isinstance(e, Binary):
+        return e.left, e.right
+    return (e.operand,) if isinstance(e, Neg) else (e.arg,) if isinstance(e, Call) else ()
+
+
+class Plan:
+    """A flat evaluation tape over jets, compiled once and run on any stack of points.
+
+    :meth:`expr` interns the nodes of a tree by kind, payload and operand nodes, folding a
+    node whose operands are constants and whose operation reports nothing.  :meth:`stack`
+    and :meth:`step` add tensor steps, a step with a key once.  A step's operands are node
+    values; node ``BATCH`` is the :class:`Batch`.  :meth:`run` replays the steps in the
+    order their nodes were added: each point keeps its first error, and an error that
+    fails every point at once raises, naming its subexpression and the first point.
+    """
+
+    BATCH = 0
+
+    def __init__(self, n: int):
+        self.n = n
+        self._nodes: list = [(None, ())]  # (fn, args); an arg is (node, order read or None)
+        self._need: list = [0]  # the highest order asked of each node
+        self._keys: dict = {}
+        self._seen: dict = {}  # id(tree) -> (tree, node)
+        self._const: dict = {self.BATCH: None}  # folded node -> float; the batch's slot
+
+    def _add(self, key, fn, args) -> int:
+        """The node under ``key``, added if it is new; a key of None is never shared."""
+        if key is None or key not in self._keys:
+            self._nodes.append((fn, tuple(args)))
+            self._need.append(0)
+            self._keys[key] = len(self._nodes) - 1
+        return self._keys[key]
+
+    def expr(self, e: Expr) -> int:
+        """The node of tree ``e``, its subtrees added in post-order, left to right."""
+        todo = [e]
+        while todo:
+            operands = _operands(todo[-1])
+            pending = [x for x in operands if id(x) not in self._seen]
+            if pending:
+                todo.extend(reversed(pending))
+                continue
+            top = todo.pop()
+            if id(top) not in self._seen:
+                node = self._intern(top, [self._seen[id(x)][1] for x in operands])
+                self._seen[id(top)] = top, node
+        return self._seen[id(e)][1]
+
+    def _intern(self, e: Expr, operands: list) -> int:
         if isinstance(e, Literal):
-            if not math.isfinite(e.value):
-                self.report(True, "constant must be finite")
-            return e.value
-        hit = self._memo.get(e)
-        if hit is not None and hit[0] >= order:
-            return jets.truncate(hit[1], order) if isinstance(hit[1], jets.Jet) else hit[1]
-        if isinstance(e, Variable):
-            out = jets.coordinate(e.index, self.points, order)
+            key, fn = ("literal", e.value, math.copysign(1.0, e.value)), partial(_literal, e.value)
+        elif isinstance(e, Variable):  # at order 2: a consumer asking less reads a truncation
+            key, fn = ("variable", e.index, e.name), partial(_coordinate, e.index)
         elif isinstance(e, Neg):
-            out = jets.neg(self._node(e.operand, order))
+            key, fn = ("neg", *operands), lambda batch, a: jets.neg(a)
         elif isinstance(e, Call):
-            out = self._apply(e, jets.apply_function, self._node(e.arg, order), e.func)
+            key = ("call", e.func, *operands)
+            fn = partial(_apply, partial(jets.apply_function, name=e.func), e)
         elif isinstance(e, Binary) and e.op in _OPERATORS:
-            left, right = self._node(e.left, order), self._node(e.right, order)
-            out = self._apply(e, _OPERATORS[e.op][2], left, right)
+            key, fn = ("binary", e.op, *operands), partial(_apply, _OPERATORS[e.op][2], e)
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        self._memo[e] = (order, out)
-        return out
+        if key in self._keys:
+            return self._keys[key]
+        node = self._add(key, fn, [(x, None) for x in [self.BATCH, *operands]])
+        if isinstance(e, Variable):
+            self._need[node] = 2
+        elif isinstance(e, Literal):
+            if math.isfinite(e.value):  # else its step reports
+                self._const[node] = e.value
+        elif all(x in self._const for x in operands):
+            probe = Batch(np.zeros(self.n))
+            with np.errstate(all="ignore"):
+                try:
+                    value = fn(probe, *(self._const[x] for x in operands))
+                except DomainError:  # raised again when the step runs
+                    return node
+            if not probe.errors:
+                self._const[node] = value
+        return node
 
-    def _apply(self, e: Expr, op, *args):
-        """``op(*args)`` reporting each failing point under ``e``; an error that
-        fails every point at once raises, naming ``e``."""
+    def stack(self, trees, shape: tuple, order: int) -> int:
+        """Node of the tensor jet of ``shape`` from expression ``trees`` (row-major) at
+        ``order``; literal entries go straight into its arrays."""
+        if order not in (0, 1, 2):
+            raise ValueError("jet order must be 0, 1 or 2")
+        nodes = [self.expr(e) for e in trees]
+        args = [(self.BATCH, None)] + [(x, order) for x in nodes]
+        return self._add(("stack", shape, order, *nodes), partial(_stack, shape, order), args)
+
+    def step(self, fn, *nodes, key=None) -> int:
+        """Node of ``fn(*values)`` over the whole values of earlier ``nodes``."""
+        return self._add(key, fn, [(x, 2) for x in nodes])
+
+    def finish(self, outputs) -> "Plan":
+        """Lay out the steps that yield the nodes ``outputs`` as :meth:`run`'s ``Batch.out``;
+        each expression node is computed at the highest order any consumer asks of it,
+        and each slot is freed after its last read.  ``nodes`` counts the nodes."""
+        need, count = self._need, len(self._nodes)
+        for node in reversed(range(count)):
+            for x, order in self._nodes[node][1]:
+                need[x] = max(need[x], need[node] if order is None else order)
+        steps, truncated = [], {}  # (fn, reads, out); truncations take new slots
+        for node, (fn, args) in enumerate(self._nodes):
+            if node in self._const:
+                continue
+            reads = []
+            for x, order in args:
+                order = need[node] if order is None else order
+                if need[x] > order and x not in self._const:
+                    if (x, order) not in truncated:
+                        truncated[x, order] = count + len(truncated)
+                        read = partial(jets.truncate, order=order)
+                        steps.append((read, (x,), truncated[x, order]))
+                    x = truncated[x, order]
+                reads.append(x)
+            steps.append((fn, tuple(reads), node))
+        last = {x: i for i, step in enumerate(steps) for x in step[1] if x not in self._const}
+        dead = [[] for _ in steps]
+        for x, i in last.items():
+            if x not in outputs:
+                dead[i].append(x)
+        self._steps = [step + (tuple(gone),) for step, gone in zip(steps, dead)]
+        self._slots = [self._const.get(x) for x in range(count + len(truncated))]
+        self._outputs, self.nodes = list(outputs), count
+        del self._nodes, self._need, self._keys, self._seen, self._const
+        return self
+
+    def run(self, points) -> Batch:
+        """The outputs at ``points`` as the returned batch's ``out``; numpy's warnings are
+        the caller's."""
+        batch, values = Batch(points), self._slots.copy()
+        values[self.BATCH] = batch
         try:
-            return op(*args, partial(self.report, e=e))
+            for fn, args, out, dead in self._steps:
+                values[out] = fn(*[values[i] for i in args])
+                for i in dead:
+                    values[i] = None
         except DomainError as err:
-            err.path = print_expression(e)
+            if err.point is None and batch.points.size:
+                err.point = batch.point_at(0)
             raise
+        batch.out = [values[i] for i in self._outputs]
+        return batch
 
 
-def at_point(point, build):
-    """``build(ev)`` for a one-point evaluator ``ev``; raises the point's error, if any."""
-    ev = Evaluator(point)
+def _coordinate(axis: int, batch):
+    return jets.coordinate(axis, batch.points, 2)
+
+
+def _stack(shape: tuple, order: int, batch, *entries):
+    return jets.stack(entries, shape, batch.n, order, batch.shape)
+
+
+
+
+def at_point(plan: Plan, point, build=lambda batch: batch.out):
+    """``build(batch)`` of ``plan`` run at one point; raises the point's error, if any."""
     with np.errstate(all="ignore"):
-        out = build(ev)
-    for error in ev.errors.values():
+        batch = plan.run(point)
+        out = build(batch)
+    for error in batch.errors.values():
         raise error
     return out
 
@@ -355,6 +473,6 @@ def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     Domain failures propagate as :class:`DomainError` tagged with the
     innermost failing subexpression and the evaluation point.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("jet order must be 0, 1 or 2")
-    return at_point([float(c) for c in point], lambda ev: ev.jet(e, order))
+    point = [float(c) for c in point]
+    plan = Plan(len(point))
+    return at_point(plan.finish([plan.stack([e], (), order)]), point)[0]

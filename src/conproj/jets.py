@@ -140,9 +140,11 @@ def _build(n: int, order: int, part) -> Jet:
     return _make(n, order, *(part(k) if k <= order else None for k in range(3)))
 
 
-def truncate(a: Jet, order: int) -> Jet:
-    """The same jet with the components above ``order`` dropped."""
-    return a if a.order <= order else _build(a.n, order, lambda k: _part(a, k))
+def truncate(a, order: int):
+    """The same jet with the components above ``order`` dropped; a float is itself."""
+    if not isinstance(a, Jet) or a.order <= order:
+        return a
+    return _build(a.n, order, lambda k: _part(a, k))
 
 
 def bad_points(a) -> np.ndarray:
@@ -456,19 +458,25 @@ def einsum(spec: str, *operands):
     return _make(operands[jets[0]].n, order, value, grad, hess)
 
 
-def stack(entries, shape: tuple) -> Jet:
-    """Tensor jet of the given shape from its scalar entries in row-major
-    order; entries broadcast over their leading shapes."""
+def stack(entries, shape: tuple, n: int | None = None, order: int | None = None, lead=()) -> Jet:
+    """Tensor jet of the given shape from its scalar entries in row-major order.  An entry
+    is a jet, of which the parts up to ``order`` are read (by default the lowest jet order),
+    or a float, a constant; entries broadcast over their leading shapes and ``lead``, and
+    ``n`` defaults to the jets' dimension."""
     entries = list(entries)
-    order = min(j.order for j in entries)
-    n = entries[0].n
-    lead = np.broadcast_shapes(*(np.shape(j.value) for j in entries))
+    jet_entries = [j for j in entries if isinstance(j, Jet)]
+    n = jet_entries[0].n if n is None else n
+    order = min(j.order for j in jet_entries) if order is None else order
+    lead = np.broadcast_shapes(lead, *(np.shape(j.value) for j in jet_entries))
     shape = tuple(shape)
 
     def gather(k):
-        out = np.empty(lead + (len(entries),) + (n,) * k)
+        out = np.zeros(lead + (len(entries),) + (n,) * k)
         for i, j in enumerate(entries):
-            out[(Ellipsis, i) + (slice(None),) * k] = _part(j, k)
+            if isinstance(j, Jet):
+                out[(Ellipsis, i) + (slice(None),) * k] = _part(j, k)
+            elif k == 0:
+                out[..., i] = j
         return out.reshape(lead + shape + (n,) * k)
 
     return _build(n, order, gather)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import _batched, _strict, _sweep, _trace_form
+from .compatibility import _batched, _strict, _sweep, _trace_plan
 from .errors import NonConvergence
 from .geometry import MetricValue, tracefree
 from .jets import Jet
-from .scenario import Scenario, _check_point, symmetric_jet
+from .scenario import Scenario, _check_point, _metric_plan
 
 __all__ = [
     "RecoveredFactor",
@@ -55,11 +55,12 @@ def _kronrod(scenario, starts, w, owner, mid, half, order):
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
 
-    def at(ev):
-        down = _trace_form(scenario, ev, order)[-1]
+    def at(batch):
+        down = batch.out[-1][-1]
         return [down.value, down.gradient][: 1 + order]
 
-    down, *grad = _strict(*_batched(points.reshape(-1, w.shape[1]), at))
+    plan = _trace_plan(scenario, order)
+    down, *grad = _strict(*_batched(points.reshape(-1, w.shape[1]), plan, at))
     down = down.reshape(points.shape)
     f = np.einsum("rsi,ri->rs", down, w)[..., None]
     if order >= 1:
@@ -176,7 +177,7 @@ def _scaled_metrics(scenario: Scenario, points: list, phis: list) -> list:
     """The scenario metric at each point (tuples) rescaled by exp(2*phi), in batches."""
     n = scenario.dimension
     stack = np.reshape(points, (-1, n))
-    (g,) = _strict(*_batched(stack, lambda ev: [symmetric_jet(scenario.metric, ev, 0, 2).value]))
+    (g,) = _strict(*_batched(stack, _metric_plan(scenario, 0), lambda batch: [batch.out[0].value]))
     return [
         MetricValue(Jet(n, 0, v) * math.exp(2.0 * phi), point=p)
         for p, v, phi in zip(points, g, phis)
@@ -211,11 +212,11 @@ def verify_recovery(
     """
     factor = RecoveredFactor(scenario, base)
 
-    def at(ev, _states):
-        g, ginv, _, _, T, _, _ = _trace_form(scenario, ev, 0)
+    def at(batch, _states):
+        g, ginv, _, (_, T, _, _) = batch.out
         return [g.value, ginv.value, T.value]
 
-    count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, at)
+    count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, 0, at)
     dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
     rescaling = Jet(scenario.dimension, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
     max_deviation = float(np.max(np.abs(T - tracefree(rescaling).value), initial=0.0))

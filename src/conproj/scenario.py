@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import getitem
 from typing import Mapping, Sequence, Union
 
@@ -54,8 +54,6 @@ __all__ = [
     "load_scenario_path",
     "metric_at",
     "connection_at",
-    "symmetric_jet",
-    "connection_jet",
     "sample_points",
     "with_conformal_factor",
     "with_projective_shift",
@@ -130,6 +128,9 @@ class Scenario:
     seed: int = DEFAULT_SEED
     name: str | None = None
     description: str | None = None
+
+    def __getstate__(self):  # the fields; the plans compiled on first use stay behind
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 # -- loading ----------------------------------------------------------------
@@ -387,58 +388,70 @@ def _check_point(scenario: Scenario, point) -> tuple:
     return p
 
 
-def symmetric_jet(entries, ev: ex.Evaluator, order: int, rank: int) -> Jet:
-    """Tensor jet of expression entries symmetric in the last two slots, evaluated
-    in row-major order; a mirrored entry is the same tree, evaluated once by the memo."""
-    shape = (ev.n,) * rank
-    flat = [ev.jet(reduce(getitem, index, entries), order) for index in np.ndindex(shape)]
-    return jets.stack(flat, shape)
+def _plan(scenario: Scenario, key, build) -> ex.Plan:
+    """The plan whose outputs are the nodes ``build(plan)`` returns, compiled on first use
+    and kept on the scenario under ``key``."""
+    plans = scenario.__dict__.setdefault("_plans", {})
+    if key not in plans:
+        plan = ex.Plan(scenario.dimension)
+        plans[key] = plan.finish(build(plan))
+    return plans[key]
 
 
-def metric_geometry(entries, ev: ex.Evaluator, order: int, rank_tol: float):
-    """Metric ``entries`` at order ``order + 1``, its inverse and Levi-Civita connection at
-    ``order``; degenerate points are flagged on ``ev``.  Kept in ``ev``'s memo under the
-    entries and order, so a metric shared by scenario and recipe is built once per batch."""
-    key = (entries, order)
-    if key not in ev._memo:
-        g = symmetric_jet(entries, ev, order + 1, 2)
-        ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
-        ev.flag(degenerate, lambda i: DegenerateMetric(det.flat[i], point=ev.point_at(i)))
-        ev._memo[key] = g, ginv, levi_civita(g, ginv)
-    return ev._memo[key]
+def _symmetric(plan: ex.Plan, entries, order: int, rank: int) -> int:
+    """Node of the tensor jet of expression entries symmetric in the last two slots,
+    added in row-major order; a mirrored entry is the same node."""
+    shape = (plan.n,) * rank
+    return plan.stack([reduce(getitem, i, entries) for i in np.ndindex(shape)], shape, order)
 
 
-def connection_jet(scenario: Scenario, ev: ex.Evaluator, order: int) -> Jet:
-    """Scenario connection as a tensor jet at the evaluator's points;
-    recipes needing a metric derivative support orders 0 and 1."""
-    return _eval_recipe(scenario.connection, ev, order, scenario.tolerances.rank)
+def _inverse(order: int, rank_tol: float, batch: ex.Batch, g: Jet) -> Jet:
+    ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
+    batch.flag(degenerate, lambda i: DegenerateMetric(det.flat[i], point=batch.point_at(i)))
+    return ginv
 
 
-def _eval_recipe(recipe, ev: ex.Evaluator, order: int, rank_tol: float) -> Jet:
-    n = ev.n
+def metric_geometry(plan: ex.Plan, entries, order: int, rank_tol: float) -> tuple:
+    """Nodes of the metric ``entries`` at order ``order + 1`` and of its inverse and
+    Levi-Civita connection at ``order``; degenerate points are flagged.  Equal metrics
+    are one stack, so a metric shared by scenario and recipe is built once per batch."""
+    g = _symmetric(plan, entries, order + 1, 2)
+    ginv = plan.step(partial(_inverse, order, rank_tol), plan.BATCH, g, key=("inverse", g, order))
+    return g, ginv, plan.step(levi_civita, g, ginv, key=("Gamma", ginv))
+
+
+def _connection(plan: ex.Plan, recipe, order: int, rank_tol: float) -> int:
+    """Node of a connection recipe as a tensor jet; recipes needing a metric derivative
+    support orders 0 and 1."""
+    n = plan.n
     if isinstance(recipe, LeviCivitaRecipe):
-        return metric_geometry(recipe.metric, ev, order, rank_tol)[2]
+        return metric_geometry(plan, recipe.metric, order, rank_tol)[2]
     if isinstance(recipe, ExplicitRecipe):
-        return symmetric_jet(recipe.gamma, ev, order, 3)
+        return _symmetric(plan, recipe.gamma, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
-        g, ginv, base = metric_geometry(recipe.metric, ev, order, rank_tol)
+        g, ginv, base = metric_geometry(plan, recipe.metric, order, rank_tol)
         if recipe.potential is None:
-            s = jets.stack([ev.jet(entry, order) for entry in recipe.s], (n,))
+            s = plan.stack(recipe.s, (n,), order)
         else:
-            df = jets.derivative(ev.jet(recipe.potential, order + 1))
-            s = jets.einsum("ij,j->i", ginv, df)
-        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), None)
+            f = plan.stack([recipe.potential], (), order + 1)
+            s = plan.step(lambda ginv, f: jets.einsum("ij,j->i", ginv, jets.derivative(f)), ginv, f)
+        return plan.step(lambda base, s, g: jets.sub(base, jets.einsum("i,jk->ijk", s, g), None),
+                         base, s, g)
     if isinstance(recipe, ProjectiveTransformRecipe):
-        base = _eval_recipe(recipe.base, ev, order, rank_tol)
-        psi = jets.stack([ev.jet(entry, order) for entry in recipe.psi], (n,))
-        return shift(base, psi)
+        base = _connection(plan, recipe.base, order, rank_tol)
+        psi = plan.stack(recipe.psi, (n,), order)
+        return plan.step(shift, base, psi)
     raise TypeError(f"unknown connection recipe: {recipe!r}")
+
+
+def _metric_plan(scenario: Scenario, order: int) -> ex.Plan:
+    return _plan(scenario, ("metric", order), lambda p: [_symmetric(p, scenario.metric, order, 2)])
 
 
 def metric_at(scenario: Scenario, point, order: int = 2) -> MetricValue:
     """Scenario metric as jets of the requested order."""
     p = _check_point(scenario, point)
-    return MetricValue(ex.at_point(p, lambda ev: symmetric_jet(scenario.metric, ev, order, 2)), p)
+    return MetricValue(ex.at_point(_metric_plan(scenario, order), p)[0], p)
 
 
 def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
@@ -447,7 +460,10 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
     p = _check_point(scenario, point)
-    return ConnectionValue(ex.at_point(p, lambda ev: connection_jet(scenario, ev, order)), p)
+    rank_tol = scenario.tolerances.rank
+    plan = _plan(scenario, ("connection", order),
+                 lambda plan: [_connection(plan, scenario.connection, order, rank_tol)])
+    return ConnectionValue(ex.at_point(plan, p)[0], p)
 
 
 def _draw_samples(scenario: Scenario, count=None, seed=None):

@@ -30,6 +30,7 @@ from conproj import (
     sample_null_vectors,
     sample_points,
     verify_recovery,
+    with_conformal_factor,
 )
 from conproj.compatibility import CHUNK_POINTS, NullVector
 from conproj.sampling import SplitMix64, draw_point, point_stream
@@ -485,22 +486,33 @@ def test_an_error_at_every_point_precedes_an_earlier_error_at_one_point():
 
 
 def test_check_and_recovery_evaluate_each_sample_once(monkeypatch):
-    import conproj.compatibility as compatibility
+    from conproj.expressions import Plan
 
-    shapes = []
+    shapes, run = [], Plan.run
 
-    class Counting(compatibility.Evaluator):
-        def __init__(self, points):
-            super().__init__(points)
-            shapes.append(self.shape)
+    def counting(plan, points):
+        batch = run(plan, points)
+        shapes.append(batch.shape)
+        return batch
 
-    monkeypatch.setattr(compatibility, "Evaluator", Counting)
+    monkeypatch.setattr(Plan, "run", counting)
     doc, bad_point = one_degenerate_sample_doc()
     scn = load_scenario(doc)
     assert check_compatibility(scn).skipped == ((bad_point, 0.0),)
     assert shapes == [(150,)]
     assert verify_recovery(scn, (0.5, 0.5)).passed
     assert shapes[1] == (150,) and () not in shapes
+
+
+def test_check_after_400_conformal_factors_returns_a_report():
+    # Each call wraps every metric entry one level deeper; the mirrored entries become
+    # distinct, equal trees 400 levels deep.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "flat_euclidean_2d.json"
+    scn = load_scenario_path(path)
+    for _ in range(400):
+        scn = with_conformal_factor(scn, "0.001*x1")
+    report = check_compatibility(scn, samples=5)
+    assert report.verdict == "compatible" and report.samples == 5
 
 
 def test_per_point_summaries_do_not_depend_on_sample_count():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,13 @@ from hypothesis import strategies as st
 
 from conproj import (
     DomainError,
+    check_compatibility,
+    connection_at,
+    load_scenario,
+    load_scenario_path,
+    metric_at,
+    obstruction_at,
+    with_conformal_factor,
     ExpressionError,
     ExpressionSyntaxError,
     UnknownFunctionError,
@@ -16,9 +24,10 @@ from conproj import (
     parse_expression,
     print_expression,
 )
-from conproj import jets
+from conproj import expressions, jets
+from conproj.compatibility import _trace_plan
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
-from helpers import random_expression
+from helpers import drift_doc, random_expression, round_trip_doc
 
 COORDS = ("x", "y")
 
@@ -289,3 +298,84 @@ def test_nesting_at_the_bound_parses_prints_hashes_and_evaluates(form):
     reparsed = parse_expression(print_expression(tree), COORDS)
     assert reparsed == tree and hash(reparsed) == hash(tree)
     assert math.isfinite(eval_expr(tree, (0.5, 0.5)).value)
+
+
+def _subtrees(trees):
+    """Every subtree of ``trees``, walked without recursion."""
+    todo = list(trees)
+    while todo:
+        e = todo.pop()
+        yield e
+        todo.extend(getattr(e, f) for f in ("left", "right", "operand", "arg") if hasattr(e, f))
+
+
+def test_each_distinct_subtree_runs_once_per_batch(monkeypatch):
+    doc, _ = round_trip_doc(np.random.default_rng(3), 3, lorentzian=True)
+    # The conformal factor wraps every metric entry anew, so the mirrored entries
+    # become distinct, equal trees.
+    scn = with_conformal_factor(load_scenario(doc), "0.1*x1*x2 - 2*0.1")
+    assert scn.metric[0][1] is not scn.metric[1][0] and scn.metric[0][1] == scn.metric[1][0]
+    calls = []
+    for op, (prec, right, fn) in list(expressions._OPERATORS.items()):
+        def counting(a, b, check, fn=fn):
+            calls.append(1)
+            return fn(a, b, check)
+
+        monkeypatch.setitem(expressions._OPERATORS, op, (prec, right, counting))
+    connection = scn.connection
+    trees = [e for row in scn.metric + connection.base.metric for e in row] + list(connection.psi)
+    distinct = {print_expression(e) for e in _subtrees(trees) if isinstance(e, Binary)}
+    literal = {
+        print_expression(e) for e in _subtrees(trees)
+        if isinstance(e, Binary) and not any(isinstance(x, Variable) for x in _subtrees([e]))
+    }
+    assert check_compatibility(scn, samples=20).verdict == "compatible"
+    assert len(calls) == len(distinct)  # each once; the literal ones when folded
+    calls.clear()
+    check_compatibility(scn, samples=20)
+    assert len(calls) == len(distinct - literal)
+
+
+def test_literal_entries_build_no_constant_jets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("jets.constant called")
+
+    monkeypatch.setattr(jets, "constant", refuse)
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "flat_euclidean_2d.json"
+    for scn in (load_scenario_path(path), load_scenario(drift_doc())):
+        point = tuple([0.25] * scn.dimension)
+        assert check_compatibility(scn, samples=30).samples == 30
+        assert obstruction_at(scn, point).a_residual >= 0.0
+        assert metric_at(scn, point, 2).order == 2
+    assert eval_expr(parse_expression("7 - 2*3", COORDS), (0.4, -0.9)).value == 1.0
+
+
+def test_a_lorentzian_round_trip_plan_frees_its_slots():
+    doc, _ = round_trip_doc(np.random.default_rng(5), 4, lorentzian=True)
+    scn = load_scenario(doc)
+    assert check_compatibility(scn).verdict == "compatible"
+    live = peak = 0
+    for _, _, _, freed in _trace_plan(scn, 1)._steps:
+        live += 1
+        peak = max(peak, live)
+        live -= len(freed)
+    assert peak < _trace_plan(scn, 1).nodes // 4
+
+
+def test_a_consumer_asking_a_lower_order_reads_a_truncation():
+    # 1e-220*x1^2 is a metric entry, computed to order 2; psi reads sqrt of it at order 1,
+    # where the Hessian of sqrt overflows and its value and gradient do not.
+    doc = {
+        "dimension": 2,
+        "coordinates": ["x1", "x2"],
+        "box": {"min": [0.5, -1], "max": [1, 1]},
+        "metric": [["1", "0"], [None, "1"]],
+        "connection": {
+            "kind": "projective_transform",
+            "base": {"kind": "levi_civita", "metric": [["1 + 1e-220*x1^2", "0"], [None, "1"]]},
+            "psi": ["sqrt(1e-220*x1^2)", "0"],
+        },
+    }
+    scn = load_scenario(doc)
+    assert np.all(np.isfinite(connection_at(scn, (0.5, 0.0), 1).jet.gradient))
+    assert check_compatibility(scn, samples=20).verdict == "compatible"

@@ -240,16 +240,15 @@ def test_recover_metric_batch_matches_one_point_calls():
 
 
 def test_recovery_batches_its_evaluations(monkeypatch):
-    import conproj.compatibility as compatibility
+    from conproj.expressions import Plan
 
-    built = []
+    built, run = [], Plan.run
 
-    class Counting(compatibility.Evaluator):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counting(plan, points):
+        built.append(1)
+        return run(plan, points)
 
-    monkeypatch.setattr(compatibility, "Evaluator", Counting)
+    monkeypatch.setattr(Plan, "run", counting)
     scn = load_scenario(rescaled_flat_doc("0.3*tanh(8*x1)", samples=20, seed=3))
     phi = integrate_phi(scn, (-0.9, -0.2), (0.8, 0.3))
     assert abs(phi - 0.3 * (math.tanh(6.4) - math.tanh(-7.2))) <= 1e-10
