@@ -455,8 +455,6 @@ def _stack(shape: tuple, order: int, batch, *entries):
     return jets.stack(entries, shape, batch.n, order, batch.shape)
 
 
-
-
 def at_point(plan: Plan, point, build=lambda batch: batch.out):
     """``build(batch)`` of ``plan`` run at one point; raises the point's error, if any."""
     with np.errstate(all="ignore"):
@@ -467,6 +465,9 @@ def at_point(plan: Plan, point, build=lambda batch: batch.out):
     return out
 
 
+_EVAL_PLANS: dict = {}  # (id(tree), order, n) -> (tree, plan), the last 64 built; no tree hashing
+
+
 def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     """Evaluate a parsed expression as a jet at ``point``.
 
@@ -474,5 +475,10 @@ def eval_expr(e: Expr, point, order: int = 2) -> jets.Jet:
     innermost failing subexpression and the evaluation point.
     """
     point = [float(c) for c in point]
-    plan = Plan(len(point))
-    return at_point(plan.finish([plan.stack([e], (), order)]), point)[0]
+    key = (id(e), order, len(point))
+    if key not in _EVAL_PLANS:
+        plan = Plan(len(point))
+        _EVAL_PLANS[key] = e, plan.finish([plan.stack([e], (), order)])
+        if len(_EVAL_PLANS) > 64:
+            del _EVAL_PLANS[next(iter(_EVAL_PLANS))]
+    return at_point(_EVAL_PLANS[key][1], point)[0]

@@ -136,7 +136,7 @@ def inverse(g: Jet, rank_tol: float):
                 inner = np.einsum("...ia,...abkl,...bj->...ijkl", vi, g.hessian, vi)
                 twice = -np.einsum("...iak,...ajl->...ijkl", d, grad)
                 hess = jets.symmetric(twice + np.swapaxes(twice, -1, -2) - inner, -4, -3)
-    return jets._make(n, g.order, vi, grad, hess), det, degenerate
+    return jets._pack(n, g.order, vi, grad, hess), det, degenerate
 
 
 def levi_civita(g: Jet, ginv: Jet) -> Jet:
@@ -145,11 +145,8 @@ def levi_civita(g: Jet, ginv: Jet) -> Jet:
     Gamma^i_jk = 1/2 g^ip (d_k g_pj + d_j g_pk - d_p g_jk).
     """
     dg = jets.derivative(g)  # dg[p, q, k] = d_k g_pq
-    c = jets.sub(
-        jets.add(dg, jets.einsum("pkj->pjk", dg), None),
-        jets.einsum("jkp->pjk", dg),
-        None,
-    )
+    c = jets.add(dg, jets.einsum("pkj->pjk", dg), None)
+    c = jets.sub(c, jets.einsum("jkp->pjk", dg), None)
     return jets.mul(jets.einsum("ip,pjk->ijk", ginv, c), 0.5, None)
 
 

@@ -1,11 +1,13 @@
 """Truncated Taylor arithmetic up to second order, over stacks of points.
 
-A jet stores the value of a quantity with its gradient and Hessian (as far
-as its order allows).  The value has a leading shape: ``()`` for a scalar
-at one point, ``(S,)`` at S points, ``(S, n, n)`` for a matrix field at S
-points; the gradient appends one axis of length n and the Hessian two.
-Arithmetic, elementary functions and :func:`einsum` propagate derivatives
-exactly through the chain and product rules.  Orders are capped at 2.
+A jet packs its value, gradient and row-major Hessian (as far as its order
+allows) along the last axis of one float array ``data`` of shape lead +
+tensor + (K,), with K = 1, 1 + n or 1 + n + n^2 at order 0, 1 or 2.  The
+lead shape is ``()`` at one point and ``(S,)`` at S points; the tensor shape
+is ``()`` for a scalar and ``(n, n)`` for a matrix field.  The components are
+views of ``data`` and truncation is a slice, so a sum, a scaling or a
+contraction with constants is one numpy call; products, elementary functions
+and :func:`einsum` add the product and chain rule terms.  Orders are capped at 2.
 
 The functions report the points where a result is not finite, and why, to
 ``check(mask, message)``: by default they raise :class:`DomainError`, as
@@ -16,39 +18,33 @@ floating-point warnings to their callers.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "Jet",
-    "constant",
-    "coordinate",
-    "partial_derivative",
-    "derivative",
-    "apply_function",
-    "einsum",
-    "stack",
-    "FUNCTION_NAMES",
-]
+__all__ = ["Jet", "constant", "coordinate", "partial_derivative", "derivative", "apply_function",
+           "einsum", "stack", "FUNCTION_NAMES"]
 
 _MAX_INT_POWER = 9999
 _NON_FINITE = "non-finite component in jet arithmetic"
-_DERIVATIVE_AXES = "YZ"  # einsum letters of the two derivative axes
+
+
+def _width(n: int, order: int) -> int:
+    """Length of the packed axis of an order-``order`` jet on an n-chart."""
+    return (1, 1 + n, 1 + n + n * n)[order]
 
 
 class Jet:
-    """Value, gradient and Hessian of a quantity on an n-chart.
+    """Value, gradient and Hessian of a quantity on an n-chart, packed in ``data``.
 
-    ``order`` is 0, 1 or 2; ``gradient`` is present iff ``order >= 1`` and
-    ``hessian`` iff ``order == 2``.  ``value`` is a float for a scalar at
-    one point and an array of the leading shape otherwise.  The Hessian is
-    symmetrized on write.  Jets are value objects: never mutate the
-    component arrays.
+    ``order`` is 0, 1 or 2; ``gradient`` is None at order 0 and ``hessian`` below
+    order 2.  ``value`` is a float for a scalar at one point.  The constructor copies
+    its inputs and symmetrizes the Hessian.  Never mutate ``data`` or its views.
     """
 
-    __slots__ = ("n", "order", "value", "gradient", "hessian")
+    __slots__ = ("n", "order", "data")
 
     def __init__(self, n, order, value, gradient=None, hessian=None):
         if not isinstance(n, int) or n < 1:
@@ -56,36 +52,38 @@ class Jet:
         if order not in (0, 1, 2):
             raise ValueError("jet order must be 0, 1 or 2")
         value = np.asarray(value, dtype=float)
-        parts = [value]
-        for k, (name, part) in enumerate((("gradient", gradient), ("hessian", hessian)), 1):
+        parts = [value, gradient, hessian]
+        for k, name in ((1, "gradient"), (2, "hessian")):
             shape = value.shape + (n,) * k
-            part = np.broadcast_to(0.0, shape) if part is None else np.asarray(part, dtype=float)
-            if part.shape != shape:
+            parts[k] = np.zeros(shape) if parts[k] is None else np.asarray(parts[k], dtype=float)
+            if parts[k].shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-            parts.append(part if k <= order else None)
-        self.n, self.order = n, order
-        self.value = float(value) if not value.shape else value
         with np.errstate(all="ignore"):
-            if order == 2:
-                parts[2] = symmetric(parts[2], -1, -2)
-            self.gradient, self.hessian = parts[1:]
+            parts[2] = symmetric(parts[2], -1, -2)
+            self.n, self.order, self.data = n, order, _pack(n, order, *parts).data
             _checked(self, _raise)
 
+    @property
+    def value(self):
+        return float(self.data[0]) if self.data.ndim == 1 else self.data[..., 0]
+
+    @property
+    def gradient(self):
+        return self.data[..., 1 : 1 + self.n] if self.order >= 1 else None
+
+    @property
+    def hessian(self):
+        return _hessian(self.data, self.n) if self.order == 2 else None
+
     def __repr__(self):
-        value = np.asarray(self.value).tolist()
-        parts = [f"Jet(n={self.n}, order={self.order}, value={value!r}"]
-        if self.gradient is not None:
-            parts.append(f", gradient={self.gradient.tolist()!r}")
-        if self.hessian is not None:
-            parts.append(f", hessian={self.hessian.tolist()!r}")
-        return "".join(parts) + ")"
+        names = ("value", "gradient", "hessian")[: self.order + 1]
+        shown = "".join(f", {k}={np.asarray(getattr(self, k)).tolist()!r}" for k in names)
+        return f"Jet(n={self.n}, order={self.order}{shown})"
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         return _operator(add, self, other)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return _operator(sub, self, other)
@@ -98,8 +96,6 @@ class Jet:
 
     def __mul__(self, other):
         return _operator(mul, self, other)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return _operator(div, self, other)
@@ -116,46 +112,54 @@ class Jet:
     def __rpow__(self, base):
         return _operator(power, base, self)
 
+    __radd__, __rmul__ = __add__, __mul__
+
 
 def symmetric(x: np.ndarray, i: int, j: int) -> np.ndarray:
     """The part of ``x`` symmetric in axes ``i`` and ``j``; halving first cannot overflow."""
     return 0.5 * x + 0.5 * np.swapaxes(x, i, j)
 
 
-def _make(n, order, value, gradient, hessian) -> Jet:
-    """Trusted fast constructor: no validation, no symmetrization."""
+def _wrap(n: int, order: int, data: np.ndarray) -> Jet:
+    """Trusted fast constructor over a packed array: no copy, validation or symmetrization."""
     j = Jet.__new__(Jet)
-    j.n, j.order = n, order
-    j.value = float(value) if np.ndim(value) == 0 else value
-    j.gradient, j.hessian = gradient, hessian
+    j.n, j.order, j.data = n, order, data
     return j
 
 
-def _part(a: Jet, k: int):
-    return (a.value, a.gradient, a.hessian)[k]
+def _pack(n: int, order: int, value, gradient, hessian) -> Jet:
+    """Trusted constructor that copies the parts up to ``order`` into one new array."""
+    data = np.empty(np.shape(value) + (_width(n, order),))
+    data[..., 0] = value
+    if order >= 1:
+        data[..., 1 : 1 + n] = gradient
+    if order == 2:
+        _hessian(data, n)[...] = hessian
+    return _wrap(n, order, data)
 
 
-def _build(n: int, order: int, part) -> Jet:
-    """Jet whose k-th component (value, gradient, Hessian) is ``part(k)``."""
-    return _make(n, order, *(part(k) if k <= order else None for k in range(3)))
+def _hessian(data: np.ndarray, n: int) -> np.ndarray:
+    """The Hessian columns of ``data`` as a view of shape lead + tensor + (n, n)."""
+    return data[..., 1 + n :].reshape(data.shape[:-1] + (n, n))
+
+
+def _add_cross(data: np.ndarray, n: int, cross: np.ndarray) -> None:
+    """Add ``cross`` (derivative axes last), then its transpose, to the Hessian of ``data``."""
+    hessian = _hessian(data, n)
+    hessian += cross
+    hessian += np.swapaxes(cross, -1, -2)
 
 
 def truncate(a, order: int):
     """The same jet with the components above ``order`` dropped; a float is itself."""
     if not isinstance(a, Jet) or a.order <= order:
         return a
-    return _build(a.n, order, lambda k: _part(a, k))
+    return _wrap(a.n, order, a.data[..., : _width(a.n, order)])
 
 
 def bad_points(a) -> np.ndarray:
     """Mask of the points (leading positions) with a non-finite component."""
-    if not isinstance(a, Jet):
-        return np.bool_(not math.isfinite(a))
-    bad = ~np.isfinite(a.value)
-    for k, part in ((1, a.gradient), (2, a.hessian)):
-        if part is not None:
-            bad = bad | ~np.all(np.isfinite(part), axis=tuple(range(-k, 0)))
-    return bad
+    return ~np.isfinite(a.data).all(-1) if isinstance(a, Jet) else np.bool_(not math.isfinite(a))
 
 
 def _raise(mask, message) -> None:
@@ -169,11 +173,8 @@ def _checked(out, check, reasons=list):
     ``(mask, message)`` pairs of ``reasons()`` that holds there, else as non-finite."""
     if check is None:
         return out
-    parts = (out.value, out.gradient, out.hessian) if isinstance(out, Jet) else (out,)
-    # One NaN/Inf poisons the sum, so a healthy result costs one reduction per part;
-    # a sum that overflows from finite parts is a false alarm, and bad_points says so.
-    total = sum(p if isinstance(p, float) else float(p.sum()) for p in parts if p is not None)
-    if not math.isfinite(total):
+    # One NaN/Inf poisons the sum; bad_points clears the false alarm of an overflowing sum.
+    if not math.isfinite(out.data.sum() if isinstance(out, Jet) else out):
         bad = bad_points(out)
         for mask, message in reasons() + [(True, _NON_FINITE)]:
             check(bad & mask, message)
@@ -207,12 +208,15 @@ def _value(a):
     return a.value if isinstance(a, Jet) else a
 
 
-def _col(v, axes: int):  # ``v`` broadcast over ``axes`` derivative axes
-    return v if isinstance(v, float) else v[(...,) + (None,) * axes]
-
-
 # -- elementwise arithmetic ------------------------------------------------
 # Operands are jets or floats (constants); two floats give a float.
+
+
+def _pair(ufunc, a: Jet, b: Jet) -> Jet:
+    """``ufunc`` over the packed arrays of two jets, at the lower of their orders."""
+    order = min(a.order, b.order)
+    k = _width(a.n, order)
+    return _wrap(a.n, order, ufunc(a.data[..., :k], b.data[..., :k]))
 
 
 def add(a, b, check=_raise):
@@ -221,17 +225,21 @@ def add(a, b, check=_raise):
     if not isinstance(a, Jet):
         out = a + b
     elif not isinstance(b, Jet):
-        out = _make(a.n, a.order, a.value + b, a.gradient, a.hessian)
+        data = a.data.copy()
+        data[..., 0] += b
+        out = _wrap(a.n, a.order, data)
     else:
-        out = _build(a.n, min(a.order, b.order), lambda k: _part(a, k) + _part(b, k))
+        out = _pair(np.add, a, b)
     return _checked(out, check)
 
 
 def neg(a):
-    return -a if not isinstance(a, Jet) else _scale(a, -1.0)
+    return -a if not isinstance(a, Jet) else _wrap(a.n, a.order, -a.data)
 
 
 def sub(a, b, check=_raise):
+    if isinstance(a, Jet) and isinstance(b, Jet):
+        return _checked(_pair(np.subtract, a, b), check)
     return add(a, neg(b), check)
 
 
@@ -241,23 +249,17 @@ def mul(a, b, check=_raise):
     if not isinstance(a, Jet):
         out = a * b
     elif not isinstance(b, Jet):
-        out = _scale(a, b)
-    else:
-        order = min(a.order, b.order)
-        va, vb = a.value, b.value
-        g = h = None
+        out = _wrap(a.n, a.order, a.data * b)
+    else:  # (a b)' = a' b + b' a, (a b)'' = a'' b + b'' a + a' b'^T + b' a'^T
+        n, order = a.n, min(a.order, b.order)
+        k = _width(n, order)
+        data = a.data[..., :k] * b.data[..., :1]
         if order >= 1:
-            g = a.gradient * _col(vb, 1) + b.gradient * _col(va, 1)
+            data[..., 1:] += b.data[..., 1:k] * a.data[..., :1]
             if order == 2:
-                cross = a.gradient[..., :, None] * b.gradient[..., None, :]
-                h = a.hessian * _col(vb, 2) + b.hessian * _col(va, 2)
-                h = h + cross + np.swapaxes(cross, -1, -2)
-        out = _make(a.n, order, va * vb, g, h)
+                _add_cross(data, n, a.data[..., 1 : 1 + n, None] * b.data[..., None, 1 : 1 + n])
+        out = _wrap(n, order, data)
     return _checked(out, check)
-
-
-def _scale(a: Jet, c: float) -> Jet:
-    return _build(a.n, a.order, lambda k: _part(a, k) * c)
 
 
 def div(a, b, check=_raise):
@@ -266,15 +268,15 @@ def div(a, b, check=_raise):
 
 
 def _chain(a, f0, f1, f2):
+    """f(a) from the values f0, f1 = f'(a.value) and f2 = f''(a.value)."""
     if not isinstance(a, Jet):
         return float(f0)
-    g = h = None
-    if a.order >= 1:
-        g = _col(f1, 1) * a.gradient
-        if a.order == 2:
-            outer = a.gradient[..., :, None] * a.gradient[..., None, :]
-            h = _col(f1, 2) * a.hessian + _col(f2, 2) * outer
-    return _make(a.n, a.order, f0, g, h)
+    data = a.data * np.asarray(f1)[..., None]
+    data[..., 0] = f0
+    if a.order == 2:
+        g, hessian = a.data[..., 1 : 1 + a.n], _hessian(data, a.n)
+        hessian += np.asarray(f2)[..., None, None] * (g[..., :, None] * g[..., None, :])
+    return _wrap(a.n, a.order, data)
 
 
 def _reciprocal(a):
@@ -300,9 +302,8 @@ def power(base, exponent, check=_raise):
     if abs(k) > _MAX_INT_POWER:
         raise DomainError(f"integer exponent magnitude exceeds {_MAX_INT_POWER}")
     if k == 0:
-        if not isinstance(base, Jet):
-            return 1.0
-        return constant(1.0, base.n, base.order, np.shape(base.value))
+        shape = np.shape(_value(base))
+        return constant(1.0, base.n, base.order, shape) if isinstance(base, Jet) else 1.0
     out = base  # square-and-multiply over the bits of |k| after the leading one
     for bit in bin(abs(k))[3:]:
         out = mul(out, out, None)
@@ -378,13 +379,7 @@ def constant(c: float, n: int, order: int = 2, shape: tuple = ()) -> Jet:
     c = float(c)
     if not math.isfinite(c):
         raise DomainError("constant must be finite")
-    if order not in (0, 1, 2):
-        raise ValueError("jet order must be 0, 1 or 2")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("chart dimension must be a positive integer")
-    shape = tuple(shape)
-    part = lambda k: np.full(shape, c) if k == 0 else np.broadcast_to(0.0, shape + (n,) * k)
-    return _build(n, order, part)
+    return Jet(n, order, np.full(tuple(shape), c))
 
 
 def coordinate(axis: int, point, order: int = 2) -> Jet:
@@ -398,20 +393,14 @@ def coordinate(axis: int, point, order: int = 2) -> Jet:
     n = p.shape[-1]
     if not 0 <= axis < n:
         raise IndexError(f"coordinate axis {axis} out of range for dimension {n}")
-    lead = p.shape[:-1]
-    grad = None
-    if order >= 1:
-        grad = np.zeros(lead + (n,))
-        grad[..., axis] = 1.0
-    hess = np.broadcast_to(0.0, lead + (n, n)) if order == 2 else None
-    return _checked(_make(n, order, p[..., axis], grad, hess), _raise)
+    return _checked(_pack(n, order, p[..., axis], np.eye(n)[axis], 0.0), _raise)
 
 
 def partial_derivative(a: Jet, axis: int) -> Jet:
     """Partial derivative along ``axis`` as a jet of order one less."""
     if not 0 <= axis < a.n:
         raise IndexError(f"coordinate axis {axis} out of range for dimension {a.n}")
-    return entry(derivative(a), (axis,))
+    return _wrap(a.n, a.order - 1, derivative(a).data[..., axis, :])
 
 
 def derivative(a: Jet) -> Jet:
@@ -419,7 +408,25 @@ def derivative(a: Jet) -> Jet:
     axis is the derivative index."""
     if a.order < 1:
         raise ValueError("cannot take a partial derivative of an order-0 jet")
-    return _make(a.n, a.order - 1, a.gradient, a.hessian, None)
+    parts = [a.gradient[..., None], a.hessian][: a.order]  # d_i f, then d_k d_i f
+    return _wrap(a.n, a.order - 1, np.concatenate(parts, axis=-1))
+
+
+@lru_cache(maxsize=256)
+def _terms(spec: str, jets: tuple) -> tuple:
+    """``np.einsum`` subscripts of :func:`einsum`'s terms, for jet operands at ``jets``."""
+    inputs, output = spec.split("->")
+
+    def sub(marks: dict, first: bool = False) -> str:
+        subs = [f"...{t}{marks[i]}" if i in marks else t for i, t in enumerate(inputs.split(","))]
+        tail = "".join(marks.values())
+        return ",".join(subs) + "->..." + (tail + output if first else output + tail)
+
+    if len(jets) == 1:
+        return (sub({jets[0]: "Y"}),)
+    i, j = jets
+    return (sub({i: "", j: ""}), sub({i: "", j: "Y"}), sub({i: "Y", j: ""}, True),
+            f"...Y{output}->...{output}Y", sub({i: "Y", j: "Z"}))
 
 
 def einsum(spec: str, *operands):
@@ -428,34 +435,34 @@ def einsum(spec: str, *operands):
     ``spec`` names the tensor axes only (``"ip,pjk->ijk"``); the leading
     axes of the jets broadcast against each other and lead the result.
     Constant arrays carry tensor axes only.  At most two operands may be
-    jets; the result has the lower of their orders.
+    jets; the result has the lower of their orders.  One jet is contracted
+    in one call over its packed axis; of two jets a and b, a's value with
+    all of b, then a's derivatives with b's value, then the cross terms.
     """
-    inputs, output = spec.split("->")
-    terms = inputs.split(",")
-    jets = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
+    jets = tuple(i for i, op in enumerate(operands) if isinstance(op, Jet))
     if not 1 <= len(jets) <= 2:
         raise ValueError("einsum takes one or two jet operands")
-    order = min(operands[i].order for i in jets)
-
-    def run(marks: dict, tail: str) -> np.ndarray:
-        """One term: operand i contributes its derivative part ``marks[i]``."""
-        mark = [marks.get(i, "") for i in range(len(operands))]
-        subs = [f"...{t}{mark[i]}" if i in jets else t for i, t in enumerate(terms)]
-        arrays = [_part(op, len(mark[i])) if i in jets else op for i, op in enumerate(operands)]
-        return np.einsum(",".join(subs) + "->..." + output + tail, *arrays)
-
-    y, z = _DERIVATIVE_AXES
-    value = run({}, "")
-    grad = hess = None
+    n, order = operands[jets[0]].n, min(operands[i].order for i in jets)
+    k, terms, ops = _width(n, order), _terms(spec, jets), list(operands)
+    if len(jets) == 1:
+        ops[jets[0]] = operands[jets[0]].data[..., :k]
+        return _wrap(n, order, np.einsum(terms[0], *ops))
+    i, j = jets
+    a, b = operands[i].data, operands[j].data
+    # numpy's summation order depends on memory layout: the values are contracted
+    # as the C-contiguous arrays that they were before packing, bit for bit.
+    ops[i], ops[j] = va, vb = a[..., 0].copy(), b[..., 0].copy()
+    value = np.einsum(terms[0], *ops)
+    ops[j] = b[..., :k]
+    data = np.einsum(terms[1], *ops)
+    data[..., 0] = value
     if order >= 1:
-        grad = sum(run({i: y}, y) for i in jets)
+        ops[i], ops[j] = a[..., 1:k], vb
+        data[..., 1:] += np.einsum(terms[3], np.einsum(terms[2], *ops))  # "Y" first loops fastest
         if order == 2:
-            hess = sum(run({i: y + z}, y + z) for i in jets)
-            if len(jets) == 2:
-                first, second = jets
-                cross = run({first: y, second: z}, y + z)
-                hess = hess + cross + np.swapaxes(cross, -1, -2)
-    return _make(operands[jets[0]].n, order, value, grad, hess)
+            ops[i], ops[j] = a[..., 1 : 1 + n], b[..., 1 : 1 + n]
+            _add_cross(data, n, np.einsum(terms[4], *ops))
+    return _wrap(n, order, data)
 
 
 def stack(entries, shape: tuple, n: int | None = None, order: int | None = None, lead=()) -> Jet:
@@ -463,26 +470,15 @@ def stack(entries, shape: tuple, n: int | None = None, order: int | None = None,
     is a jet, of which the parts up to ``order`` are read (by default the lowest jet order),
     or a float, a constant; entries broadcast over their leading shapes and ``lead``, and
     ``n`` defaults to the jets' dimension."""
-    entries = list(entries)
     jet_entries = [j for j in entries if isinstance(j, Jet)]
     n = jet_entries[0].n if n is None else n
     order = min(j.order for j in jet_entries) if order is None else order
-    lead = np.broadcast_shapes(lead, *(np.shape(j.value) for j in jet_entries))
-    shape = tuple(shape)
-
-    def gather(k):
-        out = np.zeros(lead + (len(entries),) + (n,) * k)
-        for i, j in enumerate(entries):
-            if isinstance(j, Jet):
-                out[(Ellipsis, i) + (slice(None),) * k] = _part(j, k)
-            elif k == 0:
-                out[..., i] = j
-        return out.reshape(lead + shape + (n,) * k)
-
-    return _build(n, order, gather)
-
-
-def entry(a: Jet, index: tuple) -> Jet:
-    """The scalar jet at tensor position ``index`` (a view)."""
-    at = (Ellipsis,) + tuple(index)
-    return _build(a.n, a.order, lambda k: _part(a, k)[at + (slice(None),) * k])
+    lead = np.broadcast_shapes(lead, *(j.data.shape[:-1] for j in jet_entries))
+    k = _width(n, order)
+    out = np.zeros(lead + (len(entries), k))
+    for i, j in enumerate(entries):
+        if isinstance(j, Jet):
+            out[..., i, :] = j.data[..., :k]
+        else:
+            out[..., i, 0] = j
+    return _wrap(n, order, out.reshape(lead + tuple(shape) + (k,)))

@@ -190,11 +190,13 @@ def random_drift_incompatible_doc(rng, n, *, samples=20):
     }
 
 
-def random_explicit_incompatible_doc(rng, n, *, samples=20):
+def random_explicit_incompatible_doc(rng, n, *, samples=20, negative=0):
     """Incompatible with both conditions failing: a generic polynomial
-    connection over a near-flat metric."""
+    connection over a flat metric whose first ``negative`` diagonal entries
+    are -1 and the rest +1."""
     coords = [f"x{i + 1}" for i in range(n)]
-    identity = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    diagonal = ["-1" if i < negative else "1" for i in range(n)]
+    metric = [[diagonal[i] if i == j else "0" for j in range(n)] for i in range(n)]
     gamma = []
     for i in range(n):
         mat = []
@@ -212,7 +214,7 @@ def random_explicit_incompatible_doc(rng, n, *, samples=20):
         "dimension": n,
         "coordinates": coords,
         "box": {"min": [-1.0] * n, "max": [1.0] * n},
-        "metric": identity,
+        "metric": metric,
         "connection": {"kind": "explicit", "gamma": gamma},
         "samples": samples,
         "seed": int(rng.integers(0, 2**31)),

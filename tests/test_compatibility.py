@@ -32,12 +32,13 @@ from conproj import (
     verify_recovery,
     with_conformal_factor,
 )
-from conproj.compatibility import CHUNK_POINTS, NullVector
+from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _trace_form
 from conproj.sampling import SplitMix64, draw_point, point_stream
 from helpers import (
     drift_doc,
     flat_doc,
     one_degenerate_sample_doc,
+    random_explicit_incompatible_doc,
     rank_one_doc,
     rescaled_flat_doc,
     round_trip_doc,
@@ -845,3 +846,74 @@ def test_bundled_scenarios_pinned(name):
             ((0.06149783346008042, 0.2669854861288554, -0.8410367598819053), 0.0, 1.0),
             ((0.5249952380666669, -0.7260229331468464, 0.5764048929678689), 0.0, 1.0),
         ]
+
+
+def _rank(m) -> int:
+    """Numerical rank, asserting a clear gap between the kept and dropped singular values."""
+    s = np.linalg.svd(m, compute_uv=False)
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    assert s[rank - 1] > 1e-3 * s[0] and (rank == len(s) or s[rank] < 1e-13 * s[0])
+    return rank
+
+
+def test_eps_and_condition_a_have_the_same_kernel_in_every_indefinite_signature():
+    # D = Gamma_LC - Gamma ranges over the tensors D^i_jk symmetric in j, k.  The EPS map
+    # D -> u ^ D(u, u) over 6n^2 generic null vectors u and the map D -> A (_trace_form,
+    # then _condition_a) vanish on the same 2n-dimensional space {delta phi + phi delta + g V}.
+    rng = np.random.default_rng(2013)
+    for n in range(2, 6):
+        basis = []
+        for i, j in np.ndindex(n, n):
+            for k in range(j, n):
+                d = np.zeros((n, n, n))
+                d[i, j, k] = d[i, k, j] = 1.0
+                basis.append(d)
+        basis = np.array(basis)
+        count = len(basis)
+        for q in range(1, n):
+            p = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n))
+            g = p.T @ np.diag([-1.0] * q + [1.0] * (n - q)) @ p
+            at_each = lambda x: Jet(n, 0, np.broadcast_to(x, (count,) + x.shape))
+            zero = at_each(np.zeros((n, n, n)))
+            _, t, up, down = _trace_form(at_each(g), at_each(np.linalg.inv(g)), Jet(n, 0, basis), zero)
+            a_map = _condition_a(t.value, up.value, down.value, at_each(g).value).reshape(count, -1)
+            metric = MetricValue(Jet(n, 0, g))
+            u = np.array([v.u for v in sample_null_vectors(metric, 6 * n * n, SplitMix64(10 * n + q))])
+            duu = np.einsum("bijk,mj,mk->bmi", basis, u, u)
+            wedge = duu[..., :, None] * u[:, None, :] - duu[..., None, :] * u[:, :, None]
+            eps_map = wedge[..., np.triu_indices(n, 1)[0], np.triu_indices(n, 1)[1]].reshape(count, -1)
+            ranks = [_rank(m) for m in (a_map, eps_map, np.hstack([a_map, eps_map]))]
+            assert ranks == [count - 2 * n] * 3, (n, q, ranks)
+            # the kernel is {delta phi + phi delta + g V}: 2n independent tensors that both maps kill
+            e = np.eye(n)
+            kernel = [np.einsum("ij,k->ijk", e, e[m]) + np.einsum("ik,j->ijk", e, e[m]) for m in range(n)]
+            kernel += [np.einsum("i,jk->ijk", e[m], g) for m in range(n)]
+            coefficients = np.array([[x[i, j, k] for i, j in np.ndindex(n, n) for k in range(j, n)]
+                                     for x in kernel])
+            assert np.linalg.matrix_rank(coefficients) == 2 * n
+            for image in (a_map, eps_map):
+                assert np.max(np.abs(coefficients @ image)) < 1e-12 * np.max(np.abs(image))
+
+
+def test_eps_and_condition_a_verdicts_agree_pointwise_away_from_the_threshold():
+    # At each point with a null cone, EPS fails where A fails by a factor of 100 and holds
+    # where A holds by that factor, on the random indefinite families of the helpers.
+    rng = np.random.default_rng(2014)
+    docs = [drift_doc(samples=10)]
+    for n in range(2, 6):
+        for q in range(1, n):
+            docs.append(random_explicit_incompatible_doc(rng, n, samples=10, negative=q))
+            if n <= 4:
+                docs.append(round_trip_doc(rng, n, samples=10, negative=q)[0])
+    failing = holding = 0
+    for doc in docs:
+        scn = load_scenario(doc)
+        tol = scn.tolerances.residual
+        for summary in check_compatibility(scn).per_point:
+            if summary.eps is not None and summary.a > 100 * tol:
+                assert summary.eps > tol, summary
+                failing += 1
+            elif summary.eps is not None and summary.a < tol / 100:
+                assert summary.eps <= tol, summary
+                holding += 1
+    assert failing >= 50 and holding >= 50  # both sides are exercised

@@ -379,3 +379,28 @@ def test_a_consumer_asking_a_lower_order_reads_a_truncation():
     scn = load_scenario(doc)
     assert np.all(np.isfinite(connection_at(scn, (0.5, 0.0), 1).jet.gradient))
     assert check_compatibility(scn, samples=20).verdict == "compatible"
+
+
+def test_eval_expr_keeps_a_bounded_set_of_plans():
+    trees = [parse_expression(f"{k}*x + y", COORDS) for k in range(100)]
+    for k, tree in enumerate(trees):
+        assert eval_expr(tree, (1.0, 2.0), 1).value == k + 2.0
+    assert len(expressions._EVAL_PLANS) <= 64
+    # a kept plan gives the fresh plan's jet, bit for bit
+    tree = trees[-1]
+    first, again = eval_expr(tree, (0.3, -0.7)), eval_expr(tree, (0.3, -0.7))
+    assert first.data.tobytes() == again.data.tobytes()
+    assert eval_expr(tree, (0.3, -0.7), 0).order == 0  # another order, another plan
+
+
+def test_eval_expr_evaluates_a_deep_tree_twice():
+    # 1,000 conformal wraps nest the entry 1,000 levels deep: hashing or comparing it
+    # would recurse past Python's limit.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "flat_euclidean_2d.json"
+    scn = load_scenario_path(path)
+    for _ in range(1000):
+        scn = with_conformal_factor(scn, "0.001*x1")
+    tree = scn.metric[0][0]
+    first, again = (eval_expr(tree, (0.5, 0.25), 1) for _ in range(2))
+    assert math.isclose(first.value, math.exp(2.0 * 0.5), rel_tol=1e-12)
+    assert first.data.tobytes() == again.data.tobytes()

@@ -15,6 +15,7 @@ from conproj import (
     parse_expression,
     partial_derivative,
 )
+from conproj import jets
 from helpers import assert_componentwise_close, fd_gradient, fd_hessian, random_expression
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -190,6 +191,26 @@ def test_jet_repr_lists_its_components():
     assert repr(Jet(2, 1, [1.0, 2.0])) == (
         "Jet(n=2, order=1, value=[1.0, 2.0], gradient=[[0.0, 0.0], [0.0, 0.0]])"
     )
+
+
+def test_jet_copies_its_inputs():
+    value, gradient, hessian = np.array([1.0, 2.0]), np.ones((2, 2)), np.zeros((2, 2, 2))
+    j = Jet(2, 2, value, gradient, hessian)
+    value[0] = gradient[0, 0] = hessian[0, 0, 1] = 7.0
+    assert j.value.tolist() == [1.0, 2.0]
+    assert j.gradient.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert not j.hessian.any()
+
+
+def test_components_are_views_of_one_packed_array():
+    j = coordinate(1, [(2.0, 3.0), (4.0, 5.0)], 2) * 2.0 + 1.0
+    assert j.data.shape == (2, 1 + 2 + 4)
+    assert j.data[:, 0].tolist() == j.value.tolist() == [7.0, 11.0]
+    assert j.data[:, 1:3].tolist() == j.gradient.tolist() == [[0.0, 2.0], [0.0, 2.0]]
+    for part in (j.value, j.gradient, j.hessian):
+        assert np.shares_memory(part, j.data)
+    t = jets.truncate(j, 1)
+    assert t.hessian is None and np.shares_memory(t.data, j.data) and t.data.shape == (2, 3)
 
 
 def test_hessian_symmetrized_on_write():
