@@ -253,50 +253,49 @@ def print_expression(e: Expr) -> str:
 
 # -- evaluation -----------------------------------------------------------
 
+_UNFLAGGED = np.iinfo(np.int64).max  # the rank of a point with no error
+
 
 class Batch:
     """The points of one :meth:`Plan.run`, shape (n,) or (S, n), the plan's outputs there
-    (``out``) and the first error detected at each point (``errors`` by flat index, marked
-    in ``bad``): every operation acts on each point alone, so it is the point's own error."""
+    (``out``) and the error of each point (``errors`` by flat index, marked in ``bad``): of
+    the errors flagged at a point, the one of lowest rank, the first flagged among equals.
+    Every operation acts on each point alone, so it is the point's own error.  ``raised``
+    holds the ``(rank, error)`` of each error that fails every point at once."""
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         self.shape = self.points.shape[:-1]
         self.n = self.points.shape[-1]
-        self.bad = np.zeros(self.shape, dtype=bool)
+        self.rank = np.full(self.shape, _UNFLAGGED)
+        self.step = _UNFLAGGED - 1  # the rank of a flag that gives none: the running step's
         self.errors: dict = {}
+        self.raised: list = []
         self.out: list = []
+
+    @property
+    def bad(self) -> np.ndarray:
+        return self.rank != _UNFLAGGED
 
     def point_at(self, i: int) -> tuple:
         """The point at flat index ``i``."""
         return tuple(self.points.reshape(-1, self.n)[i].tolist())
 
-    def flag(self, mask, error_at) -> None:
-        """Record ``error_at(i)`` at each flat point ``i`` where ``mask`` holds and none is yet."""
-        new = np.broadcast_to(mask, self.shape) & ~self.bad
+    def flag(self, mask, error_at, rank=None) -> None:
+        """Record ``error_at(i)`` at each flat point ``i`` where ``mask`` holds and no error
+        of ``rank`` (by default :attr:`step`) or lower is yet."""
+        if not np.any(mask):
+            return
+        rank = self.step if rank is None else rank
+        new = np.broadcast_to(mask, self.shape) & (self.rank > rank)
         self.errors.update((i, error_at(i)) for i in np.flatnonzero(new).tolist())
-        self.bad |= new
+        self.rank[new] = rank
 
-    def report(self, mask, message: str, e: Expr | None = None) -> None:
+    def report(self, mask, message: str, e: Expr | None = None, rank=None) -> None:
         """:meth:`flag` a :class:`DomainError` naming the subexpression ``e``."""
-        path = None if e is None else print_expression(e)
-        self.flag(mask, lambda i: DomainError(message, path=path, point=self.point_at(i)))
-
-
-def _literal(value: float, batch):
-    if not math.isfinite(value):
-        batch.report(True, "constant must be finite")
-    return value
-
-
-def _apply(op, e: Expr, batch, *args):
-    """``op(*args)``, reporting each failing point under ``e``; an error that fails every
-    point at once raises, naming ``e``."""
-    try:
-        return op(*args, check=partial(batch.report, e=e))
-    except DomainError as err:
-        err.path = print_expression(e)
-        raise
+        if np.any(mask):
+            path = None if e is None else print_expression(e)
+            self.flag(mask, lambda i: DomainError(message, path=path, point=self.point_at(i)), rank)
 
 
 def _operands(e) -> tuple:
@@ -305,31 +304,52 @@ def _operands(e) -> tuple:
     return (e.operand,) if isinstance(e, Neg) else (e.arg,) if isinstance(e, Call) else ()
 
 
+def _exact(c: float) -> tuple:
+    """A key that tells every float apart, -0.0 from 0.0 too."""
+    return c, math.copysign(1.0, c)
+
+
+def _index(seq):
+    """The integers ``seq`` as a slice where they count up by one, else as an index array."""
+    if list(seq) == list(range(seq[0], seq[0] + len(seq))):
+        return slice(seq[0], seq[0] + len(seq))
+    return np.array(seq, dtype=np.intp)
+
+
 class Plan:
     """A flat evaluation tape over jets, compiled once and run on any stack of points.
 
-    :meth:`expr` interns the nodes of a tree by kind, payload and operand nodes, folding a
-    node whose operands are constants and whose operation reports nothing.  :meth:`stack`
-    and :meth:`step` add tensor steps, a step with a key once.  A step's operands are node
-    values; node ``BATCH`` is the :class:`Batch`.  :meth:`run` replays the steps in the
-    order their nodes were added: each point keeps its first error, and an error that
-    fails every point at once raises, naming its subexpression and the first point.
+    :meth:`expr` interns the nodes of a tree by kind, payload and operand nodes; a node
+    whose operands are constants folds to one, and what its operation reports or raises
+    there is replayed by every run.  :meth:`stack` and :meth:`step` add tensor steps, a step
+    with a key once.  A node's rank is its place in the post-order in which nodes are added.
+
+    :meth:`finish` sorts the expression nodes into groups of one depth above the leaves,
+    operation, jet order and constant operands.  :meth:`run` makes one jets call per group,
+    depth by depth, over its operands' rows stacked along a new leading axis; each node's
+    value is a row of its group's array.  Each tensor step runs, in rank order, once the
+    values it reads are made.  Every error carries the rank of its node: each point keeps
+    its error of lowest rank, which is its first in the plan's post-order, and of the errors
+    that fail every point at once the one of lowest rank raises, naming its subexpression
+    and the first point.
     """
 
     BATCH = 0
 
     def __init__(self, n: int):
         self.n = n
-        self._nodes: list = [(None, ())]  # (fn, args); an arg is (node, order read or None)
+        # (kind, payload, args); an arg is (node, order read or None for the node's own)
+        self._nodes: list = [("batch", None, ())]
         self._need: list = [0]  # the highest order asked of each node
         self._keys: dict = {}
         self._seen: dict = {}  # id(tree) -> (tree, node)
-        self._const: dict = {self.BATCH: None}  # folded node -> float; the batch's slot
+        self._const: dict = {}  # folded node -> float
+        self._alarms: list = []  # (node, message, tree or None, raises) of folded failures
 
-    def _add(self, key, fn, args) -> int:
+    def _add(self, key, kind, payload, args) -> int:
         """The node under ``key``, added if it is new; a key of None is never shared."""
         if key is None or key not in self._keys:
-            self._nodes.append((fn, tuple(args)))
+            self._nodes.append((kind, payload, tuple(args)))
             self._need.append(0)
             self._keys[key] = len(self._nodes) - 1
         return self._keys[key]
@@ -351,83 +371,137 @@ class Plan:
 
     def _intern(self, e: Expr, operands: list) -> int:
         if isinstance(e, Literal):
-            key, fn = ("literal", e.value, math.copysign(1.0, e.value)), partial(_literal, e.value)
-        elif isinstance(e, Variable):  # at order 2: a consumer asking less reads a truncation
-            key, fn = ("variable", e.index, e.name), partial(_coordinate, e.index)
+            key = ("literal", *_exact(e.value))
+            if key not in self._keys:
+                self._const[self._add(key, "literal", None, ())] = e.value
+                if not math.isfinite(e.value):
+                    self._alarms.append((self._keys[key], "constant must be finite", None, False))
+            return self._keys[key]
+        if isinstance(e, Variable):  # at order 2: a consumer asking less reads the first columns
+            label, op, key = ("variable",), None, ("variable", e.index, e.name)
         elif isinstance(e, Neg):
-            key, fn = ("neg", *operands), lambda batch, a: jets.neg(a)
+            label, op = ("neg",), lambda a, check: jets.neg(a)
         elif isinstance(e, Call):
-            key = ("call", e.func, *operands)
-            fn = partial(_apply, partial(jets.apply_function, name=e.func), e)
+            label, op = ("call", e.func), partial(jets.apply_function, name=e.func)
         elif isinstance(e, Binary) and e.op in _OPERATORS:
-            key, fn = ("binary", e.op, *operands), partial(_apply, _OPERATORS[e.op][2], e)
+            label, op = ("binary", e.op), _OPERATORS[e.op][2]
         else:
             raise TypeError(f"not an expression node: {e!r}")
+        if op is not None:
+            key = (*label, *operands)
         if key in self._keys:
             return self._keys[key]
-        node = self._add(key, fn, [(x, None) for x in [self.BATCH, *operands]])
-        if isinstance(e, Variable):
+        node = self._add(key, "expr", (label, op, e), [(x, None) for x in operands])
+        if op is None:
             self._need[node] = 2
-        elif isinstance(e, Literal):
-            if math.isfinite(e.value):  # else its step reports
-                self._const[node] = e.value
         elif all(x in self._const for x in operands):
-            probe = Batch(np.zeros(self.n))
+            messages = []
+            record = lambda mask, message: messages.append(message) if np.any(mask) else None
             with np.errstate(all="ignore"):
                 try:
-                    value = fn(probe, *(self._const[x] for x in operands))
-                except DomainError:  # raised again when the step runs
-                    return node
-            if not probe.errors:
-                self._const[node] = value
+                    self._const[node] = op(*(self._const[x] for x in operands), check=record)
+                except DomainError as err:
+                    self._const[node] = math.nan
+                    self._alarms.append((node, err.message, e, True))
+                else:
+                    if messages:
+                        self._alarms.append((node, messages[0], e, False))
         return node
 
     def stack(self, trees, shape: tuple, order: int) -> int:
         """Node of the tensor jet of ``shape`` from expression ``trees`` (row-major) at
-        ``order``; literal entries go straight into its arrays."""
+        ``order``; constant entries go straight into its arrays."""
         if order not in (0, 1, 2):
             raise ValueError("jet order must be 0, 1 or 2")
         nodes = [self.expr(e) for e in trees]
-        args = [(self.BATCH, None)] + [(x, order) for x in nodes]
-        return self._add(("stack", shape, order, *nodes), partial(_stack, shape, order), args)
+        key = ("stack", shape, order, *nodes)
+        return self._add(key, "stack", (shape, order), [(x, order) for x in nodes])
 
     def step(self, fn, *nodes, key=None) -> int:
-        """Node of ``fn(*values)`` over the whole values of earlier ``nodes``."""
-        return self._add(key, fn, [(x, 2) for x in nodes])
+        """Node of ``fn(*values)`` over the whole values of earlier stack or step ``nodes``
+        (or ``BATCH``)."""
+        return self._add(key, "step", fn, [(x, 2) for x in nodes])
 
     def finish(self, outputs) -> "Plan":
-        """Lay out the steps that yield the nodes ``outputs`` as :meth:`run`'s ``Batch.out``;
-        each expression node is computed at the highest order any consumer asks of it,
-        and each slot is freed after its last read.  ``nodes`` counts the nodes."""
-        need, count = self._need, len(self._nodes)
+        """Lay out the groups and tensor steps that yield the stack and step nodes
+        ``outputs`` as :meth:`run`'s ``Batch.out``.  Each expression node is computed at the
+        highest order any consumer asks of it, and a consumer asking less reads its first
+        columns; each slot is freed after its last read.  ``nodes`` counts the nodes."""
+        need, const, count = self._need, self._const, len(self._nodes)
         for node in reversed(range(count)):
-            for x, order in self._nodes[node][1]:
+            for x, order in self._nodes[node][2]:
                 need[x] = max(need[x], need[node] if order is None else order)
-        steps, truncated = [], {}  # (fn, reads, out); truncations take new slots
-        for node, (fn, args) in enumerate(self._nodes):
-            if node in self._const:
+        depth, groups = {}, {}
+        for node, (kind, payload, args) in enumerate(self._nodes):
+            if kind == "expr" and node not in const:
+                xs, label = [x for x, _ in args], payload[0]
+                depth[node] = 1 + max((depth[x] for x in xs if x not in const), default=-1)
+                column = label[0] == "binary" and label[1] in "+-*"  # the others take scalars
+                pattern = tuple(x in const and (column or _exact(const[x])) for x in xs)
+                groups.setdefault((depth[node], label, need[node], pattern), []).append(node)
+        self._where, steps = {}, []  # expression node -> (slot, row); (fn, reads, out)
+        for key in sorted(groups, key=lambda key: (key[0], groups[key][0])):
+            reads, nodes = [self.BATCH], groups[key]
+            fn = self._compile_group(*key[1:], nodes, reads)
+            steps.append((fn, tuple(reads), count + len(steps)))
+            self._where.update((x, (steps[-1][2], row)) for row, x in enumerate(nodes))
+        # Each tensor step runs once its reads are made, so that slots are freed early.
+        made, ready = {out: i for i, (_, _, out) in enumerate(steps)}, []
+        for node, (kind, payload, args) in enumerate(self._nodes):
+            if kind == "stack":
+                reads, entries = [self.BATCH], [x for x, _ in args]
+                jets_at = [(i, x) for i, x in enumerate(entries) if x not in const]
+                at = np.array([i for i, x in enumerate(entries) if x in const], dtype=np.intp)
+                values = np.array([const[x] for x in entries if x in const], dtype=float)
+                fn = partial(_stack, self.n, *payload, self._sources(jets_at, reads), at, values)
+            elif kind == "step":
+                fn, reads = payload, [x for x, _ in args]
+            else:
                 continue
-            reads = []
-            for x, order in args:
-                order = need[node] if order is None else order
-                if need[x] > order and x not in self._const:
-                    if (x, order) not in truncated:
-                        truncated[x, order] = count + len(truncated)
-                        read = partial(jets.truncate, order=order)
-                        steps.append((read, (x,), truncated[x, order]))
-                    x = truncated[x, order]
-                reads.append(x)
-            steps.append((fn, tuple(reads), node))
-        last = {x: i for i, step in enumerate(steps) for x in step[1] if x not in self._const}
+            made[node] = max(made.get(x, -1) for x in reads)
+            ready.append((made[node], node, (fn, tuple(reads), node)))
+        steps = [(i, -1, step) for i, step in enumerate(steps)] + ready
+        steps = [step for *_, step in sorted(steps)]
+        last = {x: i for i, step in enumerate(steps) for x in step[1]}
         dead = [[] for _ in steps]
         for x, i in last.items():
             if x not in outputs:
                 dead[i].append(x)
         self._steps = [step + (tuple(gone),) for step, gone in zip(steps, dead)]
-        self._slots = [self._const.get(x) for x in range(count + len(truncated))]
+        self._slots = [None] * (count + len(steps))
         self._outputs, self.nodes = list(outputs), count
-        del self._nodes, self._need, self._keys, self._seen, self._const
+        del self._nodes, self._need, self._keys, self._seen, self._const, self._where
         return self
+
+    def _sources(self, entries, reads: list) -> list:
+        """``(read, rows, at)`` per group slot that holds the nodes of ``entries``, pairs of
+        a place and a node: the slot's place among the arrays after the batch in ``reads``
+        (appended if new), the nodes' rows there and their places, each an index."""
+        found = {}
+        for at, x in entries:
+            slot, row = self._where[x]
+            found.setdefault(slot, []).append((row, at))
+        reads.extend(slot for slot in found if slot not in reads)
+        return [(reads.index(slot) - 1, *map(_index, zip(*pairs))) for slot, pairs in found.items()]
+
+    def _compile_group(self, label, order: int, pattern, nodes: list, reads: list):
+        """The step computing the expression ``nodes`` of one group as rows of one array."""
+        trees = [self._nodes[x][1][2] for x in nodes]
+        if label[0] == "variable":
+            axes = [e.index for e in trees]
+            return partial(_coordinates, axes, np.eye(self.n)[axes], nodes)
+        operands = []
+        for i, constant in enumerate(pattern):
+            xs = [self._nodes[x][2][i][0] for x in nodes]
+            if constant is False:
+                sources = self._sources(enumerate(xs), reads)  # one holds them all in order
+                one = len(sources) == 1
+                operands.append(("view", sources[0][:2]) if one else ("rows", sources))
+            elif constant is True:
+                operands.append(("column", np.array([self._const[x] for x in xs])))
+            else:
+                operands.append(("scalar", self._const[xs[0]]))
+        return partial(_group, self.n, self._nodes[nodes[0]][1][1], order, nodes, trees, operands)
 
     def run(self, points) -> Batch:
         """The outputs at ``points`` as the returned batch's ``out``; numpy's warnings are
@@ -435,24 +509,84 @@ class Plan:
         batch, values = Batch(points), self._slots.copy()
         values[self.BATCH] = batch
         try:
+            for node, message, e, raises in self._alarms:  # the folded failures
+                if raises:
+                    batch.raised.append((node, DomainError(message, path=print_expression(e))))
+                else:
+                    batch.report(True, message, e, node)
             for fn, args, out, dead in self._steps:
+                batch.step = out
                 values[out] = fn(*[values[i] for i in args])
                 for i in dead:
                     values[i] = None
+            if batch.raised:
+                raise min(batch.raised, key=lambda raised: raised[0])[1]
         except DomainError as err:
             if err.point is None and batch.points.size:
                 err.point = batch.point_at(0)
             raise
+        batch.step = _UNFLAGGED - 1
         batch.out = [values[i] for i in self._outputs]
         return batch
 
 
-def _coordinate(axis: int, batch):
-    return jets.coordinate(axis, batch.points, 2)
+def _coordinates(axes: list, gradients: np.ndarray, nodes: list, batch: Batch) -> np.ndarray:
+    """Rows of the coordinate jets at order 2 along ``axes``, whose ``gradients`` are rows of
+    the identity; a non-finite coordinate fails every point, raised under the first of
+    ``nodes`` that reads one."""
+    value = np.moveaxis(batch.points[..., axes], -1, 0)
+    if not np.isfinite(value).all():
+        row = np.isfinite(value.reshape(len(axes), -1)).all(-1).argmin()
+        batch.raised.append((nodes[row], DomainError(jets._NON_FINITE)))
+    data = np.zeros(value.shape + (jets._width(batch.n, 2),))
+    data[..., 0] = value
+    data[..., 1 : 1 + batch.n] = gradients.reshape(len(axes), *(1,) * len(batch.shape), -1)
+    return data
 
 
-def _stack(shape: tuple, order: int, batch, *entries):
-    return jets.stack(entries, shape, batch.n, order, batch.shape)
+def _group(n: int, op, order: int, nodes: list, trees: list, operands: list, batch: Batch, *arrays):
+    """Rows of ``op`` at ``order`` for the expression ``nodes``, over operands that are
+    rows of ``arrays`` (one's rows in order as a ``"view"``, else gathered), a ``"column"``
+    of constants or one ``"scalar"``; each failure is flagged under its row's node.  jets
+    raises only on scalar operands, which every row shares, so the first row names a raise."""
+    shape = (len(nodes),) + batch.shape + (jets._width(n, order),)
+    args = []
+    for kind, spec in operands:
+        if kind == "view":
+            args.append(jets._wrap(n, order, arrays[spec[0]][spec[1], ..., : shape[-1]]))
+        elif kind == "rows":
+            data = np.empty(shape)
+            for read, rows, at in spec:
+                data[at] = arrays[read][rows, ..., : shape[-1]]
+            args.append(jets._wrap(n, order, data))
+        else:
+            column = kind == "column"
+            args.append(spec.reshape(len(nodes), *(1,) * len(batch.shape)) if column else spec)
+    try:
+        return op(*args, check=partial(_report_rows, batch, nodes, trees)).data
+    except DomainError as err:
+        err.path = print_expression(trees[0])
+        batch.raised.append((nodes[0], err))
+        return np.full(shape, np.nan)
+
+
+def _report_rows(batch: Batch, nodes: list, trees: list, mask, message: str) -> None:
+    if np.any(mask):
+        mask = np.broadcast_to(mask, (len(nodes),) + batch.shape)
+        for row, node in enumerate(nodes):
+            batch.report(mask[row], message, trees[row], node)
+
+
+def _stack(n: int, shape: tuple, order: int, sources: list, at, values, batch: Batch, *arrays):
+    """The tensor jet of ``shape`` at ``order`` whose row-major entries are group rows,
+    ``(read, rows, places)`` per array of ``arrays``, and the constants ``values`` at ``at``."""
+    k, lead = jets._width(n, order), len(batch.shape)
+    data = np.zeros(batch.shape + (math.prod(shape), k))
+    rows_last = (*range(1, lead + 1), 0, lead + 1)  # the rows' axis after the points'
+    for read, rows, places in sources:
+        data[..., places, :] = arrays[read][rows, ..., :k].transpose(rows_last)
+    data[..., at, 0] = values
+    return jets._wrap(n, order, data.reshape(batch.shape + shape + (k,)))
 
 
 def at_point(plan: Plan, point, build=lambda batch: batch.out):

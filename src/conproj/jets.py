@@ -209,7 +209,8 @@ def _value(a):
 
 
 # -- elementwise arithmetic ------------------------------------------------
-# Operands are jets or floats (constants); two floats give a float.
+# Operands are jets or floats (constants); two floats give a float.  add, sub and mul
+# also take an array of constants over the jet's leading shape.
 
 
 def _pair(ufunc, a: Jet, b: Jet) -> Jet:
@@ -249,7 +250,7 @@ def mul(a, b, check=_raise):
     if not isinstance(a, Jet):
         out = a * b
     elif not isinstance(b, Jet):
-        out = _wrap(a.n, a.order, a.data * b)
+        out = _wrap(a.n, a.order, a.data * np.asarray(b)[..., None])
     else:  # (a b)' = a' b + b' a, (a b)'' = a'' b + b'' a + a' b'^T + b' a'^T
         n, order = a.n, min(a.order, b.order)
         k = _width(n, order)

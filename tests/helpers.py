@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
-from conproj import load_scenario, metric_at, sample_points
+from conproj import jets, load_scenario, metric_at, sample_points
+from conproj.expressions import Binary, Call, Literal, Neg, Variable
+from conproj.geometry import inverse, levi_civita, shift
+from conproj.scenario import ExplicitRecipe, LeviCivitaRecipe, ModifiedSRecipe
 
 
 def assert_componentwise_close(actual, expected, tol, floor=1.0):
@@ -279,3 +284,57 @@ def split_metric_file(directory):
     path = directory / "split5.json"
     path.write_text(json.dumps({"dimension": 5, "metric": rows}), encoding="utf-8")
     return path
+
+
+_JET_OPERATORS = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div, "^": jets.power}
+
+
+def walk(e, points, order, memo):
+    """Reference jet of the tree ``e`` at ``points`` ((n,) or (S, n)): a recursive walk
+    over the jets operations, one call per node, with no plan; ``memo`` keeps the jet
+    of each tree object walked."""
+    if id(e) in memo:
+        return memo[id(e)][1]
+    if isinstance(e, Literal):
+        out = e.value
+    elif isinstance(e, Variable):
+        out = jets.coordinate(e.index, points, order)
+    elif isinstance(e, Neg):
+        out = jets.neg(walk(e.operand, points, order, memo))
+    elif isinstance(e, Call):
+        out = jets.apply_function(walk(e.arg, points, order, memo), e.func, None)
+    else:
+        assert isinstance(e, Binary)
+        left, right = (walk(x, points, order, memo) for x in (e.left, e.right))
+        out = _JET_OPERATORS[e.op](left, right, None)
+    memo[id(e)] = e, out
+    return out
+
+
+def walk_tensor(trees, shape, points, order):
+    """Reference tensor jet of the nested expression ``trees`` of ``shape``."""
+    points, memo = np.asarray(points, dtype=float), {}
+    entries = [walk(reduce(getitem, i, trees), points, order, memo) for i in np.ndindex(shape)]
+    return jets.stack(entries, shape, points.shape[-1], order, points.shape[:-1])
+
+
+def walk_connection(recipe, points, order, rank_tol):
+    """Reference connection jet of a recipe at ``points``, its expressions walked by
+    :func:`walk` and its geometry that of ``conproj.geometry``."""
+    n = np.shape(points)[-1]
+    if isinstance(recipe, ExplicitRecipe):
+        return walk_tensor(recipe.gamma, (n, n, n), points, order)
+    if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)):
+        g = walk_tensor(recipe.metric, (n, n), points, order + 1)
+        ginv = inverse(jets.truncate(g, order), rank_tol)[0]
+        base = levi_civita(g, ginv)
+        if isinstance(recipe, LeviCivitaRecipe):
+            return base
+        if recipe.potential is None:
+            s = walk_tensor(recipe.s, (n,), points, order)
+        else:
+            f = walk_tensor([recipe.potential], (), points, order + 1)
+            s = jets.einsum("ij,j->i", ginv, jets.derivative(f))
+        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), None)
+    base = walk_connection(recipe.base, points, order, rank_tol)
+    return shift(base, walk_tensor(recipe.psi, (n,), points, order))

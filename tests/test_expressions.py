@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conproj import (
+    DegenerateMetric,
     DomainError,
     check_compatibility,
     connection_at,
@@ -15,6 +16,7 @@ from conproj import (
     load_scenario_path,
     metric_at,
     obstruction_at,
+    sample_points,
     with_conformal_factor,
     ExpressionError,
     ExpressionSyntaxError,
@@ -27,7 +29,15 @@ from conproj import (
 from conproj import expressions, jets
 from conproj.compatibility import _trace_plan
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
-from helpers import drift_doc, random_expression, round_trip_doc
+from helpers import (
+    drift_doc,
+    random_drift_incompatible_doc,
+    random_explicit_incompatible_doc,
+    random_expression,
+    round_trip_doc,
+    walk_connection,
+    walk_tensor,
+)
 
 COORDS = ("x", "y")
 
@@ -271,6 +281,69 @@ def test_an_exponent_that_fails_every_point_raises_at_once(src, message):
     assert str(excinfo.value) == f"{message} at point (0.3, -0.2)"
 
 
+def _metric_doc(a, b, connection=None):
+    """A 2-d scenario with metric diag(a, b) and, unless given, a zero explicit connection."""
+    zero = [[["0", "0"], [None, "0"]]] * 2
+    return {
+        "dimension": 2,
+        "coordinates": ["x1", "x2"],
+        "box": {"min": [-1, -1], "max": [1, 1]},
+        "metric": [[a, "0"], [None, b]],
+        "connection": connection or {"kind": "explicit", "gamma": zero},
+        "samples": 20,
+    }
+
+
+def _first_error(scn, point):
+    with pytest.raises((DomainError, DegenerateMetric)) as excinfo:
+        obstruction_at(scn, point)
+    return excinfo.value
+
+
+_DEEP_LOG, _SHALLOW_SQRT = "log(-(x1*x1) - 1)", "sqrt(x1)"
+
+
+@pytest.mark.parametrize("first, second", [(_DEEP_LOG, _SHALLOW_SQRT), (_SHALLOW_SQRT, _DEEP_LOG)])
+def test_the_first_failing_subexpression_in_post_order_names_the_error(first, second):
+    # Both operands fail at x1 < 0; the one whose subtree comes first is named, however
+    # deep it is.
+    expected = print_expression(parse_expression(first, ["x1", "x2"]))
+    point = (-0.5, 0.2)
+    with pytest.raises(DomainError) as excinfo:
+        eval_expr(parse_expression(f"{first} + {second}", ["x1", "x2"]), point)
+    assert (excinfo.value.path, excinfo.value.point) == (expected, point)
+    # across entries: the metric's upper triangle in row-major order
+    scn = load_scenario(_metric_doc(f"2 + {first}", f"2 + {second}"))
+    error = _first_error(scn, point)
+    assert (error.path, error.point) == (expected, point)
+
+
+def test_a_degenerate_base_metric_precedes_a_later_psi_error_at_the_same_point():
+    # The base metric of the shifted connection degenerates at x1 = 0, where psi's sqrt
+    # fails too; the base's geometry comes first.
+    levi_civita = {"kind": "levi_civita", "metric": [["x1", "0"], [None, "1"]]}
+    shifted = {"kind": "projective_transform", "base": levi_civita, "psi": ["sqrt(x1)", "0"]}
+    point = (0.0, 0.3)
+    error = _first_error(load_scenario(_metric_doc("1", "1", shifted)), point)
+    assert isinstance(error, DegenerateMetric) and error.point == point
+    # a failing metric entry comes before both
+    error = _first_error(load_scenario(_metric_doc("1 + sqrt(-x1 - 1)", "1", shifted)), point)
+    assert isinstance(error, DomainError) and error.path == "sqrt(-x1 - 1.0)"
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_the_first_over_range_exponent_in_post_order_raises(swap):
+    deep, shallow = "(x1*x2 + 1)^100000", "x1^100000"
+    a, b = (shallow, deep) if swap else (deep, shallow)
+    scn = load_scenario(_metric_doc(f"1 + {a}", f"1 + {b}"))
+    expected = print_expression(parse_expression(a, ["x1", "x2"]))
+    for run in (lambda: obstruction_at(scn, (0.3, -0.2)), lambda: check_compatibility(scn)):
+        with pytest.raises(DomainError) as excinfo:
+            run()
+        assert excinfo.value.message == "integer exponent magnitude exceeds 9999"
+        assert excinfo.value.path == expected
+
+
 # Each form nests one level per repeat: brackets, leading minus signs, chained '^' and a
 # left-associative sum of k operands.  One past the bound fails at the offset given.
 _DEEP_FORMS = {
@@ -315,10 +388,10 @@ def test_each_distinct_subtree_runs_once_per_batch(monkeypatch):
     # become distinct, equal trees.
     scn = with_conformal_factor(load_scenario(doc), "0.1*x1*x2 - 2*0.1")
     assert scn.metric[0][1] is not scn.metric[1][0] and scn.metric[0][1] == scn.metric[1][0]
-    calls = []
+    rows = []  # the rows each operator call computes: a group's, or one of constants
     for op, (prec, right, fn) in list(expressions._OPERATORS.items()):
         def counting(a, b, check, fn=fn):
-            calls.append(1)
+            rows.append(next((len(x.data) for x in (a, b) if isinstance(x, jets.Jet)), 1))
             return fn(a, b, check)
 
         monkeypatch.setitem(expressions._OPERATORS, op, (prec, right, counting))
@@ -330,10 +403,11 @@ def test_each_distinct_subtree_runs_once_per_batch(monkeypatch):
         if isinstance(e, Binary) and not any(isinstance(x, Variable) for x in _subtrees([e]))
     }
     assert check_compatibility(scn, samples=20).verdict == "compatible"
-    assert len(calls) == len(distinct)  # each once; the literal ones when folded
-    calls.clear()
+    assert sum(rows) == len(distinct)  # each once; the literal ones when folded
+    rows.clear()
     check_compatibility(scn, samples=20)
-    assert len(calls) == len(distinct - literal)
+    assert sum(rows) == len(distinct - literal)
+    assert len(rows) < sum(rows)  # grouped: fewer calls than rows
 
 
 def test_literal_entries_build_no_constant_jets(monkeypatch):
@@ -354,12 +428,45 @@ def test_a_lorentzian_round_trip_plan_frees_its_slots():
     doc, _ = round_trip_doc(np.random.default_rng(5), 4, lorentzian=True)
     scn = load_scenario(doc)
     assert check_compatibility(scn).verdict == "compatible"
+    plan = _trace_plan(scn, 1)
     live = peak = 0
-    for _, _, _, freed in _trace_plan(scn, 1)._steps:
+    made, gone = {plan.BATCH}, []
+    for _, _, out, freed in plan._steps:  # a step makes one slot: a group's rows or a tensor
         live += 1
         peak = max(peak, live)
         live -= len(freed)
-    assert peak < _trace_plan(scn, 1).nodes // 4
+        made.add(out)
+        gone.extend(freed)
+    assert peak < plan.nodes // 4
+    assert sorted(gone) == sorted(made - set(plan._outputs))  # the rest, each once
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_grouped_plan_matches_a_recursive_walk_bit_for_bit(n):
+    # Round-trip, drift and explicit scenarios in every signature (n, q); the three kinds
+    # take 1, 7 and 300 points in turn as q runs, so that each kind meets each count.  A
+    # single point runs as an (n,) array, the others as stacks.
+    rng = np.random.default_rng(2022 + n)
+    for q in range(n + 1):
+        drift = random_drift_incompatible_doc(rng, n)
+        for i in range(q):  # the drift's metric is its connection's too
+            drift["metric"][i][i] = "-1"
+        docs = [round_trip_doc(rng, n, negative=q)[0], drift,
+                random_explicit_incompatible_doc(rng, n, negative=q)]
+        for kind, doc in enumerate(docs):
+            scn = load_scenario(doc)
+            count = (1, 7, 300)[(kind + q) % 3]
+            points = np.array(sample_points(scn, count))
+            points = points[0] if count == 1 else points
+            for order in (0, 1):
+                with np.errstate(all="ignore"):
+                    g, _, gamma, _ = _trace_plan(scn, order).run(points).out
+                    expected_g = walk_tensor(scn.metric, (n, n), points, order + 1)
+                    expected_gamma = walk_connection(
+                        scn.connection, points, order, scn.tolerances.rank
+                    )
+                assert g.data.tobytes() == expected_g.data.tobytes(), (q, kind, order)
+                assert gamma.data.tobytes() == expected_gamma.data.tobytes(), (q, kind, order)
 
 
 def test_a_consumer_asking_a_lower_order_reads_a_truncation():
