@@ -5,6 +5,12 @@ Run it on two commits and diff the outputs to see which records a change moves:
 
     PYTHONPATH=src python tests/corpus.py > after.tsv
 
+or compare this checkout's records with another commit's by the README
+"Determinism" contract, which prints each moved record and exits 1 on an
+exact change:
+
+    PYTHONPATH=src python tests/corpus.py --compare before.tsv
+
 The records cover the CLI reports of the bundled scenarios (without
 ``timestamp``), report reprs in every signature for n = 2-5, null-vector
 draws, recovery values and the messages of failing inputs.  Pytest does not
@@ -13,9 +19,11 @@ collect this file; it pins no data.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -51,8 +59,11 @@ PATH = [
 ]
 
 
+RECORDS: dict = {}  # name -> value, as emitted
+
+
 def emit(name: str, value) -> None:
-    sys.stdout.write(f"{name}\t{value}\n")
+    RECORDS[name] = str(value)
 
 
 def outcome(call) -> str:
@@ -154,9 +165,108 @@ def message_records() -> None:
         emit(f"error.null_vectors.{label}", drawn)
 
 
+# -- comparison by the README "Determinism" contract --------------------------
+
+ROUNDOFF = 1e-14  # a number may move by ROUNDOFF * max(1, |x|)
+# Fields compared byte for byte wherever they are; strings, ints and shapes always are.
+EXACT = {"verdict", "eps_verdict", "samples", "seed", "skipped", "skipped_points",
+         "null_vectors", "code", "tolerances", "passed"}
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def parse(value: str):
+    """A record as data: JSON, a repr of calls (a dict with its ``class``), tuples and
+    numbers, or else its text (an error message, a null-vector draw)."""
+    try:
+        return json.loads(value)
+    except ValueError:
+        pass
+
+    def literal(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -literal(node.operand)
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return [literal(x) for x in node.elts]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.args:
+            return {"class": node.func.id, **{k.arg: literal(k.value) for k in node.keywords}}
+        raise ValueError(ast.dump(node))
+
+    try:
+        return literal(ast.parse(value, mode="eval").body)
+    except (SyntaxError, ValueError, TypeError):
+        return value
+
+
+def moves(base, new, exact=False):
+    """``"exact"`` or ``"roundoff"`` for each place where two parsed records differ."""
+    if type(base) is float and type(new) is float and not exact:
+        if base != new:
+            yield "roundoff" if abs(new - base) <= ROUNDOFF * max(1.0, abs(base)) else "exact"
+    elif isinstance(base, dict) and isinstance(new, dict) and base.keys() == new.keys():
+        for key in base:
+            if key == "worst" and base.get("verdict") == new.get("verdict") == "compatible":
+                yield from worst_moves(base, new)
+            elif key == "stderr" and base.get("code") in (0, 2):  # a report's summary line
+                yield from text_moves(base[key], new[key])
+            else:
+                yield from moves(base[key], new[key], exact or key in EXACT)
+    elif isinstance(base, list) and isinstance(new, list) and len(base) == len(new):
+        for x, y in zip(base, new):
+            yield from moves(x, y, exact)
+    elif type(base) is not type(new) or base != new:
+        yield "exact"
+
+
+def worst_moves(base, new):
+    """``worst`` of a compatible report ranks roundoff: its length, and every listed A and
+    B within the residual tolerance."""
+    tol = new["tolerances"]["residual"]
+    listed = [x for point in new["worst"] for key, x in point.items() if key in "aAbB"]
+    if len(base["worst"]) != len(new["worst"]) or not all(x <= tol for x in listed):
+        yield "exact"
+    elif base["worst"] != new["worst"]:
+        yield "roundoff"
+
+
+def text_moves(base: str, new: str):
+    """A text's words byte for byte and its numbers to roundoff."""
+    a, b = NUMBER.split(base), NUMBER.split(new)
+    if len(a) != len(b) or a[0::2] != b[0::2]:
+        yield "exact"
+    else:
+        yield from moves([float(x) for x in a[1::2]], [float(x) for x in b[1::2]])
+
+
+def compare(path: str) -> int:
+    """Print each record that moved against the corpus at ``path``, as ``exact`` or
+    ``roundoff``, then the counts; 1 if any moved beyond roundoff."""
+    with open(path, encoding="utf-8") as f:
+        before = dict(line.rstrip("\n").split("\t", 1) for line in f if line.strip())
+    counts = {"exact": 0, "roundoff": 0}
+    for name in before | RECORDS:
+        if name not in before or name not in RECORDS:
+            kind = "exact"
+        elif before[name] == RECORDS[name]:
+            continue
+        else:
+            found = set(moves(parse(before[name]), parse(RECORDS[name])))
+            kind = "exact" if "exact" in found else "roundoff"
+        counts[kind] += 1
+        sys.stdout.write(f"{kind}\t{name}\n")
+    sys.stdout.write(f"exact changes: {counts['exact']}, roundoff moves: {counts['roundoff']}\n")
+    return int(counts["exact"] > 0)
+
+
 if __name__ == "__main__":
     cli_records()
     report_records()
     null_vector_records()
     recovery_records()
     message_records()
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[2]))
+    if len(sys.argv) > 1:
+        sys.exit("usage: corpus.py [--compare BASE.tsv]")
+    sys.stdout.writelines(f"{name}\t{value}\n" for name, value in RECORDS.items())
