@@ -42,6 +42,9 @@ from .scenario import (
     _check_point,
     _connection,
     _draw_samples,
+    _geometry,
+    _metrics,
+    _part,
     _plan,
     metric_geometry,
 )
@@ -135,13 +138,12 @@ def _trace_plan(scenario: Scenario, order: int):
     ``order``), the connection and :func:`_trace_form`."""
 
     def build(plan):
-        rank_tol = scenario.tolerances.rank
-        for i, row in enumerate(scenario.metric):  # the entries' errors come before the recipe's
-            for entry in row[i:]:
-                plan.expr(entry)
-        gamma = _connection(plan, scenario.connection, order, rank_tol)
-        g, ginv, base = metric_geometry(plan, scenario.metric, order, rank_tol)
-        return g, ginv, gamma, plan.step(_trace_form, g, ginv, base, gamma)
+        metrics = [scenario.metric, *_metrics(scenario.connection)]  # the scenario's errors first
+        geometry = _geometry(plan, metrics, order, scenario.tolerances.rank)
+        gamma = _connection(plan, scenario.connection, order, geometry)
+        view = metric_geometry(plan, scenario.metric, geometry)
+        g, ginv = (plan.step(_part(i), view) for i in (0, 1))
+        return g, ginv, gamma, plan.step(lambda view, gamma: _trace_form(*view, gamma), view, gamma)
 
     return _plan(scenario, ("trace", order), build)
 

@@ -405,43 +405,75 @@ def _symmetric(plan: ex.Plan, entries, order: int, rank: int) -> int:
     return plan.stack([reduce(getitem, i, entries) for i in np.ndindex(shape)], shape, order)
 
 
-def _inverse(order: int, rank_tol: float, batch: ex.Batch, g: Jet) -> Jet:
+def _metrics(recipe) -> list:
+    """The metric entries a connection recipe reads: none, or its base's one."""
+    while isinstance(recipe, ProjectiveTransformRecipe):
+        recipe = recipe.base
+    return [recipe.metric] if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)) else []
+
+
+def _geometry(plan: ex.Plan, metrics, order: int, rank_tol: float) -> dict:
+    """One ``(M, n, n)`` stack at order ``order + 1`` of the distinct metric ``entries``
+    (equal metrics once, in their first order) and one step for all their inverses and
+    Christoffel symbols at ``order``.  Returns each metric's entry nodes -> (step, index)."""
+    shape, index = (plan.n, plan.n), {}
+    for entries in metrics:
+        trees = [reduce(getitem, i, entries) for i in np.ndindex(shape)]
+        index.setdefault(tuple(plan.expr(e) for e in trees), trees)
+    g = plan.stack([e for trees in index.values() for e in trees], (len(index),) + shape, order + 1)
+    step = plan.step(partial(_inverses, order, rank_tol), g)
+    return {nodes: (step, m) for m, nodes in enumerate(index)}
+
+
+def _inverses(order: int, rank_tol: float, g: Jet) -> tuple:
     ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
-    batch.flag(degenerate, lambda i: DegenerateMetric(det.flat[i], point=batch.point_at(i)))
-    return ginv
+    return g, ginv, levi_civita(g, ginv), det, degenerate
 
 
-def metric_geometry(plan: ex.Plan, entries, order: int, rank_tol: float) -> tuple:
-    """Nodes of the metric ``entries`` at order ``order + 1`` and of its inverse and
-    Levi-Civita connection at ``order``; degenerate points are flagged.  Equal metrics
-    are one stack, so a metric shared by scenario and recipe is built once per batch."""
-    g = _symmetric(plan, entries, order + 1, 2)
-    ginv = plan.step(partial(_inverse, order, rank_tol), plan.BATCH, g, key=("inverse", g, order))
-    return g, ginv, plan.step(levi_civita, g, ginv, key=("Gamma", ginv))
+def _view(m: int, batch: ex.Batch, geometry: tuple) -> tuple:
+    """Metric ``m`` of the stack, its inverse and its Christoffel symbols; its degenerate
+    points are flagged under this step's rank, the place of its inverse in the plan."""
+    *jets_, det, degenerate = geometry
+    det = det[..., m]
+    batch.flag(degenerate[..., m], lambda i: DegenerateMetric(det.flat[i], point=batch.point_at(i)))
+    at = (slice(None),) * len(batch.shape) + (m,)  # the metric axis follows the points'
+    return tuple(jets._wrap(x.n, x.order, x.data[at]) for x in jets_)
 
 
-def _connection(plan: ex.Plan, recipe, order: int, rank_tol: float) -> int:
+def metric_geometry(plan: ex.Plan, entries, geometry: dict) -> int:
+    """Node of the metric ``entries`` at order ``order + 1``, its inverse and Levi-Civita
+    connection at ``order`` of the :func:`_geometry` step, as one tuple."""
+    shape = (plan.n, plan.n)
+    step, m = geometry[tuple(plan.expr(reduce(getitem, i, entries)) for i in np.ndindex(shape))]
+    return plan.step(partial(_view, m), plan.BATCH, step, key=("metric", step, m))
+
+
+def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
     """Node of a connection recipe as a tensor jet; recipes needing a metric derivative
     support orders 0 and 1."""
     n = plan.n
     if isinstance(recipe, LeviCivitaRecipe):
-        return metric_geometry(plan, recipe.metric, order, rank_tol)[2]
+        return plan.step(_part(2), metric_geometry(plan, recipe.metric, geometry))
     if isinstance(recipe, ExplicitRecipe):
         return _symmetric(plan, recipe.gamma, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
-        g, ginv, base = metric_geometry(plan, recipe.metric, order, rank_tol)
+        view = metric_geometry(plan, recipe.metric, geometry)
         if recipe.potential is None:
             s = plan.stack(recipe.s, (n,), order)
         else:
             f = plan.stack([recipe.potential], (), order + 1)
-            s = plan.step(lambda ginv, f: jets.einsum("ij,j->i", ginv, jets.derivative(f)), ginv, f)
-        return plan.step(lambda base, s, g: jets.sub(base, jets.einsum("i,jk->ijk", s, g), None),
-                         base, s, g)
+            s = plan.step(lambda v, f: jets.einsum("ij,j->i", v[1], jets.derivative(f)), view, f)
+        return plan.step(lambda v, s: jets.sub(v[2], jets.einsum("i,jk->ijk", s, v[0]), None),
+                         view, s)
     if isinstance(recipe, ProjectiveTransformRecipe):
-        base = _connection(plan, recipe.base, order, rank_tol)
+        base = _connection(plan, recipe.base, order, geometry)
         psi = plan.stack(recipe.psi, (n,), order)
         return plan.step(shift, base, psi)
     raise TypeError(f"unknown connection recipe: {recipe!r}")
+
+
+def _part(i: int):
+    return lambda parts: parts[i]
 
 
 def _metric_plan(scenario: Scenario, order: int) -> ex.Plan:
@@ -460,9 +492,9 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
     p = _check_point(scenario, point)
-    rank_tol = scenario.tolerances.rank
-    plan = _plan(scenario, ("connection", order),
-                 lambda plan: [_connection(plan, scenario.connection, order, rank_tol)])
+    plan = _plan(scenario, ("connection", order), lambda plan: [_connection(
+        plan, scenario.connection, order,
+        _geometry(plan, _metrics(scenario.connection), order, scenario.tolerances.rank))])
     return ConnectionValue(ex.at_point(plan, p)[0], p)
 
 

@@ -763,26 +763,28 @@ def test_check_inverts_the_metric_only_to_the_order_it_reads(monkeypatch):
     import conproj.scenario as scenario
     from conproj import integrate_phi, verify_recovery
 
-    inverse, orders = scenario.inverse, []
+    inverse, orders, metrics = scenario.inverse, [], []
 
     def recording_inverse(g, rank_tol):
         orders.append(g.order)
+        metrics.append(g.value.shape[-3])  # the metric axis of the stack
         return inverse(g, rank_tol)
 
     monkeypatch.setattr(scenario, "inverse", recording_inverse)
     path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
     check_compatibility(load_scenario_path(path))
     # one chunk; the recipe's metric is the scenario's, so it is inverted once
-    assert orders == [1]
+    assert (orders, metrics) == ([1], [1])
     doc, _ = round_trip_doc(np.random.default_rng(5), 3, samples=12, lorentzian=True)
     scn = load_scenario(doc)
     orders.clear()
+    metrics.clear()
     check_compatibility(scn)
-    # the recipe's metric is the rescaled one: two inverses
-    assert orders == [1, 1]
+    # the recipe's metric is the rescaled one: one call inverts both
+    assert (orders, metrics) == ([1], [2])
     integrate_phi(scn, (0.0, 0.0, 0.0), (0.3, -0.2, 0.4))
     verify_recovery(scn, (0.0, 0.0, 0.0), samples=3)
-    assert set(orders) == {0, 1}
+    assert set(orders) == {0, 1} and set(metrics) == {2}
 
 
 @pytest.mark.parametrize("samples", [0, -3, True, 2.0])
