@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -57,6 +58,7 @@ def main(argv=None) -> int:
         return 1
 
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conproj",

@@ -151,11 +151,12 @@ def _trace_plan(scenario: Scenario, order: int):
 def _trace_form(g: Jet, ginv: Jet, base: Jet, gamma: Jet):
     """Difference Gamma_LC - Gamma of the Levi-Civita connection ``base`` of ``g`` and a
     connection, its trace-free part T and the traces T^i, T_i."""
+    n = g.n
     diff = jets.sub(base, gamma, None)
     T = tracefree(diff)
-    coefficient = (g.n + 1) / ((g.n + 2) * (g.n - 1))
-    up = jets.mul(jets.einsum("jk,ijk->i", ginv, T), coefficient, None)
-    return diff, T, up, jets.einsum("ij,j->i", g, up)
+    up = jets.matmul(jets.reshape(T, 3, (n, n * n)), jets.reshape(ginv, 2, (n * n, 1)))
+    up = jets.mul(jets.reshape(up, 2, (n,)), (n + 1) / ((n + 2) * (n - 1)), None)
+    return diff, T, up, jets.reshape(jets.matmul(g, jets.reshape(up, 1, (n, 1))), 2, (n,))
 
 
 def _condition_a(t, up, down, g) -> np.ndarray:
@@ -169,8 +170,9 @@ def _condition_b(down: Jet) -> np.ndarray:
     return np.swapaxes(down.gradient, -1, -2) - down.gradient
 
 
-def _obstructions(batch: Batch) -> ObstructionData:
-    """The obstructions from the outputs of the order-1 :func:`_trace_plan`."""
+def _obstructions(batch: Batch):
+    """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
+    max-abs of A and of B at each point."""
     g, ginv, gamma, (diff, T, up, down) = batch.out
     a = _condition_a(T.value, up.value, down.value, g.value)
     b = _condition_b(down)
@@ -178,8 +180,9 @@ def _obstructions(batch: Batch) -> ObstructionData:
     scale = np.maximum.reduce(
         [np.ones(batch.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
     )
-    finite = np.isfinite(scale) & np.isfinite(_absmax(a, lead)) & np.isfinite(_absmax(b, lead))
-    batch.report(~finite, jets._NON_FINITE)
+    maxima = [_absmax(a, lead), _absmax(b, lead)]
+    batch.report(~(np.isfinite(scale) & np.isfinite(maxima[0]) & np.isfinite(maxima[1])),
+                 jets._NON_FINITE)
     point = None if batch.shape else batch.point_at(0)
     return ObstructionData(
         point=point,
@@ -191,7 +194,7 @@ def _obstructions(batch: Batch) -> ObstructionData:
         scale=scale,
         metric=MetricValue(g, point=point),
         diff_values=diff.value,
-    )
+    ), maxima
 
 
 def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
@@ -304,14 +307,13 @@ def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _point_figures(scenario: Scenario, batch: Batch, states: np.ndarray) -> list:
     """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
     without a cone) at each point of the batch; flags failed null cones."""
-    obs = _obstructions(batch)
+    obs, maxima = _obstructions(batch)
     n, eps = obs.metric.n, np.full(batch.shape, np.nan)
     values = np.where(batch.bad[:, None, None], np.eye(n), obs.metric.jet.value)
     cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
     batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
     eps[cone] = np.max(_eps_from_diff(obs.diff_values[cone], u), axis=-1)
-    a, b = (_absmax(x, 1) / obs.scale for x in (obs.a, obs.b))
-    return [a, b, obs.scale, eps]
+    return [maxima[0] / obs.scale, maxima[1] / obs.scale, obs.scale, eps]
 
 
 def _batched(points: np.ndarray, plan, at, *rows):
@@ -371,7 +373,8 @@ def _sweep(scenario: Scenario, samples, seed, order: int, at):
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
     """Full obstruction pipeline at one point of the sampling box."""
-    return at_point(_trace_plan(scenario, 1), _check_point(scenario, point), _obstructions)
+    plan = _trace_plan(scenario, 1)
+    return at_point(plan, _check_point(scenario, point), lambda batch: _obstructions(batch)[0])
 
 
 def check_compatibility(

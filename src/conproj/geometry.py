@@ -110,56 +110,66 @@ def ill_conditioned(condition, rank_tol: float) -> np.ndarray:
 def inverse(g: Jet, rank_tol: float):
     """Inverse of a metric jet at every point, as ``(ginv, det, degenerate)``.
 
-    Degenerate points have no finite log|det| (exactly singular or not
-    finite) or are :func:`ill_conditioned` in ``max|g_ij| * max|g^ij|``; they
-    are inverted as the identity.  log|det| does not underflow on a tiny metric."""
+    Degenerate points are exactly singular, not finite or :func:`ill_conditioned` in
+    ``max|g_ij| * max|g^ij|``; they are inverted as the identity.  ``det`` comes from
+    log|det|, which does not underflow on a tiny metric, and only when some point is
+    degenerate (else None).  Every derivative column c of g gives
+    d_c(g^-1) = -g^-1 (d_c g) g^-1 in two matmuls, to which order 2 adds
+    g^-1 d_k g g^-1 d_l g g^-1 and its transpose in k, l."""
     n, v = g.n, g.value
     with np.errstate(all="ignore"):
-        # slogdet factorises v as inv does: a finite log|det| means inv succeeds.
-        sign, logdet = np.linalg.slogdet(v)
-        skip = ~np.isfinite(logdet)
-        vi = np.linalg.inv(np.where(skip[..., None, None], np.eye(n), v))
+        try:
+            vi, singular = np.linalg.inv(v), False
+        except np.linalg.LinAlgError:  # inv factorises as slogdet does: invert the rest
+            singular = ~np.isfinite(np.linalg.slogdet(v)[1])
+            vi = np.linalg.inv(np.where(singular[..., None, None], np.eye(n), v))
         condition = np.max(np.abs(v), axis=(-2, -1)) * np.max(np.abs(vi), axis=(-2, -1))
-        det = sign * np.exp(logdet)
-        degenerate = skip | ill_conditioned(condition, rank_tol)
-        vi[degenerate] = np.eye(n)
+        degenerate, det = singular | ill_conditioned(condition, rank_tol), None
+        if degenerate.any():
+            sign, logdet = np.linalg.slogdet(v)
+            det = sign * np.exp(logdet)
+            vi[degenerate] = np.eye(n)
         # The exact inverse of a symmetric matrix is symmetric; averaging the
         # halves removes roundoff so downstream symmetry is exact.
         vi = jets.symmetric(vi, -1, -2)
-        grad = hess = None
+        data = np.empty(g.data.shape)
+        data[..., 0] = vi
         if g.order >= 1:
-            # d_k(g^-1) = -g^-1 (d_k g) g^-1, with D_k = g^-1 d_k g
-            d = np.einsum("...ia,...ajk->...ijk", vi, g.gradient)
-            grad = jets.symmetric(-np.einsum("...iak,...aj->...ijk", d, vi), -3, -2)
+            w = vi[..., None, :, :] @ np.moveaxis(g.data[..., 1:], -1, -3)  # g^-1 d_c g
+            inner = w @ vi[..., None, :, :]
+            parts = -inner
             if g.order == 2:
-                # d_kl(g^-1) = -g^-1 (d_kl g) g^-1 + D_k D_l g^-1 + D_l D_k g^-1
-                inner = np.einsum("...ia,...abkl,...bj->...ijkl", vi, g.hessian, vi)
-                twice = -np.einsum("...iak,...ajl->...ijkl", d, grad)
-                hess = jets.symmetric(twice + np.swapaxes(twice, -1, -2) - inner, -4, -3)
-    return jets._pack(n, g.order, vi, grad, hess), det, degenerate
+                twice = w[..., :n, None, :, :] @ inner[..., None, :n, :, :]  # [k, l, i, j]
+                twice = twice + np.swapaxes(twice, -4, -3)
+                parts[..., n:, :, :] += twice.reshape(twice.shape[:-4] + (n * n, n, n))
+            data[..., 1:] = np.moveaxis(jets.symmetric(parts, -2, -1), -3, -1)
+    return jets._wrap(n, g.order, data), det, degenerate
 
 
 def levi_civita(g: Jet, ginv: Jet) -> Jet:
     """Christoffel symbols of ``g`` given its inverse; order ``g.order - 1``.
 
-    Gamma^i_jk = 1/2 g^ip (d_k g_pj + d_j g_pk - d_p g_jk).
+    Gamma^i_jk = 1/2 g^ip c_pjk with c_pjk = d_k g_pj + d_j g_pk - d_p g_jk, one
+    :func:`jets.matmul` over the packed axis.
     """
-    dg = jets.derivative(g)  # dg[p, q, k] = d_k g_pq
-    c = jets.add(dg, jets.einsum("pkj->pjk", dg), None)
-    c = jets.sub(c, jets.einsum("jkp->pjk", dg), None)
-    return jets.mul(jets.einsum("ip,pjk->ijk", ginv, c), 0.5, None)
+    n, dg = g.n, jets.derivative(g).data  # dg[p, q, k] = d_k g_pq
+    c = jets._wrap(n, g.order - 1, dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -2, -4))
+    gamma = jets.matmul(ginv, jets.reshape(c, 3, (n, n * n)))
+    return jets.mul(jets.reshape(gamma, 2, (n, n, n)), 0.5, None)
 
 
 def shift(gamma: Jet, psi: Jet) -> Jet:
     """Gamma^i_jk + delta^i_j psi_k + delta^i_k psi_j."""
-    d = jets.einsum("ij,k->ijk", np.eye(gamma.n), psi)
-    return jets.add(gamma, jets.add(d, jets.einsum("ikj->ijk", d), None), None)
+    order = min(gamma.order, psi.order)
+    k = jets._width(gamma.n, order)
+    d = np.eye(gamma.n)[:, :, None, None] * psi.data[..., None, None, :, :k]
+    return jets._wrap(gamma.n, order, gamma.data[..., :k] + (d + np.swapaxes(d, -3, -2)))
 
 
 def tracefree(t: Jet) -> Jet:
     """Trace-free projection of a tensor t^i_jk symmetric in j, k."""
-    trace = jets.einsum("ppk->k", t)
-    return shift(t, jets.mul(trace, -1.0 / (t.n + 1), None))
+    trace = np.einsum("...ppkY->...kY", t.data) * (-1.0 / (t.n + 1))
+    return shift(t, jets._wrap(t.n, t.order, trace))
 
 
 def invert_metric(g: MetricValue) -> MetricValue:

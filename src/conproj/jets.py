@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["Jet", "constant", "coordinate", "partial_derivative", "derivative", "apply_function",
-           "einsum", "stack", "FUNCTION_NAMES"]
+           "einsum", "matmul", "reshape", "stack", "FUNCTION_NAMES"]
 
 _MAX_INT_POWER = 9999
 _NON_FINITE = "non-finite component in jet arithmetic"
@@ -426,8 +426,8 @@ def _terms(spec: str, jets: tuple) -> tuple:
     if len(jets) == 1:
         return (sub({jets[0]: "Y"}),)
     i, j = jets
-    return (sub({i: "", j: ""}), sub({i: "", j: "Y"}), sub({i: "Y", j: ""}, True),
-            f"...Y{output}->...{output}Y", sub({i: "Y", j: "Z"}))
+    return (sub({i: "", j: "Y"}), sub({i: "Y", j: ""}, True), f"...Y{output}->...{output}Y",
+            sub({i: "Y", j: "Z"}))
 
 
 def einsum(spec: str, *operands):
@@ -450,20 +450,39 @@ def einsum(spec: str, *operands):
         return _wrap(n, order, np.einsum(terms[0], *ops))
     i, j = jets
     a, b = operands[i].data, operands[j].data
-    # numpy's summation order depends on memory layout: the values are contracted
-    # as the C-contiguous arrays that they were before packing, bit for bit.
-    ops[i], ops[j] = va, vb = a[..., 0].copy(), b[..., 0].copy()
-    value = np.einsum(terms[0], *ops)
-    ops[j] = b[..., :k]
-    data = np.einsum(terms[1], *ops)
-    data[..., 0] = value
+    ops[i], ops[j] = a[..., 0], b[..., :k]
+    data = np.einsum(terms[0], *ops)
     if order >= 1:
-        ops[i], ops[j] = a[..., 1:k], vb
-        data[..., 1:] += np.einsum(terms[3], np.einsum(terms[2], *ops))  # "Y" first loops fastest
+        ops[i], ops[j] = a[..., 1:k], b[..., 0]
+        data[..., 1:] += np.einsum(terms[2], np.einsum(terms[1], *ops))  # "Y" first loops fastest
         if order == 2:
             ops[i], ops[j] = a[..., 1 : 1 + n], b[..., 1 : 1 + n]
-            _add_cross(data, n, np.einsum(terms[4], *ops))
+            _add_cross(data, n, np.einsum(terms[3], *ops))
     return _wrap(n, order, data)
+
+
+def matmul(a: Jet, b: Jet) -> Jet:
+    """Matrix product of jets whose last tensor axes are (I, m) and (m, J), by the product
+    rule over the packed axis: a's value with every column of b, a's derivative columns with
+    b's value, then at order 2 the cross terms; the lead axes broadcast."""
+    n, order = a.n, min(a.order, b.order)
+    k = _width(n, order)
+    x, y = a.data[..., :k], b.data[..., :k]
+    data = x[..., 0] @ y.reshape(y.shape[:-2] + (y.shape[-2] * k,))
+    data = data.reshape(data.shape[:-1] + y.shape[-2:])
+    if order >= 1:  # the columns as matrices: (c, I, m) with (m, J)
+        data[..., 1:] += np.moveaxis(np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0], -3, -1)
+        if order == 2:  # (k, 1, I, m) with (1, l, m, J)
+            grads = [np.moveaxis(z[..., 1 : 1 + n], -1, -3) for z in (x, y)]
+            cross = grads[0][..., :, None, :, :] @ grads[1][..., None, :, :, :]
+            _add_cross(data, n, np.moveaxis(cross, (-4, -3), (-2, -1)))
+    return _wrap(n, order, data)
+
+
+def reshape(a: Jet, rank: int, shape: tuple) -> Jet:
+    """``a`` with its last ``rank`` tensor axes reshaped to ``shape``."""
+    data = a.data
+    return _wrap(a.n, a.order, data.reshape(data.shape[: -1 - rank] + tuple(shape) + data.shape[-1:]))
 
 
 def stack(entries, shape: tuple, n: int | None = None, order: int | None = None, lead=()) -> Jet:

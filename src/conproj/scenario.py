@@ -433,9 +433,9 @@ def _inverses(order: int, rank_tol: float, g: Jet) -> tuple:
 def _view(m: int, batch: ex.Batch, geometry: tuple) -> tuple:
     """Metric ``m`` of the stack, its inverse and its Christoffel symbols; its degenerate
     points are flagged under this step's rank, the place of its inverse in the plan."""
-    *jets_, det, degenerate = geometry
-    det = det[..., m]
-    batch.flag(degenerate[..., m], lambda i: DegenerateMetric(det.flat[i], point=batch.point_at(i)))
+    *jets_, det, degenerate = geometry  # det is read only where a point is degenerate
+    batch.flag(degenerate[..., m],
+               lambda i: DegenerateMetric(det[..., m].flat[i], point=batch.point_at(i)))
     at = (slice(None),) * len(batch.shape) + (m,)  # the metric axis follows the points'
     return tuple(jets._wrap(x.n, x.order, x.data[at]) for x in jets_)
 

@@ -321,7 +321,7 @@ def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
     ]
     repeated = waypoints[:5] + waypoints[4:]
     assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == (
-        -0.12390960000000008
+        -0.1239096000000001
     )
 
 
