@@ -17,6 +17,7 @@ it is implied by compatibility but does not imply it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .scenario import (
     _connection,
     _draw_samples,
     _geometry,
-    _metrics,
-    _part,
     _plan,
     metric_geometry,
 )
@@ -138,11 +137,11 @@ def _trace_plan(scenario: Scenario, order: int):
     ``order``), the connection and :func:`_trace_form`."""
 
     def build(plan):
-        metrics = [scenario.metric, *_metrics(scenario.connection)]  # the scenario's errors first
-        geometry = _geometry(plan, metrics, order, scenario.tolerances.rank)
-        gamma = _connection(plan, scenario.connection, order, geometry)
+        recipe = scenario.connection  # the scenario metric's errors come before the recipe's
+        geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], recipe)
+        gamma = _connection(plan, recipe, order, geometry)
         view = metric_geometry(plan, scenario.metric, geometry)
-        g, ginv = (plan.step(_part(i), view) for i in (0, 1))
+        g, ginv = (plan.step(itemgetter(i), view) for i in (0, 1))
         return g, ginv, gamma, plan.step(lambda view, gamma: _trace_form(*view, gamma), view, gamma)
 
     return _plan(scenario, ("trace", order), build)
@@ -181,8 +180,7 @@ def _obstructions(batch: Batch):
         [np.ones(batch.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
     )
     maxima = [_absmax(a, lead), _absmax(b, lead)]
-    batch.report(~(np.isfinite(scale) & np.isfinite(maxima[0]) & np.isfinite(maxima[1])),
-                 jets._NON_FINITE)
+    batch.report(~np.isfinite([scale, *maxima]).all(0), jets._NON_FINITE)
     point = None if batch.shape else batch.point_at(0)
     return ObstructionData(
         point=point,

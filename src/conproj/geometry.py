@@ -111,10 +111,9 @@ def inverse(g: Jet, rank_tol: float):
     """Inverse of a metric jet at every point, as ``(ginv, det, degenerate)``.
 
     Degenerate points are exactly singular, not finite or :func:`ill_conditioned` in
-    ``max|g_ij| * max|g^ij|``; they are inverted as the identity.  ``det`` comes from
-    log|det|, which does not underflow on a tiny metric, and only when some point is
-    degenerate (else None).  Every derivative column c of g gives
-    d_c(g^-1) = -g^-1 (d_c g) g^-1 in two matmuls, to which order 2 adds
+    ``max|g_ij| * max|g^ij|``; they are inverted as the identity.  ``det``, from log|det|
+    (no underflow on a tiny metric), is None unless some point is degenerate.  Each packed
+    column c of g gives d_c(g^-1) = -g^-1 (d_c g) g^-1 in two matmuls; order 2 adds
     g^-1 d_k g g^-1 d_l g g^-1 and its transpose in k, l."""
     n, v = g.n, g.value
     with np.errstate(all="ignore"):

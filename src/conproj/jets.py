@@ -471,7 +471,8 @@ def matmul(a: Jet, b: Jet) -> Jet:
     data = x[..., 0] @ y.reshape(y.shape[:-2] + (y.shape[-2] * k,))
     data = data.reshape(data.shape[:-1] + y.shape[-2:])
     if order >= 1:  # the columns as matrices: (c, I, m) with (m, J)
-        data[..., 1:] += np.moveaxis(np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0], -3, -1)
+        columns = np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0]
+        data[..., 1:] += np.moveaxis(columns, -3, -1)
         if order == 2:  # (k, 1, I, m) with (1, l, m, J)
             grads = [np.moveaxis(z[..., 1 : 1 + n], -1, -3) for z in (x, y)]
             cross = grads[0][..., :, None, :, :] @ grads[1][..., None, :, :, :]
@@ -481,8 +482,8 @@ def matmul(a: Jet, b: Jet) -> Jet:
 
 def reshape(a: Jet, rank: int, shape: tuple) -> Jet:
     """``a`` with its last ``rank`` tensor axes reshaped to ``shape``."""
-    data = a.data
-    return _wrap(a.n, a.order, data.reshape(data.shape[: -1 - rank] + tuple(shape) + data.shape[-1:]))
+    lead, k = a.data.shape[: -1 - rank], a.data.shape[-1]
+    return _wrap(a.n, a.order, a.data.reshape(lead + tuple(shape) + (k,)))
 
 
 def stack(entries, shape: tuple, n: int | None = None, order: int | None = None, lead=()) -> Jet:

@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -405,24 +405,24 @@ def _symmetric(plan: ex.Plan, entries, order: int, rank: int) -> int:
     return plan.stack([reduce(getitem, i, entries) for i in np.ndindex(shape)], shape, order)
 
 
-def _metrics(recipe) -> list:
-    """The metric entries a connection recipe reads: none, or its base's one."""
+def _geometry(plan: ex.Plan, order: int, rank_tol: float, metrics: list, recipe) -> dict:
+    """One ``(M, n, n)`` stack at order ``order + 1`` of the distinct ``metrics`` and the one
+    of ``recipe``, if any (equal metrics once, in first order), and one step for all their
+    inverses and Christoffel symbols at ``order``.  Maps id(entries) -> (step, index)."""
     while isinstance(recipe, ProjectiveTransformRecipe):
         recipe = recipe.base
-    return [recipe.metric] if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)) else []
-
-
-def _geometry(plan: ex.Plan, metrics, order: int, rank_tol: float) -> dict:
-    """One ``(M, n, n)`` stack at order ``order + 1`` of the distinct metric ``entries``
-    (equal metrics once, in their first order) and one step for all their inverses and
-    Christoffel symbols at ``order``.  Returns each metric's entry nodes -> (step, index)."""
-    shape, index = (plan.n, plan.n), {}
+    if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)):
+        metrics = [*metrics, recipe.metric]
+    index, found, shape = {}, {}, (plan.n, plan.n)
     for entries in metrics:
         trees = [reduce(getitem, i, entries) for i in np.ndindex(shape)]
-        index.setdefault(tuple(plan.expr(e) for e in trees), trees)
-    g = plan.stack([e for trees in index.values() for e in trees], (len(index),) + shape, order + 1)
+        found[id(entries)] = index.setdefault(tuple(map(plan.expr, trees)), (len(index), trees))[0]
+    if not index:
+        return {}
+    g = [e for _, trees in index.values() for e in trees]
+    g = plan.stack(g, (len(index),) + shape, order + 1)
     step = plan.step(partial(_inverses, order, rank_tol), g)
-    return {nodes: (step, m) for m, nodes in enumerate(index)}
+    return {key: (step, m) for key, m in found.items()}
 
 
 def _inverses(order: int, rank_tol: float, g: Jet) -> tuple:
@@ -430,22 +430,20 @@ def _inverses(order: int, rank_tol: float, g: Jet) -> tuple:
     return g, ginv, levi_civita(g, ginv), det, degenerate
 
 
-def _view(m: int, batch: ex.Batch, geometry: tuple) -> tuple:
-    """Metric ``m`` of the stack, its inverse and its Christoffel symbols; its degenerate
-    points are flagged under this step's rank, the place of its inverse in the plan."""
-    *jets_, det, degenerate = geometry  # det is read only where a point is degenerate
-    batch.flag(degenerate[..., m],
-               lambda i: DegenerateMetric(det[..., m].flat[i], point=batch.point_at(i)))
-    at = (slice(None),) * len(batch.shape) + (m,)  # the metric axis follows the points'
-    return tuple(jets._wrap(x.n, x.order, x.data[at]) for x in jets_)
-
-
 def metric_geometry(plan: ex.Plan, entries, geometry: dict) -> int:
-    """Node of the metric ``entries`` at order ``order + 1``, its inverse and Levi-Civita
-    connection at ``order`` of the :func:`_geometry` step, as one tuple."""
-    shape = (plan.n, plan.n)
-    step, m = geometry[tuple(plan.expr(reduce(getitem, i, entries)) for i in np.ndindex(shape))]
-    return plan.step(partial(_view, m), plan.BATCH, step, key=("metric", step, m))
+    """Node of the metric ``entries`` (order ``order + 1``), its inverse and Levi-Civita
+    connection (order ``order``) as one tuple of views of the :func:`_geometry` step; its
+    degenerate points are flagged under this node's rank, the place of its inverse."""
+    step, m = geometry[id(entries)]
+
+    def view(batch: ex.Batch, parts: tuple) -> tuple:
+        *jets_, det, degenerate = parts  # det is read only where a point is degenerate
+        batch.flag(degenerate[..., m],
+                   lambda i: DegenerateMetric(det[..., m].flat[i], point=batch.point_at(i)))
+        return tuple(jets._wrap(x.n, x.order, np.moveaxis(x.data, len(batch.shape), 0)[m])
+                     for x in jets_)
+
+    return plan.step(view, plan.BATCH, step, key=("metric", step, m))
 
 
 def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
@@ -453,7 +451,7 @@ def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
     support orders 0 and 1."""
     n = plan.n
     if isinstance(recipe, LeviCivitaRecipe):
-        return plan.step(_part(2), metric_geometry(plan, recipe.metric, geometry))
+        return plan.step(itemgetter(2), metric_geometry(plan, recipe.metric, geometry))
     if isinstance(recipe, ExplicitRecipe):
         return _symmetric(plan, recipe.gamma, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
@@ -472,10 +470,6 @@ def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
     raise TypeError(f"unknown connection recipe: {recipe!r}")
 
 
-def _part(i: int):
-    return lambda parts: parts[i]
-
-
 def _metric_plan(scenario: Scenario, order: int) -> ex.Plan:
     return _plan(scenario, ("metric", order), lambda p: [_symmetric(p, scenario.metric, order, 2)])
 
@@ -492,9 +486,9 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
     p = _check_point(scenario, point)
+    recipe = scenario.connection
     plan = _plan(scenario, ("connection", order), lambda plan: [_connection(
-        plan, scenario.connection, order,
-        _geometry(plan, _metrics(scenario.connection), order, scenario.tolerances.rank))])
+        plan, recipe, order, _geometry(plan, order, scenario.tolerances.rank, [], recipe))])
     return ConnectionValue(ex.at_point(plan, p)[0], p)
 
 
