@@ -440,8 +440,8 @@ def metric_geometry(plan: ex.Plan, entries, geometry: dict) -> int:
         *jets_, det, degenerate = parts  # det is read only where a point is degenerate
         batch.flag(degenerate[..., m],
                    lambda i: DegenerateMetric(det[..., m].flat[i], point=batch.point_at(i)))
-        return tuple(jets._wrap(x.n, x.order, np.moveaxis(x.data, len(batch.shape), 0)[m])
-                     for x in jets_)
+        at = (slice(None),) * len(batch.shape) + (m,)  # the metric axis follows the points'
+        return tuple(jets._wrap(x.n, x.order, x.data[at]) for x in jets_)
 
     return plan.step(view, plan.BATCH, step, key=("metric", step, m))
 

@@ -431,6 +431,59 @@ def test_a_point_fails_with_the_first_error_of_metric_connection_and_inverse():
     assert excinfo.value.point == bad_point
 
 
+def _stacked_failures_doc(scenario_degenerate, recipe_degenerate, psi_fails):
+    """At sample 37 of 150 (seed 11): the scenario metric diag(2, 2 h) and the projective
+    transform of the Levi-Civita connection of diag(3, 3 h), with h = (x1 - c)^2 + 1e-14
+    where a metric degenerates there (det 4e-14 and 9e-14) and h = 1 where it does not, and
+    psi_1 = 1/(x1 - c) (division by zero there) or 0.  Returns the document and the point."""
+    doc, point = one_degenerate_sample_doc()
+    h = f"((x1 - {point[0]!r})^2 + 1e-14)"
+    doc["metric"] = [["2", "0"], [None, f"2*{h}" if scenario_degenerate else "2"]]
+    recipe = [["3", "0"], [None, f"3*{h}" if recipe_degenerate else "3"]]
+    doc["connection"] = {
+        "kind": "projective_transform",
+        "base": {"kind": "levi_civita", "metric": recipe},
+        "psi": [f"1/(x1 - {point[0]!r})" if psi_fails else "0", "0"],
+    }
+    return doc, point
+
+
+@pytest.mark.parametrize(
+    "scenario_degenerate, recipe_degenerate, psi_fails, det",
+    [
+        # plan order: the recipe metric's inverse, then psi, then the scenario metric's
+        (True, True, False, 9e-14),  # the recipe's degeneracy precedes the scenario's
+        (False, True, True, 9e-14),  # ... and psi's error: the point is skipped
+        (True, False, True, None),  # psi's error precedes the scenario metric's
+        (True, True, True, 9e-14),
+    ],
+)
+def test_each_metric_of_the_stack_fails_a_point_under_its_own_inverse(
+    scenario_degenerate, recipe_degenerate, psi_fails, det
+):
+    doc, point = _stacked_failures_doc(scenario_degenerate, recipe_degenerate, psi_fails)
+    scn = load_scenario(doc)
+    if det is None:
+        calls = (
+            lambda: check_compatibility(scn),
+            lambda: obstruction_at(scn, point),
+            lambda: verify_recovery(scn, (0.5, 0.5)),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="division by zero") as excinfo:
+                call()
+            assert excinfo.value.path == f"1.0/(x1 - {point[0]!r})"
+            assert excinfo.value.point == point
+        return
+    ((skipped, skipped_det),) = check_compatibility(scn).skipped
+    assert skipped == point and math.isclose(skipped_det, det, rel_tol=1e-6)
+    with pytest.raises(DegenerateMetric) as excinfo:
+        obstruction_at(scn, point)
+    assert excinfo.value.point == point and math.isclose(excinfo.value.det, det, rel_tol=1e-6)
+    if scenario_degenerate:  # the two metrics are proportional, so T is roundoff
+        assert verify_recovery(scn, (0.5, 0.5)).samples == 150
+
+
 _NON_POSITIVE_BASE = "power with non-positive base requires an integer exponent"
 
 
