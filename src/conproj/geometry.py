@@ -1,8 +1,9 @@
 """Tensor kernels over jets whose leading axes index chart points.
 
 The metric inverse comes from ``np.linalg.inv`` and the closed forms for
-the derivatives of an inverse; Christoffel symbols, rescalings and
-projective shifts are einsums.  Each value class wraps one tensor jet, at
+the derivatives of an inverse; the derivatives and the Christoffel symbols
+are matmuls over the packed jet axis, projective shifts are elementwise and
+rescalings are einsums.  Each value class wraps one tensor jet, at
 one point or over a stack of points.  All residual norms in this package
 are max-absolute norms.
 """

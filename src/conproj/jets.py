@@ -6,8 +6,9 @@ tensor + (K,), with K = 1, 1 + n or 1 + n + n^2 at order 0, 1 or 2.  The
 lead shape is ``()`` at one point and ``(S,)`` at S points; the tensor shape
 is ``()`` for a scalar and ``(n, n)`` for a matrix field.  The components are
 views of ``data`` and truncation is a slice, so a sum, a scaling or a
-contraction with constants is one numpy call; products, elementary functions
-and :func:`einsum` add the product and chain rule terms.  Orders are capped at 2.
+contraction with constants is one numpy call; products, elementary functions,
+:func:`einsum` and :func:`matmul` add the product and chain rule terms.  Orders
+are capped at 2.
 
 The functions report the points where a result is not finite, and why, to
 ``check(mask, message)``: by default they raise :class:`DomainError`, as
@@ -462,21 +463,17 @@ def einsum(spec: str, *operands):
 
 
 def matmul(a: Jet, b: Jet) -> Jet:
-    """Matrix product of jets whose last tensor axes are (I, m) and (m, J), by the product
-    rule over the packed axis: a's value with every column of b, a's derivative columns with
-    b's value, then at order 2 the cross terms; the lead axes broadcast."""
-    n, order = a.n, min(a.order, b.order)
+    """Matrix product of jets whose last tensor axes are (I, m) and (m, J), at the lower of
+    their orders and at most order 1, by the product rule over the packed axis: a's value
+    with every column of b, then a's derivative columns with b's value; lead axes broadcast."""
+    n, order = a.n, min(a.order, b.order, 1)
     k = _width(n, order)
     x, y = a.data[..., :k], b.data[..., :k]
     data = x[..., 0] @ y.reshape(y.shape[:-2] + (y.shape[-2] * k,))
     data = data.reshape(data.shape[:-1] + y.shape[-2:])
-    if order >= 1:  # the columns as matrices: (c, I, m) with (m, J)
+    if order == 1:  # the columns as matrices: (c, I, m) with (m, J)
         columns = np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0]
         data[..., 1:] += np.moveaxis(columns, -3, -1)
-        if order == 2:  # (k, 1, I, m) with (1, l, m, J)
-            grads = [np.moveaxis(z[..., 1 : 1 + n], -1, -3) for z in (x, y)]
-            cross = grads[0][..., :, None, :, :] @ grads[1][..., None, :, :, :]
-            _add_cross(data, n, np.moveaxis(cross, (-4, -3), (-2, -1)))
     return _wrap(n, order, data)
 
 
