@@ -302,6 +302,21 @@ def test_usage_errors_exit_one():
     assert main([]) == 1
 
 
+def test_one_parser_serves_every_call(tmp_path, drift_file, capsys):
+    from conproj import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    # a flag given to one call does not carry over to the next
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["check", str(drift_file), "--samples", "7", "--out", str(first), "--quiet"]) == 2
+    assert main(["check", str(drift_file), "--out", str(second), "--quiet"]) == 2
+    assert (read_json(first)["samples"], read_json(second)["samples"]) == (7, 30)
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out[: len(out) // 2] == out[len(out) // 2 :]
+
+
 def test_recover_integrates_the_query_point_once(tmp_path, monkeypatch):
     from conproj import recovery
 

@@ -313,3 +313,20 @@ def test_partial_derivative_commutes_with_evaluation():
                 1e-6,
             )
             assert_componentwise_close(d.gradient, fd_gradient(partial_value, point), 1e-5)
+
+
+def test_matmul_is_the_product_rule_of_einsum_up_to_roundoff():
+    # (I, m) by (m, J) jets over 5 points at orders 0 and 1, broadcast against one point; an
+    # order-2 operand gives the order-1 product
+    rng = np.random.default_rng(23)
+    n = 3
+    for order in (0, 1, 2):
+        a = jets._wrap(n, order, rng.normal(size=(5, 2, 4, jets._width(n, order))))
+        b = jets._wrap(n, 2, rng.normal(size=(4, 3, jets._width(n, 2))))
+        product = jets.matmul(a, b)
+        expected = jets.einsum("im,mj->ij", jets.truncate(a, 1), jets.truncate(b, 1))
+        k = jets._width(n, min(order, 1))
+        assert product.order == min(order, 1) and product.data.shape == (5, 2, 3, k)
+        assert np.allclose(product.data, expected.data[..., :k], atol=1e-13)
+    vector = jets.reshape(jets._wrap(n, 1, rng.normal(size=(5, 4, 1 + n))), 1, (4, 1))
+    assert vector.data.shape == (5, 4, 1, 1 + n)
