@@ -30,9 +30,11 @@ from .geometry import (
     MetricValue,
     OneFormValue,
     VectorValue,
+    drift,
     ill_conditioned,
     invert_metric,
     levi_civita,
+    shift,
     tracefree,
 )
 from .jets import Jet
@@ -153,15 +155,16 @@ def _trace_form(g: Jet, ginv: Jet, base: Jet, gamma: Jet):
     n = g.n
     diff = jets.sub(base, gamma, None)
     T = tracefree(diff)
-    up = jets.matmul(jets.reshape(T, 3, (n, n * n)), jets.reshape(ginv, 2, (n * n, 1)))
-    up = jets.mul(jets.reshape(up, 2, (n,)), (n + 1) / ((n + 2) * (n - 1)), None)
-    return diff, T, up, jets.reshape(jets.matmul(g, jets.reshape(up, 1, (n, 1))), 2, (n,))
+    up = jets.matvec(jets.reshape(T, 3, (n, n * n)), jets.reshape(ginv, 2, (n * n,)))
+    up = jets.mul(up, (n + 1) / ((n + 2) * (n - 1)), None)
+    return diff, T, up, jets.matvec(g, up)
 
 
 def _condition_a(t, up, down, g) -> np.ndarray:
+    """T^i_jk - T^i g_jk + delta^i_j T_k/(n+1) + delta^i_k T_j/(n+1) from the values."""
     n = g.shape[-1]
-    d = np.einsum("ij,...k->...ijk", np.eye(n), down / (n + 1))
-    return (t - up[..., :, None, None] * g[..., None, :, :]) + (d + np.swapaxes(d, -1, -2))
+    t, up, psi, g = (jets._wrap(n, 0, x[..., None]) for x in (t, up, down / (n + 1), g))
+    return shift(drift(t, up, g), psi).value
 
 
 def _condition_b(down: Jet) -> np.ndarray:
@@ -213,6 +216,8 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ValueError("null vector count must be a non-negative integer")
+    if np.ndim(g.jet.value) != 2:
+        raise ValueError("sample_null_vectors takes a metric at one point")
     _, u, used, fails = _null_cone(
         g.values()[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
     )
@@ -288,6 +293,12 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
         raise ValueError("direction vector must be nonzero")
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
+    if np.ndim(g.jet.value) != 2 or np.ndim(gamma.jet.value) != 3:
+        raise ValueError("eps_residual takes a metric and a connection at one point")
+    if gamma.n != g.n:
+        raise ValueError("connection dimension mismatch")
+    if vec.shape != (g.n,):
+        raise ValueError(f"direction vector must have {g.n} components")
     ginv = invert_metric(g).jet
     diff = _trace_form(g.jet, ginv, levi_civita(g.jet, ginv), gamma.jet)[0]
     return float(_eps_from_diff(diff.value, vec[None])[0])

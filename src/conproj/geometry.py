@@ -2,8 +2,8 @@
 
 The metric inverse comes from ``np.linalg.inv`` and the closed forms for
 the derivatives of an inverse; the derivatives and the Christoffel symbols
-are matmuls over the packed jet axis, projective shifts are elementwise and
-rescalings are einsums.  Each value class wraps one tensor jet, at
+are matmuls over the packed jet axis, and projective shifts and drifts are
+elementwise.  Each value class wraps one tensor jet, at
 one point or over a stack of points.  All residual norms in this package
 are max-absolute norms.
 """
@@ -166,6 +166,12 @@ def shift(gamma: Jet, psi: Jet) -> Jet:
     return jets._wrap(gamma.n, order, gamma.data[..., :k] + (d + np.swapaxes(d, -3, -2)))
 
 
+def drift(gamma: Jet, s: Jet, g: Jet) -> Jet:
+    """Gamma^i_jk - s^i g_jk, the outer product a :func:`jets.mul` of broadcast axes."""
+    outer = jets.mul(jets.reshape(s, 1, (g.n, 1, 1)), jets.reshape(g, 2, (1, g.n, g.n)), None)
+    return jets.sub(gamma, outer, None)
+
+
 def tracefree(t: Jet) -> Jet:
     """Trace-free projection of a tensor t^i_jk symmetric in j, k."""
     trace = np.einsum("...ppkY->...kY", t.data) * (-1.0 / (t.n + 1))
@@ -179,8 +185,8 @@ def invert_metric(g: MetricValue) -> MetricValue:
     raises :class:`DegenerateMetric` carrying the determinant and point.
     """
     ginv, det, degenerate = inverse(g.jet, DEFAULT_RANK_TOL)
-    if degenerate:
-        raise DegenerateMetric(det, point=g.point)
+    if np.any(degenerate):  # the det of the first degenerate point of a stack
+        raise DegenerateMetric(np.asarray(det)[degenerate][0], point=g.point)
     return MetricValue(ginv, point=g.point)
 
 
@@ -197,7 +203,7 @@ def conformal_rescale_metric(g: MetricValue, phi: Jet) -> MetricValue:
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
     factor = jets.apply_function(phi * 2.0, "exp")
-    return MetricValue(jets.einsum("ij,->ij", g.jet, factor), point=g.point)
+    return MetricValue(jets.mul(g.jet, jets.reshape(factor, 0, (1, 1)), None), point=g.point)
 
 
 def rescaled_connection(g: MetricValue, phi: Jet) -> ConnectionValue:
@@ -211,11 +217,9 @@ def rescaled_connection(g: MetricValue, phi: Jet) -> ConnectionValue:
         raise ValueError("rescaled_connection requires jets of order >= 1")
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
-    ginv = invert_metric(g).jet
-    dphi = jets.derivative(phi)
-    up = jets.einsum("ip,p->i", ginv, dphi)
-    base = jets.sub(levi_civita(g.jet, ginv), jets.einsum("i,jk->ijk", up, g.jet))
-    return ConnectionValue(shift(base, dphi), point=g.point)
+    ginv, dphi = invert_metric(g).jet, jets.derivative(phi)
+    base = drift(levi_civita(g.jet, ginv), jets.matvec(ginv, dphi), g.jet)
+    return ConnectionValue(shift(jets._checked(base, jets._raise), dphi), point=g.point)
 
 
 def projective_transform(gamma: ConnectionValue, psi: OneFormValue) -> ConnectionValue:

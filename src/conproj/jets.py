@@ -6,9 +6,11 @@ tensor + (K,), with K = 1, 1 + n or 1 + n + n^2 at order 0, 1 or 2.  The
 lead shape is ``()`` at one point and ``(S,)`` at S points; the tensor shape
 is ``()`` for a scalar and ``(n, n)`` for a matrix field.  The components are
 views of ``data`` and truncation is a slice, so a sum, a scaling or a
-contraction with constants is one numpy call; products, elementary functions,
-:func:`einsum` and :func:`matmul` add the product and chain rule terms.  Orders
-are capped at 2.
+contraction with constants is one numpy call; elementary functions add the
+chain rule terms.  Two kernels carry every product rule: :func:`mul`, whose
+operands broadcast over their tensor axes as well (elementwise and outer
+products), and :func:`matmul` with :func:`matvec` (contractions).  Orders are
+capped at 2.
 
 The functions report the points where a result is not finite, and why, to
 ``check(mask, message)``: by default they raise :class:`DomainError`, as
@@ -19,14 +21,13 @@ floating-point warnings to their callers.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["Jet", "constant", "coordinate", "partial_derivative", "derivative", "apply_function",
-           "einsum", "matmul", "reshape", "stack", "FUNCTION_NAMES"]
+           "matmul", "matvec", "reshape", "stack", "FUNCTION_NAMES"]
 
 _MAX_INT_POWER = 9999
 _NON_FINITE = "non-finite component in jet arithmetic"
@@ -144,13 +145,6 @@ def _hessian(data: np.ndarray, n: int) -> np.ndarray:
     return data[..., 1 + n :].reshape(data.shape[:-1] + (n, n))
 
 
-def _add_cross(data: np.ndarray, n: int, cross: np.ndarray) -> None:
-    """Add ``cross`` (derivative axes last), then its transpose, to the Hessian of ``data``."""
-    hessian = _hessian(data, n)
-    hessian += cross
-    hessian += np.swapaxes(cross, -1, -2)
-
-
 def truncate(a, order: int):
     """The same jet with the components above ``order`` dropped; a float is itself."""
     if not isinstance(a, Jet) or a.order <= order:
@@ -211,7 +205,8 @@ def _value(a):
 
 # -- elementwise arithmetic ------------------------------------------------
 # Operands are jets or floats (constants); two floats give a float.  add, sub and mul
-# also take an array of constants over the jet's leading shape.
+# also take an array of constants over the jet's leading shape.  Two jets broadcast
+# over their lead and tensor axes, so an outer product is a mul of reshaped jets.
 
 
 def _pair(ufunc, a: Jet, b: Jet) -> Jet:
@@ -259,7 +254,10 @@ def mul(a, b, check=_raise):
         if order >= 1:
             data[..., 1:] += b.data[..., 1:k] * a.data[..., :1]
             if order == 2:
-                _add_cross(data, n, a.data[..., 1 : 1 + n, None] * b.data[..., None, 1 : 1 + n])
+                hessian = _hessian(data, n)
+                cross = a.data[..., 1 : 1 + n, None] * b.data[..., None, 1 : 1 + n]
+                hessian += cross
+                hessian += np.swapaxes(cross, -1, -2)
         out = _wrap(n, order, data)
     return _checked(out, check)
 
@@ -410,56 +408,8 @@ def derivative(a: Jet) -> Jet:
     axis is the derivative index."""
     if a.order < 1:
         raise ValueError("cannot take a partial derivative of an order-0 jet")
-    parts = [a.gradient[..., None], a.hessian][: a.order]  # d_i f, then d_k d_i f
-    return _wrap(a.n, a.order - 1, np.concatenate(parts, axis=-1))
-
-
-@lru_cache(maxsize=256)
-def _terms(spec: str, jets: tuple) -> tuple:
-    """``np.einsum`` subscripts of :func:`einsum`'s terms, for jet operands at ``jets``."""
-    inputs, output = spec.split("->")
-
-    def sub(marks: dict, first: bool = False) -> str:
-        subs = [f"...{t}{marks[i]}" if i in marks else t for i, t in enumerate(inputs.split(","))]
-        tail = "".join(marks.values())
-        return ",".join(subs) + "->..." + (tail + output if first else output + tail)
-
-    if len(jets) == 1:
-        return (sub({jets[0]: "Y"}),)
-    i, j = jets
-    return (sub({i: "", j: "Y"}), sub({i: "Y", j: ""}, True), f"...Y{output}->...{output}Y",
-            sub({i: "Y", j: "Z"}))
-
-
-def einsum(spec: str, *operands):
-    """Product rule for ``np.einsum`` over jets and constant arrays.
-
-    ``spec`` names the tensor axes only (``"ip,pjk->ijk"``); the leading
-    axes of the jets broadcast against each other and lead the result.
-    Constant arrays carry tensor axes only.  At most two operands may be
-    jets; the result has the lower of their orders.  One jet is contracted
-    in one call over its packed axis; of two jets a and b, a's value with
-    all of b, then a's derivatives with b's value, then the cross terms.
-    """
-    jets = tuple(i for i, op in enumerate(operands) if isinstance(op, Jet))
-    if not 1 <= len(jets) <= 2:
-        raise ValueError("einsum takes one or two jet operands")
-    n, order = operands[jets[0]].n, min(operands[i].order for i in jets)
-    k, terms, ops = _width(n, order), _terms(spec, jets), list(operands)
-    if len(jets) == 1:
-        ops[jets[0]] = operands[jets[0]].data[..., :k]
-        return _wrap(n, order, np.einsum(terms[0], *ops))
-    i, j = jets
-    a, b = operands[i].data, operands[j].data
-    ops[i], ops[j] = a[..., 0], b[..., :k]
-    data = np.einsum(terms[0], *ops)
-    if order >= 1:
-        ops[i], ops[j] = a[..., 1:k], b[..., 0]
-        data[..., 1:] += np.einsum(terms[2], np.einsum(terms[1], *ops))  # "Y" first loops fastest
-        if order == 2:
-            ops[i], ops[j] = a[..., 1 : 1 + n], b[..., 1 : 1 + n]
-            _add_cross(data, n, np.einsum(terms[3], *ops))
-    return _wrap(n, order, data)
+    data = a.gradient[..., None]  # d_i f, a view at order 1; then d_k d_i f
+    return _wrap(a.n, a.order - 1, np.concatenate([data, a.hessian], -1) if a.order == 2 else data)
 
 
 def matmul(a: Jet, b: Jet) -> Jet:
@@ -475,6 +425,11 @@ def matmul(a: Jet, b: Jet) -> Jet:
         columns = np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0]
         data[..., 1:] += np.moveaxis(columns, -3, -1)
     return _wrap(n, order, data)
+
+
+def matvec(a: Jet, v: Jet) -> Jet:
+    """:func:`matmul` of ``a``, last tensor axes (I, m), with the vector ``v`` as one column."""
+    return reshape(matmul(a, reshape(v, 1, (v.data.shape[-2], 1))), 2, a.data.shape[-3:-2])
 
 
 def reshape(a: Jet, rank: int, shape: tuple) -> Jet:

@@ -39,7 +39,9 @@ import numpy as np
 from . import expressions as ex
 from . import jets
 from .errors import DegenerateMetric, ExpressionError, ScenarioError
-from .geometry import DEFAULT_RANK_TOL, ConnectionValue, MetricValue, inverse, levi_civita, shift
+from .geometry import (
+    DEFAULT_RANK_TOL, ConnectionValue, MetricValue, drift, inverse, levi_civita, shift
+)
 from .jets import Jet
 from .sampling import draw_points
 
@@ -460,9 +462,8 @@ def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
             s = plan.stack(recipe.s, (n,), order)
         else:
             f = plan.stack([recipe.potential], (), order + 1)
-            s = plan.step(lambda v, f: jets.einsum("ij,j->i", v[1], jets.derivative(f)), view, f)
-        return plan.step(lambda v, s: jets.sub(v[2], jets.einsum("i,jk->ijk", s, v[0]), None),
-                         view, s)
+            s = plan.step(lambda v, f: jets.matvec(v[1], jets.derivative(f)), view, f)
+        return plan.step(lambda v, s: drift(v[2], s, v[0]), view, s)
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = _connection(plan, recipe.base, order, geometry)
         psi = plan.stack(recipe.psi, (n,), order)

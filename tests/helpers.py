@@ -10,7 +10,7 @@ import numpy as np
 
 from conproj import jets, load_scenario, metric_at, sample_points
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
-from conproj.geometry import inverse, levi_civita, shift
+from conproj.geometry import drift, inverse, levi_civita, shift
 from conproj.scenario import ExplicitRecipe, LeviCivitaRecipe, ModifiedSRecipe
 
 
@@ -20,6 +20,29 @@ def assert_componentwise_close(actual, expected, tol, floor=1.0):
     scale = np.maximum(floor, np.abs(expected))
     err = np.max(np.abs(actual - expected) / scale)
     assert err <= tol, f"componentwise error {err:.3e} exceeds {tol:.1e}"
+
+
+def product_rule(spec, a, b):
+    """The jet of ``np.einsum(spec)`` of the jets ``a`` and ``b``, at the lower of their
+    orders, by the product rule written out over their unpacked value, gradient and Hessian.
+    ``spec`` names tensor axes in lowercase letters; the lead axes broadcast."""
+    inputs, out = spec.split("->")
+    x, y = inputs.split(",")
+    order = min(a.order, b.order)
+    va, vb = np.asarray(a.value), np.asarray(b.value)
+
+    def term(fa, fb, da="", db=""):  # fa, fb carry derivative axes da, db (Y, Z)
+        return np.einsum(f"...{x}{da},...{y}{db}->...{out}{da}{db}", fa, fb)
+
+    parts = [term(va, vb)[..., None]]
+    if order >= 1:
+        parts.append(term(a.gradient, vb, "Y") + term(va, b.gradient, "", "Y"))
+    if order == 2:
+        cross = term(a.gradient, b.gradient, "Y", "Z")
+        hessian = term(a.hessian, vb, "YZ") + term(va, b.hessian, "", "YZ") + cross
+        hessian = hessian + np.swapaxes(cross, -1, -2)
+        parts.append(hessian.reshape(hessian.shape[:-2] + (-1,)))
+    return jets._wrap(a.n, order, np.concatenate(parts, axis=-1))
 
 
 def fd_gradient(f, p, h=1e-4):
@@ -334,7 +357,7 @@ def walk_connection(recipe, points, order, rank_tol):
             s = walk_tensor(recipe.s, (n,), points, order)
         else:
             f = walk_tensor([recipe.potential], (), points, order + 1)
-            s = jets.einsum("ij,j->i", ginv, jets.derivative(f))
-        return jets.sub(base, jets.einsum("i,jk->ijk", s, g), None)
+            s = jets.matvec(ginv, jets.derivative(f))
+        return drift(base, s, g)
     base = walk_connection(recipe.base, points, order, rank_tol)
     return shift(base, walk_tensor(recipe.psi, (n,), points, order))

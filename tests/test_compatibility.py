@@ -250,6 +250,26 @@ def test_eps_residual_cases():
             NullVector(point=None, u=bad)
 
 
+def test_null_vectors_and_eps_take_one_point_and_matching_dimensions():
+    lorentzian = np.diag([-1.0, 1.0])
+    g = constant_metric(lorentzian)
+    stack = MetricValue(Jet(2, 2, np.stack([lorentzian, 2.0 * lorentzian, np.diag([1.0, -3.0])])))
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="takes a metric at one point"):
+        sample_null_vectors(stack, 2, rng)
+    assert rng.state == SplitMix64(1).state
+    u = np.array([1.0, 1.0])
+    gamma = christoffel(g)
+    for metric, connection in ((stack, gamma), (g, christoffel(stack))):
+        with pytest.raises(ValueError, match="a metric and a connection at one point"):
+            eps_residual(metric, connection, u)
+    with pytest.raises(ValueError, match="connection dimension mismatch"):
+        eps_residual(g, ConnectionValue(Jet(3, 1, np.zeros((3, 3, 3)))), u)
+    for bad in (np.array([1.0, 1.0, 0.0]), np.array([[1.0, 1.0]])):
+        with pytest.raises(ValueError, match="direction vector must have 2 components"):
+            eps_residual(g, gamma, bad)
+
+
 def test_check_round_trip_scenario_compatible():
     rng = np.random.default_rng(47)
     doc, _ = round_trip_doc(rng, 2, samples=15)

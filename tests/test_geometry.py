@@ -25,8 +25,16 @@ from conproj import (
     rescaled_connection,
     thomas_symbol,
 )
-from conproj.jets import einsum, stack
-from helpers import assert_componentwise_close, flat_doc, polynomial, round_trip_doc
+from conproj import jets
+from conproj.geometry import drift
+from conproj.jets import stack
+from helpers import (
+    assert_componentwise_close,
+    flat_doc,
+    polynomial,
+    product_rule,
+    round_trip_doc,
+)
 
 
 def metric_from_exprs(entries, coords, point, order=2):
@@ -116,6 +124,56 @@ def test_invert_reads_degeneracy_off_the_condition_number():
     assert inv.jet.gradient.tolist() == (-gradient).tolist()
 
 
+def stacked(values):
+    """One value class over the stack of the same class's values at single points."""
+    return type(values[0])(jets._wrap(values[0].n, values[0].order,
+                                      np.stack([v.jet.data for v in values])))
+
+
+def test_geometry_calls_on_a_stack_of_points_match_the_calls_at_each_point():
+    coords = ("x", "y")
+    entries = [["2 + x*y", "0.3*x"], ["0.3*x", "-1 + y*y"]]
+    points = [(0.1, 0.2), (-0.4, 0.5), (0.7, -0.3)]
+    gs = [metric_from_exprs(entries, coords, p) for p in points]
+    phis = [eval_expr(parse_expression("0.2*x*y + y", coords), p, 2) for p in points]
+    g, phi = stacked(gs), jets._wrap(2, 2, np.stack([f.data for f in phis]))
+    inv = invert_metric(g)
+    for i, gi in enumerate(gs):
+        assert np.array_equal(inv.jet.data[i], invert_metric(gi).jet.data)
+    for many, each in ((christoffel(g), [christoffel(gi) for gi in gs]),
+                       (rescaled_connection(g, phi),
+                        [rescaled_connection(gi, fi) for gi, fi in zip(gs, phis)])):
+        assert many.jet.data.shape == (3,) + each[0].jet.data.shape
+        assert np.allclose(many.jet.data, stacked(each).jet.data, rtol=0.0, atol=1e-15)
+
+
+def test_invert_metric_on_a_stack_raises_with_the_first_degenerate_point():
+    # the det of the first degenerate point, as that point alone raises it
+    for values, first in (([np.eye(2), [[-1e12, 0], [0, 1]], [[1e12, 0], [0, 1]]], 1),
+                          ([[[1e12, 0], [0, 1]], np.eye(2), [[-1e12, 0], [0, 1]]], 0),
+                          ([np.eye(2), np.eye(2), [[1, 1], [1, 1]]], 2)):
+        values = np.array(values, dtype=float)
+        with pytest.raises(DegenerateMetric) as alone:
+            invert_metric(MetricValue(Jet(2, 1, values[first])))
+        with pytest.raises(DegenerateMetric) as caught:
+            invert_metric(MetricValue(Jet(2, 1, values)))
+        assert caught.value.det == alone.value.det and str(caught.value) == str(alone.value)
+
+
+def test_drift_is_the_connection_less_the_outer_product_rule():
+    # Gamma^i_jk - s^i g_jk over 4 points against one point, at orders 0-2, bit for bit
+    rng = np.random.default_rng(26)
+    n = 3
+    for order in (0, 1, 2):
+        k = jets._width(n, order)
+        gamma = jets._wrap(n, order, rng.normal(size=(4, n, n, n, k)))
+        s = jets._wrap(n, order, rng.normal(size=(4, n, k)))
+        g = jets._wrap(n, 2, rng.normal(size=(n, n, jets._width(n, 2))))
+        out = drift(gamma, s, g)
+        assert out.order == order
+        assert np.array_equal(out.data, gamma.data - product_rule("i,jk->ijk", s, g).data)
+
+
 def test_jet_inverse_is_two_sided_identity():
     rng = np.random.default_rng(3)
     coords = ("u", "v", "w")
@@ -133,7 +191,7 @@ def test_jet_inverse_is_two_sided_identity():
         point = tuple(rng.uniform(-1, 1, size=3))
         g = metric_from_exprs(entries, coords, point)
         inv = invert_metric(g)
-        product = einsum("ip,pj->ij", g.jet, inv.jet)
+        product = product_rule("ip,pj->ij", g.jet, inv.jet)
         assert np.max(np.abs(product.value - np.eye(3))) < 1e-12
         assert np.max(np.abs(product.gradient)) < 1e-11
         assert np.max(np.abs(product.hessian)) < 1e-10

@@ -16,7 +16,13 @@ from conproj import (
     partial_derivative,
 )
 from conproj import jets
-from helpers import assert_componentwise_close, fd_gradient, fd_hessian, random_expression
+from helpers import (
+    assert_componentwise_close,
+    fd_gradient,
+    fd_hessian,
+    product_rule,
+    random_expression,
+)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -324,9 +330,44 @@ def test_matmul_is_the_product_rule_of_einsum_up_to_roundoff():
         a = jets._wrap(n, order, rng.normal(size=(5, 2, 4, jets._width(n, order))))
         b = jets._wrap(n, 2, rng.normal(size=(4, 3, jets._width(n, 2))))
         product = jets.matmul(a, b)
-        expected = jets.einsum("im,mj->ij", jets.truncate(a, 1), jets.truncate(b, 1))
+        expected = product_rule("im,mj->ij", jets.truncate(a, 1), jets.truncate(b, 1))
         k = jets._width(n, min(order, 1))
         assert product.order == min(order, 1) and product.data.shape == (5, 2, 3, k)
         assert np.allclose(product.data, expected.data[..., :k], atol=1e-13)
     vector = jets.reshape(jets._wrap(n, 1, rng.normal(size=(5, 4, 1 + n))), 1, (4, 1))
     assert vector.data.shape == (5, 4, 1, 1 + n)
+
+
+def test_mul_broadcast_over_tensor_axes_is_the_outer_product_rule_bit_for_bit():
+    # s^i g_jk as a mul of s (n, 1, 1) and g (1, n, n) jets over 5 points against one point,
+    # at orders 0-2; an outer product has no sums, so every bit matches the written-out rule
+    rng = np.random.default_rng(24)
+    n = 3
+    for order in (0, 1, 2):
+        s = jets._wrap(n, order, rng.normal(size=(5, n, jets._width(n, order))))
+        g = jets._wrap(n, 2, rng.normal(size=(n, n, jets._width(n, 2))))
+        product = jets.mul(jets.reshape(s, 1, (n, 1, 1)), jets.reshape(g, 2, (1, n, n)), None)
+        expected = product_rule("i,jk->ijk", s, g)
+        assert product.order == order and product.data.shape == (5, n, n, n, jets._width(n, order))
+        assert np.array_equal(product.data, expected.data)
+
+
+def test_matvec_is_the_product_rule_of_a_matrix_and_a_vector_up_to_roundoff():
+    # (I, m) jets over 5 points by an m-vector jet at one point, at orders 0-2; an order-2
+    # operand gives the order-1 product, and the reverse broadcast has the same shape
+    rng = np.random.default_rng(25)
+    n, m = 3, 4
+    for order in (0, 1, 2):
+        a = jets._wrap(n, order, rng.normal(size=(5, 2, m, jets._width(n, order))))
+        v = jets._wrap(n, 2, rng.normal(size=(m, jets._width(n, 2))))
+        k = jets._width(n, min(order, 1))
+        product = jets.matvec(a, v)
+        expected = product_rule("im,m->i", jets.truncate(a, 1), jets.truncate(v, 1))
+        assert product.order == min(order, 1) and product.data.shape == (5, 2, k)
+        assert np.allclose(product.data, expected.data[..., :k], atol=1e-13)
+        a_one = jets._wrap(n, order, a.data[0])
+        v_many = jets._wrap(n, 2, rng.normal(size=(5, m, jets._width(n, 2))))
+        product = jets.matvec(a_one, v_many)
+        expected = product_rule("im,m->i", jets.truncate(a_one, 1), jets.truncate(v_many, 1))
+        assert product.data.shape == (5, 2, k)
+        assert np.allclose(product.data, expected.data[..., :k], atol=1e-13)
