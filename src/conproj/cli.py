@@ -272,7 +272,7 @@ def _resolve_metric(spec: str):
     if rows is None:
         raise ConprojError("metric file needs a 'metric' array")
     box = payload.get("box", {"min": [-1.0] * n, "max": [1.0] * n})
-    return n, list(coords), rows, box
+    return n, coords, rows, box
 
 
 def _cmd_gen_example(args) -> int:
@@ -281,7 +281,7 @@ def _cmd_gen_example(args) -> int:
     load_scenario(
         {
             "dimension": n,
-            "coordinates": list(coords),
+            "coordinates": coords,
             "box": box,
             "metric": metric_rows,
             "connection": {"kind": "levi_civita", "metric": metric_rows},
@@ -301,7 +301,7 @@ def _cmd_gen_example(args) -> int:
         key, drift = "potential", args.s_grad
     document = {
         "dimension": n,
-        "coordinates": list(coords),
+        "coordinates": coords,
         "box": box,
         "metric": metric_rows,
         "connection": {"kind": "modified_s", "metric": metric_rows, key: drift},

@@ -17,7 +17,6 @@ it is implied by compatibility but does not imply it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -135,16 +134,15 @@ class CompatReport:
 
 
 def _trace_plan(scenario: Scenario, order: int):
-    """The plan whose outputs are the metric (order ``order + 1``), its inverse (order
-    ``order``), the connection and :func:`_trace_form`."""
+    """The plan whose outputs are the :func:`metric_geometry` view (g at order ``order + 1``,
+    g^-1 and Gamma_LC at order ``order``), the connection and :func:`_trace_form`."""
 
     def build(plan):
         recipe = scenario.connection  # the scenario metric's errors come before the recipe's
         geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], recipe)
         gamma = _connection(plan, recipe, order, geometry)
         view = metric_geometry(plan, scenario.metric, geometry)
-        g, ginv = (plan.step(itemgetter(i), view) for i in (0, 1))
-        return g, ginv, gamma, plan.step(lambda view, gamma: _trace_form(*view, gamma), view, gamma)
+        return view, gamma, plan.step(lambda view, gamma: _trace_form(*view, gamma), view, gamma)
 
     return _plan(scenario, ("trace", order), build)
 
@@ -175,7 +173,7 @@ def _condition_b(down: Jet) -> np.ndarray:
 def _obstructions(batch: Batch):
     """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
     max-abs of A and of B at each point."""
-    g, ginv, gamma, (diff, T, up, down) = batch.out
+    (g, ginv, _), gamma, (diff, T, up, down) = batch.out
     a = _condition_a(T.value, up.value, down.value, g.value)
     b = _condition_b(down)
     lead = len(batch.shape)
@@ -300,7 +298,7 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
     if vec.shape != (g.n,):
         raise ValueError(f"direction vector must have {g.n} components")
     ginv = invert_metric(g).jet
-    diff = _trace_form(g.jet, ginv, levi_civita(g.jet, ginv), gamma.jet)[0]
+    diff = jets.sub(levi_civita(g.jet, ginv), gamma.jet, None)
     return float(_eps_from_diff(diff.value, vec[None])[0])
 
 

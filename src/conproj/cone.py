@@ -32,6 +32,8 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    if not isinstance(vectors, (list, tuple, np.ndarray)):
+        raise ValueError(f"vectors must be an array of {n}-component vectors")
     vs = []
     for v in vectors:
         arr = np.asarray(v, dtype=float)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import _batched, _strict, _sweep, _trace_plan
+from .compatibility import _batched, _condition_a, _strict, _sweep, _trace_plan
 from .errors import NonConvergence
-from .geometry import MetricValue, tracefree
+from .geometry import MetricValue
 from .jets import Jet
 from .scenario import Scenario, _check_point, _metric_plan
 
@@ -50,22 +50,16 @@ MAX_SEGMENTS = 1024
 def _kronrod(scenario, starts, w, owner, mid, half, order):
     """K15 estimate over ``t`` in [mid - half, mid + half] of the integral ``owner`` (see
     :func:`_integrate`), one row per rule, and its error |K15 - G7| (max over the
-    columns); reads T_i and, at order 1, ``d_k T_i`` as ``[s, i, k]``."""
+    columns); reads the packed jet of T_i, whose gradient columns hold ``d_k T_i``."""
     t = mid[:, None] + half[:, None] * _NODES
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
-
-    def at(batch):
-        down = batch.out[-1][-1]
-        return [down.value, down.gradient][: 1 + order]
-
-    plan = _trace_plan(scenario, order)
-    down, *grad = _strict(*_batched(points.reshape(-1, w.shape[1]), plan, at))
-    down = down.reshape(points.shape)
-    f = np.einsum("rsi,ri->rs", down, w)[..., None]
+    plan, stack = _trace_plan(scenario, order), points.reshape(-1, w.shape[1])
+    (down,) = _strict(*_batched(stack, plan, lambda batch: [batch.out[-1][-1].data]))
+    down = down.reshape(points.shape + down.shape[-1:])  # T_i packed as [r, s, i, Y]
+    f = np.einsum("rsiY,ri->rsY", down, w)  # T_i w^i and, at order 1, d_k T_i w^i
     if order >= 1:
-        dt = np.einsum("rsik,ri->rsk", grad[0].reshape(points.shape + w.shape[1:]), w)
-        f = np.concatenate([f, t[..., None] * dt + down], axis=-1)
+        f[..., 1:] = t[..., None] * f[..., 1:] + down[..., 0]
     k15, g7 = (sum(f[:, k] * x for k, x in enumerate(row)) * half[:, None] for row in _WEIGHTS)
     return k15, np.max(np.abs(k15 - g7), axis=1)
 
@@ -203,23 +197,24 @@ def verify_recovery(
     The Levi-Civita connection of g * exp(2*phi) is that of g plus
     ``delta^i_j phi_k + delta^i_k phi_j - g^ip phi_p g_jk``, whose first two
     terms are a projective change, so its Thomas symbol differs from the
-    scenario connection's by ``T - tracefree((g^-1 dphi) (x) g)`` with T the
-    trace-free difference of _trace_form.  The sweep of
-    ``check_compatibility`` draws the same points, evaluates g, g^-1 and T
-    at order 0 and skips points by its rule (a degenerate metric, fatal at
-    1% of the samples); one quadrature then gives dphi at every kept sample,
-    and the deviation is the largest entry over them.
+    scenario connection's by ``T - tracefree((g^-1 dphi) (x) g)``, T the
+    trace-free difference of _trace_form: that is condition (A) at
+    (T^i, T_i) = (g^ij d_j phi, d_i phi), since (g^-1 dphi) (x) g has trace
+    dphi.  The sweep of ``check_compatibility`` draws the same points,
+    evaluates g, g^-1 and T at order 0 and skips points by its rule (a
+    degenerate metric, fatal at 1% of the samples); one quadrature then
+    gives dphi at every kept sample, and the deviation is the largest entry.
     """
     factor = RecoveredFactor(scenario, base)
 
     def at(batch, _states):
-        g, ginv, _, (_, T, _, _) = batch.out
+        (g, ginv, _), _, (_, T, _, _) = batch.out
         return [g.value, ginv.value, T.value]
 
     count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, 0, at)
     dphi = _integrate(scenario, factor.base, points, 1)[:, 1:]
-    rescaling = Jet(scenario.dimension, 0, np.einsum("sip,sp,sjk->sijk", ginv, dphi, g))
-    max_deviation = float(np.max(np.abs(T - tracefree(rescaling).value), initial=0.0))
+    deviation = _condition_a(T, (ginv @ dphi[..., None])[..., 0], dphi, g)
+    max_deviation = float(np.max(np.abs(deviation), initial=0.0))
     return RecoveryVerification(
         max_deviation=max_deviation,
         passed=max_deviation <= scenario.tolerances.residual,

@@ -363,6 +363,9 @@ def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
+
+
 @pytest.mark.parametrize(
     "argv, detail",
     [
@@ -378,6 +381,11 @@ def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
         (["gen-example", "--metric", "{dimension_one}", "--s", "0"], "integer 'dimension' >= 2"),
         (["gen-example", "--metric", "{no_metric}", "--s", "0,0"], "needs a 'metric' array"),
         (["gen-example", "--s", "0,0"], "--s must provide 3 components"),
+        (["cone", "{vectors_int}"], "vectors must be an array of 2-component vectors"),
+        (["cone", "{vectors_null}"], "vectors must be an array of 2-component vectors"),
+        (["gen-example", "--metric", "{coords_str}", "--s", "0,0"], _NOT_AN_ARRAY),
+        (["gen-example", "--metric", "{coords_obj}", "--s", "0,0"], _NOT_AN_ARRAY),
+        (["gen-example", "--metric", "{coords_int}", "--s", "0,0"], _NOT_AN_ARRAY),
     ],
     ids=[
         "zero-samples",
@@ -392,6 +400,11 @@ def test_infinite_tolerance_in_a_scenario_file_exit_one(tmp_path, capsys):
         "metric-file-dimension-one",
         "metric-file-without-metric",
         "drift-component-count",
+        "cone-vectors-a-number",
+        "cone-vectors-null",
+        "metric-file-coordinates-a-string",
+        "metric-file-coordinates-an-object",
+        "metric-file-coordinates-a-number",
     ],
 )
 def test_user_errors_print_one_line_and_exit_one(
@@ -402,7 +415,13 @@ def test_user_errors_print_one_line_and_exit_one(
         "array": "[]",
         "dimension_one": '{"dimension": 1, "vectors": [], "metric": [["1"]]}',
         "no_metric": '{"dimension": 2}',
+        "vectors_int": '{"dimension": 2, "vectors": 5}',
+        "vectors_null": '{"dimension": 2, "vectors": null}',
     }
+    metric = [["1", "0"], [None, "1"]]
+    for name, coords in (("coords_str", "ab"), ("coords_obj", {"a": 1, "b": 2}),
+                         ("coords_int", 7)):
+        files[name] = json.dumps({"dimension": 2, "coordinates": coords, "metric": metric})
     paths = {"scenario": round_trip_file}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"

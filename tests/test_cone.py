@@ -99,6 +99,12 @@ def test_vector_validation():
         reconstruct_conformal([(1.0, 1.0), (1.0, -1.0)], 1)
 
 
+@pytest.mark.parametrize("vectors", [5, None, "11", {"a": (1.0, 1.0)}])
+def test_vectors_that_are_not_an_array_of_vectors_raise_value_error(vectors):
+    with pytest.raises(ValueError, match="vectors must be an array of 2-component vectors"):
+        reconstruct_conformal(vectors, 2)
+
+
 def test_canonicalization_idempotent():
     rng = np.random.default_rng(101)
     for _ in range(20):

@@ -460,7 +460,7 @@ def test_the_grouped_plan_matches_a_recursive_walk_bit_for_bit(n):
             points = points[0] if count == 1 else points
             for order in (0, 1):
                 with np.errstate(all="ignore"):
-                    g, _, gamma, _ = _trace_plan(scn, order).run(points).out
+                    (g, _, _), gamma, _ = _trace_plan(scn, order).run(points).out
                     expected_g = walk_tensor(scn.metric, (n, n), points, order + 1)
                     expected_gamma = walk_connection(
                         scn.connection, points, order, scn.tolerances.rank

@@ -13,9 +13,11 @@ from conproj import (
     eval_expr,
     integrate_phi,
     integrate_phi_path,
+    invert_metric,
     load_scenario,
     load_scenario_path,
     metric_at,
+    obstruction_at,
     parse_expression,
     recover_metric,
     sample_points,
@@ -27,6 +29,8 @@ from helpers import (
     fd_gradient,
     flat_doc,
     one_degenerate_sample_doc,
+    random_drift_incompatible_doc,
+    random_explicit_incompatible_doc,
     rank_one_doc,
     rescaled_flat_doc,
     round_trip_doc,
@@ -174,6 +178,36 @@ def test_verify_recovery_fails_on_drift_scenario():
     result = verify_recovery(scn, (0.0, 0.0, 0.0), samples=12)
     assert not result.passed
     assert result.max_deviation > 0.05
+
+
+def test_verify_recovery_deviation_matches_an_independent_oracle():
+    # max |T - tracefree((g^-1 dphi) (x) g)| over the sample points, from the public
+    # one-point calls and a plain-numpy trace-free part, in every signature of n = 2-4
+    # (round trips) and on incompatible explicit and drift cases.
+    rng = np.random.default_rng(1729)
+    cases = []
+    for n in (2, 3, 4):
+        cases += [(round_trip_doc(rng, n, negative=q)[0], True) for q in range(n + 1)]
+        cases.append((random_explicit_incompatible_doc(rng, n, negative=n // 2), False))
+        cases.append((random_drift_incompatible_doc(rng, n), False))
+    for doc, compatible in cases:
+        scn, n, samples, seed = load_scenario(doc), doc["dimension"], 2, 31
+        factor = RecoveredFactor(scn, (0.0,) * n)
+        expected = 0.0
+        for point in sample_points(scn, samples, seed):
+            obs = obstruction_at(scn, point)
+            g, T = obs.metric.values(), obs.t_tensor.values()
+            dphi = factor.phi_and_gradient(point)[1]
+            x = np.multiply.outer(invert_metric(obs.metric).values() @ dphi, g)
+            trace = np.einsum("iik->k", x)
+            shift = np.einsum("ij,k->ijk", np.eye(n), trace)
+            tracefree = x - (shift + np.swapaxes(shift, 1, 2)) / (n + 1)
+            expected = max(expected, float(np.max(np.abs(T - tracefree))))
+        result = verify_recovery(scn, (0.0,) * n, samples=samples, seed=seed)
+        assert result.passed is compatible, (doc["connection"]["kind"], n)
+        assert abs(result.max_deviation - expected) <= 1e-12 * max(1.0, expected), (
+            doc["connection"]["kind"], n, result.max_deviation, expected
+        )
 
 
 @pytest.mark.parametrize("samples", [0, -3, True])
