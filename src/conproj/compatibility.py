@@ -29,10 +29,9 @@ from .geometry import (
     MetricValue,
     OneFormValue,
     VectorValue,
+    christoffel,
     drift,
     ill_conditioned,
-    invert_metric,
-    levi_civita,
     shift,
     tracefree,
 )
@@ -297,9 +296,7 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
         raise ValueError("connection dimension mismatch")
     if vec.shape != (g.n,):
         raise ValueError(f"direction vector must have {g.n} components")
-    ginv = invert_metric(g).jet
-    diff = jets.sub(levi_civita(g.jet, ginv), gamma.jet, None)
-    return float(_eps_from_diff(diff.value, vec[None])[0])
+    return float(_eps_from_diff(christoffel(g).jet.value - gamma.jet.value, vec[None])[0])
 
 
 def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -32,30 +32,23 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not isinstance(vectors, (list, tuple, np.ndarray)):
+    if not isinstance(vectors, (list, tuple, np.ndarray)) or getattr(vectors, "ndim", 1) == 0:
         raise ValueError(f"vectors must be an array of {n}-component vectors")
-    vs = []
-    for v in vectors:
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (n,):
-            raise ValueError(f"vectors must have {n} components")
-        if not np.all(np.isfinite(arr)) or not arr.any():
-            raise ValueError("vectors must be finite and nonzero")
-        vs.append(arr)
-    unknowns = n * (n + 1) // 2
-    needed = unknowns - 1
-    if len(vs) < needed:
-        raise TooFewVectors(len(vs), needed)
-    rows, cols = np.triu_indices(n)
-    # Doubling the off-diagonal monomials keeps the unknown vector equal to
-    # the independent components of the symmetric matrix.
-    v = np.array(vs)
+    try:
+        v = _checked(np.asarray(vectors, dtype=float), n)
+    except (TypeError, ValueError):  # one vector at a time, so the first to fail names the error
+        for vector in vectors:
+            _checked(np.asarray(vector, dtype=float)[None], n)
+        raise
+    rows, cols = np.triu_indices(n)  # the unknowns: the independent entries of g
+    needed = len(rows) - 1
+    if len(v) < needed:
+        raise TooFewVectors(len(v), needed)
     system = v[:, rows] * v[:, cols]
-    system[:, rows != cols] *= 2.0
+    system[:, rows != cols] *= 2.0  # g_ij v^i v^j holds each off-diagonal unknown twice
 
     _, sigma, vt = np.linalg.svd(system)
-    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
-    nullity = unknowns - rank
+    nullity = len(rows) - int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
     if nullity != 1:
         raise NonGenericConfiguration(nullity)
 
@@ -79,7 +72,14 @@ def canonicalize_metric(matrix) -> np.ndarray:
     if scale == 0.0:
         raise ValueError("cannot canonicalize the zero matrix")
     g = g / scale
-    for entry in g.reshape(-1):
-        if abs(entry) > 1e-12:
-            return -g if entry < 0.0 else g
-    return g
+    return -g if g.flat[np.argmax(np.abs(g) > 1e-12)] < 0.0 else g
+
+
+def _checked(v: np.ndarray, n: int) -> np.ndarray:
+    """The vectors ``v[0], v[1], ...`` as rows, each of ``n`` finite components, not all 0."""
+    if len(v) and v.shape[1:] != (n,):
+        raise ValueError(f"vectors must have {n} components")
+    v = v.reshape(-1, n)
+    if not (np.isfinite(v).all() and v.any(axis=1).all()):
+        raise ValueError("vectors must be finite and nonzero")
+    return v

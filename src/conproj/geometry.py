@@ -191,10 +191,10 @@ def invert_metric(g: MetricValue) -> MetricValue:
 
 
 def christoffel(g: MetricValue) -> ConnectionValue:
-    """Levi-Civita connection of ``g``; output order is ``g.order - 1``."""
+    """Levi-Civita connection of ``g`` at order ``g.order - 1``, from g^-1 at that order."""
     if g.order < 1:
         raise ValueError("christoffel requires metric jets of order >= 1")
-    ginv = invert_metric(g).jet
+    ginv = invert_metric(MetricValue(jets.truncate(g.jet, g.order - 1), point=g.point)).jet
     return ConnectionValue(levi_civita(g.jet, ginv), point=g.point)
 
 
@@ -217,7 +217,8 @@ def rescaled_connection(g: MetricValue, phi: Jet) -> ConnectionValue:
         raise ValueError("rescaled_connection requires jets of order >= 1")
     if phi.n != g.n:
         raise ValueError("conformal factor dimension mismatch")
-    ginv, dphi = invert_metric(g).jet, jets.derivative(phi)
+    ginv = invert_metric(MetricValue(jets.truncate(g.jet, g.order - 1), point=g.point)).jet
+    dphi = jets.derivative(phi)
     base = drift(levi_civita(g.jet, ginv), jets.matvec(ginv, dphi), g.jet)
     return ConnectionValue(shift(jets._checked(base, jets._raise), dphi), point=g.point)
 

@@ -60,7 +60,7 @@ def _kronrod(scenario, starts, w, owner, mid, half, order):
     f = np.einsum("rsiY,ri->rsY", down, w)  # T_i w^i and, at order 1, d_k T_i w^i
     if order >= 1:
         f[..., 1:] = t[..., None] * f[..., 1:] + down[..., 0]
-    k15, g7 = (sum(f[:, k] * x for k, x in enumerate(row)) * half[:, None] for row in _WEIGHTS)
+    k15, g7 = np.einsum("ws,rsY->wrY", _WEIGHTS, f) * half[:, None]
     return k15, np.max(np.abs(k15 - g7), axis=1)
 
 

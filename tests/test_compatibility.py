@@ -860,6 +860,27 @@ def test_check_inverts_the_metric_only_to_the_order_it_reads(monkeypatch):
     assert set(orders) == {0, 1} and set(metrics) == {2}
 
 
+def test_geometry_calls_invert_the_metric_only_to_the_order_they_read(monkeypatch):
+    import conproj.geometry as geometry
+    from conproj import rescaled_connection
+
+    inverse, orders = geometry.inverse, []
+
+    def recording_inverse(g, rank_tol):
+        orders.append(g.order)
+        return inverse(g, rank_tol)
+
+    monkeypatch.setattr(geometry, "inverse", recording_inverse)
+    doc, _ = round_trip_doc(np.random.default_rng(7), 3, samples=5, lorentzian=True)
+    scn, point = load_scenario(doc), (0.1, -0.2, 0.3)
+    g = metric_at(scn, point, 2)
+    christoffel(g)
+    rescaled_connection(g, eval_expr(parse_expression("0.3*x1*x2 - x3^2", scn.coordinates), point))
+    eps_residual(g, connection_at(scn, point, 1), (1.0, 0.5, -0.25))
+    # the Christoffel symbols and g^-1 dphi read g^-1 to order 1 of an order-2 metric
+    assert orders == [1, 1, 1]
+
+
 @pytest.mark.parametrize("samples", [0, -3, True, 2.0])
 def test_check_rejects_a_sample_count_that_is_not_a_positive_int(samples):
     scn = load_scenario(flat_doc(2, samples=5))

@@ -97,9 +97,15 @@ def test_vector_validation():
         reconstruct_conformal([(1.0, 1.0, 1.0)], 2)
     with pytest.raises(ValueError):
         reconstruct_conformal([(1.0, 1.0), (1.0, -1.0)], 1)
+    # the first vector that fails names the error, whatever follows it
+    nan = float("nan")
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        reconstruct_conformal([(nan, 1.0), (1.0, 2.0, 3.0)], 2)
+    with pytest.raises(ValueError, match="must have 2 components"):
+        reconstruct_conformal([(1.0, 2.0, 3.0), (nan, 1.0)], 2)
 
 
-@pytest.mark.parametrize("vectors", [5, None, "11", {"a": (1.0, 1.0)}])
+@pytest.mark.parametrize("vectors", [5, None, "11", {"a": (1.0, 1.0)}, np.array(5.0)])
 def test_vectors_that_are_not_an_array_of_vectors_raise_value_error(vectors):
     with pytest.raises(ValueError, match="vectors must be an array of 2-component vectors"):
         reconstruct_conformal(vectors, 2)
@@ -118,6 +124,14 @@ def test_canonicalization_idempotent():
         assert np.max(np.abs(once)) == 1.0
     with pytest.raises(ValueError):
         canonicalize_metric(np.zeros((2, 2)))
+
+
+def test_canonicalization_takes_its_sign_from_the_first_entry_above_roundoff():
+    # the leading entry is below 1e-12 after scaling, so the next one sets the sign
+    flipped = canonicalize_metric(np.array([[4e-13, -2.0], [-2.0, 1.0]]))
+    assert np.array_equal(flipped, [[-2e-13, 1.0], [1.0, -0.5]])
+    kept = canonicalize_metric(np.array([[-4e-13, 2.0], [2.0, 1.0]]))
+    assert np.array_equal(kept, [[-2e-13, 1.0], [1.0, 0.5]])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -354,9 +354,7 @@ def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
         (0.875, -0.313), (0.183, 0.577), (-0.316, -0.261), (0.034, 0.781), (-0.795, 0.238),
     ]
     repeated = waypoints[:5] + waypoints[4:]
-    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == (
-        -0.1239096000000001
-    )
+    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == -0.1239096
 
 
 def test_the_g7_rule_is_every_second_node_of_the_k15_table():
