@@ -17,6 +17,7 @@ it is implied by compatibility but does not imply it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -216,27 +217,47 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     if np.ndim(g.jet.value) != 2:
         raise ValueError("sample_null_vectors takes a metric at one point")
     _, u, used, fails = _null_cone(
-        g.values()[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
+        g.jet.value[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
     )
     for error in fails.values():
         raise error
     rng.skip(int(np.sum(used)))
-    return [NullVector(point=g.point, u=v) for row in u for v in row]
+    u = u.reshape(-1, g.n)
+    if not u.any(axis=1).all():  # the NullVector rule, checked once for every row
+        raise ValueError("null vector must be a nonzero 1-d array")
+    vectors = [NullVector.__new__(NullVector) for _ in u]  # no __post_init__: checked above
+    for vector, row in zip(vectors, u):
+        vector.__dict__.update(point=g.point, u=row)
+    return vectors
+
+
+@lru_cache(maxsize=64)
+def _legs(n: int, count: int) -> tuple:
+    """Read-only layout of ``count`` null vectors' legs plus, minus, ... at m = 0...n negative
+    eigenvalues: draws ``k`` per leg, each slot's position if no leg is redrawn, and ``take``."""
+    m, minus = np.arange(n + 1)[:, None], np.arange(2 * count) % 2 == 1
+    k = np.where(minus, m, n - m)
+    slot = np.arange(n) - np.where(minus, 0, m)[..., None]  # stream offset, if taken
+    take = (slot >= 0) & (slot < k[..., None])
+    first = (np.cumsum(k, axis=1) - k)[..., None] + slot
+    k.flags.writeable = first.flags.writeable = take.flags.writeable = False
+    return k, first, take
 
 
 def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
     """``count`` null vectors at each point of a metric stack ``(S, n, n)`` that has a cone,
     from the SplitMix64 streams in ``states`` as one point at a time would draw them.  After
-    one ``eigh`` only the H rows with 0 < m < n negative eigenvalues that are not degenerate
-    enter one ``(H, 2 * count, n)`` layout of legs plus, minus, plus, ..., drawing n - m and m
-    per leg (eigenvectors ``[:, :m]``); a rejected leg is drawn again from the next positions,
-    shifting every later leg.  Returns the H rows' indices, vectors and draws, and ``{index:
+    one ``eigh`` the H rows with 0 < m < n negative eigenvalues that are not degenerate read
+    their legs off the :func:`_legs` table at m (eigenvectors ``[:, :m]``).  One pass draws
+    every leg; a rejected leg is drawn again from the next positions, shifting every later leg,
+    in a pass over its rows.  Returns the H rows' indices, vectors and draws, and ``{index:
     error}``; an error names ``point_at(i)`` (a tuple or None), asked only at a failing point."""
     n = values.shape[-1]
     lam, vec = np.linalg.eigh(values)
-    scale = np.max(np.abs(lam), axis=1)
+    size = np.abs(lam)
+    scale = np.max(size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        degenerate = ill_conditioned(scale / np.min(np.abs(lam), axis=1), rank_tol)
+        degenerate = ill_conditioned(scale / np.min(size, axis=1), rank_tol)
     fails = {}
     for i in np.flatnonzero(degenerate).tolist():
         fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
@@ -244,25 +265,23 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
     cone = np.flatnonzero((m > 0) & (m < n) & ~degenerate & (count > 0))
     if not cone.size:  # no leg layout, redraw test or tail
         return cone, np.zeros((0, count, n)), np.zeros(0, dtype=np.int64), fails
-    values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone, None]
-    plus = np.arange(2 * count) % 2 == 0
-    k = np.where(plus, n - m, m)  # draws per leg
-    slot = np.arange(n) - np.where(plus, m, 0)[..., None]  # stream offset, if taken
-    take = (slot >= 0) & (slot < k[..., None])  # the coefficients a leg uses
-    extra = np.zeros(k.shape, dtype=np.int64)  # rejected tries
-    leg, q = np.zeros(k.shape + (n,)), np.zeros(k.shape)
-    live, st = np.arange(len(cone)), states[cone, None, None]
-    while live.size:
-        begin = np.cumsum(k[live] * (extra[live] + 1), axis=1) - k[live]
-        draws = uniform_draws(st[live], begin[..., None] + slot[live], -1.0, 1.0)
-        c = np.where(take[live], draws, 0.0)
+    if cone.size < len(m):
+        values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone]
+    k, first, take = (table[m] for table in _legs(n, count))
+    leg, q, extra = np.zeros(k.shape + (n,)), np.zeros(k.shape), np.zeros_like(k)  # extra: redraws
+    st, live, at = states[cone, None, None], slice(None), first
+    while True:
+        c = np.where(take[live], uniform_draws(st[live], at, -1.0, 1.0), 0.0)
         leg[live] = np.einsum("gij,glj->gli", vec[live], c)
         q[live] = np.einsum("gli,gij,glj->gl", leg[live], values[live], leg[live])
         rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
+        if not rejected.any():
+            break
         again = rejected.any(axis=1)
-        live, first = live[again], rejected[again].argmax(axis=1)
-        extra[live, first] += 1
-        live = live[extra[live, first] < 1000]
+        live, redrawn = np.arange(len(cone))[live][again], rejected[again].argmax(axis=1)
+        extra[live, redrawn] += 1
+        live = live[extra[live, redrawn] < 1000]  # none left: one empty pass ends the loop
+        at = first[live] + np.cumsum(k[live] * extra[live], axis=1)[..., None]
     capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
     with np.errstate(all="ignore"):  # legs past a cap
         w = leg / np.sqrt(np.abs(q))[..., None]

@@ -11,6 +11,8 @@ its first nonzero component (in row-major order) positive.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NonGenericConfiguration, TooFewVectors
@@ -40,12 +42,12 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
         for vector in vectors:
             _checked(np.asarray(vector, dtype=float)[None], n)
         raise
-    rows, cols = np.triu_indices(n)  # the unknowns: the independent entries of g
+    rows, cols, off = _unknowns(n)  # the independent entries of g, and which are off-diagonal
     needed = len(rows) - 1
     if len(v) < needed:
         raise TooFewVectors(len(v), needed)
     system = v[:, rows] * v[:, cols]
-    system[:, rows != cols] *= 2.0  # g_ij v^i v^j holds each off-diagonal unknown twice
+    system[:, off] *= 2.0  # g_ij v^i v^j holds each off-diagonal unknown twice
 
     _, sigma, vt = np.linalg.svd(system)
     nullity = len(rows) - int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
@@ -55,6 +57,15 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     g = np.zeros((n, n))
     g[rows, cols] = g[cols, rows] = vt[-1]
     return canonicalize_metric(g)
+
+
+@lru_cache(maxsize=16)
+def _unknowns(n: int) -> tuple:
+    """The upper triangle ``rows, cols`` of an n x n matrix and ``rows != cols``, read-only."""
+    rows, cols = np.triu_indices(n)
+    off = rows != cols
+    rows.flags.writeable = cols.flags.writeable = off.flags.writeable = False
+    return rows, cols, off
 
 
 def canonicalize_metric(matrix) -> np.ndarray:

@@ -18,9 +18,9 @@ exponent; IDENT matches :data:`IDENTIFIER`.  Trees are immutable after parse.
 
 Trees are evaluated through a :class:`Plan`, a flat tape compiled once: the
 trees are walked in post-order without recursion, nodes are interned (equal
-subtrees become one node), each node is computed at the highest jet order
-any consumer asks of it, literal subtrees fold to floats, and each slot is
-freed after its last use.
+subtrees become one node, ``c*x`` and ``x*c`` too), each node is computed at
+the highest jet order any consumer asks of it, literal subtrees fold to
+floats, and each slot is freed after its last use.
 """
 
 from __future__ import annotations
@@ -385,6 +385,8 @@ class Plan:
             label, op = ("call", e.func), partial(jets.apply_function, name=e.func)
         elif isinstance(e, Binary) and e.op in _OPERATORS:
             label, op = ("binary", e.op), _OPERATORS[e.op][2]
+            if e.op in "+*":  # the constant on the right, as jets.add and jets.mul put it
+                operands.sort(key=self._const.__contains__)
         else:
             raise TypeError(f"not an expression node: {e!r}")
         if op is not None:

@@ -33,7 +33,7 @@ from conproj import (
     with_conformal_factor,
 )
 from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _trace_form
-from conproj.sampling import SplitMix64, draw_point, point_stream
+from conproj.sampling import SplitMix64, draw_point, point_stream, uniform_draws
 from helpers import (
     drift_doc,
     flat_doc,
@@ -190,6 +190,111 @@ def test_sample_null_vectors_that_run_out_of_redraws_raise_and_draw_nothing(monk
     with pytest.raises(ConprojError, match="failed to draw a usable cone direction"):
         sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), 4, rng)
     assert rng.state == SplitMix64(1).state
+
+
+def _reference_null_vectors(values, count, rng, draw=None):
+    """Null vectors by the documented recipe, one scalar draw at a time: per vector a plus
+    leg of n - m draws on the eigenvectors of the positive eigenvalues, then a minus leg of
+    m draws on those of the m negative ones; a leg with |c|^2 < 1e-4 or a zero quadratic
+    form is drawn again from the next draws, so it shifts every later leg.  ``draw(position,
+    value)`` may replace the draw at a stream position."""
+    n = len(values)
+    lam, vec = np.linalg.eigh(values)
+    m = int(np.sum(lam < 0.0))
+    if m in (0, n):
+        return []
+    position, vectors = 0, []
+    for _ in range(count):
+        w = [0.0] * n
+        for columns in (range(m, n), range(m)):
+            while True:
+                c = []
+                for _ in columns:
+                    value = rng.uniform(-1.0, 1.0)
+                    c.append(value if draw is None else draw(position, value))
+                    position += 1
+                leg = [sum(vec[i][s] * x for s, x in zip(columns, c)) for i in range(n)]
+                q = sum(leg[i] * values[i][j] * leg[j] for i in range(n) for j in range(n))
+                if sum(x * x for x in c) >= 1e-4 and abs(q) > 0.0:
+                    break
+            w = [a + b / math.sqrt(abs(q)) for a, b in zip(w, leg)]
+        top = max(abs(x) for x in w)
+        vectors.append([x / top for x in w])
+    return vectors
+
+
+def _signature_metric(rng, n, q):
+    """A well-conditioned symmetric n x n matrix with q negative eigenvalues."""
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < q, -1.0, 1.0)
+    return (basis * lam) @ basis.T
+
+
+def _assert_matches_reference(values, count, seed, draw=None):
+    rng, plain = SplitMix64(seed), SplitMix64(seed)
+    vectors = sample_null_vectors(constant_metric(values), count, rng)
+    expected = _reference_null_vectors(values, count, plain, draw)
+    assert len(vectors) == len(expected) and rng.state == plain.state
+    for nv, u in zip(vectors, expected):
+        assert np.max(np.abs(nv.u - u)) <= 1e-15 * np.max(np.abs(u)), (nv.u, u)
+    return len(expected), rng
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sample_null_vectors_match_a_scalar_reference_in_every_signature(n):
+    rng = np.random.default_rng(40 + n)
+    for q in range(n + 1):
+        values = _signature_metric(rng, n, q)
+        for count, seed in ((1, 3), (4, 2027), (9, 11)):
+            found, _ = _assert_matches_reference(values, count, seed)
+            assert found == (count if 0 < q < n else 0)
+
+
+def test_sample_null_vectors_match_the_reference_when_legs_are_redrawn(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    # draws 3-5 of every 8 are zero: a one-draw leg there is rejected up to three times in
+    # a row, and a two-draw leg on draws 4 and 5 once
+    def draw(position, value):
+        return 0.0 if position % 8 in (3, 4, 5) else value
+
+    def patched(states, positions, lo, hi):
+        values = uniform_draws(states, positions, lo, hi)
+        return np.where(np.isin(np.asarray(positions) % 8, (3, 4, 5)), 0.0, values)
+
+    monkeypatch.setattr(compatibility, "uniform_draws", patched)
+    split = _signature_metric(np.random.default_rng(1), 4, 2)
+    for values, count, redrawn in ((np.diag([-1.0, 2.0]), 9, 9), (split, 5, 6)):
+        found, rng = _assert_matches_reference(values, count, 5, draw)
+        plain = SplitMix64(5)
+        plain.skip(count * len(values) + redrawn)
+        assert found == count and rng.state == plain.state
+
+
+def test_a_null_cone_without_redraws_draws_once_and_caches_a_read_only_layout(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return uniform_draws(*args)
+
+    monkeypatch.setattr(compatibility, "uniform_draws", counting)
+    values, rng = _signature_metric(np.random.default_rng(7), 4, 1), SplitMix64(2027)
+    compatibility._legs.cache_clear()
+    cold = sample_null_vectors(constant_metric(values), 6, rng)
+    plain = SplitMix64(2027)
+    plain.skip(6 * 4)  # one draw per coefficient: no leg was redrawn
+    assert len(calls) == 1 and rng.state == plain.state
+    rng = SplitMix64(2027)
+    warm = sample_null_vectors(constant_metric(values), 6, rng)
+    assert compatibility._legs.cache_info().hits >= 1
+    assert compatibility._legs.cache_info().maxsize is not None  # bounded
+    assert [v.u.tobytes() for v in cold] == [v.u.tobytes() for v in warm]
+    for table in compatibility._legs(4, 6):
+        with pytest.raises(ValueError):
+            table[0, 0] = table[0, 0]
 
 
 def test_sample_null_vectors_rejects_a_negative_count():

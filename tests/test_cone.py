@@ -153,3 +153,20 @@ def test_rank_threshold_is_relative():
     # tiny but independent lines still determine the cone
     g = reconstruct_conformal([(1e-6, 1e-6), (1e-6, -1e-6)], 2)
     assert np.allclose(g, canonicalize_metric(np.diag([-1.0, 1.0])))
+
+
+def test_the_unknowns_come_from_a_bounded_read_only_cache():
+    from conproj import cone
+
+    g = metric_from_values(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    nulls = sample_null_vectors(g, 10, SplitMix64(3))
+    vectors = [nv.u for nv in nulls]
+    cone._unknowns.cache_clear()
+    cold, warm = (reconstruct_conformal(vectors, 4) for _ in range(2))
+    assert cold.tobytes() == warm.tobytes() and cone._unknowns.cache_info().hits == 1
+    assert cone._unknowns.cache_info().maxsize is not None
+    rows, cols, off = cone._unknowns(4)
+    assert (off == (rows != cols)).all() and len(rows) == 10
+    for table in (rows, cols, off):
+        with pytest.raises(ValueError):
+            table[0] = table[0]

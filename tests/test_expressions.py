@@ -410,6 +410,28 @@ def test_each_distinct_subtree_runs_once_per_batch(monkeypatch):
     assert len(rows) < sum(rows)  # grouped: fewer calls than rows
 
 
+def test_a_constant_operand_of_plus_and_times_groups_on_the_right():
+    # c*x and x*c at one depth form one group, as do c + x and x + c: jets.mul and
+    # jets.add put the constant on the right themselves, bit for bit.
+    def plan_of(sources):
+        plan = expressions.Plan(2)
+        trees = [parse_expression(src, COORDS) for src in sources]
+        return plan.finish([plan.stack(trees, (len(trees),), 2)])
+
+    mixed = plan_of(["2*x", "x*3", "x + 1", "4 + y", "0.5*(x*y)"])
+    right = plan_of(["x*2", "x*3", "x + 1", "y + 4", "x*y*0.5"])
+    for plan in (mixed, right):
+        groups = sum(fn.func is expressions._group for fn, *_ in plan._steps)
+        assert groups == 4  # x*c, x*y and x + c at depth 1, (x*y)*c at depth 2
+    points = np.array([[0.3, -0.7], [1.5, 2.0], [-1.25, 0.5]])
+    assert mixed.run(points).out[0].data.tobytes() == right.run(points).out[0].data.tobytes()
+    # c*x and x*c share a node; an error names the tree as written, the first in post-order
+    for src, path in [("1e308*x + x*1e308", "1e+308*x"), ("x*1e308 + 1e308*x", "x*1e+308")]:
+        with pytest.raises(DomainError) as excinfo:
+            eval_expr(parse_expression(src, COORDS), (10.0, 0.0))
+        assert excinfo.value.path == path
+
+
 def test_literal_entries_build_no_constant_jets(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("jets.constant called")
