@@ -230,11 +230,15 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _cmd_cone(args) -> int:
+def _read_json(path: Path):
     try:
-        payload = json.loads(args.vectors.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deep
         raise ConprojError(f"invalid JSON: {err}") from None
+
+
+def _cmd_cone(args) -> int:
+    payload = _read_json(args.vectors)
     if not isinstance(payload, dict) or "dimension" not in payload or "vectors" not in payload:
         raise ConprojError("cone input must be {\"dimension\": n, \"vectors\": [...]}")
     n = payload["dimension"]
@@ -261,7 +265,7 @@ def _resolve_metric(spec: str):
     if rows is not None:
         payload = {"dimension": len(rows), "metric": rows}
     else:
-        payload = json.loads(Path(spec).read_text(encoding="utf-8"))
+        payload = _read_json(Path(spec))
     if not isinstance(payload, dict):
         raise ConprojError("metric file must be a JSON object")
     n = payload.get("dimension")

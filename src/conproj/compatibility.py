@@ -3,7 +3,8 @@
 At each sample point the pipeline builds the trace-free difference tensor
 T^i_jk between the metric's Levi-Civita connection and the scenario
 connection, takes the one-form T_i (and T^i = g^ij T_j) from the traces of
-the two connections, and evaluates two obstructions:
+the two connections, in which a projective shift psi cancels, and evaluates
+two obstructions:
 
 * condition (A): the algebraic residual
   ``T^i_jk - g_jk T^i + (delta^i_j T_k + delta^i_k T_j)/(n+1)``,
@@ -11,8 +12,9 @@ the two connections, and evaluates two obstructions:
 
 Both vanishing (within tolerance) over the sampling box is the verdict
 ``compatible``; the one-form T_i then integrates to the conformal factor
-of the shared metric.  The null-geodesic (EPS) residual is also reported:
-it is implied by compatibility but does not imply it.
+of the shared metric.  The null-geodesic (EPS) residual is also reported,
+read off (A) at null vectors: it is implied by compatibility but does not
+imply it.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class ObstructionData:
     b: np.ndarray
     scale: float
     metric: MetricValue
-    diff_values: np.ndarray
 
     @property
     def a_residual(self) -> float:
@@ -139,8 +140,8 @@ class CompatReport:
 
 def _trace_plan(scenario: Scenario, order: int):
     """The plan of the sampled calls, whose outputs are the :func:`metric_geometry` view (g at
-    order ``order + 1``, g^-1 at ``order``), the connection and :func:`_trace_form` at order 0
-    and, at order 1, the one-form T_i of :func:`_one_form`."""
+    order ``order + 1``, g^-1 at ``order``), the connection and the trace-free part T of
+    Gamma_LC - Gamma at order 0 and, at order 1, the one-form T_i of :func:`_one_form`."""
 
     def build(plan):
         recipe = scenario.connection  # the scenario metric's errors come before the recipe's
@@ -148,7 +149,7 @@ def _trace_plan(scenario: Scenario, order: int):
         gamma = _connection(plan, recipe, 0, geometry)
         view = metric_geometry(plan, scenario.metric, geometry)
         base = _connection(plan, LeviCivitaRecipe(scenario.metric), 0, geometry)
-        form = [view, gamma, plan.step(_trace_form, base, gamma)]
+        form = [view, gamma, plan.step(lambda b, c: tracefree(jets.sub(b, c, None)), base, gamma)]
         return form + ([_trace_one_form(plan, scenario, order, geometry)] if order else [])
 
     return _plan(scenario, ("trace", order), build)
@@ -180,13 +181,6 @@ def _one_form(own: Jet, other: Jet) -> Jet:
     return jets._wrap(n, own.order, c * (d[..., 0, :, :] - 2.0 / (n + 1) * d[..., 1, :, :]))
 
 
-def _trace_form(base: Jet, gamma: Jet):
-    """Difference Gamma_LC - Gamma of the Levi-Civita connection ``base`` and a connection,
-    and its trace-free part T."""
-    diff = jets.sub(base, gamma, None)
-    return diff, tracefree(diff)
-
-
 def _condition_a(t, up, down, g) -> np.ndarray:
     """T^i_jk - T^i g_jk + delta^i_j T_k/(n+1) + delta^i_k T_j/(n+1) from the values."""
     n = g.shape[-1]
@@ -202,7 +196,7 @@ def _condition_b(down: Jet) -> np.ndarray:
 def _obstructions(batch: Batch):
     """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
     max-abs of A and of B at each point."""
-    (g, ginv), gamma, (diff, T), down = batch.out
+    (g, ginv), gamma, T, down = batch.out
     up = (ginv.value @ down.value[..., None])[..., 0]
     a = _condition_a(T.value, up, down.value, g.value)
     b = _condition_b(down)
@@ -222,7 +216,6 @@ def _obstructions(batch: Batch):
         b=b,
         scale=scale,
         metric=MetricValue(g, point=point),
-        diff_values=diff.value,
     ), maxima
 
 
@@ -349,13 +342,14 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
         raise ValueError("connection dimension mismatch")
     if vec.shape != (g.n,):
         raise ValueError(f"direction vector must have {g.n} components")
-    return float(_eps_from_diff(christoffel(g).jet.value - gamma.jet.value, vec[None])[0])
+    return float(_eps_of(christoffel(g).jet.value - gamma.jet.value, vec[None])[0])
 
 
-def _eps_from_diff(diff_values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """EPS residual of each direction ``u[..., m, :]`` against the difference
-    tensor ``diff_values[..., :, :, :]`` of its point."""
-    d = np.einsum("...ijk,...mj,...mk->...mi", diff_values, u, u)
+def _eps_of(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """EPS residual of each direction ``u[..., m, :]`` against ``t[..., :, :, :]`` of its point,
+    D = Gamma_LC - Gamma or condition A: for null u, A(u, u) - D(u, u) = 2 (T_k - D^p_pk) u^k
+    u / (n+1) - T^i g(u, u) is parallel to u up to the null residual g(u, u)."""
+    d = np.einsum("...ijk,...mj,...mk->...mi", t, u, u)
     uu = np.einsum("...i,...i->...", u, u)
     parallel = np.einsum("...i,...i->...", d, u) / uu
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
@@ -369,7 +363,7 @@ def _point_figures(scenario: Scenario, batch: Batch, states: np.ndarray) -> list
     values = np.where(batch.bad[:, None, None], np.eye(n), obs.metric.jet.value)
     cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
     batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
-    eps[cone] = np.max(_eps_from_diff(obs.diff_values[cone], u), axis=-1)
+    eps[cone] = np.max(_eps_of(obs.a[cone], u), axis=-1)
     return [maxima[0] / obs.scale, maxima[1] / obs.scale, obs.scale, eps]
 
 

@@ -198,7 +198,7 @@ def verify_recovery(
     ``delta^i_j phi_k + delta^i_k phi_j - g^ip phi_p g_jk``, whose first two
     terms are a projective change, so its Thomas symbol differs from the
     scenario connection's by ``T - tracefree((g^-1 dphi) (x) g)``, T the
-    trace-free difference of _trace_form: that is condition (A) at
+    trace-free part of Gamma_LC - Gamma: that is condition (A) at
     (T^i, T_i) = (g^ij d_j phi, d_i phi), since (g^-1 dphi) (x) g has trace
     dphi.  The sweep of ``check_compatibility`` draws the same points,
     evaluates g, g^-1 and T at order 0 and skips points by its rule (a
@@ -208,7 +208,7 @@ def verify_recovery(
     factor = RecoveredFactor(scenario, base)
 
     def at(batch, _states):
-        (g, ginv), _, (_, T) = batch.out
+        (g, ginv), _, T = batch.out
         return [g.value, ginv.value, T.value]
 
     count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, 0, at)

@@ -260,7 +260,7 @@ def load_scenario(document) -> Scenario:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deep
             raise ScenarioError(f"invalid JSON: {err}") from err
     if not isinstance(document, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -485,9 +485,12 @@ def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
     """Node of the traces (g_ij g^kl Gamma^j_kl, Gamma^p_pi) of a connection recipe at
     ``order`` as the rows of a (2, n) jet, g the first metric of ``geometry`` (entries
     ``metric``): those of ``levi_civita(h)`` from dh (:func:`levi_civita_traces`), of an
-    ``explicit`` stack by contraction, of ``modified_s(h, s)`` less (g_ij S^j g^kl h_kl,
-    h_ij S^j) and of a ``projective_transform`` plus (2 psi_i, (n + 1) psi_i)."""
+    ``explicit`` stack by contraction and of ``modified_s(h, s)`` less (g_ij S^j g^kl h_kl,
+    h_ij S^j).  A ``projective_transform`` reads as its base: it adds (2 psi_i, (n + 1)
+    psi_i), which the one-form T_i cancels, so psi is never evaluated here."""
     n = plan.n
+    while isinstance(recipe, ProjectiveTransformRecipe):
+        recipe = recipe.base
     if isinstance(recipe, LeviCivitaRecipe):
         return metric_geometry(plan, recipe.metric, geometry, levi_civita_traces, "traces")
     if isinstance(recipe, ExplicitRecipe):
@@ -503,11 +506,6 @@ def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
             return jets.sub(t, connection_traces(outer, *g), None)
 
         return plan.step(drift_traces, base, view, metric_geometry(plan, metric, geometry), s)
-    if isinstance(recipe, ProjectiveTransformRecipe):
-        base = _traces(plan, recipe.base, order, geometry, metric)
-        psi, factor = plan.stack(recipe.psi, (n,), order), np.array([[[2.0]], [[n + 1.0]]])
-        shifted = lambda t, psi: jets._wrap(n, order, t.data + psi.data[..., None, :, :] * factor)
-        return plan.step(shifted, base, psi)
     raise TypeError(f"unknown connection recipe: {recipe!r}")
 
 

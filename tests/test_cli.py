@@ -386,6 +386,10 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
         (["gen-example", "--metric", "{coords_str}", "--s", "0,0"], _NOT_AN_ARRAY),
         (["gen-example", "--metric", "{coords_obj}", "--s", "0,0"], _NOT_AN_ARRAY),
         (["gen-example", "--metric", "{coords_int}", "--s", "0,0"], _NOT_AN_ARRAY),
+        (["check", "{deep}"], "invalid JSON"),
+        (["recover", "{deep}", "--base", "0,0", "--at", "0,0"], "invalid JSON"),
+        (["cone", "{deep}"], "invalid JSON"),
+        (["gen-example", "--metric", "{deep}", "--s", "0,0"], "invalid JSON"),
     ],
     ids=[
         "zero-samples",
@@ -405,6 +409,10 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
         "metric-file-coordinates-a-string",
         "metric-file-coordinates-an-object",
         "metric-file-coordinates-a-number",
+        "check-100000-deep-json",
+        "recover-100000-deep-json",
+        "cone-100000-deep-json",
+        "metric-file-100000-deep-json",
     ],
 )
 def test_user_errors_print_one_line_and_exit_one(
@@ -417,6 +425,7 @@ def test_user_errors_print_one_line_and_exit_one(
         "no_metric": '{"dimension": 2}',
         "vectors_int": '{"dimension": 2, "vectors": 5}',
         "vectors_null": '{"dimension": 2, "vectors": null}',
+        "deep": "[" * 100_000 + "]" * 100_000,
     }
     metric = [["1", "0"], [None, "1"]]
     for name, coords in (("coords_str", "ab"), ("coords_obj", {"a": 1, "b": 2}),

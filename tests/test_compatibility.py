@@ -32,8 +32,8 @@ from conproj import (
     verify_recovery,
     with_conformal_factor,
 )
-from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _one_form, _trace_form
-from conproj.geometry import connection_traces
+from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _one_form
+from conproj.geometry import connection_traces, tracefree
 from conproj.sampling import SplitMix64, draw_point, point_stream, uniform_draws
 from helpers import (
     drift_doc,
@@ -923,6 +923,20 @@ def test_batched_null_cone_matches_one_point_calls_in_a_mixed_signature_box():
     assert all(s.point[0] < 0.0 for s in lorentzian)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_eps_read_off_condition_a_matches_eps_residual_of_the_difference(n):
+    # check reads EPS off A; eps_residual, the oracle, keeps D = Gamma_LC - Gamma.  A
+    # generic explicit connection over a Lorentzian metric has A != D at every point
+    scn = load_scenario(random_explicit_incompatible_doc(np.random.default_rng(n), n, samples=40,
+                                                         negative=1))
+    obs = obstruction_at(scn, (0.1, -0.2, 0.3, 0.4)[:n])
+    gamma_lc, gamma = christoffel(metric_at(scn, obs.point, 1)), connection_at(scn, obs.point, 0)
+    assert np.max(np.abs(obs.a - (gamma_lc.jet.value - gamma.jet.value))) > 0.1
+    report = check_compatibility(scn)
+    assert (report.verdict, report.eps_verdict) == ("fails_A_and_B", "fails")
+    _assert_check_matches_one_point_calls(scn)
+
+
 def test_report_summary_is_taken_over_the_kept_points():
     zero = flat_doc(2, samples=10)
     zero["connection"] = {"kind": "explicit", "gamma": [[["0", "0"], [None, "0"]]] * 2}
@@ -1149,7 +1163,7 @@ def _rank(m) -> int:
 
 def test_eps_and_condition_a_have_the_same_kernel_in_every_indefinite_signature():
     # D = Gamma_LC - Gamma ranges over the tensors D^i_jk symmetric in j, k.  The EPS map
-    # D -> u ^ D(u, u) over 6n^2 generic null vectors u and the map D -> A (_trace_form and
+    # D -> u ^ D(u, u) over 6n^2 generic null vectors u and the map D -> A (tracefree and
     # the _one_form of D's traces, then _condition_a) vanish on the same 2n-dimensional space
     # {delta phi + phi delta + g V}.
     rng = np.random.default_rng(2013)
@@ -1166,8 +1180,7 @@ def test_eps_and_condition_a_have_the_same_kernel_in_every_indefinite_signature(
             p = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n))
             g = p.T @ np.diag([-1.0] * q + [1.0] * (n - q)) @ p
             at_each = lambda x: Jet(n, 0, np.broadcast_to(x, (count,) + x.shape))
-            zero = at_each(np.zeros((n, n, n)))
-            _, t = _trace_form(Jet(n, 0, basis), zero)
+            t = tracefree(Jet(n, 0, basis))
             traces = connection_traces(Jet(n, 0, basis), at_each(g), at_each(np.linalg.inv(g)))
             down = _one_form(traces, at_each(np.zeros((2, n)))).value
             up = (np.linalg.inv(g) @ down[..., None])[..., 0]

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -346,8 +347,8 @@ def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
 
 def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
     # a pairwise sum of the legs once read two values here, one with the fifth waypoint
-    # repeated; the exact sum is -0.1239096, and T_i from the trace identities gives legs
-    # whose correctly rounded sum is one ulp from it
+    # repeated; the exact sum is -0.1239096, and T_i from the trace identities of the base
+    # connection (psi drops out) gives legs whose correctly rounded sum is 6 ulps from it
     path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
     scn = load_scenario_path(path)
     waypoints = [
@@ -356,7 +357,47 @@ def test_a_repeated_waypoint_leaves_a_path_integral_unchanged():
     ]
     repeated = waypoints[:5] + waypoints[4:]
     total = integrate_phi_path(scn, waypoints)
-    assert total == integrate_phi_path(scn, repeated) == -0.12390959999999998
+    assert total == integrate_phi_path(scn, repeated) == -0.12390960000000008
+
+
+def _shifted_and_unwrapped(psi_1):
+    """rescaled_shift_2d.json with its psi_1 replaced, and the same document unwrapped."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "rescaled_shift_2d.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["connection"]["psi"][0] = psi_1
+    return load_scenario(doc), load_scenario({**doc, "connection": doc["connection"]["base"]})
+
+
+@pytest.mark.parametrize("psi_1", ["0.4*x2", "log(x1 + 0.99)", "log(x1 + 0.999)"])
+def test_recovery_reads_a_projective_transform_as_its_base_bit_for_bit(psi_1):
+    # T_i is invariant under Gamma -> Gamma + delta psi + psi delta, so quadrature never
+    # evaluates psi: log(x1 + 0.99) is undefined at the base (-1, 0), and yet phi, its
+    # gradient and the recovered metric are those of the unwrapped document, bit for bit
+    base, queries = (-1.0, 0.0), [(0.5, 0.25), (0.9, -0.7), (-1.0, 1.0)]
+
+    def results(scn):
+        factor = RecoveredFactor(scn, base)
+        gradients = [factor.phi_and_gradient(q) for q in queries]
+        return (
+            [integrate_phi(scn, base, q) for q in queries],
+            [(value, gradient.tolist()) for value, gradient in gradients],
+            [metric.values().tolist() for metric in recover_metric(scn, base, queries)],
+        )
+
+    shifted, unwrapped = _shifted_and_unwrapped(psi_1)
+    assert results(shifted) == results(unwrapped)
+
+
+def test_check_still_evaluates_psi_at_its_sample_points():
+    # the check evaluates psi at order 0, for Gamma and the scale: psi's error at a
+    # sample point is the check's, while quadrature to that point runs
+    shifted, unwrapped = _shifted_and_unwrapped("log(x1 + 0.5)")
+    with pytest.raises(DomainError) as excinfo:
+        check_compatibility(shifted)
+    point = excinfo.value.point
+    assert excinfo.value.path == "log(x1 + 0.5)" and point[0] <= -0.5
+    assert point in sample_points(shifted)
+    assert integrate_phi(shifted, (0.0, 0.0), point) == integrate_phi(unwrapped, (0.0, 0.0), point)
 
 
 def test_the_g7_rule_is_every_second_node_of_the_k15_table():

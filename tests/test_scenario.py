@@ -115,6 +115,8 @@ def test_schema_violations_have_paths():
         load_scenario(doc)
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario("{not json")
+    with pytest.raises(ScenarioError, match="invalid JSON: maximum recursion depth"):
+        load_scenario("[" * 100_000 + "]" * 100_000)
 
 
 _IDENTITY = [["1", "0"], ["0", "1"]]
