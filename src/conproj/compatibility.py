@@ -20,7 +20,6 @@ imply it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -227,24 +226,25 @@ def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
 def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     """Random vectors on the metric's null cone.
 
-    The value matrix is diagonalized by ``np.linalg.eigh``; a draw combines a random
-    direction from the positive eigenspace with one from the negative eigenspace, scaled
-    so the quadratic form cancels.  It is the one-row case of the kernel that
-    ``check_compatibility`` batches, so a definite metric draws nothing and gets an empty
-    list.  Degeneracy (``ill_conditioned`` of max|lambda| / min|lambda|) and the null
-    residual are relative to the largest eigenvalue, so neither depends on the scale of
-    the metric.  ``rng`` skips the draws used; a raising call uses none.
+    The value matrix is diagonalized by ``np.linalg.eigh``; a vector combines a random
+    direction from the positive eigenspace with one from the negative eigenspace, one
+    uniform draw per eigenvector, scaled so the quadratic form cancels.  It is the one-row
+    case of the kernel that ``check_compatibility`` batches, so a definite metric draws
+    nothing and gets an empty list.  The kernel works on the metric times an exact power of
+    four, so degeneracy (``ill_conditioned`` of max|lambda| / min|lambda|), the null
+    residual and the vectors themselves do not depend on the metric's scale.  ``rng`` skips
+    ``count * n`` draws if the metric has a cone, none otherwise; a raising call uses none.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ValueError("null vector count must be a non-negative integer")
     if np.ndim(g.jet.value) != 2:
         raise ValueError("sample_null_vectors takes a metric at one point")
-    _, u, used, fails = _null_cone(
+    cone, u, fails = _null_cone(
         g.jet.value[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
     )
     for error in fails.values():
         raise error
-    rng.skip(int(np.sum(used)))
+    rng.skip(count * g.n * cone.size)
     u = u.reshape(-1, g.n)
     if not u.any(axis=1).all():  # the NullVector rule, checked once for every row
         raise ValueError("null vector must be a nonzero 1-d array")
@@ -254,74 +254,52 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     return vectors
 
 
-@lru_cache(maxsize=16)
-def _legs(n: int) -> tuple:
-    """Read-only layout of one null vector's legs plus, minus at m = 0...n negative eigenvalues:
-    draws ``k`` per leg, each slot's position if no leg is redrawn (+ n v at vector v), ``take``."""
-    m, minus = np.arange(n + 1)[:, None], np.array([False, True])
-    k = np.where(minus, m, n - m)
-    slot = np.arange(n) - np.where(minus, 0, m)[..., None]  # stream offset, if taken
-    take = (slot >= 0) & (slot < k[..., None])
-    first = (np.cumsum(k, axis=1) - k)[..., None] + slot
-    k.flags.writeable = first.flags.writeable = take.flags.writeable = False
-    return k, first, take
-
-
 def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
     """``count`` null vectors at each point of a metric stack ``(S, n, n)`` that has a cone,
-    from the SplitMix64 streams in ``states`` as one point at a time would draw them.  After
-    one ``eigh`` the H rows with 0 < m < n negative eigenvalues that are not degenerate read
-    their legs off the :func:`_legs` table at m (eigenvectors ``[:, :m]``).  One pass draws
-    every leg; a rejected leg is drawn again from the next positions, shifting every later leg,
-    in a pass over its rows.  Returns the H rows' indices, vectors and draws, and ``{index:
-    error}``; an error names ``point_at(i)`` (a tuple or None), asked only at a failing point."""
+    from the SplitMix64 streams in ``states`` as one point at a time would draw them.  Each
+    point is scaled by an even power of two near its largest entry, which is exact, before
+    the one ``eigh`` (LAPACK would rescale a matrix of very small or large norm by a factor
+    that is not a power of two), so no step depends on the metric's scale.  At a point with
+    0 < m < n negative eigenvalues that is not degenerate, vector v takes draws v n ...
+    v n + n - 1 of its stream, one per coefficient, eigenvector j draw v n + (j - m) mod n:
+    a plus leg on the n - m positive eigenvectors, then a minus leg on the m negative ones,
+    each divided by sqrt|g(leg, leg)| before the two are added.  Returns those points'
+    indices and vectors, and ``{index: error}``; an error names ``point_at(i)`` (a tuple or
+    None), asked only at a failing point."""
     n = values.shape[-1]
-    lam, vec = np.linalg.eigh(values)
+    power = np.frexp(np.max(np.abs(values), axis=(1, 2)))[1] // 2 * 2
+    unit = np.ldexp(values, -power[:, None, None])
+    lam, vec = np.linalg.eigh(unit)
     size = np.abs(lam)
     scale = np.max(size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         degenerate = ill_conditioned(scale / np.min(size, axis=1), rank_tol)
     fails = {}
     for i in np.flatnonzero(degenerate).tolist():
-        fails[i] = DegenerateMetric(np.prod(lam[i]), point_at(i))
+        fails[i] = DegenerateMetric(np.prod(np.ldexp(lam[i], power[i])), point_at(i))
     m = np.sum(lam < 0.0, axis=1)
     cone = np.flatnonzero((m > 0) & (m < n) & ~degenerate & (count > 0))
-    if not cone.size:  # no leg layout, redraw test or tail
-        return cone, np.zeros((0, count, n)), np.zeros(0, dtype=np.int64), fails
+    if not cone.size:  # no draws
+        return cone, np.zeros((0, count, n)), fails
     if cone.size < len(m):
-        values, vec, scale, m = values[cone], vec[cone], scale[cone], m[cone]
-    k, first, take = (table[m][:, None] for table in _legs(n))  # one vector's legs, broadcast
-    first = (first + n * np.arange(count)[:, None, None]).reshape(len(m), 2 * count, n)  # + n v
-    legs = (-1, count, 2)  # the leg axis as (vector, plus or minus)
-    leg, q, extra = np.zeros(first.shape), np.zeros(first.shape[:2]), np.zeros(first.shape[:2], int)
-    st, live, at = states[cone, None, None], slice(None), first
-    while True:
-        c = uniform_draws(st[live], at, -1.0, 1.0).reshape(legs + (n,))
-        c = np.where(take[live], c, 0.0).reshape(at.shape)
-        leg[live] = np.einsum("gij,glj->gli", vec[live], c)
-        q[live] = np.einsum("gli,gij,glj->gl", leg[live], values[live], leg[live])
-        rejected = (np.einsum("glj,glj->gl", c, c) < 1e-4) | ~(np.abs(q[live]) > 0.0)
-        if not rejected.any():
-            break
-        again = rejected.any(axis=1)
-        live, redrawn = np.arange(len(cone))[live][again], rejected[again].argmax(axis=1)
-        extra[live, redrawn] += 1
-        live = live[extra[live, redrawn] < 1000]  # none left: one empty pass ends the loop
-        shift = (k[live] * extra[live].reshape(legs)).reshape(len(live), 2 * count)
-        at = first[live] + np.cumsum(shift, axis=1)[..., None]
-    capped = np.any(extra == 1000, axis=1)  # a leg ran out of tries
-    with np.errstate(all="ignore"):  # legs past a cap
+        unit, vec, scale, m = unit[cone], vec[cone], scale[cone], m[cone]
+    at = n * np.arange(count)[:, None] + (np.arange(n) - m[:, None, None]) % n
+    c = uniform_draws(states[cone, None, None], at, -1.0, 1.0)[:, :, None]  # (point, v, 1, j)
+    negative = np.arange(n) < m[:, None, None, None]
+    c = np.where(negative == np.array([[False], [True]]), c, 0.0)  # legs plus, minus
+    leg = np.einsum("gij,glj->gli", vec, c.reshape(len(m), 2 * count, n))
+    q = np.einsum("gli,gij,glj->gl", leg, unit, leg)
+    with np.errstate(all="ignore"):  # a leg of zero draws gives NaN, so lost
         w = leg / np.sqrt(np.abs(q))[..., None]
         w = w[:, 0::2] + w[:, 1::2]
         w /= np.max(np.abs(w), axis=-1, keepdims=True)
-        residual = np.abs(np.einsum("sci,sij,scj->sc", w, values, w))
-        lost = residual > NULL_TOL * scale[:, None] * np.einsum("sci,sci->sc", w, w)
-    reasons = ("null-cone sampling lost precision", "failed to draw a usable cone direction")
-    for j in np.flatnonzero(lost.any(axis=1) | capped).tolist():
+        residual = np.abs(np.einsum("sci,sij,scj->sc", w, unit, w))
+        lost = ~(residual <= NULL_TOL * scale[:, None] * np.einsum("sci,sci->sc", w, w))
+    for j in np.flatnonzero(lost.any(axis=1)).tolist():
         p = point_at(int(cone[j]))
         where = f" at point {p}" if p is not None else ""
-        fails[int(cone[j])] = ConprojError(reasons[int(capped[j])] + where)
-    return cone, w, np.sum(k * (extra + 1).reshape(legs), axis=(1, 2)), fails
+        fails[int(cone[j])] = ConprojError("null-cone sampling lost precision" + where)
+    return cone, w, fails
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
@@ -361,7 +339,7 @@ def _point_figures(scenario: Scenario, batch: Batch, states: np.ndarray) -> list
     obs, maxima = _obstructions(batch)
     n, eps = obs.metric.n, np.full(batch.shape, np.nan)
     values = np.where(batch.bad[:, None, None], np.eye(n), obs.metric.jet.value)
-    cone, u, _, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
+    cone, u, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
     batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
     eps[cone] = np.max(_eps_of(obs.a[cone], u), axis=-1)
     return [maxima[0] / obs.scale, maxima[1] / obs.scale, obs.scale, eps]

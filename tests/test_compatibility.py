@@ -248,52 +248,48 @@ def test_sample_null_vectors_degenerate():
             sample_null_vectors(constant_metric(values), 2, SplitMix64(1))
 
 
-def test_sample_null_vectors_that_lose_precision_raise_and_draw_nothing():
-    rng = SplitMix64(1)
-    with pytest.raises(ConprojError, match="null-cone sampling lost precision"):
-        sample_null_vectors(constant_metric(np.diag([-1e-318, 1e-318])), 4, rng)
-    assert rng.state == SplitMix64(1).state
+def test_sample_null_vectors_on_a_subnormal_metric():
+    # the entries are subnormal, and the legs are measured on the metric scaled near 1
+    rng, plain = SplitMix64(1), SplitMix64(1)
+    vectors = sample_null_vectors(constant_metric(np.diag([-1e-318, 1e-318])), 4, rng)
+    plain.skip(4 * 2)
+    assert len(vectors) == 4 and rng.state == plain.state
+    for nv in vectors:  # the 2-d cone is the pair of lines u2 = +/- u1
+        assert np.max(np.abs(np.abs(nv.u) - 1.0)) <= 1e-15
 
 
 def _zero_draws(states, positions, lo, hi):
     return np.zeros(np.broadcast_shapes(np.shape(states), np.shape(positions)))
 
 
-def test_sample_null_vectors_that_run_out_of_redraws_raise_and_draw_nothing(monkeypatch):
+def test_sample_null_vectors_from_zero_draws_lose_precision_and_draw_nothing(monkeypatch):
     import conproj.compatibility as compatibility
 
+    # a leg of zero draws has g(leg, leg) = 0: its NaN must fail the precision test
     monkeypatch.setattr(compatibility, "uniform_draws", _zero_draws)
     rng = SplitMix64(1)
-    with pytest.raises(ConprojError, match="failed to draw a usable cone direction"):
-        sample_null_vectors(constant_metric(np.diag([-1.0, 1.0])), 4, rng)
+    g = MetricValue(Jet(2, 0, np.diag([-1.0, 1.0])), point=(0.25, -0.5))
+    with pytest.raises(ConprojError, match=r"lost precision at point \(0\.25, -0\.5\)$"):
+        sample_null_vectors(g, 4, rng)
     assert rng.state == SplitMix64(1).state
 
 
-def _reference_null_vectors(values, count, rng, draw=None):
+def _reference_null_vectors(values, count, rng):
     """Null vectors by the documented recipe, one scalar draw at a time: per vector a plus
     leg of n - m draws on the eigenvectors of the positive eigenvalues, then a minus leg of
-    m draws on those of the m negative ones; a leg with |c|^2 < 1e-4 or a zero quadratic
-    form is drawn again from the next draws, so it shifts every later leg.  ``draw(position,
-    value)`` may replace the draw at a stream position."""
+    m draws on those of the m negative ones, each divided by sqrt|g(leg, leg)|."""
     n = len(values)
     lam, vec = np.linalg.eigh(values)
     m = int(np.sum(lam < 0.0))
     if m in (0, n):
         return []
-    position, vectors = 0, []
+    vectors = []
     for _ in range(count):
         w = [0.0] * n
         for columns in (range(m, n), range(m)):
-            while True:
-                c = []
-                for _ in columns:
-                    value = rng.uniform(-1.0, 1.0)
-                    c.append(value if draw is None else draw(position, value))
-                    position += 1
-                leg = [sum(vec[i][s] * x for s, x in zip(columns, c)) for i in range(n)]
-                q = sum(leg[i] * values[i][j] * leg[j] for i in range(n) for j in range(n))
-                if sum(x * x for x in c) >= 1e-4 and abs(q) > 0.0:
-                    break
+            c = [rng.uniform(-1.0, 1.0) for _ in columns]
+            leg = [sum(vec[i][s] * x for s, x in zip(columns, c)) for i in range(n)]
+            q = sum(leg[i] * values[i][j] * leg[j] for i in range(n) for j in range(n))
             w = [a + b / math.sqrt(abs(q)) for a, b in zip(w, leg)]
         top = max(abs(x) for x in w)
         vectors.append([x / top for x in w])
@@ -307,14 +303,14 @@ def _signature_metric(rng, n, q):
     return (basis * lam) @ basis.T
 
 
-def _assert_matches_reference(values, count, seed, draw=None):
+def _assert_matches_reference(values, count, seed):
     rng, plain = SplitMix64(seed), SplitMix64(seed)
     vectors = sample_null_vectors(constant_metric(values), count, rng)
-    expected = _reference_null_vectors(values, count, plain, draw)
+    expected = _reference_null_vectors(values, count, plain)
     assert len(vectors) == len(expected) and rng.state == plain.state
     for nv, u in zip(vectors, expected):
         assert np.max(np.abs(nv.u - u)) <= 1e-15 * np.max(np.abs(u)), (nv.u, u)
-    return len(expected), rng
+    return len(expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -323,32 +319,12 @@ def test_sample_null_vectors_match_a_scalar_reference_in_every_signature(n):
     for q in range(n + 1):
         values = _signature_metric(rng, n, q)
         for count, seed in ((1, 3), (4, 2027), (9, 11)):
-            found, _ = _assert_matches_reference(values, count, seed)
+            found = _assert_matches_reference(values, count, seed)
             assert found == (count if 0 < q < n else 0)
 
 
-def test_sample_null_vectors_match_the_reference_when_legs_are_redrawn(monkeypatch):
-    import conproj.compatibility as compatibility
-
-    # draws 3-5 of every 8 are zero: a one-draw leg there is rejected up to three times in
-    # a row, and a two-draw leg on draws 4 and 5 once
-    def draw(position, value):
-        return 0.0 if position % 8 in (3, 4, 5) else value
-
-    def patched(states, positions, lo, hi):
-        values = uniform_draws(states, positions, lo, hi)
-        return np.where(np.isin(np.asarray(positions) % 8, (3, 4, 5)), 0.0, values)
-
-    monkeypatch.setattr(compatibility, "uniform_draws", patched)
-    split = _signature_metric(np.random.default_rng(1), 4, 2)
-    for values, count, redrawn in ((np.diag([-1.0, 2.0]), 9, 9), (split, 5, 6)):
-        found, rng = _assert_matches_reference(values, count, 5, draw)
-        plain = SplitMix64(5)
-        plain.skip(count * len(values) + redrawn)
-        assert found == count and rng.state == plain.state
-
-
-def test_a_null_cone_without_redraws_draws_once_and_caches_a_read_only_layout(monkeypatch):
+@pytest.mark.parametrize("count", [6, 10_000])
+def test_a_null_cone_draws_once_per_coefficient(monkeypatch, count):
     import conproj.compatibility as compatibility
 
     calls = []
@@ -359,32 +335,27 @@ def test_a_null_cone_without_redraws_draws_once_and_caches_a_read_only_layout(mo
 
     monkeypatch.setattr(compatibility, "uniform_draws", counting)
     values, rng = _signature_metric(np.random.default_rng(7), 4, 1), SplitMix64(2027)
-    compatibility._legs.cache_clear()
-    cold = sample_null_vectors(constant_metric(values), 6, rng)
+    first = sample_null_vectors(constant_metric(values), count, rng)
     plain = SplitMix64(2027)
-    plain.skip(6 * 4)  # one draw per coefficient: no leg was redrawn
-    assert len(calls) == 1 and rng.state == plain.state
-    rng = SplitMix64(2027)
-    warm = sample_null_vectors(constant_metric(values), 6, rng)
-    assert compatibility._legs.cache_info().hits >= 1
-    assert compatibility._legs.cache_info().maxsize is not None  # bounded
-    assert [v.u.tobytes() for v in cold] == [v.u.tobytes() for v in warm]
-    for table in compatibility._legs(4):
-        with pytest.raises(ValueError):
-            table[0, 0] = table[0, 0]
+    plain.skip(count * 4)
+    assert len(first) == count and len(calls) == 1 and rng.state == plain.state
+    again = sample_null_vectors(constant_metric(values), count, SplitMix64(2027))
+    assert [v.u.tobytes() for v in first] == [v.u.tobytes() for v in again]
 
 
-def test_the_cached_leg_layout_does_not_grow_with_the_count():
-    import conproj.compatibility as compatibility
-
-    values = _signature_metric(np.random.default_rng(7), 4, 1)
-    compatibility._legs.cache_clear()
-    sizes = []
-    for count in (6, 60, 600):
-        sample_null_vectors(constant_metric(values), count, SplitMix64(2027))
-        sizes.append(sum(table.nbytes for table in compatibility._legs(4)))
-    assert sizes == [sizes[0]] * 3 and sizes[0] < 1000  # (n + 1) * 2 rows of n slots
-    assert compatibility._legs.cache_info().currsize == 1
+def test_a_power_of_four_multiple_of_the_metric_gives_the_same_null_vectors():
+    # dyadic entries, exact down to 4^-530 G, where they are subnormal
+    values = np.diag([-2.0, 1.0, 1.5, 1.0])
+    values[0, 1] = values[1, 0] = 0.3125
+    values[2, 3] = values[3, 2] = -0.1875
+    expected = [v.u.tobytes() for v in sample_null_vectors(constant_metric(values), 12,
+                                                           SplitMix64(2027))]
+    assert len(expected) == 12
+    for k in (-530, -500, -100, 100, 500):
+        scaled = np.ldexp(values, 2 * k)
+        assert np.array_equal(np.ldexp(scaled, -2 * k), values), k
+        vectors = sample_null_vectors(constant_metric(scaled), 12, SplitMix64(2027))
+        assert [v.u.tobytes() for v in vectors] == expected, k
 
 
 def test_sample_null_vectors_rejects_a_negative_count():
@@ -408,9 +379,9 @@ def test_check_names_the_point_where_null_cone_sampling_fails(monkeypatch):
     monkeypatch.setattr(compatibility, "uniform_draws", _zero_draws)
     path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
     scn = load_scenario_path(path)
-    with pytest.raises(ConprojError, match="failed to draw a usable cone direction") as excinfo:
+    with pytest.raises(ConprojError, match="null-cone sampling lost precision") as excinfo:
         check_compatibility(scn, samples=5)
-    assert str(sample_points(scn, 5)[0]) in str(excinfo.value)
+    assert str(excinfo.value).endswith(f" at point {sample_points(scn, 5)[0]}")
 
 
 def test_eps_residual_cases():
@@ -880,12 +851,11 @@ def _two_d_doc(metric, samples, seed):
 def _assert_check_matches_one_point_calls(scn):
     """Per-point EPS and null-vector count of the batched check against
     sample_null_vectors and eps_residual at each point, on each point's
-    stream continued after its coordinates.  Returns the number of points
-    whose legs were redrawn."""
+    stream continued after its coordinates."""
     report = check_compatibility(scn)
     assert not report.skipped and len(report.per_point) == scn.samples
     n, nulls_per_point = scn.dimension, 2 * scn.dimension
-    total = redrawn = 0
+    total = 0
     for index, summary in enumerate(report.per_point):
         stream = point_stream(scn.seed, index)
         point = draw_point(stream, scn.box_min, scn.box_max)
@@ -897,21 +867,19 @@ def _assert_check_matches_one_point_calls(scn):
         if not nulls:
             assert summary.eps is None
             continue
-        for _ in range(nulls_per_point * n):  # one draw per coefficient
-            plain.next_u64()
-        redrawn += plain.next_u64() != stream.next_u64()
+        plain.skip(nulls_per_point * n)  # one draw per coefficient
+        assert plain.state == stream.state
         gamma = connection_at(scn, point, 1)
         expected = max(eps_residual(g, gamma, nv) for nv in nulls)
         assert abs(summary.eps - expected) <= 1e-13 * expected, (point, summary.eps, expected)
     assert report.null_vectors == total
-    return redrawn
 
 
-def test_batched_null_cone_matches_one_point_calls_with_redrawn_legs():
-    # one-dimensional legs: about 1% of them fall under |c|^2 < 1e-4
+def test_batched_null_cone_matches_one_point_calls_on_one_draw_legs():
+    # each leg of a 2-d Lorentzian metric is one draw times an eigenvector
     metric = [["-1 + 0.1*x1*x2", "0.2*x1"], [None, "1 + 0.05*x2^2"]]
     scn = load_scenario(_two_d_doc(metric, 300, 11))
-    assert _assert_check_matches_one_point_calls(scn) >= 10
+    _assert_check_matches_one_point_calls(scn)
 
 
 def test_batched_null_cone_matches_one_point_calls_in_a_mixed_signature_box():
@@ -963,8 +931,8 @@ def test_report_summary_is_taken_over_the_kept_points():
 
 
 def test_a_mixed_null_cone_batch_gives_the_outputs_of_its_parts():
-    # a batch without a cone returns before the leg layout, with the shapes and
-    # dtypes that the full path gives the rows of a mixed batch
+    # a batch without a cone returns before drawing, with the shapes and dtypes
+    # that the full path gives the rows of a mixed batch
     from conproj.compatibility import _null_cone
 
     riemann = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
@@ -975,15 +943,13 @@ def test_a_mixed_null_cone_batch_gives_the_outputs_of_its_parts():
     def null_cone(rows):
         return _null_cone(values[rows], 4, states[rows], 1e-12, lambda i: None)
 
-    cone, w, used, fails = null_cone([0, 1, 2, 3, 4])
+    cone, w, fails = null_cone([0, 1, 2, 3, 4])
     assert cone.tolist() == [1, 4] and w.shape == (2, 4, 3) and list(fails) == [2]
     for j, row in enumerate(cone.tolist()):
-        alone = null_cone([row])
-        assert np.array_equal(alone[1][0], w[j]) and alone[2].tolist() == [used[j]]
-    none, w0, used0, fails0 = null_cone([0, 2, 3])
+        assert np.array_equal(null_cone([row])[1][0], w[j])
+    none, w0, fails0 = null_cone([0, 2, 3])
     assert none.size == 0 and none.dtype == cone.dtype
     assert w0.shape == (0, 4, 3) and w0.dtype == w.dtype
-    assert used0.shape == (0,) and used0.dtype == used.dtype
     assert list(fails0) == [1] and str(fails0[1]) == str(fails[2])
 
 
