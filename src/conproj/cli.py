@@ -28,7 +28,6 @@ from . import __version__
 from .compatibility import CompatReport, check_compatibility
 from .cone import reconstruct_conformal
 from .errors import ConprojError, NonGenericConfiguration
-from .expressions import parse_expression
 from .recovery import RecoveredFactor, verify_recovery
 from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, Scenario, load_scenario
 
@@ -281,27 +280,14 @@ def _resolve_metric(spec: str):
 
 def _cmd_gen_example(args) -> int:
     n, coords, metric_rows, box = _resolve_metric(args.metric)
-    # the metric's own errors come before those of the drift
-    load_scenario(
-        {
-            "dimension": n,
-            "coordinates": coords,
-            "box": box,
-            "metric": metric_rows,
-            "connection": {"kind": "levi_civita", "metric": metric_rows},
-        }
-    )
     if args.s is not None:
         s_exprs = [part.strip() for part in args.s.split(",")]
         if len(s_exprs) != n:
             raise ConprojError(f"--s must provide {n} components")
-        for entry in s_exprs:
-            parse_expression(entry, coords)
         key, drift = "s", s_exprs
     else:
         # S^i = g^{ij} d_j f makes the lowered drift one-form exact, so the
         # generated scenario is compatible by construction.
-        parse_expression(args.s_grad, coords)
         key, drift = "potential", args.s_grad
     document = {
         "dimension": n,
@@ -312,7 +298,7 @@ def _cmd_gen_example(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    load_scenario(document)  # validate before writing
+    load_scenario(document)  # validate before writing: the metric, then the drift
     _emit(
         document,
         args.out,

@@ -80,8 +80,8 @@ class NullVector:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if u.ndim != 1 or not u.any():
-            raise ValueError("null vector must be a nonzero 1-d array")
+        if u.ndim != 1 or not (np.isfinite(u).all() and u.any()):
+            raise ValueError("null vector must be a finite, nonzero 1-d array")
         object.__setattr__(self, "u", u)
 
 
@@ -231,58 +231,61 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     uniform draw per eigenvector, scaled so the quadratic form cancels.  It is the one-row
     case of the kernel that ``check_compatibility`` batches, so a definite metric draws
     nothing and gets an empty list.  The kernel works on the metric times an exact power of
-    four, so degeneracy (``ill_conditioned`` of max|lambda| / min|lambda|), the null
-    residual and the vectors themselves do not depend on the metric's scale.  ``rng`` skips
-    ``count * n`` draws if the metric has a cone, none otherwise; a raising call uses none.
+    four, so the null residual and the vectors do not depend on the metric's scale.  Having
+    no inverse, it judges degeneracy itself, by ``ill_conditioned`` of max|lambda| /
+    min|lambda| over the kernel's eigenvalues, and raises that before any failure of the
+    kernel.  ``rng`` skips ``count * n`` draws if the metric has a cone, none otherwise; a
+    raising call uses none.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ValueError("null vector count must be a non-negative integer")
     if np.ndim(g.jet.value) != 2:
         raise ValueError("sample_null_vectors takes a metric at one point")
-    cone, u, fails = _null_cone(
-        g.jet.value[None], count, np.array([rng.state]), DEFAULT_RANK_TOL, lambda i: g.point
+    cone, u, fails, lam, power = _null_cone(
+        g.jet.value[None], count, np.array([rng.state]), [True], lambda i: g.point
     )
+    size = np.abs(lam[0])
+    with np.errstate(all="ignore"):  # a huge metric's det overflows to inf
+        if ill_conditioned(size.max() / size.min(), DEFAULT_RANK_TOL):
+            raise DegenerateMetric(np.prod(np.ldexp(lam[0], power[0])), g.point)
     for error in fails.values():
         raise error
     rng.skip(count * g.n * cone.size)
     u = u.reshape(-1, g.n)
-    if not u.any(axis=1).all():  # the NullVector rule, checked once for every row
-        raise ValueError("null vector must be a nonzero 1-d array")
-    vectors = [NullVector.__new__(NullVector) for _ in u]  # no __post_init__: checked above
+    # no __post_init__: a zero or non-finite row fails the kernel's precision test
+    vectors = [NullVector.__new__(NullVector) for _ in u]
     for vector, row in zip(vectors, u):
         vector.__dict__.update(point=g.point, u=row)
     return vectors
 
 
-def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: float, point_at):
-    """``count`` null vectors at each point of a metric stack ``(S, n, n)`` that has a cone,
-    from the SplitMix64 streams in ``states`` as one point at a time would draw them.  Each
+def _null_cone(values: np.ndarray, count: int, states: np.ndarray, keep, point_at):
+    """``count`` null vectors at each point of a metric stack ``(S, n, n)`` where the mask
+    ``keep`` holds and the metric is indefinite, from the SplitMix64 streams in ``states``
+    as one point at a time would draw them; degeneracy is the caller's to judge.  Each kept
     point is scaled by an even power of two near its largest entry, which is exact, before
     the one ``eigh`` (LAPACK would rescale a matrix of very small or large norm by a factor
     that is not a power of two), so no step depends on the metric's scale.  At a point with
-    0 < m < n negative eigenvalues that is not degenerate, vector v takes draws v n ...
-    v n + n - 1 of its stream, one per coefficient, eigenvector j draw v n + (j - m) mod n:
-    a plus leg on the n - m positive eigenvectors, then a minus leg on the m negative ones,
-    each divided by sqrt|g(leg, leg)| before the two are added.  Returns those points'
-    indices and vectors, and ``{index: error}``; an error names ``point_at(i)`` (a tuple or
-    None), asked only at a failing point."""
-    n = values.shape[-1]
+    0 < m < n negative eigenvalues, vector v takes draws v n ... v n + n - 1 of its stream,
+    one per coefficient, eigenvector j draw v n + (j - m) mod n: a plus leg on the n - m
+    positive eigenvectors, then a minus leg on the m negative ones, each divided by
+    sqrt|g(leg, leg)| before the two are added.  Returns those points' indices and vectors,
+    ``{index: error}`` (an error names ``point_at(i)``, a tuple or None, asked only at a
+    failing point), and the eigenvalues of each kept point's scaled metric with its power
+    of two."""
+    n, kept = values.shape[-1], np.flatnonzero(keep)
+    values = values[kept]
     power = np.frexp(np.max(np.abs(values), axis=(1, 2)))[1] // 2 * 2
     unit = np.ldexp(values, -power[:, None, None])
     lam, vec = np.linalg.eigh(unit)
-    size = np.abs(lam)
-    scale = np.max(size, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        degenerate = ill_conditioned(scale / np.min(size, axis=1), rank_tol)
-    fails = {}
-    for i in np.flatnonzero(degenerate).tolist():
-        fails[i] = DegenerateMetric(np.prod(np.ldexp(lam[i], power[i])), point_at(i))
+    scale = np.max(np.abs(lam), axis=1)
     m = np.sum(lam < 0.0, axis=1)
-    cone = np.flatnonzero((m > 0) & (m < n) & ~degenerate & (count > 0))
+    on = (m > 0) & (m < n) & (count > 0)
+    cone = kept[on]
     if not cone.size:  # no draws
-        return cone, np.zeros((0, count, n)), fails
+        return cone, np.zeros((0, count, n)), {}, lam, power
     if cone.size < len(m):
-        unit, vec, scale, m = unit[cone], vec[cone], scale[cone], m[cone]
+        unit, vec, scale, m = unit[on], vec[on], scale[on], m[on]
     at = n * np.arange(count)[:, None] + (np.arange(n) - m[:, None, None]) % n
     c = uniform_draws(states[cone, None, None], at, -1.0, 1.0)[:, :, None]  # (point, v, 1, j)
     negative = np.arange(n) < m[:, None, None, None]
@@ -295,11 +298,12 @@ def _null_cone(values: np.ndarray, count: int, states: np.ndarray, rank_tol: flo
         w /= np.max(np.abs(w), axis=-1, keepdims=True)
         residual = np.abs(np.einsum("sci,sij,scj->sc", w, unit, w))
         lost = ~(residual <= NULL_TOL * scale[:, None] * np.einsum("sci,sci->sc", w, w))
-    for j in np.flatnonzero(lost.any(axis=1)).tolist():
-        p = point_at(int(cone[j]))
+    fails = {}
+    for i in cone[lost.any(axis=1)].tolist():
+        p = point_at(i)
         where = f" at point {p}" if p is not None else ""
-        fails[int(cone[j])] = ConprojError("null-cone sampling lost precision" + where)
-    return cone, w, fails
+        fails[i] = ConprojError("null-cone sampling lost precision" + where)
+    return cone, w, fails, lam, power
 
 
 def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
@@ -310,8 +314,8 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
     is null for ``g``, so a metric projection would be undefined.
     """
     vec = np.asarray(u.u if isinstance(u, NullVector) else u, dtype=float)
-    if not vec.any():
-        raise ValueError("direction vector must be nonzero")
+    if not (np.isfinite(vec).all() and vec.any()):
+        raise ValueError("direction vector must be finite and nonzero")
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
     if np.ndim(g.jet.value) != 2 or np.ndim(gamma.jet.value) != 3:
@@ -333,13 +337,13 @@ def _eps_of(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
 
 
-def _point_figures(scenario: Scenario, batch: Batch, states: np.ndarray) -> list:
+def _point_figures(batch: Batch, states: np.ndarray) -> list:
     """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
-    without a cone) at each point of the batch; flags failed null cones."""
+    without a cone) at each point of the batch that has not failed; flags failed null
+    cones."""
     obs, maxima = _obstructions(batch)
     n, eps = obs.metric.n, np.full(batch.shape, np.nan)
-    values = np.where(batch.bad[:, None, None], np.eye(n), obs.metric.jet.value)
-    cone, u, fails = _null_cone(values, 2 * n, states, scenario.tolerances.rank, batch.point_at)
+    cone, u, fails = _null_cone(obs.metric.jet.value, 2 * n, states, ~batch.bad, batch.point_at)[:3]
     batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
     eps[cone] = np.max(_eps_of(obs.a[cone], u), axis=-1)
     return [maxima[0] / obs.scale, maxima[1] / obs.scale, obs.scale, eps]
@@ -425,7 +429,7 @@ def check_compatibility(
     the three largest max(A, B), ties in sample order.
     """
     count, seed, points, (a, b, scale, eps), skipped = _sweep(
-        scenario, samples, seed, 1, lambda batch, states: _point_figures(scenario, batch, states)
+        scenario, samples, seed, 1, _point_figures
     )
     has = ~np.isnan(eps)  # a kept point has EPS exactly when it has a cone
     kept = zip(points.tolist(), a.tolist(), b.tolist(), scale.tolist(), eps.tolist(), has.tolist())

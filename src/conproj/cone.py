@@ -32,8 +32,8 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     :class:`NonGenericConfiguration` when the solution space is not
     one-dimensional (the dimension found is attached).
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("dimension must be an integer >= 2")
     if not isinstance(vectors, (list, tuple, np.ndarray)) or getattr(vectors, "ndim", 1) == 0:
         raise ValueError(f"vectors must be an array of {n}-component vectors")
     try:

@@ -70,8 +70,8 @@ DEFAULT_SEED = 0
 class Tolerances:
     """``residual`` bounds the A, B and EPS residuals and ``quadrature`` the error estimate
     |K15 - G7| per segment of recovery's adaptive Gauss-Kronrod 7-15; a metric is degenerate
-    where its condition number exceeds ``1 / rank`` (``geometry.ill_conditioned``), in the
-    inverse and null cone alike."""
+    where its condition number max|g_ij| * max|g^ij| exceeds ``1 / rank``
+    (``geometry.ill_conditioned``), judged once, by its inverse."""
 
     residual: float = 1e-8
     rank: float = DEFAULT_RANK_TOL

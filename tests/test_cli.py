@@ -390,6 +390,12 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
         (["recover", "{deep}", "--base", "0,0", "--at", "0,0"], "invalid JSON"),
         (["cone", "{deep}"], "invalid JSON"),
         (["gen-example", "--metric", "{deep}", "--s", "0,0"], "invalid JSON"),
+        (["gen-example", "--metric", "minkowski3", "--s", "0,0,x9"],
+         "error: $.connection.s[2]: unknown identifier 'x9'"),
+        (["gen-example", "--metric", "minkowski3", "--s-grad", "x9"],
+         "error: $.connection.potential: unknown identifier 'x9'"),
+        (["gen-example", "--metric", "{bad_entry}", "--s-grad", "x9"], "error: $.metric[0][0]: "),
+        (["gen-example", "--metric", "{bad_entry}", "--s", "x9"], "--s must provide 2 components"),
     ],
     ids=[
         "zero-samples",
@@ -413,6 +419,10 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
         "recover-100000-deep-json",
         "cone-100000-deep-json",
         "metric-file-100000-deep-json",
+        "drift-entry-unknown-name",
+        "potential-unknown-name",
+        "metric-entry-error-before-the-drift",
+        "drift-component-count-before-the-metric",
     ],
 )
 def test_user_errors_print_one_line_and_exit_one(
@@ -426,6 +436,7 @@ def test_user_errors_print_one_line_and_exit_one(
         "vectors_int": '{"dimension": 2, "vectors": 5}',
         "vectors_null": '{"dimension": 2, "vectors": null}',
         "deep": "[" * 100_000 + "]" * 100_000,
+        "bad_entry": '{"dimension": 2, "metric": [["1 +", "0"], [null, "1"]]}',
     }
     metric = [["1", "0"], [None, "1"]]
     for name, coords in (("coords_str", "ab"), ("coords_obj", {"a": 1, "b": 2}),

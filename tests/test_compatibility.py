@@ -246,6 +246,20 @@ def test_sample_null_vectors_degenerate():
     for values in ([[1.0, 1.0], [1.0, 1.0]], [[-1e12, 0.0], [0.0, 1.0]]):
         with pytest.raises(DegenerateMetric):
             sample_null_vectors(constant_metric(values), 2, SplitMix64(1))
+    # the determinant of a huge degenerate metric overflows, with no numpy warning
+    with pytest.raises(DegenerateMetric, match=r"det=-inf"):
+        sample_null_vectors(constant_metric(1e300 * np.diag([1.0, 1e-11, 1.0, -1.0])), 2,
+                            SplitMix64(1))
+
+
+def test_sample_null_vectors_judge_degeneracy_by_the_eigenvalue_ratio():
+    # indefinite, so the kernel draws, but the eigenvalue magnitudes are 1e20 apart:
+    # the call raises with the determinant before any draw is used
+    rng = SplitMix64(9)
+    g = MetricValue(Jet(3, 0, np.diag([1.0, 1e-20, -1.0])), point=(0.5, 0.25, 0.0))
+    with pytest.raises(DegenerateMetric, match=r"det=-1\.000000e-20") as excinfo:
+        sample_null_vectors(g, 4, rng)
+    assert excinfo.value.point == (0.5, 0.25, 0.0) and rng.state == SplitMix64(9).state
 
 
 def test_sample_null_vectors_on_a_subnormal_metric():
@@ -407,12 +421,13 @@ def test_eps_residual_cases():
     assert math.isclose(residual, 0.25)
     assert residual > 0.0
 
-    with pytest.raises(ValueError):
-        eps_residual(g2, gamma2, np.zeros(2))
+    for bad in (np.zeros(2), [math.nan, 1.0], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="^direction vector must be finite and nonzero$"):
+            eps_residual(g2, gamma2, bad)
     with pytest.raises(ValueError, match="metric jets of order >= 1"):
         eps_residual(MetricValue(Jet(2, 0, np.diag([-1.0, 1.0]))), gamma2, u)
-    for bad in (np.zeros(2), np.ones((2, 2))):
-        with pytest.raises(ValueError, match="nonzero 1-d array"):
+    for bad in (np.zeros(2), np.ones((2, 2)), [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="^null vector must be a finite, nonzero 1-d array$"):
             NullVector(point=None, u=bad)
 
 
@@ -523,6 +538,17 @@ def test_report_is_deterministic():
     assert first == second
 
 
+def test_a_pickled_scenario_leaves_its_compiled_plans_behind():
+    import pickle
+
+    scn = load_scenario(drift_doc(samples=15))
+    report = check_compatibility(scn)
+    assert scn.__dict__["_plans"]
+    clone = pickle.loads(pickle.dumps(scn))
+    assert "_plans" not in clone.__dict__ and clone == scn
+    assert check_compatibility(clone) == report
+
+
 def test_domain_error_names_first_bad_point_in_sample_order():
     doc = flat_doc(2, samples=40, seed=3)
     doc["metric"] = [["exp(sqrt(x1))", "0"], [None, "1"]]
@@ -541,6 +567,7 @@ def test_domain_error_names_first_bad_point_in_sample_order():
         ("1 + x1^100000", "integer exponent magnitude exceeds 9999"),
         ("x1^(1e400)", "non-finite exponent"),
         ("1e400", "constant must be finite"),
+        ("x1 + 2^100000", r"^integer exponent magnitude exceeds 9999 in '2\.0\^100000\.0' at"),
     ],
 )
 def test_an_error_at_every_point_names_the_first_sample_point(entry, message):
@@ -588,6 +615,26 @@ def test_a_degenerate_sample_in_a_later_chunk_is_skipped():
     assert report.skipped == ((bad_point, 0.0),)
     assert len(report.per_point) == count - 1
     assert verify_recovery(scn, (0.5, 0.5)).passed
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    rng = np.random.default_rng(2027)
+    docs = [
+        round_trip_doc(rng, 3, samples=150, lorentzian=True)[0],
+        round_trip_doc(rng, 3, samples=150)[0],
+        drift_doc(samples=150),
+        random_explicit_incompatible_doc(rng, 3, samples=150, negative=1),
+        one_degenerate_sample_doc()[0],  # its degenerate sample 37 opens the second chunk of 37
+    ]
+    reports = []
+    for size in (37, 1024):
+        monkeypatch.setattr(compatibility, "CHUNK_POINTS", size)
+        reports.append([check_compatibility(load_scenario(doc)) for doc in docs])
+    assert reports[0] == reports[1]
+    assert [len(r.skipped) for r in reports[0]] == [0, 0, 0, 0, 1]
+    assert [r.null_vectors > 0 for r in reports[0]] == [True, False, True, True, False]
 
 
 def test_a_point_fails_with_the_first_error_of_metric_connection_and_inverse():
@@ -810,6 +857,67 @@ def test_constant_rescaling_of_the_metric_keeps_the_verdict():
             assert scaled.null_vectors == unit.null_vectors and not scaled.skipped
 
 
+def _own_connection_doc(entries, samples, seed=5):
+    """A scenario on the metric of expression ``entries`` and its Levi-Civita connection."""
+    doc = flat_doc(len(entries), samples=samples, seed=seed)
+    doc["metric"] = entries
+    doc["connection"] = {"kind": "levi_civita", "metric": entries}
+    return doc
+
+
+def test_the_inverse_alone_judges_degeneracy_in_check_and_recovery():
+    # diag(1, -5e-11) turned by 45 degrees: max|g_ij| * max|g^ij| is 5e9, under the 1e10
+    # of the default rank tolerance, while its eigenvalue magnitudes are 2e10 apart
+    entries = [["0.5 - 2.5e-11", "0.5 + 2.5e-11"], [None, "0.5 - 2.5e-11"]]
+    scn = load_scenario(_own_connection_doc(entries, 20))
+    g = metric_at(scn, (0.0, 0.0), 1)
+    invert_metric(g)  # accepted
+    report = check_compatibility(scn)
+    assert (report.verdict, report.eps_verdict) == ("compatible", "holds")
+    assert not report.skipped and len(report.per_point) == 20 and report.null_vectors == 80
+    assert verify_recovery(scn, (0.0, 0.0), samples=20).passed
+    # with no inverse, sample_null_vectors judges by the eigenvalue ratio
+    rng = SplitMix64(3)
+    with pytest.raises(DegenerateMetric, match=r"det=-5\.0000\d*e-11") as excinfo:
+        sample_null_vectors(g, 4, rng)
+    assert math.isclose(excinfo.value.det, -5e-11, rel_tol=1e-5)
+    assert rng.state == SplitMix64(3).state
+
+
+def _hadamard_metric(eigenvalues):
+    """Entries of H diag(eigenvalues) H for the symmetric orthogonal 4 x 4 Hadamard matrix
+    H = s / 2, so g_ij = sum_k s_ik s_jk eigenvalues[k] / 4."""
+    s = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    terms = lambda i, j: [f"({s[i][k] * s[j][k] / 4})*({lam})" for k, lam in enumerate(eigenvalues)]
+    return [[None if j < i else " + ".join(terms(i, j)) for j in range(4)] for i in range(4)]
+
+
+def test_check_and_recovery_keep_the_points_that_the_inverse_keeps(monkeypatch):
+    import conproj.compatibility as compatibility
+
+    # eigenvalues (x1 - c)^2 / 4, 1, 1 and -4e-11: singular at sample 37, whose x1 is c;
+    # elsewhere max|g_ij| * max|g^ij| is under 5e9 while the eigenvalue ratio is about 2.5e10
+    doc = flat_doc(4, samples=150, seed=11)
+    bad_point = sample_points(load_scenario(doc))[37]
+    entries = _hadamard_metric([f"(x1 - {bad_point[0]!r})^2 / 4", "1", "1", "-4e-11"])
+    scn = load_scenario(_own_connection_doc(entries, 150, 11))
+    keeps, skip = [], compatibility._skipped
+
+    def recording(*args):
+        keeps.append(skip(*args))
+        return keeps[-1]
+
+    monkeypatch.setattr(compatibility, "_skipped", recording)
+    report = check_compatibility(scn)
+    assert verify_recovery(scn, (0.1, 0.1, 0.1, 0.1)).passed
+    (check_keep, check_skipped), (verify_keep, verify_skipped) = keeps
+    assert np.flatnonzero(~check_keep).tolist() == [37]
+    assert np.array_equal(check_keep, verify_keep) and check_skipped == verify_skipped
+    assert [point for point, _ in report.skipped] == [bad_point]
+    assert (report.verdict, report.eps_verdict) == ("compatible", "holds")
+    assert report.null_vectors == 8 * 149
+
+
 @pytest.mark.parametrize("n, c", [(4, 100.0), (3, 1000.0)])
 def test_an_anisotropic_minkowski_metric_is_not_degenerate(n, c):
     # condition number c^2, far under 1 / rank, though |det| = c^2 falls
@@ -932,25 +1040,28 @@ def test_report_summary_is_taken_over_the_kept_points():
 
 def test_a_mixed_null_cone_batch_gives_the_outputs_of_its_parts():
     # a batch without a cone returns before drawing, with the shapes and dtypes
-    # that the full path gives the rows of a mixed batch
+    # that the full path gives the rows of a mixed batch; an indefinite point out
+    # of the keep mask draws nothing
     from conproj.compatibility import _null_cone
 
     riemann = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
     lorentz = riemann - np.diag([4.0, 0.0, 0.0])
     values = np.stack([riemann, lorentz, np.diag([1.0, 1e-20, -1.0]), -riemann, -lorentz])
     states = np.array([point_stream(9, i).state for i in range(5)], dtype=np.uint64)
+    keep = np.array([True, True, False, True, True])
 
     def null_cone(rows):
-        return _null_cone(values[rows], 4, states[rows], 1e-12, lambda i: None)
+        return _null_cone(values[rows], 4, states[rows], keep[rows], lambda i: None)
 
-    cone, w, fails = null_cone([0, 1, 2, 3, 4])
-    assert cone.tolist() == [1, 4] and w.shape == (2, 4, 3) and list(fails) == [2]
+    cone, w, fails, lam, power = null_cone([0, 1, 2, 3, 4])
+    assert cone.tolist() == [1, 4] and w.shape == (2, 4, 3) and not fails
+    assert lam.shape == (4, 3) and power.shape == (4,)
     for j, row in enumerate(cone.tolist()):
         assert np.array_equal(null_cone([row])[1][0], w[j])
-    none, w0, fails0 = null_cone([0, 2, 3])
+    none, w0, fails0, lam0, _ = null_cone([0, 2, 3])
     assert none.size == 0 and none.dtype == cone.dtype
     assert w0.shape == (0, 4, 3) and w0.dtype == w.dtype
-    assert list(fails0) == [1] and str(fails0[1]) == str(fails[2])
+    assert not fails0 and lam0.shape == (2, 3)
 
 
 def test_check_batches_its_null_cone_work(monkeypatch):
@@ -981,7 +1092,7 @@ def test_check_batches_its_null_cone_work(monkeypatch):
 
 def test_check_and_recovery_factorise_only_in_eigh_and_inv(monkeypatch):
     # The inverse reads its degeneracy off the matrix it inverts, and the
-    # null cone off its one eigh per chunk: no other factorisation runs.
+    # null cone its signature off one eigh per chunk: no other factorisation runs.
     eigh, calls = np.linalg.eigh, []
 
     def counting_eigh(*args, **kwargs):

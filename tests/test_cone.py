@@ -95,8 +95,9 @@ def test_vector_validation():
         reconstruct_conformal([(0.0, 0.0), (1.0, 1.0)], 2)
     with pytest.raises(ValueError):
         reconstruct_conformal([(1.0, 1.0, 1.0)], 2)
-    with pytest.raises(ValueError):
-        reconstruct_conformal([(1.0, 1.0), (1.0, -1.0)], 1)
+    for n in (1, "3", 2.5, True):
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 2$"):
+            reconstruct_conformal([(1.0, 1.0), (1.0, -1.0)], n)
     # the first vector that fails names the error, whatever follows it
     nan = float("nan")
     with pytest.raises(ValueError, match="finite and nonzero"):

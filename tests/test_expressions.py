@@ -274,12 +274,21 @@ def test_power_evaluates_its_operands_as_any_operator_does(src, base, exponent):
     [
         ("x1^(1e400)", "non-finite exponent in 'x1^inf'"),
         ("x1^100000", "integer exponent magnitude exceeds 9999 in 'x1^100000.0'"),
+        # folded when the plan is built, and raised by each run
+        ("x1 + 2^100000", "integer exponent magnitude exceeds 9999 in '2.0^100000.0'"),
     ],
 )
 def test_an_exponent_that_fails_every_point_raises_at_once(src, message):
     with pytest.raises(DomainError) as excinfo:
         eval_expr(parse_expression(src, ["x1", "x2"]), (0.3, -0.2), 2)
     assert str(excinfo.value) == f"{message} at point (0.3, -0.2)"
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.2), (0.3, math.inf)])
+def test_a_non_finite_coordinate_fails_the_point(point):
+    with pytest.raises(DomainError) as excinfo:
+        eval_expr(parse_expression("x1*x2", ["x1", "x2"]), point, 2)
+    assert str(excinfo.value) == f"non-finite component in jet arithmetic at point {point}"
 
 
 def _metric_doc(a, b, connection=None):

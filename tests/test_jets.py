@@ -41,6 +41,23 @@ def test_constant_components():
 def test_constant_rejects_non_finite():
     with pytest.raises(DomainError):
         constant(float("inf"), 2, 2)
+    # a number operand of a jet operator is coerced under the same rule
+    with pytest.raises(DomainError, match="^constant must be finite$"):
+        coordinate(0, (0.5, 1.0), 1) * math.inf
+
+
+def test_jet_rejects_bad_arguments():
+    for n in (0, 2.0):
+        with pytest.raises(ValueError, match="^chart dimension must be a positive integer$"):
+            Jet(n, 1, 1.0)
+    with pytest.raises(ValueError, match="^jet order must be 0, 1 or 2$"):
+        Jet(2, 3, 1.0)
+    with pytest.raises(ValueError, match=r"^gradient must have shape \(2,\)$"):
+        Jet(2, 1, 1.0, [1.0])
+    with pytest.raises(ValueError, match=r"^hessian must have shape \(3, 2, 2\)$"):
+        Jet(2, 2, [1.0, 2.0, 3.0], np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^unknown function 'cbrt'$"):
+        apply_function(constant(1.0, 2), "cbrt")
 
 
 def test_coordinate_seed():
@@ -52,6 +69,9 @@ def test_coordinate_seed():
     assert k.value == 3.0 and k.gradient.tolist() == [0.0, 1.0]
     with pytest.raises(IndexError):
         coordinate(2, (0.0, 0.0), 2)
+    for point in (1.0, ()):
+        with pytest.raises(ValueError, match="^point must have at least one coordinate$"):
+            coordinate(0, point)
     for order in (3, -1):
         with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
             coordinate(0, (1.0,), order)
@@ -121,6 +141,10 @@ def test_partial_derivative_of_square():
     assert z.order == 0 and z.value == 0.0
     with pytest.raises(ValueError):
         partial_derivative(constant(1.0, 2, 0), 0)
+    for axis in (-1, 2):
+        message = f"^coordinate axis {axis} out of range for dimension 2$"
+        with pytest.raises(IndexError, match=message):
+            partial_derivative(constant(1.0, 2, 1), axis)
 
 
 def test_integer_power_lowering():
