@@ -39,7 +39,7 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .sampling import SplitMix64, uniform_draws
+from .sampling import SplitMix64, as_int, uniform_draws
 from .scenario import (
     LeviCivitaRecipe,
     Scenario,
@@ -237,8 +237,7 @@ def sample_null_vectors(g: MetricValue, count: int, rng: SplitMix64) -> list:
     kernel.  ``rng`` skips ``count * n`` draws if the metric has a cone, none otherwise; a
     raising call uses none.
     """
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise ValueError("null vector count must be a non-negative integer")
+    count = as_int(count, "null vector count must be a non-negative integer", 0)
     if np.ndim(g.jet.value) != 2:
         raise ValueError("sample_null_vectors takes a metric at one point")
     cone, u, fails, lam, power = _null_cone(

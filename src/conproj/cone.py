@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonGenericConfiguration, TooFewVectors
 from .geometry import DEFAULT_RANK_TOL
 from .jets import symmetric
+from .sampling import as_int
 
 __all__ = ["reconstruct_conformal", "canonicalize_metric"]
 
@@ -32,8 +33,7 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     :class:`NonGenericConfiguration` when the solution space is not
     one-dimensional (the dimension found is attached).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+    n = as_int(n, "dimension must be an integer >= 2", 2)
     if not isinstance(vectors, (list, tuple, np.ndarray)) or getattr(vectors, "ndim", 1) == 0:
         raise ValueError(f"vectors must be an array of {n}-component vectors")
     try:
@@ -73,9 +73,12 @@ def canonicalize_metric(matrix) -> np.ndarray:
 
     Idempotent, and the quotient map for comparing conformal
     representatives: two matrices span the same ray iff they canonicalize
-    to the same array.  Raises ``ValueError`` on a non-finite entry.
+    to the same array.  Raises ``ValueError`` on anything but a nonempty square
+    2-d array and on a non-finite entry.
     """
     g = np.asarray(matrix, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not g.size:
+        raise ValueError("matrix must be a nonempty square 2-d array")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
     g = symmetric(g, 0, 1)

@@ -254,14 +254,15 @@ def print_expression(e: Expr) -> str:
 # -- evaluation -----------------------------------------------------------
 
 _UNFLAGGED = np.iinfo(np.int64).max  # the rank of a point with no error
+_AT_ONCE = -_UNFLAGGED  # added to a node's rank when its error fails every point
 
 
 class Batch:
     """The points of one :meth:`Plan.run`, shape (n,) or (S, n), the plan's outputs there
     (``out``) and the error of each point (``errors`` by flat index, marked in ``bad``): of
     the errors flagged at a point, the one of lowest rank, the first flagged among equals.
-    Every operation acts on each point alone, so it is the point's own error.  ``raised``
-    holds the ``(rank, error)`` of each error that fails every point at once."""
+    Every operation acts on each point alone, so it is the point's own error.  An error that
+    fails every point at once is flagged at each of them, ranked below every other error."""
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
@@ -270,7 +271,6 @@ class Batch:
         self.rank = np.full(self.shape, _UNFLAGGED)
         self.step = _UNFLAGGED - 1  # the rank of a flag that gives none: the running step's
         self.errors: dict = {}
-        self.raised: list = []
         self.out: list = []
 
     @property
@@ -321,17 +321,17 @@ class Plan:
 
     :meth:`expr` interns the nodes of a tree by kind, payload and operand nodes; a node
     whose operands are constants folds to one, and what its operation reports or raises
-    there is replayed by every run.  :meth:`stack` and :meth:`step` add tensor steps, a step
+    there is flagged by every run.  :meth:`stack` and :meth:`step` add tensor steps, a step
     with a key once.  A node's rank is its place in the post-order in which nodes are added.
 
     :meth:`finish` sorts the expression nodes into groups of one depth above the leaves,
     operation, jet order and constant operands.  :meth:`run` makes one jets call per group,
     depth by depth, over its operands' rows stacked along a new leading axis; each node's
     value is a row of its group's array.  Each tensor step runs, in rank order, once the
-    values it reads are made.  Every error carries the rank of its node: each point keeps
-    its error of lowest rank, which is its first in the plan's post-order, and of the errors
-    that fail every point at once the one of lowest rank raises, naming its subexpression
-    and the first point.
+    values it reads are made.  Every error is flagged on the points it fails, with the rank
+    of its node: each point keeps its error of lowest rank, which is its first in the plan's
+    post-order, except that an error failing every point at once (a raise of jets on scalar
+    operands, a folded raise, a non-finite coordinate) ranks below every error at one point.
     """
 
     BATCH = 0
@@ -344,7 +344,7 @@ class Plan:
         self._keys: dict = {}
         self._seen: dict = {}  # id(tree) -> (tree, node)
         self._const: dict = {}  # folded node -> float
-        self._alarms: list = []  # (node, message, tree or None, raises) of folded failures
+        self._alarms: list = []  # (rank, message, tree or None) of folded failures
 
     def _add(self, key, kind, payload, args) -> int:
         """The node under ``key``, added if it is new; a key of None is never shared."""
@@ -375,7 +375,7 @@ class Plan:
             if key not in self._keys:
                 self._const[self._add(key, "literal", None, ())] = e.value
                 if not math.isfinite(e.value):
-                    self._alarms.append((self._keys[key], "constant must be finite", None, False))
+                    self._alarms.append((self._keys[key], "constant must be finite", None))
             return self._keys[key]
         if isinstance(e, Variable):  # at order 2: a consumer asking less reads the first columns
             label, op, key = ("variable",), None, ("variable", e.index, e.name)
@@ -404,10 +404,10 @@ class Plan:
                     self._const[node] = op(*(self._const[x] for x in operands), check=record)
                 except DomainError as err:
                     self._const[node] = math.nan
-                    self._alarms.append((node, err.message, e, True))
+                    self._alarms.append((node + _AT_ONCE, err.message, e))
                 else:
                     if messages:
-                        self._alarms.append((node, messages[0], e, False))
+                        self._alarms.append((node, messages[0], e))
         return node
 
     def stack(self, trees, shape: tuple, order: int) -> int:
@@ -506,27 +506,17 @@ class Plan:
         return partial(_group, self.n, self._nodes[nodes[0]][1][1], order, nodes, trees, operands)
 
     def run(self, points) -> Batch:
-        """The outputs at ``points`` as the returned batch's ``out``; numpy's warnings are
-        the caller's."""
+        """The outputs at ``points`` as the returned batch's ``out`` and each point's error in
+        its ``errors``; it raises none.  numpy's warnings are the caller's."""
         batch, values = Batch(points), self._slots.copy()
         values[self.BATCH] = batch
-        try:
-            for node, message, e, raises in self._alarms:  # the folded failures
-                if raises:
-                    batch.raised.append((node, DomainError(message, path=print_expression(e))))
-                else:
-                    batch.report(True, message, e, node)
-            for fn, args, out, dead in self._steps:
-                batch.step = out
-                values[out] = fn(*[values[i] for i in args])
-                for i in dead:
-                    values[i] = None
-            if batch.raised:
-                raise min(batch.raised, key=lambda raised: raised[0])[1]
-        except DomainError as err:
-            if err.point is None and batch.points.size:
-                err.point = batch.point_at(0)
-            raise
+        for rank, message, e in self._alarms:  # the folded failures
+            batch.report(True, message, e, rank)
+        for fn, args, out, dead in self._steps:
+            batch.step = out
+            values[out] = fn(*[values[i] for i in args])
+            for i in dead:
+                values[i] = None
         batch.step = _UNFLAGGED - 1
         batch.out = [values[i] for i in self._outputs]
         return batch
@@ -534,23 +524,21 @@ class Plan:
 
 def _coordinates(axes: list, gradients: np.ndarray, nodes: list, batch: Batch) -> np.ndarray:
     """Rows of the coordinate jets at order 2 along ``axes``, whose ``gradients`` are rows of
-    the identity; a non-finite coordinate fails every point, raised under the first of
+    the identity; a non-finite coordinate fails every point, flagged under the first of
     ``nodes`` that reads one."""
     value = batch.points[..., axes].transpose(-1, *range(batch.points.ndim - 1))
     if not np.isfinite(value).all():
         row = np.isfinite(value.reshape(len(axes), -1)).all(-1).argmin()
-        batch.raised.append((nodes[row], DomainError(jets._NON_FINITE)))
-    data = np.zeros(value.shape + (jets._width(batch.n, 2),))
-    data[..., 0] = value
-    data[..., 1 : 1 + batch.n] = gradients.reshape(len(axes), *(1,) * len(batch.shape), -1)
-    return data
+        batch.report(True, jets._NON_FINITE, None, nodes[row] + _AT_ONCE)
+    gradients = gradients.reshape(len(axes), *(1,) * len(batch.shape), -1)
+    return jets._pack(batch.n, 2, value, gradients, 0.0).data
 
 
 def _group(n: int, op, order: int, nodes: list, trees: list, operands: list, batch: Batch, *arrays):
     """Rows of ``op`` at ``order`` for the expression ``nodes``, over operands that are
     rows of ``arrays`` (one's rows in order as a ``"view"``, else gathered), a ``"column"``
     of constants or one ``"scalar"``; each failure is flagged under its row's node.  jets
-    raises only on scalar operands, which every row shares, so the first row names a raise."""
+    raises only on scalar operands, which every row shares: that fails every point, at row 0."""
     shape = (len(nodes),) + batch.shape + (jets._width(n, order),)
     args = []
     for kind, spec in operands:
@@ -567,8 +555,7 @@ def _group(n: int, op, order: int, nodes: list, trees: list, operands: list, bat
     try:
         return op(*args, check=partial(_report_rows, batch, nodes, trees)).data
     except DomainError as err:
-        err.path = print_expression(trees[0])
-        batch.raised.append((nodes[0], err))
+        batch.report(True, err.message, trees[0], nodes[0] + _AT_ONCE)
         return np.full(shape, np.nan)
 
 

@@ -67,13 +67,19 @@ def draw_point(stream: SplitMix64, box_min, box_max) -> tuple[float, ...]:
     return tuple(stream.uniform(lo, hi) for lo, hi in zip(box_min, box_max))
 
 
+def as_int(value, message: str, least=-float("inf")) -> int:
+    """``value``, an int or a numpy integer (not a bool) of at least ``least``, as an int;
+    else ``ValueError(message)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(message)
+    return int(value)
+
+
 def draw_points(seed: int, count: int, box_min, box_max):
     """``draw_point(point_stream(seed, i), ...)`` for each ``i < count`` bit for bit,
     as a ``(count, n)`` array, and the ``uint64`` state of each stream after it."""
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError("sample count must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("seed must be an integer")
+    count = as_int(count, "sample count must be positive", 1)
+    seed = as_int(seed, "seed must be an integer")
     lo, hi = np.array(box_min), np.array(box_max)
     index = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -539,7 +539,8 @@ def _draw_samples(scenario: Scenario, count=None, seed=None):
     as a ``(count, n)`` array and each point's stream state after its coordinates."""
     count = scenario.samples if count is None else count
     seed = scenario.seed if seed is None else seed
-    return (count, seed, *draw_points(seed, count, scenario.box_min, scenario.box_max))
+    points, states = draw_points(seed, count, scenario.box_min, scenario.box_max)
+    return int(count), int(seed), points, states  # draw_points accepted both as integers
 
 
 def sample_points(scenario: Scenario, count=None, seed=None) -> list:

@@ -755,16 +755,22 @@ def test_a_check_raises_the_error_of_its_first_failing_sample_alone(
     assert str(excinfo.value) == str(alone[0])
 
 
-def test_an_error_at_every_point_precedes_an_earlier_error_at_one_point():
-    # sqrt(x1) fails at the point first, but x1^100000 fails at every point.
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_an_error_at_every_point_precedes_an_earlier_error_at_one_point(monkeypatch, chunk):
+    # sqrt(x1) fails at the point first, but x1^100000 fails at every point; at a
+    # chunk size of 7 the 40 samples span six chunks.
+    import conproj.compatibility as compatibility
+
+    monkeypatch.setattr(compatibility, "CHUNK_POINTS", chunk)
     doc = flat_doc(2, samples=40, seed=3)
     doc["metric"] = [["2 + sqrt(x1)", "0"], [None, "1"]]
     zero = [["0", "0"], [None, "0"]]
     doc["connection"] = {"kind": "explicit", "gamma": [[["x1^100000", "0"], [None, "0"]], zero]}
     scn = load_scenario(doc)
     message = "integer exponent magnitude exceeds 9999 in 'x1^100000.0'"
-    with pytest.raises(DomainError, match=re.escape(message)):
+    with pytest.raises(DomainError, match=re.escape(message)) as excinfo:
         check_compatibility(scn)
+    assert excinfo.value.point == sample_points(scn)[0]
     point = (-0.5, 0.1)
     for call in (obstruction_at, connection_at):
         with pytest.raises(DomainError) as excinfo:
@@ -1165,6 +1171,24 @@ def test_geometry_calls_invert_the_metric_only_to_the_order_they_read(monkeypatc
     eps_residual(g, connection_at(scn, point, 1), (1.0, 0.5, -0.25))
     # the Christoffel symbols and g^-1 dphi read g^-1 to order 1 of an order-2 metric
     assert orders == [1, 1, 1]
+
+
+def test_numpy_integers_count_as_ints():
+    scn = load_scenario(flat_doc(2, samples=5))
+    report = check_compatibility(scn, samples=np.int64(50), seed=np.int64(3))
+    assert report == check_compatibility(scn, samples=50, seed=3)
+    assert type(report.samples) is int and type(report.seed) is int  # echoed as Python ints
+    assert verify_recovery(scn, (0.0, 0.0), samples=np.int32(7), seed=np.uint64(3)).samples == 7
+    assert sample_points(scn, np.int16(4), np.int64(-2)) == sample_points(scn, 4, -2)
+    g, rng, plain = MetricValue(Jet(2, 0, np.diag([1.0, -1.0]))), SplitMix64(1), SplitMix64(1)
+    vectors, expected = sample_null_vectors(g, np.int64(3), rng), sample_null_vectors(g, 3, plain)
+    assert [v.u.tolist() for v in vectors] == [v.u.tolist() for v in expected]
+    assert rng.state == plain.state
+    for count in (np.bool_(True), True, np.int64(-1)):
+        with pytest.raises(ValueError, match="null vector count must be a non-negative integer"):
+            sample_null_vectors(g, count, rng)
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        check_compatibility(scn, samples=np.bool_(True))
 
 
 @pytest.mark.parametrize("samples", [0, -3, True, 2.0])

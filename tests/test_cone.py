@@ -127,6 +127,16 @@ def test_canonicalization_idempotent():
         canonicalize_metric(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.ones((1, 3)), np.ones((2, 2, 2)), np.array([1.0, np.nan, 2.0]), 2.0, np.zeros((0, 0))],
+)
+def test_canonicalization_rejects_an_array_that_is_not_a_square_matrix(matrix):
+    # the shape is judged before the entries: the 1-d input holds a NaN
+    with pytest.raises(ValueError, match="^matrix must be a nonempty square 2-d array$"):
+        canonicalize_metric(matrix)
+
+
 def test_canonicalization_takes_its_sign_from_the_first_entry_above_roundoff():
     # the leading entry is below 1e-12 after scaling, so the next one sets the sign
     flipped = canonicalize_metric(np.array([[4e-13, -2.0], [-2.0, 1.0]]))

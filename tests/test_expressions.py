@@ -32,6 +32,7 @@ from conproj.expressions import Binary, Call, Literal, Neg, Variable
 from conproj.scenario import _connection_plan
 from helpers import (
     drift_doc,
+    flat_doc,
     random_drift_incompatible_doc,
     random_explicit_incompatible_doc,
     random_expression,
@@ -289,6 +290,19 @@ def test_a_non_finite_coordinate_fails_the_point(point):
     with pytest.raises(DomainError) as excinfo:
         eval_expr(parse_expression("x1*x2", ["x1", "x2"]), point, 2)
     assert str(excinfo.value) == f"non-finite component in jet arithmetic at point {point}"
+
+
+def test_a_plan_flags_an_error_at_every_point_on_each_point_and_raises_nothing():
+    doc = flat_doc(2)
+    doc["metric"] = [["1 + 0*2^100000", "0"], [None, "1"]]
+    scn = load_scenario(doc)
+    points = np.array(sample_points(scn, 5))
+    with np.errstate(all="ignore"):
+        batch = _trace_plan(scn, 1).run(points)
+    assert sorted(batch.errors) == list(range(5)) and batch.bad.all()
+    message = "integer exponent magnitude exceeds 9999 in '2.0^100000.0'"
+    for i, error in batch.errors.items():
+        assert str(error) == f"{message} at point {tuple(points[i].tolist())}"
 
 
 def _metric_doc(a, b, connection=None):

@@ -327,6 +327,16 @@ def test_an_error_at_every_node_names_a_point_on_the_segment(entry):
     assert _on_segment(excinfo.value.point, base, end)
 
 
+def test_recover_metric_at_no_point_evaluates_nothing():
+    # 0*2^100000 folds to an error at every point, and there is no point
+    doc = flat_doc(2)
+    doc["metric"] = [["1 + 0*2^100000", "0"], [None, "1"]]
+    scn = load_scenario(doc)
+    assert recover_metric(scn, (0, 0), []) == []
+    with pytest.raises(DomainError, match=r"exceeds 9999 in '2\.0\^100000\.0' at point"):
+        recover_metric(scn, (0, 0), [(0.1, 0.2)])
+
+
 def test_an_order_0_integral_over_a_zero_length_segment_evaluates_nothing():
     # sqrt(x1) fails at every node of a segment in x1 < 0, but a segment of
     # length 0 reads no node
