@@ -50,6 +50,7 @@ from .scenario import (
     _geometry,
     _plan,
     _traces,
+    _unshifted,
     metric_geometry,
 )
 
@@ -91,7 +92,8 @@ class ObstructionData:
     points (then ``point`` is None and every array leads with the points).
     ``t_tensor`` and ``t_up`` are order-0 jets, ``t_down`` has its gradient.
     ``a`` and ``b`` are the raw condition residual arrays; ``scale`` is the
-    normalization max(1, |Gamma|, |g|, |g^-1|) used for reporting.
+    normalization max(1, |Gamma|, |g| |g^-1|) of max-abs entries used for reporting,
+    Gamma the connection of the recipe's base (without its projective shifts).
     """
 
     point: tuple | None
@@ -139,17 +141,20 @@ class CompatReport:
 
 def _trace_plan(scenario: Scenario, order: int):
     """The plan of the sampled calls, whose outputs are the :func:`metric_geometry` view (g at
-    order ``order + 1``, g^-1 at ``order``), the connection and the trace-free part T of
-    Gamma_LC - Gamma at order 0 and, at order 1, the one-form T_i of :func:`_one_form`."""
+    order ``order + 1``, g^-1 at ``order``), the connection Gamma of the recipe's base (so the
+    scale max(1, |Gamma|, |g| |g^-1|) reads no psi) and the trace-free part T of Gamma_LC -
+    Gamma at order 0, at order 1 the one-form T_i of :func:`_one_form`, then each projective
+    shift's psi at order 0, for its errors alone."""
 
     def build(plan):
-        recipe = scenario.connection  # the scenario metric's errors come before the recipe's
-        geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], recipe)
-        gamma = _connection(plan, recipe, 0, geometry)
+        base, shifts = _unshifted(scenario.connection)  # g's errors precede the recipe's
+        geometry = _geometry(plan, order, scenario.tolerances.rank, [scenario.metric], base)
+        gamma = _connection(plan, base, 0, geometry)
+        psi = [plan.stack(entries, (plan.n,), 0) for entries in shifts]
         view = metric_geometry(plan, scenario.metric, geometry)
-        base = _connection(plan, LeviCivitaRecipe(scenario.metric), 0, geometry)
-        form = [view, gamma, plan.step(lambda b, c: tracefree(jets.sub(b, c, None)), base, gamma)]
-        return form + ([_trace_one_form(plan, scenario, order, geometry)] if order else [])
+        lc = _connection(plan, LeviCivitaRecipe(scenario.metric), 0, geometry)
+        form = [view, gamma, plan.step(lambda b, c: tracefree(jets.sub(b, c, None)), lc, gamma)]
+        return form + ([_trace_one_form(plan, scenario, order, geometry)] if order else []) + psi
 
     return _plan(scenario, ("trace", order), build)
 
@@ -195,14 +200,13 @@ def _condition_b(down: Jet) -> np.ndarray:
 def _obstructions(batch: Batch):
     """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
     max-abs of A and of B at each point."""
-    (g, ginv), gamma, T, down = batch.out
+    (g, ginv), gamma, T, down, *_ = batch.out
     up = (ginv.value @ down.value[..., None])[..., 0]
     a = _condition_a(T.value, up, down.value, g.value)
     b = _condition_b(down)
     lead = len(batch.shape)
-    scale = np.maximum.reduce(
-        [np.ones(batch.shape)] + [_absmax(x, lead) for x in (gamma.value, g.value, ginv.value)]
-    )
+    size = _absmax(g.value, lead) * _absmax(ginv.value, lead)  # no conformal factor moves it
+    scale = np.maximum.reduce([np.ones(batch.shape), _absmax(gamma.value, lead), size])
     maxima = [_absmax(a, lead), _absmax(b, lead)]
     batch.report(~np.isfinite([scale, *maxima]).all(0), jets._NON_FINITE)
     point = None if batch.shape else batch.point_at(0)

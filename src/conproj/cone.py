@@ -42,10 +42,10 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
         for vector in vectors:
             _checked(np.asarray(vector, dtype=float)[None], n)
         raise
-    rows, cols, off = _unknowns(n)  # the independent entries of g, and which are off-diagonal
-    needed = len(rows) - 1
+    needed = n * (n + 1) // 2 - 1  # counted before the unknowns, which take n^2 memory
     if len(v) < needed:
         raise TooFewVectors(len(v), needed)
+    rows, cols, off = _unknowns(n)  # the independent entries of g, and which are off-diagonal
     system = v[:, rows] * v[:, cols]
     system[:, off] *= 2.0  # g_ij v^i v^j holds each off-diagonal unknown twice
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Union
 
 import numpy as np
@@ -99,7 +99,7 @@ _OPERATORS = {
     "/": (2, False, jets.div),
     "^": (4, True, jets.power),
 }
-_MAX_DEPTH = 256  # nesting levels; hashing, == and printing recurse per level
+_MAX_DEPTH = 256  # nesting levels; hashing and == recurse per level
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # Whitespace, then one token; a character that starts no token is "bad".
 _TOKEN = re.compile(
@@ -216,15 +216,26 @@ def parse_expression(src: str, coords) -> Expr:
 
 # -- printer -------------------------------------------------------------
 
-def _bracketed(operand: Expr, text: str, min_prec: int) -> str:
-    """``text`` in brackets if ``operand`` is an operation of precedence below ``min_prec``."""
-    if isinstance(operand, Binary) and _OPERATORS[operand.op][0] < min_prec:
-        return f"({text})"
-    return text
+def _pieces(e: Expr) -> list:
+    """The text of node ``e`` as strings and ``(operand, min_prec)`` pairs, in order: an
+    operand is bracketed if it is an operation of precedence below ``min_prec``."""
+    if isinstance(e, Literal):
+        return [repr(float(e.value))]
+    if isinstance(e, Variable):
+        return [e.name]
+    if isinstance(e, Call):
+        return [f"{e.func}(", (e.arg, 0), ")"]
+    if isinstance(e, Neg):
+        return ["-", (e.operand, math.inf)]
+    if isinstance(e, Binary):
+        prec, right, _ = _OPERATORS[e.op]  # a right-associative operator groups on the right
+        op = f" {e.op} " if e.op in "+-" else e.op
+        return [(e.left, prec + right), op, (e.right, prec + 1 - right)]
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def print_expression(e: Expr) -> str:
-    """Render a tree back to grammar-conformant source.
+    """Render a tree back to grammar-conformant source, without recursion.
 
     An operand is bracketed when it binds looser than its operator, or as
     tightly but on the side that the operator's associativity in
@@ -233,22 +244,16 @@ def print_expression(e: Expr) -> str:
     (which the grammar itself never produces) print as atoms and reparse
     as a negation node with the same meaning.
     """
-    if isinstance(e, Literal):
-        return repr(float(e.value))
-    if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({print_expression(e.arg)})"
-    if isinstance(e, Neg):
-        return "-" + _bracketed(e.operand, print_expression(e.operand), math.inf)
-    if isinstance(e, Binary):
-        prec, right_assoc, _ = _OPERATORS[e.op]
-        left = _bracketed(e.left, print_expression(e.left), prec + 1 if right_assoc else prec)
-        right = _bracketed(e.right, print_expression(e.right), prec if right_assoc else prec + 1)
-        if e.op in "+-":
-            return f"{left} {e.op} {right}"
-        return f"{left}{e.op}{right}"
-    raise TypeError(f"not an expression node: {e!r}")
+    text, todo = [], [(e, 0)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            text.append(piece)
+        else:
+            operand, min_prec = piece
+            bracket = isinstance(operand, Binary) and _OPERATORS[operand.op][0] < min_prec
+            todo.extend(reversed(["(", *_pieces(operand), ")"] if bracket else _pieces(operand)))
+    return "".join(text)
 
 
 # -- evaluation -----------------------------------------------------------
@@ -292,10 +297,9 @@ class Batch:
         self.rank[new] = rank
 
     def report(self, mask, message: str, e: Expr | None = None, rank=None) -> None:
-        """:meth:`flag` a :class:`DomainError` naming the subexpression ``e``."""
-        if np.any(mask):
-            path = None if e is None else print_expression(e)
-            self.flag(mask, lambda i: DomainError(message, path=path, point=self.point_at(i)), rank)
+        """:meth:`flag` a :class:`DomainError` naming ``e``, printed once a point takes it."""
+        path = cache(lambda: None if e is None else print_expression(e))
+        self.flag(mask, lambda i: DomainError(message, path=path(), point=self.point_at(i)), rank)
 
 
 def _operands(e) -> tuple:
@@ -327,11 +331,11 @@ class Plan:
     :meth:`finish` sorts the expression nodes into groups of one depth above the leaves,
     operation, jet order and constant operands.  :meth:`run` makes one jets call per group,
     depth by depth, over its operands' rows stacked along a new leading axis; each node's
-    value is a row of its group's array.  Each tensor step runs, in rank order, once the
-    values it reads are made.  Every error is flagged on the points it fails, with the rank
-    of its node: each point keeps its error of lowest rank, which is its first in the plan's
-    post-order, except that an error failing every point at once (a raise of jets on scalar
-    operands, a folded raise, a non-finite coordinate) ranks below every error at one point.
+    value is a row of its group's array.  The tensor steps follow, in rank order.  Every
+    error is flagged on the points it fails, with the rank of its node: each point keeps its
+    error of lowest rank, which is its first in the plan's post-order, except that an error
+    failing every point at once (a raise of jets on scalar operands, a folded raise, a
+    non-finite coordinate) ranks below every error at one point.
     """
 
     BATCH = 0
@@ -447,9 +451,7 @@ class Plan:
             fn = self._compile_group(*key[1:], nodes, reads)
             steps.append((fn, tuple(reads), count + len(steps)))
             self._where.update((x, (steps[-1][2], row)) for row, x in enumerate(nodes))
-        # Each tensor step runs once its reads are made, so that slots are freed early.
-        made, ready = {out: i for i, (_, _, out) in enumerate(steps)}, []
-        for node, (kind, payload, args) in enumerate(self._nodes):
+        for node, (kind, payload, args) in enumerate(self._nodes):  # then the tensor steps
             if kind == "stack":
                 reads, entries = [self.BATCH], [x for x, _ in args]
                 jets_at = [(i, x) for i, x in enumerate(entries) if x not in const]
@@ -460,15 +462,11 @@ class Plan:
                 fn, reads = payload, [x for x, _ in args]
             else:
                 continue
-            made[node] = max(made.get(x, -1) for x in reads)
-            ready.append((made[node], node, (fn, tuple(reads), node)))
-        steps = [(i, -1, step) for i, step in enumerate(steps)] + ready
-        steps = [step for *_, step in sorted(steps)]
-        last = {x: i for i, step in enumerate(steps) for x in step[1]}
+            steps.append((fn, tuple(reads), node))
+        last = {x: i for i, step in enumerate(steps) for x in step[1] if x not in outputs}
         dead = [[] for _ in steps]
         for x, i in last.items():
-            if x not in outputs:
-                dead[i].append(x)
+            dead[i].append(x)
         self._steps = [step + (tuple(gone),) for step, gone in zip(steps, dead)]
         self._slots = [None] * (count + len(steps))
         self._outputs, self.nodes = list(outputs), count

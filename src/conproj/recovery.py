@@ -208,7 +208,7 @@ def verify_recovery(
     factor = RecoveredFactor(scenario, base)
 
     def at(batch, _states):
-        (g, ginv), _, T = batch.out
+        (g, ginv), _, T, *_ = batch.out
         return [g.value, ginv.value, T.value]
 
     count, _, points, (g, ginv, T), _ = _sweep(scenario, samples, seed, 0, at)

@@ -28,9 +28,11 @@ gradient S^i = g^{ij} d_j f makes the recipe compatible in any dimension.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
+from numbers import Integral, Real
 from operator import getitem
 from typing import Mapping, Sequence, Union
 
@@ -66,6 +68,13 @@ DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 0
 
 
+def _is_number(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    return abs(value) <= sys.float_info.max if isinstance(value, Integral) else math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """``residual`` bounds the A, B and EPS residuals and ``quadrature`` the error estimate
@@ -78,13 +87,11 @@ class Tolerances:
     quadrature: float = 1e-10
 
     def __post_init__(self):
-        # One rule for scenario files and command-line overrides alike.
+        # The one rule for scenario files, command-line overrides and replace() alike.
         for field in fields(self):
             value = getattr(self, field.name)
-            if not 0 < value <= sys.float_info.max:
-                raise ScenarioError(
-                    f"'{field.name}' must be finite and positive", "$.tolerances"
-                )
+            if not (_is_number(value) and value > 0):
+                raise ScenarioError(f"'{field.name}' must be finite and positive", "$.tolerances")
             object.__setattr__(self, field.name, float(value))
 
 
@@ -148,15 +155,20 @@ def _parse_entry(src, coords, path: str) -> ex.Expr:
         raise ScenarioError(str(err), path) from err
 
 
+def _is_array(value) -> bool:
+    """A JSON array: a sequence that is not a string."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
 def _load_symmetric_matrix(rows, coords, n: int, path: str) -> tuple:
-    if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)):
+    if not _is_array(rows):
         raise ScenarioError("expected an array of rows", path)
     if len(rows) != n:
         raise ScenarioError(f"expected {n} rows, got {len(rows)}", path)
     grid = [[None] * n for _ in range(n)]
     for i, row in enumerate(rows):
         row_path = f"{path}[{i}]"
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+        if not _is_array(row):
             raise ScenarioError("expected an array of entries", row_path)
         if len(row) == n:
             start = 0
@@ -191,7 +203,7 @@ def _load_symmetric_matrix(rows, coords, n: int, path: str) -> tuple:
 
 
 def _load_vector(entries, coords, n: int, path: str) -> tuple:
-    if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
+    if not _is_array(entries):
         raise ScenarioError("expected an array of expression strings", path)
     if len(entries) != n:
         raise ScenarioError(f"expected {n} entries, got {len(entries)}", path)
@@ -220,7 +232,7 @@ def _load_recipe(doc, coords, n: int, path: str) -> ConnectionRecipe:
     if kind == "explicit":
         _check_keys(doc, {"kind", "gamma"}, path)
         gamma_doc = doc.get("gamma")
-        if not isinstance(gamma_doc, Sequence) or len(gamma_doc) != n:
+        if not _is_array(gamma_doc) or len(gamma_doc) != n:
             raise ScenarioError(f"'gamma' must be an array of {n} matrices", path)
         gamma = tuple(
             _load_symmetric_matrix(mat, coords, n, f"{path}.gamma[{i}]")
@@ -249,12 +261,6 @@ def _load_recipe(doc, coords, n: int, path: str) -> ConnectionRecipe:
     raise ScenarioError(f"unknown connection kind {kind!r}", path)
 
 
-def _is_number(value) -> bool:
-    """A JSON number that converts to a finite float."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
-
-
 def load_scenario(document) -> Scenario:
     """Load and validate a scenario from a mapping or JSON text."""
     if isinstance(document, (str, bytes)):
@@ -264,35 +270,18 @@ def load_scenario(document) -> Scenario:
             raise ScenarioError(f"invalid JSON: {err}") from err
     if not isinstance(document, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
-    _check_keys(
-        document,
-        {
-            "dimension",
-            "coordinates",
-            "box",
-            "metric",
-            "connection",
-            "tolerances",
-            "samples",
-            "seed",
-            "name",
-            "description",
-        },
-        "$",
-    )
+    keys = {"box" if f.name.startswith("box_") else f.name for f in fields(Scenario)}
+    _check_keys(document, keys, "$")  # Scenario's fields, "box" for box_min and box_max
 
     n = document.get("dimension")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ScenarioError("'dimension' must be an integer", "$.dimension")
     if n < 2:
-        raise ScenarioError(
-            "dimension must be at least 2 (the trace coefficient divides by "
-            "(n+2)(n-1))",
-            "$.dimension",
-        )
+        message = "dimension must be at least 2 (the trace coefficient divides by (n+2)(n-1))"
+        raise ScenarioError(message, "$.dimension")
 
     coords_doc = document.get("coordinates")
-    if not isinstance(coords_doc, Sequence) or isinstance(coords_doc, (str, bytes)):
+    if not _is_array(coords_doc):
         raise ScenarioError("'coordinates' must be an array", "$.coordinates")
     if len(coords_doc) != n:
         raise ScenarioError(
@@ -319,12 +308,7 @@ def load_scenario(document) -> Scenario:
     bounds = {}
     for key in ("min", "max"):
         arr = box_doc.get(key)
-        if (
-            not isinstance(arr, Sequence)
-            or isinstance(arr, (str, bytes))
-            or len(arr) != n
-            or not all(_is_number(v) for v in arr)
-        ):
+        if not _is_array(arr) or len(arr) != n or not all(_is_number(v) for v in arr):
             raise ScenarioError(f"'{key}' must be an array of {n} finite numbers", f"$.box.{key}")
         bounds[key] = tuple(float(v) for v in arr)
     widths = [hi - lo for lo, hi in zip(bounds["min"], bounds["max"])]
@@ -343,9 +327,6 @@ def load_scenario(document) -> Scenario:
     if not isinstance(tol_doc, Mapping):
         raise ScenarioError("'tolerances' must be an object", "$.tolerances")
     _check_keys(tol_doc, {field.name for field in fields(Tolerances)}, "$.tolerances")
-    for key, value in tol_doc.items():
-        if not _is_number(value):
-            raise ScenarioError(f"'{key}' must be a finite number", "$.tolerances")
     tolerances = Tolerances(**tol_doc)
 
     samples = document.get("samples", DEFAULT_SAMPLES)
@@ -408,12 +389,20 @@ def _symmetric(plan: ex.Plan, entries, order: int, rank: int) -> int:
     return plan.stack([reduce(getitem, i, entries) for i in np.ndindex(shape)], shape, order)
 
 
+def _unshifted(recipe) -> tuple:
+    """A recipe's base under its ``projective_transform`` wrappings, and their psi innermost
+    first: where psi cancels, in T_i and the trace-free T, such a recipe reads as its base."""
+    shifts = []
+    while isinstance(recipe, ProjectiveTransformRecipe):
+        recipe, shifts = recipe.base, [recipe.psi, *shifts]
+    return recipe, shifts
+
+
 def _geometry(plan: ex.Plan, order: int, rank_tol: float, metrics: list, recipe) -> dict:
     """One ``(M, n, n)`` stack at order ``order + 1`` of the distinct ``metrics`` and the one
-    of ``recipe``, if any (equal metrics once, in first order), and one step for all their
-    inverses at ``order``.  Maps id(entries) -> (step, index)."""
-    while isinstance(recipe, ProjectiveTransformRecipe):
-        recipe = recipe.base
+    of ``recipe``'s base, if any (equal metrics once, in first order), and one step for all
+    their inverses at ``order``.  Maps id(entries) -> (step, index)."""
+    recipe = _unshifted(recipe)[0]
     if isinstance(recipe, (LeviCivitaRecipe, ModifiedSRecipe)):
         metrics = [*metrics, recipe.metric]
     index, found, shape = {}, {}, (plan.n, plan.n)
@@ -488,9 +477,7 @@ def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
     ``explicit`` stack by contraction and of ``modified_s(h, s)`` less (g_ij S^j g^kl h_kl,
     h_ij S^j).  A ``projective_transform`` reads as its base: it adds (2 psi_i, (n + 1)
     psi_i), which the one-form T_i cancels, so psi is never evaluated here."""
-    n = plan.n
-    while isinstance(recipe, ProjectiveTransformRecipe):
-        recipe = recipe.base
+    n, recipe = plan.n, _unshifted(recipe)[0]
     if isinstance(recipe, LeviCivitaRecipe):
         return metric_geometry(plan, recipe.metric, geometry, levi_civita_traces, "traces")
     if isinstance(recipe, ExplicitRecipe):

@@ -135,6 +135,18 @@ def test_criterion_3_representative_independence():
         after = check_compatibility(transformed, samples=15)
         assert before.verdict == after.verdict, (before.verdict, after.verdict)
 
+    # changes of any size, round trips in several signatures too: a constant or steep
+    # conformal factor and a huge projective shift
+    scenarios += [load_scenario(round_trip_doc(rng, n, negative=q, samples=10)[0])
+                  for n, q in ((2, 1), (3, 1), (4, 2), (4, 3))]
+    for scenario in scenarios:
+        before = check_compatibility(scenario, samples=15).verdict
+        changes = [with_conformal_factor(scenario, sigma) for sigma in ("10", "-10", "12*x1")]
+        changes.append(with_projective_shift(scenario, ["1e12"] * scenario.dimension))
+        for changed in changes:
+            after = check_compatibility(changed, samples=15).verdict
+            assert after == before, (before, after)
+
 
 @criterion(4, "trace-free symbol laws: tracelessness and projective invariance")
 def test_criterion_4_thomas_laws():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 import sys
@@ -31,8 +32,10 @@ from conproj import (
     sample_points,
     verify_recovery,
     with_conformal_factor,
+    with_projective_shift,
 )
 from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _one_form
+from conproj.expressions import Binary, Literal
 from conproj.geometry import connection_traces, tracefree
 from conproj.sampling import SplitMix64, draw_point, point_stream, uniform_draws
 from helpers import (
@@ -861,6 +864,29 @@ def test_constant_rescaling_of_the_metric_keeps_the_verdict():
             scaled = check_compatibility(load_scenario(_scaled_minkowski_doc(scale, n)))
             assert scaled.verdict == "compatible" and scaled.eps_verdict == "holds", scale
             assert scaled.null_vectors == unit.null_vectors and not scaled.skipped
+
+
+def test_no_representative_moves_the_drift_verdict():
+    # the reported A and B are divided by a scale that no representative moves:
+    # max(1, |Gamma|, |g| |g^-1|), Gamma the connection without its projective shift
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    scn = load_scenario_path(path)
+    report = check_compatibility(scn)
+    assert report.verdict == "fails_B" and report.max_b == 1.0
+    changes = {}
+    for k in (20, -20):  # g -> 4^k g with the same connection
+        metric = tuple(tuple(Binary("*", Literal(4.0**k), e) for e in row) for row in scn.metric)
+        changes[f"g*4^{k}"] = dataclasses.replace(scn, metric=metric)
+    for sigma in ("10", "-10", "12*x1", "-12*x1"):
+        changes[f"sigma={sigma}"] = with_conformal_factor(scn, sigma)
+    for i in range(scn.dimension):
+        psi = ["1e12" if j == i else "0" for j in range(scn.dimension)]
+        changes[f"psi{i + 1}=1e12"] = with_projective_shift(scn, psi)
+    for name, changed in changes.items():
+        moved = check_compatibility(changed)
+        assert moved.verdict == "fails_B", (name, moved.verdict, moved.max_b)
+        assert math.isclose(moved.max_b, report.max_b, rel_tol=1e-12), (name, moved.max_b)
+        assert moved.max_a <= 1e-13, (name, moved.max_a)
 
 
 def _own_connection_doc(entries, samples, seed=5):

@@ -10,6 +10,7 @@ from conproj import (
     reconstruct_conformal,
     sample_null_vectors,
 )
+from conproj.cone import _unknowns
 from conproj.sampling import SplitMix64
 
 
@@ -181,3 +182,12 @@ def test_the_unknowns_come_from_a_bounded_read_only_cache():
     for table in (rows, cols, off):
         with pytest.raises(ValueError):
             table[0] = table[0]
+
+
+def test_too_few_vectors_are_counted_before_the_unknowns_are_built():
+    # n(n+1)/2 - 1 = 500000499999 at n = 10^6: the upper-triangle index arrays would
+    # take gigabytes, so the count comes first and nothing is cached
+    cached = _unknowns.cache_info().currsize
+    with pytest.raises(TooFewVectors, match="need at least 500000499999 null vectors, got 0"):
+        reconstruct_conformal([], 10**6)
+    assert _unknowns.cache_info().currsize == cached

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from conproj import (
 from conproj import expressions, jets
 from conproj.compatibility import _trace_plan
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
-from conproj.scenario import _connection_plan
+from conproj.scenario import ProjectiveTransformRecipe, _connection_plan
 from helpers import (
     drift_doc,
     flat_doc,
@@ -504,14 +505,18 @@ def test_the_grouped_plan_matches_a_recursive_walk_bit_for_bit(n):
             count = (1, 7, 300)[(kind + q) % 3]
             points = np.array(sample_points(scn, count))
             points = points[0] if count == 1 else points
+            base = scn.connection
+            while isinstance(base, ProjectiveTransformRecipe):
+                base = base.base
             for order in (0, 1):
-                # the trace plan reads the connection at order 0, connection_at's at order
+                # the trace plan reads the base connection at order 0, connection_at the
+                # full recipe at order
                 with np.errstate(all="ignore"):
                     (g, _), gamma, *_ = _trace_plan(scn, order).run(points).out
                     (connection,) = _connection_plan(scn, order).run(points).out
                     expected_g = walk_tensor(scn.metric, (n, n), points, order + 1)
-                    expected = [walk_connection(scn.connection, points, k, scn.tolerances.rank)
-                                for k in (0, order)]
+                    expected = [walk_connection(recipe, points, k, scn.tolerances.rank)
+                                for recipe, k in ((base, 0), (scn.connection, order))]
                 assert g.data.tobytes() == expected_g.data.tobytes(), (q, kind, order)
                 assert gamma.data.tobytes() == expected[0].data.tobytes(), (q, kind, order)
                 assert connection.data.tobytes() == expected[1].data.tobytes(), (q, kind, order)
@@ -546,6 +551,21 @@ def test_eval_expr_keeps_a_bounded_set_of_plans():
     first, again = eval_expr(tree, (0.3, -0.7)), eval_expr(tree, (0.3, -0.7))
     assert first.data.tobytes() == again.data.tobytes()
     assert eval_expr(tree, (0.3, -0.7), 0).order == 0  # another order, another plan
+
+
+def test_an_error_in_a_deep_library_built_tree_prints_without_recursion():
+    # 1,300 conformal wraps of 0.3 nest each metric entry 1,300 levels deep, past the
+    # parser's bound, and overflow exp(0.6)^k from k = 1,183: the error names the first
+    # overflowing product, printed once, not each of the ~118 folded alarms after it
+    scn = load_scenario(flat_doc(2, samples=5))
+    for _ in range(1300):
+        scn = with_conformal_factor(scn, "0.3")
+    start = time.perf_counter()
+    for call in (lambda: check_compatibility(scn), lambda: metric_at(scn, (0.1, 0.2))):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert excinfo.value.path.startswith("1.0*exp(2.0*0.3)*")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_expr_evaluates_a_deep_tree_twice():

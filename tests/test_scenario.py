@@ -163,6 +163,7 @@ _IDENTITY = [["1", "0"], ["0", "1"]]
             "missing 'base' or 'psi'",
         ),
         ("connection", {"kind": "affine"}, "$.connection", "unknown connection kind"),
+        ("connection", {"kind": "explicit", "gamma": "ab"}, "$.connection", "'gamma' must be"),
         ("tolerances", [], "$.tolerances", "must be an object"),
         ("samples", 0, "$.samples", "must be a positive integer"),
         ("seed", 1.5, "$.seed", "must be an integer"),
@@ -259,6 +260,22 @@ def test_tolerances_must_be_finite_and_positive(key, value):
     text = json.dumps(flat_doc(2))[:-1] + f', "tolerances": {{"{key}": {value}}}}}'
     with pytest.raises(ScenarioError, match=rf"\$\.tolerances.*'{key}'"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Tolerances(residual=True),
+        lambda: Tolerances(residual="1e-8"),
+        lambda: replace(load_scenario(flat_doc(2)).tolerances, residual=True),
+    ],
+    ids=["bool", "string", "replace"],
+)
+def test_a_tolerance_from_python_keeps_the_files_rule(make):
+    # a boolean or a string is no tolerance, whichever way it comes
+    with pytest.raises(ScenarioError, match=r"'residual' must be finite and positive") as excinfo:
+        make()
+    assert excinfo.value.path == "$.tolerances"
 
 
 @pytest.mark.parametrize(
