@@ -72,69 +72,9 @@ from .scenario import (
     with_projective_shift,
 )
 
-__all__ = [
-    "__version__",
-    # jets
-    "Jet",
-    "constant",
-    "coordinate",
-    "partial_derivative",
-    "apply_function",
-    # expressions
-    "parse_expression",
-    "print_expression",
-    "eval_expr",
-    # scenario
-    "Scenario",
-    "Tolerances",
-    "load_scenario",
-    "load_scenario_path",
-    "metric_at",
-    "connection_at",
-    "sample_points",
-    "with_conformal_factor",
-    "with_projective_shift",
-    # geometry
-    "MetricValue",
-    "ConnectionValue",
-    "ThomasValue",
-    "OneFormValue",
-    "VectorValue",
-    "invert_metric",
-    "christoffel",
-    "conformal_rescale_metric",
-    "rescaled_connection",
-    "projective_transform",
-    "thomas_symbol",
-    # compatibility
-    "NullVector",
-    "ObstructionData",
-    "PointSummary",
-    "CompatReport",
-    "sample_null_vectors",
-    "eps_residual",
-    "obstruction_at",
-    "check_compatibility",
-    # recovery
-    "RecoveredFactor",
-    "RecoveryVerification",
-    "integrate_phi",
-    "integrate_phi_path",
-    "recover_metric",
-    "verify_recovery",
-    # cone
-    "reconstruct_conformal",
-    "canonicalize_metric",
-    # errors
-    "ConprojError",
-    "DomainError",
-    "ExpressionError",
-    "ExpressionSyntaxError",
-    "UnknownIdentifierError",
-    "UnknownFunctionError",
-    "ScenarioError",
-    "DegenerateMetric",
-    "NonConvergence",
-    "TooFewVectors",
-    "NonGenericConfiguration",
+from types import ModuleType as _Module
+
+# The imports above are the one list of public names: each name they bind, less the modules.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)
 ]

@@ -25,11 +25,12 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .compatibility import CompatReport, check_compatibility
+from .compatibility import check_compatibility
 from .cone import reconstruct_conformal
 from .errors import ConprojError, NonGenericConfiguration
 from .recovery import RecoveredFactor, verify_recovery
-from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, Scenario, load_scenario
+from .sampling import as_int
+from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, load_scenario
 
 
 def _flat_metric(first: str, n: int) -> list:
@@ -118,19 +119,6 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--quiet", action="store_true")
 
 
-def _load_scenario_file(path: Path):
-    raw = path.read_bytes()
-    scenario = load_scenario(raw.decode("utf-8"))
-    digest = hashlib.sha256(raw).hexdigest()
-    return scenario, digest
-
-
-def _override_tolerances(scenario: Scenario, args) -> Scenario:
-    given = {"residual": args.tol_residual, "quadrature": args.tol_quadrature}
-    tol = replace(scenario.tolerances, **{k: v for k, v in given.items() if v is not None})
-    return replace(scenario, tolerances=tol)
-
-
 def _parse_point(text: str, n: int) -> tuple:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -145,13 +133,23 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _check_document(report: CompatReport, digest: str) -> dict:
+def _check(args, *points) -> tuple:
+    """The steps ``check`` and ``recover`` share, in the order their errors are reported:
+    load the scenario file, apply the tolerance flags, parse ``points``, run the check.
+    Returns the scenario, the points, the report and its JSON document."""
+    raw = args.scenario.read_bytes()
+    scenario = load_scenario(raw.decode("utf-8"))
+    given = {"residual": args.tol_residual, "quadrature": args.tol_quadrature}
+    tol = replace(scenario.tolerances, **{k: v for k, v in given.items() if v is not None})
+    scenario = replace(scenario, tolerances=tol)
+    points = [_parse_point(text, scenario.dimension) for text in points]
+    report = check_compatibility(scenario, samples=args.samples, seed=args.seed)
     eps_value = "vacuous" if report.max_eps is None else report.max_eps
-    return {
+    return scenario, points, report, {
         "tool": "conproj",
         "version": __version__,
         "timestamp": _timestamp(),
-        "scenario_digest": digest,
+        "scenario_digest": hashlib.sha256(raw).hexdigest(),
         "verdict": report.verdict,
         "eps": report.eps_verdict,
         "residuals": {"A": report.max_a, "B": report.max_b, "eps": eps_value},
@@ -177,10 +175,7 @@ def _emit(document: dict, out: Path | None, quiet: bool, summary: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    scenario, digest = _load_scenario_file(args.scenario)
-    scenario = _override_tolerances(scenario, args)
-    report = check_compatibility(scenario, samples=args.samples, seed=args.seed)
-    document = _check_document(report, digest)
+    _, _, report, document = _check(args)
     _emit(
         document,
         args.out,
@@ -192,12 +187,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    scenario, digest = _load_scenario_file(args.scenario)
-    scenario = _override_tolerances(scenario, args)
-    base = _parse_point(args.base, scenario.dimension)
-    at = _parse_point(args.at, scenario.dimension)
-    report = check_compatibility(scenario, samples=args.samples, seed=args.seed)
-    document = _check_document(report, digest)
+    scenario, (base, at), report, document = _check(args, args.base, args.at)
     if report.verdict != "compatible":
         _emit(
             document,
@@ -240,9 +230,7 @@ def _cmd_cone(args) -> int:
     payload = _read_json(args.vectors)
     if not isinstance(payload, dict) or "dimension" not in payload or "vectors" not in payload:
         raise ConprojError("cone input must be {\"dimension\": n, \"vectors\": [...]}")
-    n = payload["dimension"]
-    if not isinstance(n, int) or n < 2:
-        raise ConprojError("'dimension' must be an integer >= 2")
+    n = as_int(payload["dimension"], "'dimension' must be an integer >= 2", 2)
     try:
         metric = reconstruct_conformal(payload["vectors"], n)
     except NonGenericConfiguration as err:
@@ -267,15 +255,18 @@ def _resolve_metric(spec: str):
         payload = _read_json(Path(spec))
     if not isinstance(payload, dict):
         raise ConprojError("metric file must be a JSON object")
-    n = payload.get("dimension")
-    if not isinstance(n, int) or n < 2:
-        raise ConprojError("metric file needs an integer 'dimension' >= 2")
-    coords = payload.get("coordinates", [f"x{i + 1}" for i in range(n)])
+    n = as_int(payload.get("dimension"), "metric file needs an integer 'dimension' >= 2", 2)
     rows = payload.get("metric")
     if rows is None:
         raise ConprojError("metric file needs a 'metric' array")
-    box = payload.get("box", {"min": [-1.0] * n, "max": [1.0] * n})
-    return n, coords, rows, box
+    # an absent key's default is as long as the metric, n if the two match: never longer
+    # than the file, and a mismatch is the loader's to report
+    size = len(rows) if isinstance(rows, list) else 0
+    if "coordinates" not in payload:
+        payload["coordinates"] = [f"x{i + 1}" for i in range(size)]
+    if "box" not in payload:
+        payload["box"] = {"min": [-1.0] * size, "max": [1.0] * size}
+    return n, payload["coordinates"], rows, payload["box"]
 
 
 def _cmd_gen_example(args) -> int:

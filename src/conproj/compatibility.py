@@ -39,7 +39,7 @@ from .geometry import (
     tracefree,
 )
 from .jets import Jet
-from .sampling import SplitMix64, as_int, uniform_draws
+from .sampling import SplitMix64, as_floats, as_int, uniform_draws
 from .scenario import (
     LeviCivitaRecipe,
     Scenario,
@@ -80,9 +80,10 @@ class NullVector:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        message = "null vector must be a finite, nonzero 1-d array"
+        u = as_floats(self.u, message)
         if u.ndim != 1 or not (np.isfinite(u).all() and u.any()):
-            raise ValueError("null vector must be a finite, nonzero 1-d array")
+            raise ValueError(message)
         object.__setattr__(self, "u", u)
 
 
@@ -316,9 +317,10 @@ def eps_residual(g: MetricValue, gamma: ConnectionValue, u) -> float:
     Parallelism is measured with the Euclidean chart inner product: ``u``
     is null for ``g``, so a metric projection would be undefined.
     """
-    vec = np.asarray(u.u if isinstance(u, NullVector) else u, dtype=float)
+    message = "direction vector must be finite and nonzero"
+    vec = as_floats(u.u if isinstance(u, NullVector) else u, message)
     if not (np.isfinite(vec).all() and vec.any()):
-        raise ValueError("direction vector must be finite and nonzero")
+        raise ValueError(message)
     if g.order < 1:
         raise ValueError("eps_residual requires metric jets of order >= 1")
     if np.ndim(g.jet.value) != 2 or np.ndim(gamma.jet.value) != 3:

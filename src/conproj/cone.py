@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonGenericConfiguration, TooFewVectors
 from .geometry import DEFAULT_RANK_TOL
 from .jets import symmetric
-from .sampling import as_int
+from .sampling import as_floats, as_int
 
 __all__ = ["reconstruct_conformal", "canonicalize_metric"]
 
@@ -37,10 +37,10 @@ def reconstruct_conformal(vectors, n: int) -> np.ndarray:
     if not isinstance(vectors, (list, tuple, np.ndarray)) or getattr(vectors, "ndim", 1) == 0:
         raise ValueError(f"vectors must be an array of {n}-component vectors")
     try:
-        v = _checked(np.asarray(vectors, dtype=float), n)
+        v = _checked(vectors, n)
     except (TypeError, ValueError):  # one vector at a time, so the first to fail names the error
         for vector in vectors:
-            _checked(np.asarray(vector, dtype=float)[None], n)
+            _checked([vector], n)
         raise
     needed = n * (n + 1) // 2 - 1  # counted before the unknowns, which take n^2 memory
     if len(v) < needed:
@@ -89,8 +89,9 @@ def canonicalize_metric(matrix) -> np.ndarray:
     return -g if g.flat[np.argmax(np.abs(g) > 1e-12)] < 0.0 else g
 
 
-def _checked(v: np.ndarray, n: int) -> np.ndarray:
-    """The vectors ``v[0], v[1], ...`` as rows, each of ``n`` finite components, not all 0."""
+def _checked(vectors, n: int) -> np.ndarray:
+    """The ``vectors`` as the rows of a float array, each of ``n`` finite components, not all 0."""
+    v = as_floats(vectors, "vectors must be finite and nonzero")
     if len(v) and v.shape[1:] != (n,):
         raise ValueError(f"vectors must have {n} components")
     v = v.reshape(-1, n)

@@ -75,6 +75,15 @@ def as_int(value, message: str, least=-float("inf")) -> int:
     return int(value)
 
 
+def as_floats(value, message: str) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; ``ValueError(message)`` for an int beyond the
+    float range, which numpy would raise as an ``OverflowError``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def draw_points(seed: int, count: int, box_min, box_max):
     """``draw_point(point_stream(seed, i), ...)`` for each ``i < count`` bit for bit,
     as a ``(count, n)`` array, and the ``uint64`` state of each stream after it."""

@@ -46,7 +46,7 @@ from .geometry import (
     levi_civita, levi_civita_traces, shift,
 )
 from .jets import Jet
-from .sampling import draw_points
+from .sampling import as_int, draw_points
 
 __all__ = [
     "Tolerances",
@@ -212,6 +212,14 @@ def _load_vector(entries, coords, n: int, path: str) -> tuple:
     )
 
 
+def _integer(document: Mapping, key: str, message: str, least=-math.inf) -> int:
+    """``document[key]`` (the :class:`Scenario` default if absent) by :func:`as_int`'s rule."""
+    try:
+        return as_int(document.get(key, getattr(Scenario, key, None)), message, least)
+    except ValueError:
+        raise ScenarioError(message, f"$.{key}") from None
+
+
 def _check_keys(doc: Mapping, allowed: set, path: str) -> None:
     for key in doc:
         if key not in allowed:
@@ -273,9 +281,7 @@ def load_scenario(document) -> Scenario:
     keys = {"box" if f.name.startswith("box_") else f.name for f in fields(Scenario)}
     _check_keys(document, keys, "$")  # Scenario's fields, "box" for box_min and box_max
 
-    n = document.get("dimension")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ScenarioError("'dimension' must be an integer", "$.dimension")
+    n = _integer(document, "dimension", "'dimension' must be an integer")
     if n < 2:
         message = "dimension must be at least 2 (the trace coefficient divides by (n+2)(n-1))"
         raise ScenarioError(message, "$.dimension")
@@ -287,7 +293,7 @@ def load_scenario(document) -> Scenario:
         raise ScenarioError(
             f"expected {n} coordinate names, got {len(coords_doc)}", "$.coordinates"
         )
-    coords = []
+    coords = {}  # a dict keeps the names in order and finds a duplicate at once
     for i, name in enumerate(coords_doc):
         path = f"$.coordinates[{i}]"
         if not isinstance(name, str) or not ex.IDENTIFIER.fullmatch(name):
@@ -298,7 +304,7 @@ def load_scenario(document) -> Scenario:
             )
         if name in coords:
             raise ScenarioError(f"duplicate coordinate name '{name}'", path)
-        coords.append(name)
+        coords[name] = None
     coords = tuple(coords)
 
     box_doc = document.get("box")
@@ -329,12 +335,8 @@ def load_scenario(document) -> Scenario:
     _check_keys(tol_doc, {field.name for field in fields(Tolerances)}, "$.tolerances")
     tolerances = Tolerances(**tol_doc)
 
-    samples = document.get("samples", DEFAULT_SAMPLES)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ScenarioError("'samples' must be a positive integer", "$.samples")
-    seed = document.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("'seed' must be an integer", "$.seed")
+    samples = _integer(document, "samples", "'samples' must be a positive integer", 1)
+    seed = _integer(document, "seed", "'seed' must be an integer")
 
     for key in ("name", "description"):
         if key in document and not isinstance(document[key], str):

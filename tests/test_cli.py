@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,35 @@ def test_gen_example_from_metric_file(tmp_path):
     assert main(["check", str(out), "--samples", "15", "--out", str(report), "--quiet"]) == 2
     assert read_json(report)["verdict"] == "fails_B"
     assert read_json(report)["eps"] == "holds"
+
+
+def test_gen_example_builds_no_default_for_a_dimension_its_metric_lacks(tmp_path, capsys):
+    # the default coordinates and box of a million dimensions would take ~100 MB
+    metric_file = tmp_path / "metric.json"
+    metric_file.write_text(
+        json.dumps({"dimension": 1_000_000, "metric": [["1", "0"], [None, "1"]]}), encoding="utf-8"
+    )
+    tracemalloc.start()
+    try:
+        code = main(["gen-example", "--metric", str(metric_file), "--s", "0,0", "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == "error: --s must provide 1000000 components\n"
+    assert peak < 5e6
+    # without a count to check first, the loader finds the default names one per metric row
+    assert main(["gen-example", "--metric", str(metric_file), "--s-grad", "x1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: $.coordinates: expected 1000000 coordinate names, got 2\n"
+
+
+def test_cone_on_an_int_beyond_the_float_range_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    huge = "1" + "0" * 400
+    path.write_text(f'{{"dimension": 2, "vectors": [[1, {huge}], [1, 2]]}}', encoding="utf-8")
+    assert main(["cone", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: vectors must be finite and nonzero\n"
 
 
 def test_tolerance_flag_changes_verdict(tmp_path, drift_file):

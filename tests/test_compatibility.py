@@ -424,12 +424,12 @@ def test_eps_residual_cases():
     assert math.isclose(residual, 0.25)
     assert residual > 0.0
 
-    for bad in (np.zeros(2), [math.nan, 1.0], [1.0, -math.inf]):
+    for bad in (np.zeros(2), [math.nan, 1.0], [1.0, -math.inf], [1, 10**400]):
         with pytest.raises(ValueError, match="^direction vector must be finite and nonzero$"):
             eps_residual(g2, gamma2, bad)
     with pytest.raises(ValueError, match="metric jets of order >= 1"):
         eps_residual(MetricValue(Jet(2, 0, np.diag([-1.0, 1.0]))), gamma2, u)
-    for bad in (np.zeros(2), np.ones((2, 2)), [math.nan, 1.0], [math.inf, 1.0]):
+    for bad in (np.zeros(2), np.ones((2, 2)), [math.nan, 1.0], [math.inf, 1.0], [1, 10**400]):
         with pytest.raises(ValueError, match="^null vector must be a finite, nonzero 1-d array$"):
             NullVector(point=None, u=bad)
 

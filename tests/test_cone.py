@@ -105,6 +105,9 @@ def test_vector_validation():
         reconstruct_conformal([(nan, 1.0), (1.0, 2.0, 3.0)], 2)
     with pytest.raises(ValueError, match="must have 2 components"):
         reconstruct_conformal([(1.0, 2.0, 3.0), (nan, 1.0)], 2)
+    # an int beyond the float range is not finite
+    with pytest.raises(ValueError, match="^vectors must be finite and nonzero$"):
+        reconstruct_conformal([[1, 10**400], [1, 2]], 2)
 
 
 @pytest.mark.parametrize("vectors", [5, None, "11", {"a": (1.0, 1.0)}, np.array(5.0)])

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,11 @@ _IDENTITY = [["1", "0"], ["0", "1"]]
         ("tolerances", [], "$.tolerances", "must be an object"),
         ("samples", 0, "$.samples", "must be a positive integer"),
         ("seed", 1.5, "$.seed", "must be an integer"),
+        # a boolean, Python's or numpy's, is no integer; a numpy integer is judged as an int
+        ("dimension", np.int64(1), "$.dimension", "dimension must be at least 2"),
+        ("dimension", True, "$.dimension", "'dimension' must be an integer"),
+        ("samples", True, "$.samples", "'samples' must be a positive integer"),
+        ("seed", np.bool_(True), "$.seed", "'seed' must be an integer"),
         ("name", 3, "$.name", "must be a string"),
         (
             "connection",
@@ -295,3 +301,24 @@ def test_scenario_numbers_must_be_finite_floats(section, values, path):
     text = json.dumps(doc)[:-1] + f', "{section}": {values}}}'
     with pytest.raises(ScenarioError, match=path):
         load_scenario(text)
+
+
+def test_numpy_integers_load_as_python_ints():
+    # the library's keywords take numpy integers, and so does a mapping document
+    doc = flat_doc(2)
+    doc.update(dimension=np.int64(2), samples=np.int64(5), seed=np.int64(-3))
+    scn = load_scenario(doc)
+    assert (scn.dimension, scn.samples, scn.seed) == (2, 5, -3)
+    assert all(type(x) is int for x in (scn.dimension, scn.samples, scn.seed))
+
+
+def test_coordinate_names_are_checked_in_linear_time():
+    # a duplicate is looked up in the names seen so far, not searched for in a list
+    n = 100_000
+    doc = {"dimension": n, "coordinates": [f"x{i}" for i in range(n)],
+           "box": {"min": [-1.0] * n, "max": [1.0] * n}, "metric": []}
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError, match=f"expected {n} rows, got 0") as excinfo:
+        load_scenario(doc)
+    assert time.perf_counter() - start < 2.0
+    assert excinfo.value.path == "$.metric"
