@@ -30,7 +30,7 @@ from .cone import reconstruct_conformal
 from .errors import ConprojError, NonGenericConfiguration
 from .recovery import RecoveredFactor, verify_recovery
 from .sampling import as_int
-from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, load_scenario
+from .scenario import DEFAULT_SAMPLES, DEFAULT_SEED, check_rows, load_scenario
 
 
 def _flat_metric(first: str, n: int) -> list:
@@ -256,21 +256,13 @@ def _resolve_metric(spec: str):
     if not isinstance(payload, dict):
         raise ConprojError("metric file must be a JSON object")
     n = as_int(payload.get("dimension"), "metric file needs an integer 'dimension' >= 2", 2)
-    rows = payload.get("metric")
-    if rows is None:
+    if payload.get("metric") is None:
         raise ConprojError("metric file needs a 'metric' array")
-    # an absent key's default is as long as the metric, n if the two match: never longer
-    # than the file, and a mismatch is the loader's to report
-    size = len(rows) if isinstance(rows, list) else 0
-    if "coordinates" not in payload:
-        payload["coordinates"] = [f"x{i + 1}" for i in range(size)]
-    if "box" not in payload:
-        payload["box"] = {"min": [-1.0] * size, "max": [1.0] * size}
-    return n, payload["coordinates"], rows, payload["box"]
+    return n, payload
 
 
 def _cmd_gen_example(args) -> int:
-    n, coords, metric_rows, box = _resolve_metric(args.metric)
+    n, payload = _resolve_metric(args.metric)
     if args.s is not None:
         s_exprs = [part.strip() for part in args.s.split(",")]
         if len(s_exprs) != n:
@@ -280,10 +272,15 @@ def _cmd_gen_example(args) -> int:
         # S^i = g^{ij} d_j f makes the lowered drift one-form exact, so the
         # generated scenario is compatible by construction.
         key, drift = "potential", args.s_grad
+    metric_rows = payload["metric"]
+    if "coordinates" not in payload or "box" not in payload:
+        check_rows(metric_rows, n, "$.metric")  # so the n-long defaults are no longer than it
+        coords, box = [f"x{i + 1}" for i in range(n)], {"min": [-1.0] * n, "max": [1.0] * n}
+        payload = {"coordinates": coords, "box": box, **payload}
     document = {
         "dimension": n,
-        "coordinates": coords,
-        "box": box,
+        "coordinates": payload["coordinates"],
+        "box": payload["box"],
         "metric": metric_rows,
         "connection": {"kind": "modified_s", "metric": metric_rows, key: drift},
         "samples": args.samples,

@@ -19,6 +19,7 @@ imply it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,8 @@ from .geometry import (
     OneFormValue,
     VectorValue,
     christoffel,
-    drift,
+    identity,
     ill_conditioned,
-    shift,
     tracefree,
 )
 from .jets import Jet
@@ -89,8 +89,7 @@ class NullVector:
 
 @dataclass(frozen=True)
 class ObstructionData:
-    """Tensors of the compatibility check at a point, or over a stack of
-    points (then ``point`` is None and every array leads with the points).
+    """Tensors of the compatibility check at a point (see :func:`obstruction_at`).
     ``t_tensor`` and ``t_up`` are order-0 jets, ``t_down`` has its gradient.
     ``a`` and ``b`` are the raw condition residual arrays; ``scale`` is the
     normalization max(1, |Gamma|, |g| |g^-1|) of max-abs entries used for reporting,
@@ -187,10 +186,11 @@ def _one_form(own: Jet, other: Jet) -> Jet:
 
 
 def _condition_a(t, up, down, g) -> np.ndarray:
-    """T^i_jk - T^i g_jk + delta^i_j T_k/(n+1) + delta^i_k T_j/(n+1) from the values."""
+    """T^i_jk - T^i g_jk + delta^i_j T_k/(n+1) + delta^i_k T_j/(n+1) from the values, by the
+    operations of ``shift(drift(...))`` in their order."""
     n = g.shape[-1]
-    t, up, psi, g = (jets._wrap(n, 0, x[..., None]) for x in (t, up, down / (n + 1), g))
-    return shift(drift(t, up, g), psi).value
+    d = identity(n)[:, :, None] * (down / (n + 1))[..., None, None, :]
+    return t - up[..., :, None, None] * g[..., None, :, :] + (d + np.swapaxes(d, -2, -1))
 
 
 def _condition_b(down: Jet) -> np.ndarray:
@@ -198,9 +198,9 @@ def _condition_b(down: Jet) -> np.ndarray:
     return np.swapaxes(down.gradient, -1, -2) - down.gradient
 
 
-def _obstructions(batch: Batch):
-    """The obstructions from the outputs of the order-1 :func:`_trace_plan`, and the
-    max-abs of A and of B at each point."""
+def _figures(batch: Batch) -> tuple:
+    """T^i, A, B, the scale and the max-abs of A and of B at each point from the outputs of
+    the order-1 :func:`_trace_plan`; flags each point whose figures are not finite."""
     (g, ginv), gamma, T, down, *_ = batch.out
     up = (ginv.value @ down.value[..., None])[..., 0]
     a = _condition_a(T.value, up, down.value, g.value)
@@ -208,19 +208,10 @@ def _obstructions(batch: Batch):
     lead = len(batch.shape)
     size = _absmax(g.value, lead) * _absmax(ginv.value, lead)  # no conformal factor moves it
     scale = np.maximum.reduce([np.ones(batch.shape), _absmax(gamma.value, lead), size])
-    maxima = [_absmax(a, lead), _absmax(b, lead)]
-    batch.report(~np.isfinite([scale, *maxima]).all(0), jets._NON_FINITE)
-    point = None if batch.shape else batch.point_at(0)
-    return ObstructionData(
-        point=point,
-        t_tensor=ConnectionValue(T),
-        t_up=VectorValue(jets._wrap(g.n, 0, up[..., None])),
-        t_down=OneFormValue(down),
-        a=a,
-        b=b,
-        scale=scale,
-        metric=MetricValue(g, point=point),
-    ), maxima
+    max_a, max_b = _absmax(a, lead), _absmax(b, lead)
+    if not math.isfinite((scale + max_a + max_b).sum()):  # or an overflow, which flags none
+        batch.report(~np.isfinite([scale, max_a, max_b]).all(0), jets._NON_FINITE)
+    return up, a, b, scale, max_a, max_b
 
 
 def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
@@ -339,19 +330,20 @@ def _eps_of(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     d = np.einsum("...ijk,...mj,...mk->...mi", t, u, u)
     uu = np.einsum("...i,...i->...", u, u)
     parallel = np.einsum("...i,...i->...", d, u) / uu
-    return np.max(np.abs(d - parallel[..., None] * u), axis=-1) / uu
+    return np.abs(d - parallel[..., None] * u).max(-1) / uu
 
 
 def _point_figures(batch: Batch, states: np.ndarray) -> list:
     """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
     without a cone) at each point of the batch that has not failed; flags failed null
     cones."""
-    obs, maxima = _obstructions(batch)
-    n, eps = obs.metric.n, np.full(batch.shape, np.nan)
-    cone, u, fails = _null_cone(obs.metric.jet.value, 2 * n, states, ~batch.bad, batch.point_at)[:3]
-    batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
-    eps[cone] = np.max(_eps_of(obs.a[cone], u), axis=-1)
-    return [maxima[0] / obs.scale, maxima[1] / obs.scale, obs.scale, eps]
+    _, a, _, scale, max_a, max_b = _figures(batch)
+    g, eps = batch.out[0][0].value, np.full(batch.shape, np.nan)
+    cone, u, fails = _null_cone(g, 2 * g.shape[-1], states, ~batch.bad, batch.point_at)[:3]
+    if fails:
+        batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
+    eps[cone] = _eps_of(a[cone], u).max(-1)
+    return [max_a / scale, max_b / scale, scale, eps]
 
 
 def _batched(points: np.ndarray, plan, at, *rows):
@@ -368,6 +360,8 @@ def _batched(points: np.ndarray, plan, at, *rows):
             batch = plan.run(points[chunk])
             parts.append(at(batch, *(row[chunk] for row in rows)))
         errors.extend((start + i, error) for i, error in sorted(batch.errors.items()))
+    if len(parts) == 1:
+        return parts[0], errors
     return [np.concatenate(column) for column in zip(*parts)], errors
 
 
@@ -406,13 +400,23 @@ def _sweep(scenario: Scenario, samples, seed, order: int, at):
     count, seed, points, states = _draw_samples(scenario, samples, seed)
     columns, errors = _batched(points, _trace_plan(scenario, order), at, states)
     keep, skipped = _skipped(points, errors)
-    return count, seed, points[keep], [column[keep] for column in columns], skipped
+    if skipped:
+        points, columns = points[keep], [column[keep] for column in columns]
+    return count, seed, points, columns, skipped
 
 
 def obstruction_at(scenario: Scenario, point) -> ObstructionData:
-    """Full obstruction pipeline at one point of the sampling box."""
-    plan = _trace_plan(scenario, 1)
-    return at_point(plan, _check_point(scenario, point), lambda batch: _obstructions(batch)[0])
+    """Full obstruction pipeline at one point of the sampling box: :func:`_figures` there."""
+
+    def build(batch):
+        (g, _), _, T, down, *_ = batch.out
+        up, a, b, scale, *_ = _figures(batch)
+        point = batch.point_at(0)
+        t_up = VectorValue(jets._wrap(g.n, 0, up[..., None]))
+        return ObstructionData(point, ConnectionValue(T), t_up, OneFormValue(down), a, b, scale,
+                               MetricValue(g, point=point))
+
+    return at_point(_trace_plan(scenario, 1), _check_point(scenario, point), build)
 
 
 def check_compatibility(
@@ -442,9 +446,9 @@ def check_compatibility(
         PointSummary(tuple(p), x, y, e if h else None, s) for p, x, y, s, e, h in kept
     )
     tol = scenario.tolerances.residual
-    max_a, max_b = (float(np.max(x, initial=0.0)) for x in (a, b))
-    max_eps = float(np.max(eps[has])) if has.any() else None
-    worst = np.argsort(-np.maximum(a, b), kind="stable")[:3].tolist()
+    max_a, max_b = (float(x.max(initial=0.0)) for x in (a, b))
+    max_eps = float(eps[has].max()) if has.any() else None
+    worst = (-np.maximum(a, b)).argsort(kind="stable")[:3].tolist()
     return CompatReport(
         verdict=_VERDICTS[(max_a > tol) + 2 * (max_b > tol)],
         eps_verdict="vacuous" if max_eps is None else ("holds", "fails")[max_eps > tol],

@@ -287,9 +287,9 @@ class Batch:
         return tuple(self.points.reshape(-1, self.n)[i].tolist())
 
     def flag(self, mask, error_at, rank=None) -> None:
-        """Record ``error_at(i)`` at each flat point ``i`` where ``mask`` holds and no error
-        of ``rank`` (by default :attr:`step`) or lower is yet."""
-        if not np.any(mask):
+        """Record ``error_at(i)`` at each flat point ``i`` where the boolean array ``mask``
+        holds and no error of ``rank`` (by default :attr:`step`) or lower is yet."""
+        if not mask.any():
             return
         rank = self.step if rank is None else rank
         new = np.broadcast_to(mask, self.shape) & (self.rank > rank)
@@ -509,7 +509,7 @@ class Plan:
         batch, values = Batch(points), self._slots.copy()
         values[self.BATCH] = batch
         for rank, message, e in self._alarms:  # the folded failures
-            batch.report(True, message, e, rank)
+            batch.report(np.True_, message, e, rank)
         for fn, args, out, dead in self._steps:
             batch.step = out
             values[out] = fn(*[values[i] for i in args])
@@ -527,7 +527,7 @@ def _coordinates(axes: list, gradients: np.ndarray, nodes: list, batch: Batch) -
     value = batch.points[..., axes].transpose(-1, *range(batch.points.ndim - 1))
     if not np.isfinite(value).all():
         row = np.isfinite(value.reshape(len(axes), -1)).all(-1).argmin()
-        batch.report(True, jets._NON_FINITE, None, nodes[row] + _AT_ONCE)
+        batch.report(np.True_, jets._NON_FINITE, None, nodes[row] + _AT_ONCE)
     gradients = gradients.reshape(len(axes), *(1,) * len(batch.shape), -1)
     return jets._pack(batch.n, 2, value, gradients, 0.0).data
 
@@ -553,7 +553,7 @@ def _group(n: int, op, order: int, nodes: list, trees: list, operands: list, bat
     try:
         return op(*args, check=partial(_report_rows, batch, nodes, trees)).data
     except DomainError as err:
-        batch.report(True, err.message, trees[0], nodes[0] + _AT_ONCE)
+        batch.report(np.True_, err.message, trees[0], nodes[0] + _AT_ONCE)
         return np.full(shape, np.nan)
 
 

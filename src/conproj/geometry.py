@@ -10,6 +10,8 @@ are max-absolute norms.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import jets
@@ -186,11 +188,19 @@ def connection_traces(gamma: Jet, g: Jet, ginv: Jet) -> Jet:
     return _rows(jets.matvec(g, a), np.trace(gamma.data, axis1=-4, axis2=-3))
 
 
+@lru_cache(maxsize=16)
+def identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, delta^i_j, built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def shift(gamma: Jet, psi: Jet) -> Jet:
     """Gamma^i_jk + delta^i_j psi_k + delta^i_k psi_j."""
     order = min(gamma.order, psi.order)
     k = jets._width(gamma.n, order)
-    d = np.eye(gamma.n)[:, :, None, None] * psi.data[..., None, None, :, :k]
+    d = identity(gamma.n)[:, :, None, None] * psi.data[..., None, None, :, :k]
     return jets._wrap(gamma.n, order, gamma.data[..., :k] + (d + np.swapaxes(d, -3, -2)))
 
 

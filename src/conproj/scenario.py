@@ -160,11 +160,16 @@ def _is_array(value) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
-def _load_symmetric_matrix(rows, coords, n: int, path: str) -> tuple:
+def check_rows(rows, n: int, path: str) -> None:
+    """The loader's first test of a matrix at ``path``: an array of ``n`` rows."""
     if not _is_array(rows):
         raise ScenarioError("expected an array of rows", path)
     if len(rows) != n:
         raise ScenarioError(f"expected {n} rows, got {len(rows)}", path)
+
+
+def _load_symmetric_matrix(rows, coords, n: int, path: str) -> tuple:
+    check_rows(rows, n, path)
     grid = [[None] * n for _ in range(n)]
     for i, row in enumerate(rows):
         row_path = f"{path}[{i}]"

@@ -49,10 +49,17 @@ MUTANTS = [
     Mutant("src/conproj/compatibility.py", "c = (n + 1) / ((n + 2) * (n - 1))",
            "c = (n + 1) / ((n + 2) * (n - 1)) * (1 + 1e-9)",
            "the trace coefficient of T_i moved by 1e-9"),
-    Mutant("src/conproj/compatibility.py", "return shift(drift(t, up, g), psi).value",
-           "return drift(t, up, g).value", "condition A without its delta terms"),
-    Mutant("src/conproj/compatibility.py", "down / (n + 1), g)", "down / n, g)",
+    Mutant("src/conproj/compatibility.py", " + (d + np.swapaxes(d, -2, -1))", "",
+           "condition A without its delta terms"),
+    Mutant("src/conproj/compatibility.py", "(down / (n + 1))", "(down / n)",
            "condition A's delta terms T_k / (n + 1) read as T_k / n"),
+    Mutant("src/conproj/compatibility.py",
+           "        batch.report(~np.isfinite([scale, max_a, max_b]).all(0), jets._NON_FINITE)\n",
+           "        pass\n", "the figures of a point not tested for non-finite values"),
+    Mutant("src/conproj/compatibility.py", "    if fails:\n", "    if False:\n",
+           "a failed null cone never flagged at its point"),
+    Mutant("src/conproj/compatibility.py", "    if skipped:\n", "    if False:\n",
+           "the sweep's rows returned unfiltered when a point was skipped"),
     Mutant("src/conproj/compatibility.py", "(np.arange(n) - m[:, None, None]) % n",
            "np.arange(n)", "a null vector's draws taken in eigenvector order, not plus leg first"),
     Mutant("src/conproj/compatibility.py", "on = (m > 0) & (m < n) & (count > 0)",

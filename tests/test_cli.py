@@ -294,10 +294,9 @@ def test_gen_example_builds_no_default_for_a_dimension_its_metric_lacks(tmp_path
     assert code == 1
     assert capsys.readouterr().err == "error: --s must provide 1000000 components\n"
     assert peak < 5e6
-    # without a count to check first, the loader finds the default names one per metric row
+    # without a count to check first, the metric's rows are checked before any default is built
     assert main(["gen-example", "--metric", str(metric_file), "--s-grad", "x1", "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: $.coordinates: expected 1000000 coordinate names, got 2\n"
+    assert capsys.readouterr().err == "error: $.metric: expected 1000000 rows, got 2\n"
 
 
 def test_cone_on_an_int_beyond_the_float_range_prints_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -399,6 +400,39 @@ def test_check_names_the_point_where_null_cone_sampling_fails(monkeypatch):
     with pytest.raises(ConprojError, match="null-cone sampling lost precision") as excinfo:
         check_compatibility(scn, samples=5)
     assert str(excinfo.value).endswith(f" at point {sample_points(scn, 5)[0]}")
+
+
+def test_a_non_finite_figure_fails_its_point():
+    # S^3 = 1.7e308 x2 overflows d_k T_i at every sample, so B is not finite there: the
+    # figures' guard raises at the first point, where max A = max B = nan would read compatible
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["connection"]["s"] = ["0", "0", "1.7e308*x2"]
+    scn = load_scenario({**doc, "samples": 20})
+    point = sample_points(scn)[0]
+    assert point == (0.1967264843346619, 0.24312266373340297, 0.6352728864981023)
+    for run in (lambda: check_compatibility(scn), lambda: obstruction_at(scn, point)):
+        with pytest.raises(DomainError) as excinfo:
+            run()
+        assert str(excinfo.value) == f"non-finite component in jet arithmetic at point {point}"
+        assert excinfo.value.point == point
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_sweep_and_obstruction_at_agree_bit_for_bit(n):
+    # the check's arrays and the one-point value classes come from one computation of the figures
+    rng = np.random.default_rng(60 + n)
+    docs = [round_trip_doc(rng, n, samples=8, negative=q)[0] for q in (0, 1)]
+    docs += [random_drift_incompatible_doc(rng, n, samples=8),
+             random_explicit_incompatible_doc(rng, n, samples=8)]
+    for doc in docs:
+        scn = load_scenario(doc)
+        report = check_compatibility(scn)
+        assert len(report.per_point) == 8
+        for summary in report.per_point:
+            obs = obstruction_at(scn, summary.point)
+            figures = (obs.a_residual, obs.b_residual, obs.scale)
+            assert (summary.a, summary.b, summary.scale) == figures
 
 
 def test_eps_residual_cases():
