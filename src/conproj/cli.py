@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConprojError, OSError, ValueError) as err:
+    except (ConprojError, OSError, ValueError, MemoryError) as err:  # e.g. --samples 10**15
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -91,9 +91,10 @@ class NullVector:
 class ObstructionData:
     """Tensors of the compatibility check at a point (see :func:`obstruction_at`).
     ``t_tensor`` and ``t_up`` are order-0 jets, ``t_down`` has its gradient.
-    ``a`` and ``b`` are the raw condition residual arrays; ``scale`` is the
-    normalization max(1, |Gamma|, |g| |g^-1|) of max-abs entries used for reporting,
-    Gamma the connection of the recipe's base (without its projective shifts).
+    ``a`` and ``b`` are the raw condition residual arrays, ``a_residual`` and
+    ``b_residual`` their max-abs over ``scale``, the normalization max(1, |Gamma|,
+    |g| |g^-1|) of max-abs entries used for reporting, Gamma the connection of the
+    recipe's base (without its projective shifts).
     """
 
     point: tuple | None
@@ -102,16 +103,10 @@ class ObstructionData:
     t_down: OneFormValue
     a: np.ndarray
     b: np.ndarray
+    a_residual: float
+    b_residual: float
     scale: float
     metric: MetricValue
-
-    @property
-    def a_residual(self) -> float:
-        return float(np.max(np.abs(self.a))) / self.scale
-
-    @property
-    def b_residual(self) -> float:
-        return float(np.max(np.abs(self.b))) / self.scale
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,9 @@ def _condition_b(down: Jet) -> np.ndarray:
 
 
 def _figures(batch: Batch) -> tuple:
-    """T^i, A, B, the scale and the max-abs of A and of B at each point from the outputs of
-    the order-1 :func:`_trace_plan`; flags each point whose figures are not finite."""
+    """T^i, A, B, the max-abs of A and of B over the scale, and the scale at each point from
+    the outputs of the order-1 :func:`_trace_plan`; flags each point whose figures are not
+    finite."""
     (g, ginv), gamma, T, down, *_ = batch.out
     up = (ginv.value @ down.value[..., None])[..., 0]
     a = _condition_a(T.value, up, down.value, g.value)
@@ -211,7 +207,7 @@ def _figures(batch: Batch) -> tuple:
     max_a, max_b = _absmax(a, lead), _absmax(b, lead)
     if not math.isfinite((scale + max_a + max_b).sum()):  # or an overflow, which flags none
         batch.report(~np.isfinite([scale, max_a, max_b]).all(0), jets._NON_FINITE)
-    return up, a, b, scale, max_a, max_b
+    return up, a, b, max_a / scale, max_b / scale, scale
 
 
 def _absmax(x: np.ndarray, lead: int) -> np.ndarray:
@@ -337,13 +333,13 @@ def _point_figures(batch: Batch, states: np.ndarray) -> list:
     """A, B, scale and EPS over 2n null vectors drawn from ``states`` (NaN at a point
     without a cone) at each point of the batch that has not failed; flags failed null
     cones."""
-    _, a, _, scale, max_a, max_b = _figures(batch)
+    _, a, _, *figures = _figures(batch)
     g, eps = batch.out[0][0].value, np.full(batch.shape, np.nan)
     cone, u, fails = _null_cone(g, 2 * g.shape[-1], states, ~batch.bad, batch.point_at)[:3]
     if fails:
         batch.flag(np.isin(np.arange(len(eps)), list(fails)), fails.get)
     eps[cone] = _eps_of(a[cone], u).max(-1)
-    return [max_a / scale, max_b / scale, scale, eps]
+    return [*figures, eps]
 
 
 def _batched(points: np.ndarray, plan, at, *rows):
@@ -410,10 +406,10 @@ def obstruction_at(scenario: Scenario, point) -> ObstructionData:
 
     def build(batch):
         (g, _), _, T, down, *_ = batch.out
-        up, a, b, scale, *_ = _figures(batch)
+        up, *figures = _figures(batch)
         point = batch.point_at(0)
         t_up = VectorValue(jets._wrap(g.n, 0, up[..., None]))
-        return ObstructionData(point, ConnectionValue(T), t_up, OneFormValue(down), a, b, scale,
+        return ObstructionData(point, ConnectionValue(T), t_up, OneFormValue(down), *figures,
                                MetricValue(g, point=point))
 
     return at_point(_trace_plan(scenario, 1), _check_point(scenario, point), build)

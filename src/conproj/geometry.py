@@ -188,6 +188,14 @@ def connection_traces(gamma: Jet, g: Jet, ginv: Jet) -> Jet:
     return _rows(jets.matvec(g, a), np.trace(gamma.data, axis1=-4, axis2=-3))
 
 
+def drift_traces(s: Jet, h: Jet, g: Jet, ginv: Jet) -> Jet:
+    """:func:`connection_traces` of the drift s^i h_jk by its identities (g_ij s^j g^kl h_kl,
+    h_ij s^j), with no n x n x n tensor: :func:`drift` is the one home of s (x) h."""
+    n = g.n
+    trace = jets.matvec(jets.reshape(h, 2, (1, n * n)), jets.reshape(ginv, 2, (n * n,)))
+    return _rows(jets.mul(jets.matvec(g, s), trace, None), jets.matvec(h, s).data)
+
+
 @lru_cache(maxsize=16)
 def identity(n: int) -> np.ndarray:
     """The read-only n x n identity, delta^i_j, built once per n."""

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["Jet", "constant", "coordinate", "partial_derivative", "derivative", "apply_function",
-           "matmul", "matvec", "reshape", "stack", "FUNCTION_NAMES"]
+           "matmul", "matvec", "reshape", "FUNCTION_NAMES"]
 
 _MAX_INT_POWER = 9999
 _NON_FINITE = "non-finite component in jet arithmetic"
@@ -445,21 +445,3 @@ def reshape(a: Jet, rank: int, shape: tuple) -> Jet:
     lead, k = a.data.shape[: -1 - rank], a.data.shape[-1]
     return _wrap(a.n, a.order, a.data.reshape(lead + tuple(shape) + (k,)))
 
-
-def stack(entries, shape: tuple, n: int | None = None, order: int | None = None, lead=()) -> Jet:
-    """Tensor jet of the given shape from its scalar entries in row-major order.  An entry
-    is a jet, of which the parts up to ``order`` are read (by default the lowest jet order),
-    or a float, a constant; entries broadcast over their leading shapes and ``lead``, and
-    ``n`` defaults to the jets' dimension."""
-    jet_entries = [j for j in entries if isinstance(j, Jet)]
-    n = jet_entries[0].n if n is None else n
-    order = min(j.order for j in jet_entries) if order is None else order
-    lead = np.broadcast_shapes(lead, *(j.data.shape[:-1] for j in jet_entries))
-    k = _width(n, order)
-    out = np.zeros(lead + (len(entries), k))
-    for i, j in enumerate(entries):
-        if isinstance(j, Jet):
-            out[..., i, :] = j.data[..., :k]
-        else:
-            out[..., i, 0] = j
-    return _wrap(n, order, out.reshape(lead + tuple(shape) + (k,)))

@@ -1,7 +1,9 @@
 """Deterministic 64-bit sampling (splitmix-style).
 
 The generator is pure integer arithmetic masked to 64 bits, so a given
-seed yields the same sample points on every platform.  Streams are split
+seed yields the same sample points on every platform.  A stream is a 64-bit
+state; draw k of it (0 is the next) is ``uniform_draws(state, k, lo, hi)``,
+and ``SplitMix64.skip(k)`` moves a stream past k draws.  Streams are split
 per point index: drawing for point ``i`` never disturbs the draws for
 point ``j``, which keeps reports reproducible under data-parallel
 evaluation.
@@ -25,21 +27,12 @@ def _mix64(z):
 
 
 class SplitMix64:
+    """The position of one stream, whose draws :func:`uniform_draws` reads."""
+
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return _mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_float()
 
     @property
     def state(self) -> int:
@@ -51,8 +44,9 @@ class SplitMix64:
 
 
 def uniform_draws(states, positions, lo: float, hi: float) -> np.ndarray:
-    """``SplitMix64.uniform(lo, hi)`` bit for bit at draw ``positions`` (0 is
-    the next) of the streams in ``states``; ``uint64`` arithmetic wraps."""
+    """Draw ``positions`` (0 is the next) of the streams in ``states``, uniform in [lo, hi):
+    the top 53 bits of the mixed state after ``positions + 1`` steps; ``uint64`` arithmetic
+    wraps."""
     with np.errstate(over="ignore"):
         z = np.asarray(states, np.uint64) + (np.asarray(positions, np.uint64) + 1) * _GAMMA
         return lo + (hi - lo) * ((_mix64(z) >> 11) * 2.0**-53)
@@ -61,10 +55,6 @@ def uniform_draws(states, positions, lo: float, hi: float) -> np.ndarray:
 def point_stream(seed: int, index: int) -> SplitMix64:
     """Independent deterministic stream for sample point ``index``."""
     return SplitMix64(_mix64((seed + (index + 1) * _STREAM_SALT) & MASK64))
-
-
-def draw_point(stream: SplitMix64, box_min, box_max) -> tuple[float, ...]:
-    return tuple(stream.uniform(lo, hi) for lo, hi in zip(box_min, box_max))
 
 
 def as_int(value, message: str, least=-float("inf")) -> int:
@@ -85,8 +75,9 @@ def as_floats(value, message: str) -> np.ndarray:
 
 
 def draw_points(seed: int, count: int, box_min, box_max):
-    """``draw_point(point_stream(seed, i), ...)`` for each ``i < count`` bit for bit,
-    as a ``(count, n)`` array, and the ``uint64`` state of each stream after it."""
+    """Sample point ``i < count`` as row i of a ``(count, n)`` array, coordinate j draw j
+    of ``point_stream(seed, i)`` in [box_min[j], box_max[j]), and the ``uint64`` state of
+    each stream after its n draws."""
     count = as_int(count, "sample count must be positive", 1)
     seed = as_int(seed, "seed must be an integer")
     lo, hi = np.array(box_min), np.array(box_max)

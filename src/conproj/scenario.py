@@ -42,8 +42,8 @@ from . import expressions as ex
 from . import jets
 from .errors import DegenerateMetric, ExpressionError, ScenarioError
 from .geometry import (
-    DEFAULT_RANK_TOL, ConnectionValue, MetricValue, connection_traces, drift, inverse,
-    levi_civita, levi_civita_traces, shift,
+    DEFAULT_RANK_TOL, ConnectionValue, MetricValue, connection_traces, drift, drift_traces,
+    inverse, levi_civita, levi_civita_traces, shift,
 )
 from .jets import Jet
 from .sampling import as_int, draw_points
@@ -481,10 +481,10 @@ def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
     """Node of the traces (g_ij g^kl Gamma^j_kl, Gamma^p_pi) of a connection recipe at
     ``order`` as the rows of a (2, n) jet, g the first metric of ``geometry`` (entries
     ``metric``): those of ``levi_civita(h)`` from dh (:func:`levi_civita_traces`), of an
-    ``explicit`` stack by contraction and of ``modified_s(h, s)`` less (g_ij S^j g^kl h_kl,
-    h_ij S^j).  A ``projective_transform`` reads as its base: it adds (2 psi_i, (n + 1)
-    psi_i), which the one-form T_i cancels, so psi is never evaluated here."""
-    n, recipe = plan.n, _unshifted(recipe)[0]
+    ``explicit`` stack by contraction and of ``modified_s(h, s)`` less those of the drift
+    (:func:`drift_traces`).  A ``projective_transform`` reads as its base: it adds (2 psi_i,
+    (n + 1) psi_i), which the one-form T_i cancels, so psi is never evaluated here."""
+    recipe = _unshifted(recipe)[0]
     if isinstance(recipe, LeviCivitaRecipe):
         return metric_geometry(plan, recipe.metric, geometry, levi_civita_traces, "traces")
     if isinstance(recipe, ExplicitRecipe):
@@ -494,12 +494,8 @@ def _traces(plan: ex.Plan, recipe, order: int, geometry: dict, metric) -> int:
     if isinstance(recipe, ModifiedSRecipe):
         base = _traces(plan, LeviCivitaRecipe(recipe.metric), order, geometry, metric)
         view, s = _drift_field(plan, recipe, order, geometry)
-
-        def drift_traces(t: Jet, v: tuple, g: tuple, s: Jet) -> Jet:  # less those of s (x) h
-            outer = jets.mul(jets.reshape(s, 1, (n, 1, 1)), jets.reshape(v[0], 2, (1, n, n)), None)
-            return jets.sub(t, connection_traces(outer, *g), None)
-
-        return plan.step(drift_traces, base, view, metric_geometry(plan, metric, geometry), s)
+        return plan.step(lambda t, v, g, s: jets.sub(t, drift_traces(s, v[0], *g), None),
+                         base, view, metric_geometry(plan, metric, geometry), s)
     raise TypeError(f"unknown connection recipe: {recipe!r}")
 
 

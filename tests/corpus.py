@@ -119,7 +119,8 @@ def null_vector_records() -> None:
         for count in (0, 1, 4, 9):
             stream = SplitMix64(1000 * n + 10 * q + count)
             drawn = outcome(lambda: [v.u.tolist() for v in sample_null_vectors(g, count, stream)])
-            emit(f"null_vectors.n{n}q{q}.count{count}", f"{drawn} state={stream.state}")
+            record = {"vectors": parse(drawn), "state": stream.state}  # an error as its text
+            emit(f"null_vectors.n{n}q{q}.count{count}", json.dumps(record))
 
 
 def recovery_records() -> None:

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and scenario builders."""
+"""Shared test utilities: finite-difference oracles, scalar references of the batched
+kernels and scenario builders."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 from conproj import jets, load_scenario, metric_at, sample_points
 from conproj.expressions import Binary, Call, Literal, Neg, Variable
 from conproj.geometry import drift, inverse, levi_civita, shift
+from conproj.sampling import _mix64
 from conproj.scenario import ExplicitRecipe, LeviCivitaRecipe, ModifiedSRecipe
 
 
@@ -43,6 +45,47 @@ def product_rule(spec, a, b):
         hessian = hessian + np.swapaxes(cross, -1, -2)
         parts.append(hessian.reshape(hessian.shape[:-2] + (-1,)))
     return jets._wrap(a.n, order, np.concatenate(parts, axis=-1))
+
+
+def next_u64(stream):
+    """The next raw output of a ``SplitMix64`` stream, one draw at a time: the reference
+    that ``uniform_draws`` and ``draw_points`` compute as arrays."""
+    stream.skip(1)
+    return _mix64(stream.state)
+
+
+def next_float(stream) -> float:
+    """Uniform double in [0, 1) built from the top 53 bits of the next draw."""
+    return (next_u64(stream) >> 11) * 2.0**-53
+
+
+def uniform(stream, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * next_float(stream)
+
+
+def draw_point(stream, box_min, box_max) -> tuple:
+    """A sample point drawn coordinate by coordinate from ``stream``."""
+    return tuple(uniform(stream, lo, hi) for lo, hi in zip(box_min, box_max))
+
+
+def stack(entries, shape: tuple, n=None, order=None, lead=()):
+    """Tensor jet of the given shape from its scalar entries in row-major order, one entry
+    at a time: the reference of a plan's stacks.  An entry is a jet, of which the parts up
+    to ``order`` are read (by default the lowest jet order), or a float, a constant;
+    entries broadcast over their leading shapes and ``lead``, and ``n`` defaults to the
+    jets' dimension."""
+    jet_entries = [j for j in entries if isinstance(j, jets.Jet)]
+    n = jet_entries[0].n if n is None else n
+    order = min(j.order for j in jet_entries) if order is None else order
+    lead = np.broadcast_shapes(lead, *(j.data.shape[:-1] for j in jet_entries))
+    k = jets._width(n, order)
+    out = np.zeros(lead + (len(entries), k))
+    for i, j in enumerate(entries):
+        if isinstance(j, jets.Jet):
+            out[..., i, :] = j.data[..., :k]
+        else:
+            out[..., i, 0] = j
+    return jets._wrap(n, order, out.reshape(lead + tuple(shape) + (k,)))
 
 
 def fd_gradient(f, p, h=1e-4):
@@ -338,7 +381,7 @@ def walk_tensor(trees, shape, points, order):
     """Reference tensor jet of the nested expression ``trees`` of ``shape``."""
     points, memo = np.asarray(points, dtype=float), {}
     entries = [walk(reduce(getitem, i, trees), points, order, memo) for i in np.ndindex(shape)]
-    return jets.stack(entries, shape, points.shape[-1], order, points.shape[:-1])
+    return stack(entries, shape, points.shape[-1], order, points.shape[:-1])
 
 
 def walk_connection(recipe, points, order, rank_tol):

@@ -64,8 +64,12 @@ MUTANTS = [
            "np.arange(n)", "a null vector's draws taken in eigenvector order, not plus leg first"),
     Mutant("src/conproj/compatibility.py", "on = (m > 0) & (m < n) & (count > 0)",
            "on = (m < n) & (count > 0)", "a null cone drawn at positive-definite points"),
-    Mutant("src/conproj/scenario.py", "return jets.sub(t, connection_traces(outer, *g), None)",
-           "return t", "a drift's traces without those of s (x) h"),
+    Mutant("src/conproj/scenario.py", "jets.sub(t, drift_traces(s, v[0], *g), None)", "t",
+           "a drift's traces without those of s (x) h"),
+    Mutant("src/conproj/geometry.py", "jets.mul(jets.matvec(g, s), trace, None)",
+           "jets.matvec(g, s)", "the drift trace g_ij s^j g^kl h_kl without its factor g^kl h_kl"),
+    Mutant("src/conproj/compatibility.py", "return up, a, b, max_a / scale,",
+           "return up, a, b, max_a,", "the A residual left unscaled"),
     Mutant("src/conproj/recovery.py", "np.any(w != 0.0, axis=1) | (order > 0)",
            "np.ones(m, dtype=bool)", "quadrature evaluating zero-length segments at order 0"),
     Mutant("src/conproj/cone.py", "np.argmax(np.abs(g) > 1e-12)", "np.argmax(g != 0.0)",

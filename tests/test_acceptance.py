@@ -43,7 +43,6 @@ from conproj import (
 )
 from conproj.cli import main
 from conproj.geometry import MetricValue
-from conproj.jets import stack
 from conproj.sampling import SplitMix64
 from helpers import (
     assert_componentwise_close,
@@ -54,6 +53,7 @@ from helpers import (
     random_explicit_incompatible_doc,
     random_expression,
     round_trip_doc,
+    stack,
 )
 
 

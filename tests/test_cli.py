@@ -425,6 +425,9 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
          "error: $.connection.potential: unknown identifier 'x9'"),
         (["gen-example", "--metric", "{bad_entry}", "--s-grad", "x9"], "error: $.metric[0][0]: "),
         (["gen-example", "--metric", "{bad_entry}", "--s", "x9"], "--s must provide 2 components"),
+        (["check", "{scenario}", "--samples", str(10**15)], "Unable to allocate"),
+        (["recover", "{scenario}", "--base", "0,0", "--at", "0,0", "--samples", str(10**15)],
+         "Unable to allocate"),
     ],
     ids=[
         "zero-samples",
@@ -452,6 +455,8 @@ _NOT_AN_ARRAY = "error: $.coordinates: 'coordinates' must be an array"
         "potential-unknown-name",
         "metric-entry-error-before-the-drift",
         "drift-component-count-before-the-metric",
+        "check-samples-beyond-memory",
+        "recover-samples-beyond-memory",
     ],
 )
 def test_user_errors_print_one_line_and_exit_one(

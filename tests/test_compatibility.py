@@ -38,8 +38,9 @@ from conproj import (
 from conproj.compatibility import CHUNK_POINTS, NullVector, _condition_a, _one_form
 from conproj.expressions import Binary, Literal
 from conproj.geometry import connection_traces, tracefree
-from conproj.sampling import SplitMix64, draw_point, point_stream, uniform_draws
+from conproj.sampling import SplitMix64, point_stream, uniform_draws
 from helpers import (
+    draw_point,
     drift_doc,
     flat_doc,
     one_degenerate_sample_doc,
@@ -49,6 +50,7 @@ from helpers import (
     rank_one_doc,
     rescaled_flat_doc,
     round_trip_doc,
+    uniform,
 )
 
 
@@ -305,7 +307,7 @@ def _reference_null_vectors(values, count, rng):
     for _ in range(count):
         w = [0.0] * n
         for columns in (range(m, n), range(m)):
-            c = [rng.uniform(-1.0, 1.0) for _ in columns]
+            c = [uniform(rng, -1.0, 1.0) for _ in columns]
             leg = [sum(vec[i][s] * x for s, x in zip(columns, c)) for i in range(n)]
             q = sum(leg[i] * values[i][j] * leg[j] for i in range(n) for j in range(n))
             w = [a + b / math.sqrt(abs(q)) for a, b in zip(w, leg)]
@@ -566,6 +568,24 @@ def test_degenerate_sampling_is_fatal_when_frequent():
     scn = load_scenario(rank_one_doc())
     with pytest.raises(DegenerateMetric):
         check_compatibility(scn)
+
+
+def test_a_constant_degenerate_metric_fails_at_the_first_sample():
+    # the behaviour a plan that folds its constant steps once must keep
+    doc = flat_doc(2)
+    doc["metric"] = [["1", "1"], [None, "1"]]
+    scn = load_scenario(doc)
+    first = (-0.7659340392136929, 0.46138176022549127)
+    assert sample_points(scn)[0] == first
+    message = (f"metric is numerically degenerate at point {first} (det=0.000000e+00); "
+               "1 of 10 sample points degenerate")
+    for call in (lambda: check_compatibility(scn), lambda: verify_recovery(scn, (0, 0))):
+        with pytest.raises(DegenerateMetric) as excinfo:
+            call()
+        assert str(excinfo.value) == message and excinfo.value.point == first
+    with pytest.raises(DegenerateMetric) as excinfo:
+        obstruction_at(scn, (0.1, 0.2))
+    assert excinfo.value.point == (0.1, 0.2)
 
 
 def test_report_is_deterministic():
@@ -1131,29 +1151,23 @@ def test_a_mixed_null_cone_batch_gives_the_outputs_of_its_parts():
 
 
 def test_check_batches_its_null_cone_work(monkeypatch):
-    eigh, next_u64 = np.linalg.eigh, SplitMix64.next_u64
-    eighs, draws = [], []
+    # the points and legs are array draws (src/ has no one-draw generator to call)
+    eigh, eighs = np.linalg.eigh, []
 
     def counting_eigh(*args, **kwargs):
         eighs.append(1)
         return eigh(*args, **kwargs)
 
-    def counting_next_u64(self):
-        draws.append(1)
-        return next_u64(self)
-
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(SplitMix64, "next_u64", counting_next_u64)
     path = Path(__file__).resolve().parents[1] / "scenarios" / "drift_lorentzian_3d.json"
     scn = load_scenario_path(path)
     report = check_compatibility(scn)
     assert scn.samples == 200 and report.null_vectors == 200 * 6
     assert len(eighs) == 1
-    assert len(draws) == 0  # the points and legs are array draws
     monkeypatch.undo()
     rng = SplitMix64(7)
     assert sample_null_vectors(metric_at(scn, (0.1, 0.2, 0.3), 0), 0, rng) == []
-    assert rng.next_u64() == SplitMix64(7).next_u64()
+    assert rng.state == SplitMix64(7).state
 
 
 def test_check_and_recovery_factorise_only_in_eigh_and_inv(monkeypatch):

@@ -26,14 +26,14 @@ from conproj import (
     thomas_symbol,
 )
 from conproj import jets
-from conproj.geometry import drift
-from conproj.jets import stack
+from conproj.geometry import connection_traces, drift, drift_traces
 from helpers import (
     assert_componentwise_close,
     flat_doc,
     polynomial,
     product_rule,
     round_trip_doc,
+    stack,
 )
 
 
@@ -172,6 +172,24 @@ def test_drift_is_the_connection_less_the_outer_product_rule():
         out = drift(gamma, s, g)
         assert out.order == order
         assert np.array_equal(out.data, gamma.data - product_rule("i,jk->ijk", s, g).data)
+
+
+def test_drift_traces_are_the_traces_of_the_drift_tensor():
+    # the identities (g_ij s^j g^kl h_kl, h_ij s^j) against connection_traces of s (x) h
+    rng = np.random.default_rng(36)
+    n = 3
+    for order in (0, 1):
+        k, k1 = jets._width(n, order), jets._width(n, order + 1)
+        h = rng.normal(size=(4, n, n, k1))
+        h = jets._wrap(n, order + 1, h + h.swapaxes(-3, -2))  # h_jk symmetric
+        s = jets._wrap(n, order, rng.normal(size=(4, n, k)))
+        g = jets._wrap(n, order + 1, rng.normal(size=(4, n, n, k1)))
+        ginv = jets._wrap(n, order, rng.normal(size=(4, n, n, k)))
+        zero = jets._wrap(n, order, np.zeros((4, n, n, n, k)))
+        expected = connection_traces(drift(zero, s, h), g, ginv).data
+        out = drift_traces(s, h, g, ginv)
+        assert out.order == order
+        np.testing.assert_allclose(out.data, -expected, rtol=1e-12, atol=1e-12)
 
 
 def test_jet_inverse_is_two_sided_identity():
